@@ -31,7 +31,7 @@ from .errors import (
     WindowOutOfDomain,
     ZeroInitialCondition,
 )
-from .grid import Field, Grid, Spectrum, forward_transform, inverse_transform, make_grid
+from .grid import Field, Grid, make_grid
 from .dispersal import (
     EPS_REG,
     AlgebraicTail,
@@ -53,7 +53,6 @@ from .dispersal import (
     kernel_discrete_mass,
     load_kernel_table,
     sample_kernel,
-    semigroup_step,
 )
 from .reaction import (
     CustomMonostable,

@@ -24,6 +24,7 @@ from .errors import (
     InsufficientPoints,
     LambdaOutOfRange,
     ThresholdsNotSpanned,
+    ValidationFailed,
     WindowOutOfDomain,
 )
 from .grid import Field
@@ -279,7 +280,8 @@ def build_report(
     positions = {lam: [] for lam in levels}
     for t, fld in traj.snapshots():
         lo, hi = range_bounds(fld)
-        assert 0.0 <= lo <= hi <= 1.0, "clamped snapshot left [0, 1]"
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValidationFailed(f"snapshot at t={t:g} left [0, 1]: range [{lo:g}, {hi:g}]")
         row_levels = {}
         for lam in levels:
             pos = level_position(fld, lam, x_max=x_max)

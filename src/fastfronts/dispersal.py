@@ -1,15 +1,16 @@
-"""Dispersal operators: transform-space symbols, exact semigroup steps for the
-linear operators, implicit and sub-cycled schemes for the nonlinear fast
-diffusions, and slow direct-quadrature oracles used by the tests.
+"""Dispersal operators: transform-space symbols for the linear operators,
+implicit and sub-cycled schemes for the nonlinear fast diffusions, and slow
+direct-quadrature oracles used by the tests. The exact semigroup step of a
+linear operator lives in integrator.DispersalStepper.
 
 Linear operators are represented by a real multiplier per frequency:
 
     fractional power of the Laplacian   m(xi) = -|xi|^(2 alpha)
-    classical Laplacian                 m(xi) = -xi^2
     kernel smoothing minus identity     m(xi) = Jhat(xi) - 1
 
-where Jhat is the transform of the sampled kernel. Every symbol vanishes at
-frequency zero (mass neutrality) and is nonpositive (dissipativity).
+where Jhat is the transform of the sampled kernel. The classical Laplacian is
+the fractional power alpha = 1, with multiplier -xi^2. Every symbol vanishes
+at frequency zero (mass neutrality) and is nonpositive (dissipativity).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "Symbol",
     "build_symbol",
     "apply_symbol",
-    "semigroup_step",
     "convolve_direct",
     "fast_diffusion_step",
     "fractional_fast_diffusion_step",
@@ -208,9 +208,9 @@ class Convolution:
     kernel: KernelSpec
 
 
-@dataclass(frozen=True)
-class StandardLaplacian:
-    """Classical second derivative, multiplier -xi^2."""
+def StandardLaplacian() -> FractionalLaplacian:
+    """Classical second derivative, multiplier -xi^2: the fractional power alpha = 1."""
+    return FractionalLaplacian(1.0)
 
 
 @dataclass(frozen=True)
@@ -241,11 +241,9 @@ class FractionalFastDiffusion:
             )
 
 
-DispersalSpec = Union[
-    FractionalLaplacian, Convolution, StandardLaplacian, FastDiffusion, FractionalFastDiffusion
-]
+DispersalSpec = Union[FractionalLaplacian, Convolution, FastDiffusion, FractionalFastDiffusion]
 
-LINEAR_VARIANTS = (FractionalLaplacian, Convolution, StandardLaplacian)
+LINEAR_VARIANTS = (FractionalLaplacian, Convolution)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +282,6 @@ def build_symbol(spec: DispersalSpec, grid: Grid) -> Symbol:
         else:
             m = -np.power(grid.xi * grid.xi, spec.alpha)
         return Symbol(grid, m)
-    if isinstance(spec, StandardLaplacian):
-        return Symbol(grid, -(grid.xi * grid.xi))
     if isinstance(spec, Convolution):
         samples = sample_kernel(spec.kernel, grid)
         jhat = grid.dx * np.fft.fft(_offset_layout(samples)).real
@@ -305,22 +301,6 @@ def apply_symbol(field: Field, symbol: Symbol) -> Field:
         raise LengthMismatch("field and symbol live on different grids")
     out = np.fft.irfft(np.fft.rfft(field.values) * symbol.m_half)
     return Field(field.grid, out)
-
-
-def semigroup_step(field: Field, symbol: Symbol, dt: float) -> Field:
-    """Exact solution of u_t = D u over dt on the periodic grid.
-
-    Each transform coefficient is multiplied by exp(m * dt). Output is not
-    clamped; range control belongs to the caller.
-    """
-    if field.grid.n != symbol.grid.n:
-        raise LengthMismatch("field and symbol live on different grids")
-    if dt < 0:
-        raise ParameterOutOfRange(f"semigroup step needs dt >= 0, got {dt!r}")
-    if dt == 0:
-        return field.copy()
-    factor = np.exp(symbol.m_half * dt)
-    return Field(field.grid, np.fft.irfft(np.fft.rfft(field.values) * factor))
 
 
 def convolve_direct(field: Field, kernel: KernelSpec, grid: Grid) -> Field:
@@ -372,14 +352,13 @@ def fast_diffusion_step(
     eps_reg: float = EPS_REG,
     max_iter: int = 40,
     tol: float = 1e-13,
-    newton_iters: int | None = None,
 ) -> Field:
     """One backward-Euler step of u_t = d/dx( D(u) du/dx ), D = gamma*max(u,eps)^(gamma-1).
 
     Homogeneous Neumann ends; each inner iteration is one tridiagonal direct
     solve with the coefficient lagged at the current iterate. By default the
     iteration is driven to convergence, which makes the step order-preserving;
-    newton_iters=1 reproduces the plain single lagged solve. Discrete mass
+    max_iter=1 reproduces the plain single lagged solve. Discrete mass
     dx * sum(u) is conserved up to the iteration residual.
     """
     if field.grid.n != grid.n:
@@ -392,10 +371,9 @@ def fast_diffusion_step(
     u = u0.copy()
     n = grid.n
     r = dt / grid.dx**2
-    limit = newton_iters if newton_iters is not None else max_iter
-    for _ in range(limit):
+    for _ in range(max_iter):
         residual = u - dt * _lap_neumann(_kirchhoff(u, gamma, eps_reg), grid.dx) - u0
-        if newton_iters is None and np.max(np.abs(residual)) <= tol:
+        if np.max(np.abs(residual)) <= tol:
             break
         d = _kirchhoff_slope(u, gamma, eps_reg)
         diag = 1.0 + 2.0 * r * d

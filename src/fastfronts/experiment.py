@@ -115,7 +115,7 @@ def _as_float(entries, key):
 def _as_int(entries, key):
     try:
         return int(float(entries[key]))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValidationFailed(f"{key} = {entries[key]!r} is not an integer") from exc
 
 
@@ -294,18 +294,7 @@ def preset_config(name: str) -> RunConfig:
         raise UnknownKey(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}"
         )
-    spec = _PRESET_TABLE[name]
-    return RunConfig(
-        L=spec["L"],
-        N=spec["N"],
-        dispersal=spec["dispersal"],
-        t_end=spec["t_end"],
-        reaction=KppLogistic(),
-        dt=0.01,
-        initial=GaussianBump(100.0),
-        lambdas=(0.4, 0.5, 0.6),
-        stretch_pair=(0.4, 0.6),
-    )
+    return RunConfig(**_PRESET_TABLE[name])
 
 
 def _downsample(xs: np.ndarray, ys: np.ndarray, max_points: int = 1024) -> tuple:

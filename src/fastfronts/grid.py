@@ -1,30 +1,22 @@
-"""Periodic spatial mesh, sampled fields, and the discrete transform contract.
+"""Periodic spatial mesh and sampled fields.
 
 The computational domain is the periodic box [-L, L) with N equispaced nodes,
-N a power of two. Transform-space quantities use the signed integer frequency
-index in (-N/2, N/2] (Nyquist carried with positive sign), so the continuous
-frequency of bin k is xi_k = pi * k / L and xi_0 = 0.
-
-Normalization: a Spectrum stores c_k = fft(u)_k / N, which makes c_0 the mean
-of the field. Under this convention Parseval reads mean(u^2) = sum |c_k|^2.
+N a power of two. Each FFT bin carries the signed integer frequency index in
+(-N/2, N/2] (Nyquist carried with positive sign), so the continuous frequency
+of bin k is xi_k = pi * k / L and xi_0 = 0; the dispersal symbols are built
+on these frequencies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LengthMismatch, NonPositiveLength, NotPowerOfTwo
 
-__all__ = [
-    "Grid",
-    "Field",
-    "Spectrum",
-    "make_grid",
-    "forward_transform",
-    "inverse_transform",
-]
+__all__ = ["Grid", "Field", "make_grid"]
 
 
 class Grid:
@@ -45,8 +37,8 @@ class Grid:
         if not (isinstance(n, (int, np.integer)) and n >= 8 and (n & (n - 1)) == 0):
             raise NotPowerOfTwo(f"n_points must be a power of two >= 8, got {n!r}")
         L = float(L)
-        if not L > 0.0:
-            raise NonPositiveLength(f"half_length must be > 0, got {L!r}")
+        if not 0.0 < L < math.inf:
+            raise NonPositiveLength(f"half_length must be finite and > 0, got {L!r}")
         self.L = L
         self.n = int(n)
         self.dx = 2.0 * L / n
@@ -111,36 +103,3 @@ class Field:
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
-
-    def clamped(self) -> "Field":
-        return Field(self.grid, np.clip(self.values, 0.0, 1.0))
-
-
-@dataclass(eq=False)
-class Spectrum:
-    """Transform coefficients of a field; c_0 equals the field mean."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.grid.n,):
-            raise LengthMismatch(
-                f"spectrum has {c.shape} coefficients for a grid of {self.grid.n} nodes"
-            )
-        self.coeffs = c
-
-
-def forward_transform(field: Field) -> Spectrum:
-    """Discrete transform of a field, normalized so c_0 is the mean."""
-    return Spectrum(field.grid, np.fft.fft(field.values) / field.grid.n)
-
-
-def inverse_transform(spectrum: Spectrum, grid: Grid) -> Field:
-    """Invert forward_transform. Returns samples as-is (not clamped)."""
-    if spectrum.grid.n != grid.n or spectrum.grid.L != grid.L:
-        raise LengthMismatch(
-            f"spectrum built on {spectrum.grid!r} cannot be inverted on {grid!r}"
-        )
-    return Field(grid, np.fft.ifft(spectrum.coeffs * grid.n).real)

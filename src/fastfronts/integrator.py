@@ -39,8 +39,8 @@ from .grid import Field, Grid, make_grid
 from .reaction import (
     KppLogistic,
     ReactionSpec,
-    _rk4_update,
     logistic_exact_step,
+    rk4_reaction_step,
     validate_reaction,
 )
 
@@ -154,10 +154,17 @@ class RunConfig:
     flat_radius: float = 5.0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValidationFailed(f"dt must be > 0, got {self.dt!r}")
-        if self.t_end < 0:
-            raise ValidationFailed(f"t_end must be >= 0, got {self.t_end!r}")
+        if not 0 < self.dt < math.inf:
+            raise ValidationFailed(f"dt must be finite and > 0, got {self.dt!r}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValidationFailed(f"t_end must be finite and >= 0, got {self.t_end!r}")
+        if not 0 < self.eps_reg < math.inf:
+            raise ValidationFailed(f"eps_reg must be finite and > 0, got {self.eps_reg!r}")
+        if not self.flat_radius >= 0:
+            raise ValidationFailed(f"flat radius must be >= 0, got {self.flat_radius!r}")
+        pair = tuple(self.stretch_pair)
+        if not (len(pair) == 2 and 0 < pair[0] < pair[1] < 1):
+            raise ValidationFailed(f"stretch pair must satisfy 0 < a < b < 1, got {pair!r}")
         if not (0.0 < self.guard_threshold < 0.5):
             raise ValidationFailed(
                 f"guard threshold must lie in (0, 0.5), got {self.guard_threshold!r}"
@@ -207,10 +214,6 @@ class DispersalStepper:
         if isinstance(spec, LINEAR_VARIANTS):
             self.symbol = build_symbol(spec, grid)
 
-    @property
-    def is_linear(self) -> bool:
-        return self.symbol is not None
-
     def step_values(self, values: np.ndarray, dt: float) -> np.ndarray:
         if self.symbol is not None:
             factor = self._factors.get(dt)
@@ -236,32 +239,21 @@ def _reaction_update(values: np.ndarray, spec: Optional[ReactionSpec], dt: float
         return values
     if isinstance(spec, KppLogistic):
         return logistic_exact_step(values, dt)
-    return _rk4_update(values, spec.f, dt)
+    return rk4_reaction_step(values, spec.f, dt)
 
 
-def _strang_raw(
+def strang_step(
     values: np.ndarray, stepper: DispersalStepper, reaction: Optional[ReactionSpec], dt: float
 ) -> tuple:
-    """One unclamped Strang step; returns (new values, pre-clamp overshoot)."""
+    """R(dt/2) o D(dt) o R(dt/2), unclamped; returns (new values, pre-clamp overshoot)."""
+    if not dt > 0:
+        raise ParameterOutOfRange(f"strang step needs dt > 0, got {dt!r}")
     half = 0.5 * dt
     v = _reaction_update(values, reaction, half)
     v = stepper.step_values(v, dt)
     v = _reaction_update(v, reaction, half)
     overshoot = max(float(np.max(v)) - 1.0, -float(np.min(v)), 0.0)
     return v, overshoot
-
-
-def strang_step(
-    field: Field,
-    stepper: DispersalStepper,
-    reaction: Optional[ReactionSpec],
-    dt: float,
-) -> Field:
-    """R(dt/2) o D(dt) o R(dt/2), clamped to [0, 1]."""
-    if not dt > 0:
-        raise ParameterOutOfRange(f"strang step needs dt > 0, got {dt!r}")
-    v, _ = _strang_raw(field.values, stepper, reaction, dt)
-    return Field(field.grid, np.clip(v, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +364,7 @@ def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
                 continue
             t_local = 0.0
             for dt_step in _segment_steps(target - t_prev, config.dt):
-                u, over = _strang_raw(u, stepper, config.reaction, dt_step)
+                u, over = strang_step(u, stepper, config.reaction, dt_step)
                 np.clip(u, 0.0, 1.0, out=u)
                 t_local += dt_step
                 max_overshoot = max(max_overshoot, over)

@@ -14,7 +14,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DegenerateAtZero, EndpointNotZero, NotMonostable
-from .grid import Field
 
 __all__ = [
     "KppLogistic",
@@ -79,15 +78,10 @@ def logistic_exact_step(u, dt: float):
     return u * e / (1.0 - u + u * e)
 
 
-def _rk4_update(values, f, dt: float):
+def rk4_reaction_step(values, f, dt: float):
+    """One classical 4th-order update of u_t = f(u) per node (not clamped)."""
     k1 = f(values)
     k2 = f(values + 0.5 * dt * k1)
     k3 = f(values + 0.5 * dt * k2)
     k4 = f(values + dt * k3)
     return values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_reaction_step(field: Field, spec: ReactionSpec, dt: float) -> Field:
-    """One classical 4th-order update of u_t = f(u) per node, clamped to [0, 1]."""
-    out = _rk4_update(field.values, spec.f, dt)
-    return Field(field.grid, np.clip(out, 0.0, 1.0))

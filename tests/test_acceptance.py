@@ -17,7 +17,6 @@ from scipy.integrate import quad
 import fastfronts as ff
 from fastfronts.diagnostics import build_report, speed_fit
 from fastfronts.experiment import preset_config
-from fastfronts.reaction import _rk4_update
 
 
 def record(num, desc, passed, detail=""):
@@ -76,14 +75,13 @@ def test_c02_fractional_eigenfunction_relation():
     dt = 0.05
     worst = 0.0
     for alpha in (0.25, 0.5, 0.9):
-        symbol = ff.build_symbol(ff.FractionalLaplacian(alpha), grid)
+        stepper = ff.DispersalStepper(ff.FractionalLaplacian(alpha), grid)
         for mode in (1, 2, 5, 8):
             xi = grid.xi[mode]
-            f = ff.Field(grid, 0.5 + 0.4 * np.cos(xi * grid.x))
-            out = ff.semigroup_step(f, symbol, dt)
+            out = stepper.step_values(0.5 + 0.4 * np.cos(xi * grid.x), dt)
             amp = 0.4 * np.exp(-np.abs(xi) ** (2 * alpha) * dt)
             expected = 0.5 + amp * np.cos(xi * grid.x)
-            worst = max(worst, float(np.max(np.abs(out.values - expected)) / amp))
+            worst = max(worst, float(np.max(np.abs(out - expected)) / amp))
     record(2, "fractional semigroup eigenfunction decay", worst < 1e-10,
            f"worst rel err={worst:.2e}")
     assert worst < 1e-10
@@ -309,7 +307,7 @@ def test_c12_logistic_exact_step_vs_oracle():
     oracle = us.copy()
     f = lambda w: w * (1.0 - w)
     for _ in range(1000):
-        oracle = _rk4_update(oracle, f, 0.1 / 1000)
+        oracle = ff.rk4_reaction_step(oracle, f, 0.1 / 1000)
     gap = float(np.max(np.abs(exact - oracle)))
 
     comp = 0.0

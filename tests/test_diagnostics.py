@@ -254,3 +254,11 @@ class TestReport:
             assert set(row.levels) >= {0.4, 0.5, 0.6}
         assert 0.5 in rep.traces
         assert rep.speeds  # fitted on the trailing window
+
+    def test_snapshot_outside_unit_range_fails_loudly(self):
+        # a plain assert here would vanish under python -O
+        cfg = ff.RunConfig(L=20.0, N=2**9, dispersal=ff.StandardLaplacian(), t_end=0.0)
+        field = ff.Field.constant(cfg.grid(), 1.5)
+        traj = ff.Trajectory(cfg, [0.0], [field])
+        with pytest.raises(ff.ValidationFailed):
+            build_report(traj)

@@ -1,6 +1,7 @@
 """Dispersal operator tests: symbol values and invariants, semigroup
-eigenfunction relations, direct-quadrature convolution oracles, and the
-nonlinear fast-diffusion steps against independent dense solves.
+eigenfunction relations of the integrator's linear stepper, direct-quadrature
+convolution oracles, and the nonlinear fast-diffusion steps against
+independent dense solves.
 """
 
 import numpy as np
@@ -9,6 +10,11 @@ from scipy.integrate import quad
 
 import fastfronts as ff
 from fastfronts.dispersal import sample_kernel
+
+
+def semigroup(spec, field, dt):
+    """Exact linear dispersal step over dt, through the integrator's stepper."""
+    return ff.DispersalStepper(spec, field.grid).step_values(field.values, dt)
 
 
 @pytest.fixture
@@ -115,20 +121,11 @@ class TestKernels:
 
 
 class TestSemigroup:
-    def test_dt_zero_is_identity(self):
-        g = ff.make_grid(20.0, 128)
-        rng = np.random.default_rng(0)
-        f = ff.Field(g, rng.random(128))
-        sym = ff.build_symbol(ff.FractionalLaplacian(0.5), g)
-        out = ff.semigroup_step(f, sym, 0.0)
-        assert np.array_equal(out.values, f.values)
-
     def test_constant_field_unchanged(self):
         g = ff.make_grid(20.0, 128)
         f = ff.Field.constant(g, 0.42)
-        sym = ff.build_symbol(ff.StandardLaplacian(), g)
-        out = ff.semigroup_step(f, sym, 0.7)
-        assert np.max(np.abs(out.values - 0.42)) < 1e-14
+        out = semigroup(ff.StandardLaplacian(), f, 0.7)
+        assert np.max(np.abs(out - 0.42)) < 1e-14
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
     @pytest.mark.parametrize("mode", [1, 3, 11])
@@ -136,13 +133,12 @@ class TestSemigroup:
         g = ff.make_grid(10.0, 256)
         xi = g.xi[mode]
         f = ff.Field.from_function(g, lambda x: 0.5 * np.cos(xi * x) + 0.5)
-        sym = ff.build_symbol(ff.FractionalLaplacian(alpha), g)
         dt = 0.05
-        out = ff.semigroup_step(f, sym, dt)
+        out = semigroup(ff.FractionalLaplacian(alpha), f, dt)
         decay = np.exp(-np.abs(xi) ** (2 * alpha) * dt)
         expected = 0.5 * decay * np.cos(xi * g.x) + 0.5
         scale = max(abs(0.5 * decay), 1e-30)
-        assert np.max(np.abs(out.values - expected)) / scale < 1e-10
+        assert np.max(np.abs(out - expected)) / scale < 1e-10
 
     def test_eigenfunction_vs_subcycled_euler_oracle(self):
         # independent route: many explicit-Euler substeps of u' = D u
@@ -150,36 +146,36 @@ class TestSemigroup:
         alpha, dt = 0.6, 0.1
         sym = ff.build_symbol(ff.FractionalLaplacian(alpha), g)
         f = ff.Field.from_function(g, lambda x: 0.5 + 0.4 * np.cos(g.xi[2] * x))
-        exact = ff.semigroup_step(f, sym, dt)
+        exact = semigroup(ff.FractionalLaplacian(alpha), f, dt)
         n_sub = 20000
         u = f.values.copy()
         for _ in range(n_sub):
             u = u + (dt / n_sub) * ff.apply_symbol(ff.Field(g, u), sym).values
-        assert np.max(np.abs(u - exact.values)) < 1e-4  # O(dt/n_sub) route agrees
+        assert np.max(np.abs(u - exact)) < 1e-4  # O(dt/n_sub) route agrees
 
     def test_order_preserving_on_smooth_pairs(self):
         g = ff.make_grid(100.0, 2**9)
         rng = np.random.default_rng(21)
-        sym = ff.build_symbol(ff.FractionalLaplacian(0.9), g)
+        spec = ff.FractionalLaplacian(0.9)
         for _ in range(10):
             u, v = ff.ordered_gaussian_pair(g, rng)
-            su = ff.semigroup_step(u, sym, 0.01)
-            sv = ff.semigroup_step(v, sym, 0.01)
-            assert np.max(su.values - sv.values) <= 1e-12
+            su = semigroup(spec, u, 0.01)
+            sv = semigroup(spec, v, 0.01)
+            assert np.max(su - sv) <= 1e-12
 
     def test_order_preserving_on_rough_pairs_with_resolved_dt(self):
         # rough data excites the Nyquist band, where the discrete kernel can
         # ring; once the step damps that band the ordering is clean
         g = ff.make_grid(10.0, 64)
         rng = np.random.default_rng(22)
-        sym = ff.build_symbol(ff.FractionalLaplacian(0.5), g)
+        spec = ff.FractionalLaplacian(0.5)
         dt = 5.0  # exp(-|xi_max| * dt) ~ 1e-22
         for _ in range(10):
             a = rng.random(64)
             b = np.minimum(a + rng.random(64) * (1 - a), 1.0)
-            su = ff.semigroup_step(ff.Field(g, a), sym, dt)
-            sv = ff.semigroup_step(ff.Field(g, b), sym, dt)
-            assert np.max(su.values - sv.values) <= 1e-12
+            su = semigroup(spec, ff.Field(g, a), dt)
+            sv = semigroup(spec, ff.Field(g, b), dt)
+            assert np.max(su - sv) <= 1e-12
 
 
 class TestConvolveDirect:
@@ -246,10 +242,10 @@ class TestFastDiffusion:
         assert drift < 1e-8
 
     def test_single_iteration_matches_lagged_solve(self):
-        # newton_iters=1 is the plain lagged-coefficient backward Euler
+        # max_iter=1 is the plain lagged-coefficient backward Euler
         g = ff.make_grid(30.0, 128)
         f = ff.Field.from_function(g, lambda x: (x < 0).astype(float))
-        one = ff.fast_diffusion_step(f, 0.5, 0.01, g, newton_iters=1)
+        one = ff.fast_diffusion_step(f, 0.5, 0.01, g, max_iter=1)
         full = ff.fast_diffusion_step(f, 0.5, 0.01, g)
         gap = np.max(np.abs(one.values - full.values))
         assert 1e-12 < gap < 0.1  # differs measurably, same O(dt) ballpark
@@ -281,8 +277,7 @@ class TestFractionalFastDiffusion:
         g = ff.make_grid(10.0, 128)
         f = ff.Field.from_function(g, lambda x: 0.5 + 0.3 * np.cos(g.xi[1] * x))
         alpha, dt = 0.75, 0.05
-        sym = ff.build_symbol(ff.FractionalLaplacian(alpha), g)
-        exact = ff.semigroup_step(f, sym, dt).values
+        exact = semigroup(ff.FractionalLaplacian(alpha), f, dt)
         errs = []
         for n_sub in (40, 80, 160):
             out = ff.fractional_fast_diffusion_step(f, alpha, 1.0, dt, g, n_sub=n_sub)

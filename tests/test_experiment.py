@@ -24,7 +24,7 @@ time.t_end = 20
 class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = ff.parse_config(MINIMAL)
-        assert isinstance(cfg.dispersal, ff.StandardLaplacian)
+        assert cfg.dispersal == ff.StandardLaplacian()
         assert cfg.L == 400.0 and cfg.N == 8192 and cfg.t_end == 20.0
         assert cfg.dt == 0.01
         assert cfg.guard_threshold == 1e-4
@@ -122,6 +122,38 @@ class TestParseConfig:
         cfg = ff.parse_config(MINIMAL + f"initial.kind = tabulated\ninitial.file = {tmp_path / 'u0.txt'}\n")
         vals = ff.build_initial(cfg.initial, g).values
         assert np.allclose(vals, u)
+
+
+_BASE = dict(L=50.0, N=64, dispersal=ff.StandardLaplacian(), t_end=1.0)
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        (dict(t_end=_NAN), ff.ValidationFailed),
+        (dict(t_end=_INF), ff.ValidationFailed),
+        (dict(dt=_INF), ff.ValidationFailed),
+        (dict(L=_INF), ff.NonPositiveLength),
+        (dict(flat_radius=-1.0), ff.ValidationFailed),
+        (dict(eps_reg=0.0), ff.ValidationFailed),
+        (dict(eps_reg=-1e-8), ff.ValidationFailed),
+        (dict(stretch_pair=(0.6, 0.4)), ff.ValidationFailed),
+        (dict(stretch_pair=(0.0, 0.5)), ff.ValidationFailed),
+        (dict(stretch_pair=(0.5, 1.0)), ff.ValidationFailed),
+        ("grid.N = 1e400", ff.ValidationFailed),
+    ],
+    ids=["t_end-nan", "t_end-inf", "dt-inf", "L-inf", "flat_radius-negative",
+         "eps_reg-zero", "eps_reg-negative", "stretch-reversed", "stretch-at-zero",
+         "stretch-at-one", "N-overflow"],
+)
+def test_invalid_input_ends_in_library_error(case, error):
+    """A dict overrides RunConfig fields; a string replaces a document line."""
+    with pytest.raises(error):
+        if isinstance(case, str):
+            ff.parse_config(MINIMAL.replace("grid.N = 8192", case))
+        else:
+            ff.run(ff.RunConfig(**{**_BASE, **case}))
 
 
 class TestPresets:
@@ -324,6 +356,23 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "GuardBreached" in err and "grid.L" in err
+
+    def test_overflowing_node_count_reports_validation_category(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(SMALL_CFG.replace("grid.N = 4096", "grid.N = 1e400"))
+        code = main(["run", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error ValidationFailed" in capsys.readouterr().err
+
+    def test_properties_skips_mass_check_for_nonlinear_variant(self, tmp_path, capsys):
+        cfg = tmp_path / "fd.cfg"
+        cfg.write_text("dispersal.variant = fast_diffusion\ndispersal.gamma = 0.5\n"
+                       "grid.L = 100\ngrid.N = 512\ntime.t_end = 0.1\n")
+        code = main(["properties", str(cfg), "--seed", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "mass_neutrality skipped" in out
+        assert "comparison pass" in out
 
     def test_missing_config_reports_io_category(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.cfg")])

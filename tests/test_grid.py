@@ -1,21 +1,12 @@
-"""Grid construction and transform contract tests.
-
-The transform path is checked against a direct O(N^2) summation oracle and
-the standard round-trip / Parseval / symmetry identities.
+"""Grid construction tests: node placement, spacing, parameter gates, the
+signed frequency layout the dispersal symbols are built on, and the field
+length check.
 """
 
 import numpy as np
 import pytest
 
 import fastfronts as ff
-
-
-def direct_dft(values):
-    """O(N^2) summation oracle with the mean normalization."""
-    n = len(values)
-    j = np.arange(n)
-    w = np.exp(-2j * np.pi * np.outer(j, j) / n)
-    return (w @ values) / n
 
 
 class TestMakeGrid:
@@ -56,71 +47,7 @@ class TestMakeGrid:
 
 
 class TestTransforms:
-    def test_constant_field_mean_convention(self):
-        g = ff.make_grid(10, 32)
-        s = ff.forward_transform(ff.Field.constant(g, 0.7))
-        assert s.coeffs[0] == pytest.approx(0.7, abs=1e-15)
-        assert np.max(np.abs(s.coeffs[1:])) < 1e-15
-
-    def test_single_cosine_mode(self):
-        g = ff.make_grid(10, 64)
-        f = ff.Field.from_function(g, lambda x: np.cos(g.xi[1] * x))
-        c = ff.forward_transform(f).coeffs
-        mags = np.abs(c)
-        assert mags[1] == pytest.approx(0.5, abs=1e-12)
-        assert mags[-1] == pytest.approx(0.5, abs=1e-12)
-        mask = np.ones(64, bool)
-        mask[[1, 63]] = False
-        assert np.max(mags[mask]) < 1e-13
-
-    def test_roundtrip_and_direct_oracle(self):
-        g = ff.make_grid(50.0, 1024)
-        rng = np.random.default_rng(42)
-        vals = rng.random(1024)
-        f = ff.Field(g, vals)
-        spec = ff.forward_transform(f)
-        back = ff.inverse_transform(spec, g)
-        assert np.max(np.abs(back.values - vals)) < 1e-12
-        assert np.max(np.abs(spec.coeffs - direct_dft(vals))) < 1e-10
-
-    def test_roundtrip_100_random_fields(self):
-        g = ff.make_grid(30.0, 256)
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for _ in range(100):
-            vals = rng.random(256)
-            back = ff.inverse_transform(ff.forward_transform(ff.Field(g, vals)), g)
-            worst = max(worst, float(np.max(np.abs(back.values - vals))))
-        assert worst < 1e-12
-
-    def test_parseval(self):
-        g = ff.make_grid(12.0, 512)
-        rng = np.random.default_rng(3)
-        vals = rng.random(512)
-        c = ff.forward_transform(ff.Field(g, vals)).coeffs
-        assert np.mean(vals**2) == pytest.approx(np.sum(np.abs(c) ** 2), abs=1e-10)
-
-    def test_hermitian_symmetry(self):
-        g = ff.make_grid(9.0, 128)
-        rng = np.random.default_rng(11)
-        c = ff.forward_transform(ff.Field(g, rng.random(128))).coeffs
-        flipped = np.conj(np.roll(c[::-1], 1))  # c[-k] for each k
-        assert np.max(np.abs(c - flipped)) < 1e-14
-
-    def test_linearity(self):
-        g = ff.make_grid(4.0, 64)
-        rng = np.random.default_rng(5)
-        a, b = rng.random(64), rng.random(64)
-        ca = ff.forward_transform(ff.Field(g, a)).coeffs
-        cb = ff.forward_transform(ff.Field(g, b)).coeffs
-        cab = ff.forward_transform(ff.Field(g, 2.0 * a + 3.0 * b)).coeffs
-        assert np.max(np.abs(cab - 2.0 * ca - 3.0 * cb)) < 1e-12
-
     def test_length_mismatch(self):
         g8 = ff.make_grid(10, 8)
-        g16 = ff.make_grid(10, 16)
         with pytest.raises(ff.LengthMismatch):
             ff.Field(g8, np.zeros(16))
-        spec = ff.forward_transform(ff.Field.constant(g8, 0.5))
-        with pytest.raises(ff.LengthMismatch):
-            ff.inverse_transform(spec, g16)
