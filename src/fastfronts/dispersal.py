@@ -370,26 +370,39 @@ def convolve_direct(field: Field, kernel: KernelSpec, grid: Grid) -> Field:
 # nonlinear fast diffusion
 # ---------------------------------------------------------------------------
 
-def _kirchhoff(u: np.ndarray, gamma: float, eps: float) -> np.ndarray:
-    """Monotone potential with derivative gamma * max(u, eps)^(gamma - 1).
+def _kirchhoff(u: np.ndarray, gamma: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Monotone potential w and its slope d = gamma * max(u, eps)^(gamma - 1).
 
-    Equals u^gamma above the floor and continues linearly below it, so it is
+    w equals u^gamma above the floor and continues linearly below it, so it is
     defined and increasing on the whole line (Newton iterates may leave [0,1]).
+    One power per call: with m = max(u, eps) and p = m^gamma, d = gamma * p / m.
     """
-    lo = eps ** gamma + gamma * eps ** (gamma - 1.0) * (u - eps)
-    return np.where(u >= eps, np.maximum(u, eps) ** gamma, lo)
+    d = np.maximum(u, eps)
+    w = d ** gamma
+    np.divide(w, d, out=d)
+    d *= gamma
+    lo = np.subtract(u, eps)
+    lo *= gamma * eps ** (gamma - 1.0)
+    lo += eps ** gamma
+    np.copyto(w, lo, where=u < eps)
+    return w, d
 
 
-def _kirchhoff_slope(u: np.ndarray, gamma: float, eps: float) -> np.ndarray:
-    return gamma * np.maximum(u, eps) ** (gamma - 1.0)
-
-
-def _lap_neumann(w: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(w)
-    out[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / dx**2
-    out[0] = (w[1] - w[0]) / dx**2
-    out[-1] = (w[-2] - w[-1]) / dx**2
+def _lap_neumann(w: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
+    """Zero-flux second difference ((w[i-1] - 2 w[i]) + w[i+1]) / dx^2, into out."""
+    inner = out[1:-1]
+    np.multiply(w[1:-1], 2.0, out=inner)
+    np.subtract(w[:-2], inner, out=inner)
+    inner += w[2:]
+    out[0] = w[1] - w[0]
+    out[-1] = w[-2] - w[-1]
+    out /= dx**2
     return out
+
+
+def _require_finite(field: Field) -> None:
+    if not np.isfinite(field.values).all():
+        raise ValidationFailed("field holds a NaN or an infinite value")
 
 
 def fast_diffusion_step(
@@ -404,11 +417,17 @@ def fast_diffusion_step(
 ) -> Field:
     """One backward-Euler step of u_t = d/dx( D(u) du/dx ), D = gamma*max(u,eps)^(gamma-1).
 
-    Homogeneous Neumann ends; each inner iteration is one tridiagonal direct
-    solve with the coefficient lagged at the current iterate. By default the
-    iteration is driven to convergence, which makes the step order-preserving;
-    max_iter=1 reproduces the plain single lagged solve. Discrete mass
-    dx * sum(u) is conserved up to the iteration residual.
+    Homogeneous Neumann ends. The step solves u - dt * Lap(w(u)) = u0 for the
+    Kirchhoff potential w by Newton's method: each iterate evaluates w and its
+    slope with one power, then makes one tridiagonal direct solve with the
+    Jacobian at the current iterate. By default the iteration is driven to
+    convergence, which makes the step order-preserving; max_iter=1 reproduces
+    the plain single lagged solve. Discrete mass dx * sum(u) is conserved up to
+    the iteration residual.
+
+    A NaN or infinite input raises ValidationFailed before any work, and every
+    update is checked to be finite, so the solve skips scipy's own finiteness
+    scan of its inputs.
     """
     if field.grid.n != grid.n:
         raise LengthMismatch("field does not match grid")
@@ -416,29 +435,39 @@ def fast_diffusion_step(
         raise ParameterOutOfRange(f"gamma={gamma!r} not in (0,1]")
     if not dt > 0:
         raise ParameterOutOfRange(f"fast-diffusion step needs dt > 0, got {dt!r}")
+    _require_finite(field)
     u0 = field.values
     u = u0.copy()
-    n = grid.n
     r = dt / grid.dx**2
+    # the solve overwrites the bands, so every iterate refills all of them;
+    # the two corners are never read by the tridiagonal solver
+    ab = np.empty((3, grid.n))
+    ab[0, 0] = ab[2, -1] = 0.0
+    rhs = np.empty(grid.n)
     for _ in range(max_iter):
-        residual = u - dt * _lap_neumann(_kirchhoff(u, gamma, eps_reg), grid.dx) - u0
-        if np.max(np.abs(residual)) <= tol:
+        w, d = _kirchhoff(u, gamma, eps_reg)
+        # rhs is minus the Newton residual u - dt * Lap(w) - u0
+        _lap_neumann(w, grid.dx, out=rhs)
+        rhs *= dt
+        rhs -= u
+        rhs += u0
+        if np.max(np.abs(rhs)) <= tol:
             break
-        d = _kirchhoff_slope(u, gamma, eps_reg)
-        diag = 1.0 + 2.0 * r * d
-        diag[0] = 1.0 + r * d[0]
-        diag[-1] = 1.0 + r * d[-1]
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -r * d[1:]
-        ab[1, :] = diag
-        ab[2, :-1] = -r * d[:-1]
+        np.multiply(d[1:], -r, out=ab[0, 1:])
+        np.multiply(d, 2.0 * r, out=ab[1])
+        ab[1] += 1.0
+        ab[1, 0] = 1.0 + r * d[0]
+        ab[1, -1] = 1.0 + r * d[-1]
+        np.multiply(d[:-1], -r, out=ab[2, :-1])
         try:
-            du = solve_banded((1, 1), ab, -residual)
+            du = solve_banded(
+                (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+            )
         except np.linalg.LinAlgError as exc:  # pragma: no cover - D >= 0 keeps this away
             raise SolverSingular(str(exc)) from exc
         if not np.all(np.isfinite(du)):
             raise SolverSingular("non-finite update in fast-diffusion solve")
-        u = u + du
+        u += du
     return Field(grid, u)
 
 
@@ -463,6 +492,7 @@ def fractional_fast_diffusion_step(
         raise LengthMismatch("field does not match grid")
     if not dt > 0:
         raise ParameterOutOfRange(f"sub-cycled step needs dt > 0, got {dt!r}")
+    _require_finite(field)
     symbol = build_symbol(FractionalLaplacian(spec.alpha), grid)
     if n_sub is None:
         stiffness = float(np.max(np.abs(symbol.m))) * gamma * eps_reg ** (gamma - 1.0)

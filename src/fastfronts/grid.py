@@ -14,13 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NonPositiveLength, NotPowerOfTwo
+from .errors import LengthMismatch, NonPositiveLength, NotPowerOfTwo, ValidationFailed
 
 __all__ = ["Grid", "Field", "make_grid"]
+
+# Largest node count: each of the grid's three arrays then takes 8 GiB.
+MAX_NODES = 2**30
 
 
 class Grid:
     """Uniform periodic mesh on [-L, L) with a power-of-two node count.
+
+    The node count is checked, 8 <= n <= 2**30, before anything is allocated.
 
     Attributes:
         L: half-length of the box (the domain is [-L, L)).
@@ -36,6 +41,8 @@ class Grid:
     def __init__(self, L: float, n: int):
         if not (isinstance(n, (int, np.integer)) and n >= 8 and (n & (n - 1)) == 0):
             raise NotPowerOfTwo(f"n_points must be a power of two >= 8, got {n!r}")
+        if n > MAX_NODES:
+            raise ValidationFailed(f"n_points must be at most 2**30, got {n!r}")
         L = float(L)
         if not 0.0 < L < math.inf:
             raise NonPositiveLength(f"half_length must be finite and > 0, got {L!r}")
@@ -73,7 +80,8 @@ class Grid:
 def make_grid(L: float, N: int) -> Grid:
     """Build the periodic grid on [-L, L) with N nodes.
 
-    Raises NotPowerOfTwo or NonPositiveLength on bad parameters.
+    Raises NotPowerOfTwo, ValidationFailed (N > 2**30) or NonPositiveLength
+    on bad parameters.
     """
     return Grid(L, N)
 

@@ -127,6 +127,7 @@ def test_c04_strang_self_convergence_order():
     assert ok, f"orders {orders} outside 2.0 +- 0.2"
 
 
+@pytest.mark.slow
 def test_c05_comparison_principle_all_families():
     """20 random ordered pairs stay ordered under all four operators."""
     rng = np.random.default_rng(20250807)

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import fastfronts as ff
-from fastfronts.dispersal import sample_kernel
+from fastfronts.dispersal import _kirchhoff, sample_kernel
 
 
 def semigroup(spec, field, dt):
@@ -282,6 +282,66 @@ class TestFastDiffusion:
         with pytest.raises(ff.ParameterOutOfRange):
             ff.fast_diffusion_step(f, 0.5, 0.0, g)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_input_fails_loudly(self, bad):
+        g = ff.make_grid(10.0, 64)
+        f = ff.Field.constant(g, 0.5)
+        f.values[7] = bad
+        with pytest.raises(ff.ValidationFailed):
+            ff.fast_diffusion_step(f, 0.5, 0.01, g)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5])
+    def test_matches_dense_newton_oracle(self, gamma):
+        # a compact bump: its tails are exactly 0, so the first Newton iterate
+        # sits below the eps floor there
+        g = ff.make_grid(20.0, 128)
+        f = ff.Field.from_function(g, lambda x: np.clip(1.0 - (x / 6.0) ** 2, 0.0, None))
+        dt, eps = 0.05, ff.EPS_REG
+        out = ff.fast_diffusion_step(f, gamma, dt, g)
+
+        def phi(u):
+            above = np.maximum(u, eps) ** gamma
+            below = eps**gamma + gamma * eps ** (gamma - 1.0) * (u - eps)
+            return np.where(u >= eps, above, below)
+
+        # independent dense Newton solve of u - dt * Lap(phi(u)) = u0, Neumann ends
+        n = g.n
+        lap = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
+               + np.diag(np.ones(n - 1), -1))
+        lap[0, 0] = lap[-1, -1] = -1.0
+        lap /= g.dx**2
+        u0 = f.values
+        u = u0.copy()
+        for _ in range(100):
+            residual = u - dt * lap @ phi(u) - u0
+            if np.max(np.abs(residual)) <= 1e-13:
+                break
+            slope = gamma * np.maximum(u, eps) ** (gamma - 1.0)
+            jac = np.eye(n) - dt * lap * slope[None, :]
+            u = u - np.linalg.solve(jac, residual)
+        else:
+            pytest.fail("dense Newton oracle did not converge")
+        assert np.max(np.abs(out.values - u)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
+def test_kirchhoff_branches_and_slope(gamma):
+    eps = 1e-4
+    above = np.array([eps, 2 * eps, 0.3, 1.0, 1.7])
+    below = np.array([-0.5, -eps, 0.0, 0.5 * eps, eps * (1 - 1e-9)])
+    w, d = _kirchhoff(above, gamma, eps)
+    np.testing.assert_allclose(w, above**gamma, rtol=1e-15)
+    np.testing.assert_allclose(d, gamma * above ** (gamma - 1.0), rtol=1e-15)
+    w, d = _kirchhoff(below, gamma, eps)
+    line = eps**gamma + gamma * eps ** (gamma - 1.0) * (below - eps)
+    np.testing.assert_allclose(w, line, rtol=1e-15)
+    np.testing.assert_allclose(d, gamma * eps ** (gamma - 1.0), rtol=1e-15)
+    # continuous at the floor: the two branches meet at eps
+    left, _ = _kirchhoff(np.array([eps * (1 - 1e-12)]), gamma, eps)
+    right, _ = _kirchhoff(np.array([eps * (1 + 1e-12)]), gamma, eps)
+    assert abs(left[0] - eps**gamma) < 1e-11 * eps**gamma
+    assert abs(right[0] - eps**gamma) < 1e-11 * eps**gamma
+
 
 class TestFractionalFastDiffusion:
     def test_constant_field_unchanged(self):
@@ -296,6 +356,14 @@ class TestFractionalFastDiffusion:
         with pytest.raises(ff.ParameterOutOfRange):
             # max(1 - 2*0.4, 0) = 0.2 > gamma = 0.1
             ff.fractional_fast_diffusion_step(f, 0.4, 0.1, 0.01, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nonfinite_input_fails_loudly(self, bad):
+        g = ff.make_grid(10.0, 64)
+        f = ff.Field.constant(g, 0.5)
+        f.values[7] = bad
+        with pytest.raises(ff.ValidationFailed):
+            ff.fractional_fast_diffusion_step(f, 0.6, 0.5, 0.001, g)
 
     def test_gamma_one_converges_to_semigroup_first_order(self):
         g = ff.make_grid(10.0, 128)

@@ -364,6 +364,17 @@ class TestCli:
         assert code == 1
         assert "error ValidationFailed" in capsys.readouterr().err
 
+    def test_huge_node_count_reports_validation_category(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the node bound must fire before the grid allocates")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(SMALL_CFG.replace("grid.N = 4096", f"grid.N = {2**40}"))
+        code = main(["run", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error ValidationFailed" in capsys.readouterr().err
+
     def test_properties_skips_mass_check_for_nonlinear_variant(self, tmp_path, capsys):
         cfg = tmp_path / "fd.cfg"
         cfg.write_text("dispersal.variant = fast_diffusion\ndispersal.gamma = 0.5\n"

@@ -27,6 +27,15 @@ class TestMakeGrid:
         with pytest.raises(ff.NotPowerOfTwo):
             ff.make_grid(10, 4)
 
+    @pytest.mark.parametrize("n", [2**31, 2**40])
+    def test_node_count_bound_checked_before_allocation(self, n, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the node bound must fire before the grid allocates")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(ff.ValidationFailed):
+            ff.make_grid(10, n)
+
     def test_nonpositive_length(self):
         with pytest.raises(ff.NonPositiveLength):
             ff.make_grid(0.0, 16)
