@@ -507,7 +507,15 @@ def fractional_fast_diffusion_step(
     tau = dt / n_sub
     m_half = symbol.m_half
     u = field.values.copy()
+    w = np.empty_like(u)
+    du = np.empty_like(u)
+    bins = np.empty(m_half.size, dtype=complex)
     for _ in range(n_sub):
-        w = np.maximum(u, eps_reg) ** gamma
-        u = u + tau * np.fft.irfft(np.fft.rfft(w) * m_half)
+        np.maximum(u, eps_reg, out=w)
+        np.power(w, gamma, out=w)
+        np.fft.rfft(w, out=bins)
+        bins *= m_half
+        np.fft.irfft(bins, n=grid.n, out=du)
+        du *= tau
+        u += du
     return Field(grid, u)

@@ -61,6 +61,9 @@ __all__ = [
 # Relative slack used when deciding whether a residual step is a genuine step
 # or floating-point dust from the segment arithmetic.
 _TIME_DUST = 1e-9
+# Lines per `%` operation in save_snapshots: a block of text (about 1.5 kB)
+# that fits in the file's write buffer.
+_DUMP_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +205,8 @@ class DispersalStepper:
     """Per-run dispersal substep with cached transform-space factors.
 
     Linear operators get their semigroup factor exp(m dt) cached per distinct
-    dt (the fixed step plus the occasional shortened landing step).
+    dt (the fixed step plus the occasional shortened landing step), and one
+    buffer for the real-transform bins that every step reuses.
     """
 
     def __init__(self, spec: DispersalSpec, grid: Grid, eps_reg: float = EPS_REG):
@@ -213,45 +217,66 @@ class DispersalStepper:
         self._factors: dict = {}
         if isinstance(spec, LINEAR_VARIANTS):
             self.symbol = build_symbol(spec, grid)
+            self._bins = np.empty(grid.n // 2 + 1, dtype=complex)
 
-    def step_values(self, values: np.ndarray, dt: float) -> np.ndarray:
+    def step_values(self, values: np.ndarray, dt: float, out=None) -> np.ndarray:
+        """Advance `values` by dt; never changes `values` unless it is `out`.
+
+        Linear operators write the result into `out` when given (it may be
+        `values` itself) and otherwise return a new array. The fast
+        diffusions always return a new array.
+        """
         if self.symbol is not None:
             factor = self._factors.get(dt)
             if factor is None:
                 factor = np.exp(self.symbol.m_half * dt)
                 self._factors[dt] = factor
-            return np.fft.irfft(np.fft.rfft(values) * factor)
+            bins = np.fft.rfft(values, out=self._bins)
+            bins *= factor
+            return np.fft.irfft(bins, n=self.grid.n, out=out)
         spec = self.spec
         if isinstance(spec, FastDiffusion):
-            out = fast_diffusion_step(
+            stepped = fast_diffusion_step(
                 Field(self.grid, values), spec.gamma, dt, self.grid, eps_reg=self.eps_reg
             )
-            return out.values
-        out = fractional_fast_diffusion_step(
+            return stepped.values
+        stepped = fractional_fast_diffusion_step(
             Field(self.grid, values), spec.alpha, spec.gamma, dt, self.grid,
             eps_reg=self.eps_reg,
         )
-        return out.values
+        return stepped.values
 
 
-def _reaction_update(values: np.ndarray, spec: Optional[ReactionSpec], dt: float) -> np.ndarray:
+def _reaction_update(
+    values: np.ndarray, spec: Optional[ReactionSpec], dt: float, out
+) -> np.ndarray:
     if spec is None:
         return values
     if isinstance(spec, KppLogistic):
-        return logistic_exact_step(values, dt)
+        return logistic_exact_step(values, dt, out=out)
     return rk4_reaction_step(values, spec.f, dt)
 
 
 def strang_step(
-    values: np.ndarray, stepper: DispersalStepper, reaction: Optional[ReactionSpec], dt: float
+    values: np.ndarray,
+    stepper: DispersalStepper,
+    reaction: Optional[ReactionSpec],
+    dt: float,
+    out=None,
 ) -> tuple:
-    """R(dt/2) o D(dt) o R(dt/2), unclamped; returns (new values, pre-clamp overshoot)."""
+    """R(dt/2) o D(dt) o R(dt/2), unclamped; returns (new values, pre-clamp overshoot).
+
+    Without `out` the result is a new array and `values` is left unchanged.
+    With `out` (which may be `values` itself) the logistic and linear
+    substeps write into it; the RK4 and fast-diffusion substeps still
+    allocate, so callers must use the returned array, not `out`.
+    """
     if not dt > 0:
         raise ParameterOutOfRange(f"strang step needs dt > 0, got {dt!r}")
     half = 0.5 * dt
-    v = _reaction_update(values, reaction, half)
-    v = stepper.step_values(v, dt)
-    v = _reaction_update(v, reaction, half)
+    v = _reaction_update(values, reaction, half, out)
+    v = stepper.step_values(v, dt, out=out)
+    v = _reaction_update(v, reaction, half, out)
     overshoot = max(float(np.max(v)) - 1.0, -float(np.min(v)), 0.0)
     return v, overshoot
 
@@ -338,6 +363,10 @@ def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
     appended as a final snapshot, and the trajectory reports the breach time
     (or GuardBreached is raised when raise_on_breach is set). Identical
     configs produce bitwise-identical trajectories on one platform.
+
+    The march advances one state array that the run owns: each step writes
+    into it where the substeps allow (logistic and linear dispersal), and
+    snapshots store copies.
     """
     if config.reaction is not None:
         validate_reaction(config.reaction)
@@ -364,7 +393,7 @@ def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
                 continue
             t_local = 0.0
             for dt_step in _segment_steps(target - t_prev, config.dt):
-                u, over = strang_step(u, stepper, config.reaction, dt_step)
+                u, over = strang_step(u, stepper, config.reaction, dt_step, out=u)
                 np.clip(u, 0.0, 1.0, out=u)
                 t_local += dt_step
                 max_overshoot = max(max_overshoot, over)
@@ -387,13 +416,24 @@ def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
 
 
 def save_snapshots(traj: Trajectory, path) -> None:
-    """Dump a trajectory: `# t=<value>` header then one `x u` line per node."""
-    grid = traj.grid
+    """Dump a trajectory: `# t=<value>` header then one `x u` line per node.
+
+    The x column is formatted once per dump into `"<x> %.17g"` line
+    templates of `_DUMP_ROWS` lines each; every snapshot fills them one
+    block at a time with one `%` operation, so the writer holds one block of
+    formatted values at a time.
+    """
+    x = traj.grid.x
+    templates = [
+        "".join(f"{xv:.17g} %.17g\n" for xv in x[start:start + _DUMP_ROWS])
+        for start in range(0, x.size, _DUMP_ROWS)
+    ]
     try:
         with open(path, "w") as fh:
             for t, fld in traj.snapshots():
                 fh.write(f"# t={t:.17g}\n")
-                for xv, uv in zip(grid.x, fld.values):
-                    fh.write(f"{xv:.17g} {uv:.17g}\n")
+                for k, template in enumerate(templates):
+                    block = fld.values[k * _DUMP_ROWS:(k + 1) * _DUMP_ROWS]
+                    fh.write(template % tuple(block.tolist()))
     except OSError as exc:
         raise IoFailure(f"cannot write snapshots to {path}: {exc}") from exc

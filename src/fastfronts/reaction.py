@@ -68,14 +68,22 @@ def validate_reaction(spec: ReactionSpec) -> ReactionSpec:
     return spec
 
 
-def logistic_exact_step(u, dt: float):
+def logistic_exact_step(u, dt: float, out=None):
     """Exact logistic flow u -> u e^dt / (1 - u + u e^dt), applied pointwise.
 
     Fixed points 0 and 1 are preserved and the map is increasing in u, so
-    values stay in [0, 1] for dt >= 0. Accepts scalars or arrays.
+    values stay in [0, 1] for dt >= 0. Accepts scalars or arrays. Without
+    `out` a new value is returned and `u` is left unchanged; with `out` (an
+    array, which may be `u` itself) the result is written there. Both forms
+    use one scratch array and the order (u*e) / ((1-u) + u*e), so they agree
+    bitwise.
     """
     e = np.exp(dt)
-    return u * e / (1.0 - u + u * e)
+    den = np.subtract(1.0, u)
+    out = np.multiply(u, e, out=out)
+    den += out
+    out /= den
+    return out
 
 
 def rk4_reaction_step(values, f, dt: float):

@@ -3,11 +3,14 @@ boundary guard, determinism, restart consistency, and translation
 equivariance (bitwise for half-box shifts, roundoff-tight in general).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import fastfronts as ff
-from fastfronts.integrator import DispersalStepper
+from fastfronts import integrator
+from fastfronts.integrator import DispersalStepper, _segment_steps
 
 
 def delta_kernel(grid):
@@ -202,6 +205,115 @@ class TestSnapshotDump:
         xs, us = zip(*(map(float, ln.split()) for ln in block))
         assert np.array_equal(np.asarray(xs), traj.grid.x)
         assert np.array_equal(np.asarray(us), traj.fields[0].values)
+
+    @pytest.mark.parametrize("block", [None, 1, 3, 8])
+    def test_dump_bytes_pinned(self, tmp_path, monkeypatch, block):
+        # 0, 1, the smallest subnormal and 1 - 2^-53 in the value column,
+        # negative and zero x, and a snapshot time that is not an integer;
+        # small block sizes split the 8 lines into full and partial blocks
+        if block is not None:
+            monkeypatch.setattr(integrator, "_DUMP_ROWS", block)
+        cfg = ff.RunConfig(L=3.0, N=8, dispersal=ff.StandardLaplacian(), t_end=1.0)
+        grid = cfg.grid()
+        rows = [
+            [0.0, 1.0, 0.5, 0.1, 1.0 / 3.0, 2.0 / 3.0, 5e-324, 1.0 - 2.0**-53],
+            np.exp(-grid.x**2),
+        ]
+        traj = ff.Trajectory(
+            cfg, [0.0, 1.0 / 3.0], [ff.Field(grid, np.asarray(r, dtype=float)) for r in rows]
+        )
+        path = tmp_path / "snaps.txt"
+        ff.save_snapshots(traj, path)
+        data = path.read_bytes()
+        assert data.startswith(b"# t=0\n-3 0\n-2.25 1\n")
+        assert b"# t=0.33333333333333331\n" in data
+        assert hashlib.sha256(data).hexdigest() == (
+            "1b2434e91c7b9286e2a5fa7a6a08a30d3a307aa756ca5b0faa88c549c10a505b"
+        )
+
+
+def _allocating_run(cfg):
+    """The run loop written with allocating steps: strang_step without `out`
+    followed by a clip into a new array."""
+    grid = cfg.grid()
+    u = ff.build_initial(cfg.initial, grid).values
+    stepper = DispersalStepper(cfg.dispersal, grid, eps_reg=cfg.eps_reg)
+    times, fields, worst = [0.0], [u], 0.0
+    t_prev = 0.0
+    for target in cfg.resolved_snapshots()[1:]:
+        for dt_step in _segment_steps(target - t_prev, cfg.dt):
+            u, over = ff.strang_step(u, stepper, cfg.reaction, dt_step)
+            u = np.clip(u, 0.0, 1.0)
+            worst = max(worst, over)
+        times.append(target)
+        fields.append(u)
+        t_prev = target
+    return times, fields, worst
+
+
+_CUBIC = ff.CustomMonostable(lambda u: u * (1.0 - u) * (1.0 + 0.5 * u))
+
+IN_PLACE_CASES = {
+    "fractional": (ff.FractionalLaplacian(0.7), ff.KppLogistic()),
+    "kernel": (ff.Convolution(ff.StretchedExponential(0.5, 1.0)), ff.KppLogistic()),
+    "fast_diffusion": (ff.FastDiffusion(0.5), ff.KppLogistic()),
+    "fractional_fast_diffusion": (ff.FractionalFastDiffusion(0.75, 0.8), ff.KppLogistic()),
+    "rk4": (ff.FractionalLaplacian(0.7), _CUBIC),
+    "no_reaction": (ff.FractionalLaplacian(0.5), None),
+}
+
+
+class TestInPlaceStepping:
+    @pytest.mark.parametrize("case", sorted(IN_PLACE_CASES))
+    def test_run_matches_allocating_steps_bitwise(self, case):
+        spec, reaction = IN_PLACE_CASES[case]
+        # t_end = 1.537 ends each run with a shortened landing step
+        cfg = ff.RunConfig(L=1000.0, N=2**10, dispersal=spec, reaction=reaction, t_end=1.537)
+        assert _segment_steps(cfg.t_end - 1.0, cfg.dt)[-1] < cfg.dt
+        traj = ff.run(cfg)
+        times, fields, worst = _allocating_run(cfg)
+        assert not traj.breached
+        assert traj.times == times
+        for fld, ref in zip(traj.fields, fields, strict=True):
+            assert fld.values.tobytes() == ref.tobytes()
+        assert traj.max_overshoot == worst
+
+    @pytest.mark.parametrize("case", sorted(IN_PLACE_CASES))
+    def test_calls_without_out_leave_input_unchanged(self, case):
+        spec, reaction = IN_PLACE_CASES[case]
+        g = ff.make_grid(50.0, 2**8)
+        u = np.exp(-g.x**2 / 40.0)
+        before = u.tobytes()
+        stepper = DispersalStepper(spec, g)
+        v, _ = ff.strang_step(u, stepper, reaction, 0.02)
+        w = stepper.step_values(u, 0.02)
+        assert v is not u and w is not u
+        assert u.tobytes() == before
+        ff.logistic_exact_step(u, 0.01)
+        ff.fractional_fast_diffusion_step(ff.Field(g, u), 0.75, 0.8, 0.01, g)
+        assert u.tobytes() == before
+
+    def test_fft_path_steps_in_place(self):
+        g = ff.make_grid(50.0, 2**8)
+        stepper = DispersalStepper(ff.FractionalLaplacian(0.9), g)
+        u = np.exp(-g.x**2 / 40.0)
+        expected, over = ff.strang_step(u.copy(), stepper, ff.KppLogistic(), 0.02)
+        v, over_in_place = ff.strang_step(u, stepper, ff.KppLogistic(), 0.02, out=u)
+        assert v is u
+        assert u.tobytes() == expected.tobytes()
+        assert over_in_place == over
+
+    def test_logistic_out_matches_allocating_form(self):
+        u = np.concatenate([[0.0, 1.0, 5e-324, 1.0 - 2.0**-53], np.linspace(0.0, 1.0, 101)])
+        for dt in (0.005, 0.5, 3.7):
+            expected = ff.logistic_exact_step(u, dt)
+            into = np.empty_like(u)
+            assert ff.logistic_exact_step(u, dt, out=into) is into
+            assert into.tobytes() == expected.tobytes()
+            same = u.copy()
+            assert ff.logistic_exact_step(same, dt, out=same) is same
+            assert same.tobytes() == expected.tobytes()
+            assert same[0] == 0.0 and same[1] == 1.0
 
 
 class TestInitialConditions:
