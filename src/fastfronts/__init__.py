@@ -24,6 +24,7 @@ from .errors import (
     NotPowerOfTwo,
     ParameterOutOfRange,
     PreconditionViolated,
+    SolverNotConverged,
     SolverSingular,
     ThresholdsNotSpanned,
     UnknownKey,

@@ -13,6 +13,12 @@ for the stretched exponential, node values for the other kernels. The
 classical Laplacian is the fractional power alpha = 1, with multiplier -xi^2.
 Every symbol vanishes at frequency zero (mass neutrality) and is nonpositive
 (dissipativity).
+
+Importing this module loads numpy only. scipy is imported where it is used:
+scipy.linalg for the fast-diffusion tridiagonal solves (solve_banded below,
+loaded when integrator.DispersalStepper is built for FastDiffusion) and
+scipy.special for the stretched-exponential cell averages. The other
+operators and kernels never load it.
 """
 
 from __future__ import annotations
@@ -22,13 +28,13 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     IoFailure,
     LengthMismatch,
     NonlinearVariant,
     ParameterOutOfRange,
+    SolverNotConverged,
     SolverSingular,
     ValidationFailed,
 )
@@ -400,6 +406,15 @@ def _lap_neumann(w: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def solve_banded(l_and_u, ab, b, **kwargs) -> np.ndarray:
+    """scipy.linalg.solve_banded, imported at the first call rather than with
+    this module, so that operators without a banded solve never load
+    scipy.linalg. fast_diffusion_step looks this name up at call time."""
+    from scipy.linalg import solve_banded as banded
+
+    return banded(l_and_u, ab, b, **kwargs)
+
+
 def _require_finite(field: Field) -> None:
     if not np.isfinite(field.values).all():
         raise ValidationFailed("field holds a NaN or an infinite value")
@@ -420,9 +435,12 @@ def fast_diffusion_step(
     Homogeneous Neumann ends. The step solves u - dt * Lap(w(u)) = u0 for the
     Kirchhoff potential w by Newton's method: each iterate evaluates w and its
     slope with one power, then makes one tridiagonal direct solve with the
-    Jacobian at the current iterate. By default the iteration is driven to
-    convergence, which makes the step order-preserving; max_iter=1 reproduces
-    the plain single lagged solve. Discrete mass dx * sum(u) is conserved up to
+    Jacobian at the current iterate. The iteration is driven until the
+    residual's max norm is at most tol, which makes the step order-preserving;
+    if the iterate after max_iter solves is still above tol, the step raises
+    SolverNotConverged instead of returning it. max_iter=1 is the exception: it
+    is the plain lagged-coefficient scheme, one solve returned as it is,
+    without a convergence test. Discrete mass dx * sum(u) is conserved up to
     the iteration residual.
 
     A NaN or infinite input raises ValidationFailed before any work, and every
@@ -435,6 +453,8 @@ def fast_diffusion_step(
         raise ParameterOutOfRange(f"gamma={gamma!r} not in (0,1]")
     if not dt > 0:
         raise ParameterOutOfRange(f"fast-diffusion step needs dt > 0, got {dt!r}")
+    if max_iter < 1:
+        raise ParameterOutOfRange(f"max_iter must be >= 1, got {max_iter!r}")
     _require_finite(field)
     u0 = field.values
     u = u0.copy()
@@ -444,15 +464,22 @@ def fast_diffusion_step(
     ab = np.empty((3, grid.n))
     ab[0, 0] = ab[2, -1] = 0.0
     rhs = np.empty(grid.n)
-    for _ in range(max_iter):
+    # beyond the lagged scheme, one residual more than solves tests the last iterate
+    for solves in range(max_iter + 1 if max_iter > 1 else 1):
         w, d = _kirchhoff(u, gamma, eps_reg)
         # rhs is minus the Newton residual u - dt * Lap(w) - u0
         _lap_neumann(w, grid.dx, out=rhs)
         rhs *= dt
         rhs -= u
         rhs += u0
-        if np.max(np.abs(rhs)) <= tol:
+        residual = np.max(np.abs(rhs))
+        if residual <= tol:
             break
+        if solves == max_iter:
+            raise SolverNotConverged(
+                f"fast-diffusion Newton residual {residual:.3g} > tol={tol:g} "
+                f"after max_iter={max_iter} solves (gamma={gamma:g}, dt={dt:g})"
+            )
         np.multiply(d[1:], -r, out=ab[0, 1:])
         np.multiply(d, 2.0 * r, out=ab[1])
         ab[1] += 1.0

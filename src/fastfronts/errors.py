@@ -35,6 +35,10 @@ class SolverSingular(FastFrontsError):
     """Tridiagonal solve failed; should not occur with nonnegative coefficients."""
 
 
+class SolverNotConverged(FastFrontsError):
+    """Iterative solve stopped at its iterate cap with the residual above tol."""
+
+
 class ParameterOutOfRange(FastFrontsError):
     """Operator or kernel parameter violates its admissible range."""
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from xml.sax.saxutils import escape as xml_escape
 
 import numpy as np
 
@@ -433,6 +431,11 @@ _VIEW_W, _VIEW_H = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 150, 40, 55
 
 
+def _xml_escape(text: str) -> str:
+    """Escape &, < and > for SVG text content; quotes stay as they are."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
     if hi <= lo:
         hi = lo + 1.0
@@ -508,7 +511,7 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
     if title:
         parts.append(
             f'<text x="{_VIEW_W // 2}" y="24" text-anchor="middle" font-size="15">'
-            f"{xml_escape(title)}</text>"
+            f"{_xml_escape(title)}</text>"
         )
     for tx in _nice_ticks(x_lo, x_hi):
         X = px(tx)
@@ -532,13 +535,13 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
     if x_label:
         parts.append(
             f'<text x="{_MARGIN_L + plot_w // 2}" y="{_VIEW_H - 12}" '
-            f'text-anchor="middle">{xml_escape(x_label)}</text>'
+            f'text-anchor="middle">{_xml_escape(x_label)}</text>'
         )
     if y_label:
         mid_y = _MARGIN_T + plot_h // 2
         parts.append(
             f'<text x="18" y="{mid_y}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {mid_y})">{xml_escape(y_label)}</text>'
+            f'transform="rotate(-90 18 {mid_y})">{_xml_escape(y_label)}</text>'
         )
 
     for i, (name, xs, ys) in enumerate(cleaned):
@@ -577,7 +580,7 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
                 f'stroke="{color}" stroke-width="1.5"{dash}/>'
             )
         parts.append(
-            f'<text x="{legend_x + 28}" y="{y0 + 4}">{xml_escape(name)}</text>'
+            f'<text x="{legend_x + 28}" y="{y0 + 4}">{_xml_escape(name)}</text>'
         )
     if legend_max is not None and len(cleaned) > legend_max:
         y0 = _MARGIN_T + 10 + 18 * legend_max
@@ -640,5 +643,7 @@ def run_sweep(text: str, vary: str, out_dir, *, workers: int | None = None) -> l
         workers = min(len(args), os.cpu_count() or 1)
     if workers <= 1 or len(args) == 1:
         return [_sweep_worker(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_worker, args))

@@ -204,9 +204,10 @@ class RunConfig:
 class DispersalStepper:
     """Per-run dispersal substep with cached transform-space factors.
 
-    Linear operators get their semigroup factor exp(m dt) cached per distinct
-    dt (the fixed step plus the occasional shortened landing step), and one
-    buffer for the real-transform bins that every step reuses.
+    Linear operators cache their semigroup factor exp(m dt) for the two most
+    recently used dt, which in a run are the fixed step and the latest
+    shortened landing step, and keep one buffer for the real-transform bins
+    that every step reuses.
     """
 
     def __init__(self, spec: DispersalSpec, grid: Grid, eps_reg: float = EPS_REG):
@@ -218,6 +219,10 @@ class DispersalStepper:
         if isinstance(spec, LINEAR_VARIANTS):
             self.symbol = build_symbol(spec, grid)
             self._bins = np.empty(grid.n // 2 + 1, dtype=complex)
+        elif isinstance(spec, FastDiffusion):
+            # the Newton solves need scipy.linalg: load it here, as set-up,
+            # not inside the first step
+            import scipy.linalg  # noqa: F401
 
     def step_values(self, values: np.ndarray, dt: float, out=None) -> np.ndarray:
         """Advance `values` by dt; never changes `values` unless it is `out`.
@@ -227,10 +232,15 @@ class DispersalStepper:
         diffusions always return a new array.
         """
         if self.symbol is not None:
-            factor = self._factors.get(dt)
+            # insertion order is recency order: a hit moves dt to the end,
+            # a miss evicts the least recently used of two entries
+            factors = self._factors
+            factor = factors.pop(dt, None)
             if factor is None:
                 factor = np.exp(self.symbol.m_half * dt)
-                self._factors[dt] = factor
+                if len(factors) == 2:
+                    del factors[next(iter(factors))]
+            factors[dt] = factor
             bins = np.fft.rfft(values, out=self._bins)
             bins *= factor
             return np.fft.irfft(bins, n=self.grid.n, out=out)

@@ -274,6 +274,17 @@ class TestFastDiffusion:
         gap = np.max(np.abs(one.values - full.values))
         assert 1e-12 < gap < 0.1  # differs measurably, same O(dt) ballpark
 
+    @pytest.mark.parametrize("max_iter", [2, 3])
+    def test_newton_cap_raises_when_not_converged(self, max_iter):
+        # this step needs 6 iterates; a smaller cap must not return an iterate
+        g = ff.make_grid(30.0, 128)
+        f = ff.Field.from_function(g, lambda x: (x < 0).astype(float))
+        with pytest.raises(ff.SolverNotConverged):
+            ff.fast_diffusion_step(f, 0.5, 0.01, g, max_iter=max_iter)
+        six = ff.fast_diffusion_step(f, 0.5, 0.01, g, max_iter=6)
+        full = ff.fast_diffusion_step(f, 0.5, 0.01, g)
+        assert six.values.tobytes() == full.values.tobytes()
+
     def test_parameter_gates(self):
         g = ff.make_grid(10.0, 64)
         f = ff.Field.constant(g, 0.5)
@@ -281,6 +292,8 @@ class TestFastDiffusion:
             ff.fast_diffusion_step(f, 1.5, 0.01, g)
         with pytest.raises(ff.ParameterOutOfRange):
             ff.fast_diffusion_step(f, 0.5, 0.0, g)
+        with pytest.raises(ff.ParameterOutOfRange):
+            ff.fast_diffusion_step(f, 0.5, 0.01, g, max_iter=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_fails_loudly(self, bad):

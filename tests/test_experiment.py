@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fastfronts as ff
+from fastfronts import experiment
 from fastfronts.cli import main
 from fastfronts.experiment import preset_config, sweep_values
 
@@ -276,6 +277,22 @@ class TestCharts:
         texts = [el.text for el in root.iter() if el.tag.endswith("text")]
         for name in ("s0", "s1", "s2", "s3"):
             assert name in texts
+
+    def test_markup_characters_escaped_as_saxutils_does(self, tmp_path, monkeypatch):
+        from xml.sax.saxutils import escape
+
+        labels = {"title": "a & b < c > d \"q\" 'p'", "x_label": "x<0 & 'y'",
+                  "y_label": "u > \"1/2\" &amp;"}
+        series = [("s<1> & \"t\"", [0.0, 1.0], [0.0, 1.0]), ("'r' > 0", [0.0, 1.0], [1.0, 0.0])]
+        ours = tmp_path / "ours.svg"
+        ff.emit_chart(series, ours, **labels)
+        monkeypatch.setattr(experiment, "_xml_escape", escape)
+        reference = tmp_path / "saxutils.svg"
+        ff.emit_chart(series, reference, **labels)
+        assert ours.read_bytes() == reference.read_bytes()
+        texts = [el.text for el in ET.parse(ours).getroot().iter() if el.tag.endswith("text")]
+        for text in [*labels.values(), *(name for name, _, _ in series)]:
+            assert text in texts
 
     def test_two_point_series(self, tmp_path):
         path = tmp_path / "two.svg"

@@ -10,6 +10,7 @@ import pytest
 
 import fastfronts as ff
 from fastfronts import integrator
+from fastfronts.dispersal import build_symbol
 from fastfronts.integrator import DispersalStepper, _segment_steps
 
 
@@ -302,6 +303,20 @@ class TestInPlaceStepping:
         assert v is u
         assert u.tobytes() == expected.tobytes()
         assert over_in_place == over
+
+    def test_factor_cache_keeps_two_step_sizes(self):
+        g = ff.make_grid(50.0, 2**8)
+        stepper = DispersalStepper(ff.FractionalLaplacian(0.5), g)
+        u = np.exp(-g.x**2 / 40.0)
+        m_half = build_symbol(ff.FractionalLaplacian(0.5), g).m_half
+        for k in range(50):
+            # the fixed step between landing steps of 50 distinct sizes
+            for dt in (0.01, 0.01 * (k + 1) / 51):
+                v = stepper.step_values(u, dt)
+                expected = np.fft.irfft(np.fft.rfft(u) * np.exp(m_half * dt), n=g.n)
+                assert v.tobytes() == expected.tobytes()
+                assert len(stepper._factors) <= 2
+        assert 0.01 in stepper._factors
 
     def test_logistic_out_matches_allocating_form(self):
         u = np.concatenate([[0.0, 1.0, 5e-324, 1.0 - 2.0**-53], np.linspace(0.0, 1.0, 101)])
