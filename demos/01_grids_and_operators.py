@@ -15,7 +15,7 @@ import fastfronts as ff
 # A grid is the periodic box [-L, L) with a power-of-two node count.
 grid = ff.make_grid(L=50.0, N=1024)
 print(f"grid: {grid}, spacing dx = {grid.dx:.4f}")
-print(f"frequencies run from 0 to {grid.xi_half[-1]:.2f} in steps of {grid.xi[1]:.4f}")
+print(f"frequencies run from 0 to {grid.xi[grid.n // 2]:.2f} in steps of {grid.xi[1]:.4f}")
 
 # Every linear operator is a real nonpositive multiplier per frequency that
 # vanishes at frequency zero (so the spatial mean is conserved exactly).
@@ -29,7 +29,7 @@ print("\nsymbol values at a few frequencies:")
 print(f"{'operator':32s}  m(xi_1)      m(xi_8)      m(xi_64)")
 for name, spec in operators.items():
     sym = ff.build_symbol(spec, grid)
-    print(f"{name:32s}  {sym.m[1]:+.4e}  {sym.m[8]:+.4e}  {sym.m[64]:+.4e}")
+    print(f"{name:32s}  {sym[1]:+.4e}  {sym[8]:+.4e}  {sym[64]:+.4e}")
 
 # The fat-tailed kernel of the figure presets is exp(-sqrt|x|)/4; its
 # analytic mass is exactly 1. It is sampled as exact cell averages, so the

@@ -32,7 +32,7 @@ initial.width = 100
 diagnostics.lambdas = 0.3, 0.5, 0.7
 """
 
-config = ff.parse_config(DOCUMENT)
+config = ff.parse_config_text(DOCUMENT)[0]
 print(f"parsed: {type(config.dispersal).__name__} on [-{config.L:g}, {config.L:g}) "
       f"with {config.N} nodes, dt={config.dt}, horizon {config.t_end}")
 

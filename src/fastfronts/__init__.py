@@ -44,7 +44,6 @@ from .dispersal import (
     KernelSpec,
     StandardLaplacian,
     StretchedExponential,
-    Symbol,
     TabulatedKernel,
     apply_symbol,
     build_symbol,
@@ -101,7 +100,6 @@ from .experiment import (
     PRESET_NAMES,
     emit_chart,
     emit_csv,
-    parse_config,
     parse_config_text,
     preset_config,
     read_csv,

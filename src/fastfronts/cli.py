@@ -23,12 +23,13 @@ from .diagnostics import build_report
 from .errors import FastFrontsError, IoFailure, NonlinearVariant
 from .experiment import (
     PRESET_NAMES,
-    emit_csv,
+    make_out_dir,
     parse_config_text,
     run_preset,
     run_sweep,
+    write_run_files,
 )
-from .integrator import run, save_snapshots
+from .integrator import run
 from .properties import (
     check_comparison,
     check_mass_neutral,
@@ -51,9 +52,7 @@ def _read_config(path: str):
 
 
 def _resolve_out(arg_out, extras) -> Path:
-    out = Path(arg_out) if arg_out else Path(extras.get("out_dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return make_out_dir(arg_out if arg_out else extras.get("out_dir", "."))
 
 
 def _cmd_run(args) -> int:
@@ -61,13 +60,11 @@ def _cmd_run(args) -> int:
     out = _resolve_out(args.out, extras)
     stem = Path(args.config).stem or "run"
     traj = run(config, raise_on_breach=True)
-    report = build_report(traj)
-    save_snapshots(traj, out / f"{stem}_snapshots.txt")
-    emit_csv(report, out / f"{stem}_diagnostics.csv")
+    paths = write_run_files(stem, traj, build_report(traj), out)
     print(f"{stem}: {len(traj.times)} snapshots, guard clean, "
           f"max overshoot {traj.max_overshoot:.3e}")
-    print(f"wrote {out / (stem + '_snapshots.txt')}")
-    print(f"wrote {out / (stem + '_diagnostics.csv')}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
@@ -98,9 +95,12 @@ def _cmd_properties(args) -> int:
     text = verdict_report(verdicts)
     sys.stdout.write(text)
     if args.out:
-        out = _resolve_out(args.out, extras)
-        (out / "properties.txt").write_text(text)
-        print(f"wrote {out / 'properties.txt'}")
+        path = _resolve_out(args.out, extras) / "properties.txt"
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        print(f"wrote {path}")
     if all(v.passed for v in verdicts):
         return 0
     print("error PropertyCheckFailed: at least one check failed", file=sys.stderr)

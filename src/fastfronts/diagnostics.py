@@ -247,35 +247,25 @@ class DiagnosticsReport:
         return np.asarray([r.t for r in self.rows])
 
 
-def build_report(
-    traj,
-    *,
-    lambdas: Optional[tuple] = None,
-    stretch_pair: Optional[tuple] = None,
-    flat_level: Optional[float] = None,
-    flat_radius: Optional[float] = None,
-    speed_window: Optional[tuple] = None,
-    x_max: Optional[float] = None,
-) -> DiagnosticsReport:
+def build_report(traj, *, lambdas: Optional[tuple] = None) -> DiagnosticsReport:
     """Evaluate the full diagnostic set on every snapshot of a trajectory.
 
-    Quantities that are undefined on a given snapshot (sentinel positions,
-    thresholds not spanned, windows leaving the domain) are recorded as nan
-    rather than aborting the report. Front-mode trajectories are evaluated on
-    the seam-margin window automatically.
+    Levels are 0.4/0.5/0.6 plus `lambdas` (default: the run's config.lambdas);
+    every other setting comes from the run's config. Quantities that are
+    undefined on a given snapshot (sentinel positions, thresholds not
+    spanned, windows leaving the domain) are recorded as nan rather than
+    aborting the report. Front-mode trajectories are evaluated on the
+    seam-margin window automatically.
     """
     cfg = traj.config
     levels = set(_CANONICAL_LEVELS)
     levels.update(cfg.lambdas if lambdas is None else lambdas)
     levels = tuple(sorted(levels))
-    pair = tuple(stretch_pair if stretch_pair is not None else cfg.stretch_pair)
-    f_level = cfg.flat_level if flat_level is None else flat_level
-    f_radius = cfg.flat_radius if flat_radius is None else flat_radius
-    if x_max is None and traj.guard_mode == "front":
-        x_max = traj.grid.L * (1.0 - cfg.seam_margin_frac)
+    pair = tuple(cfg.stretch_pair)
+    x_max = traj.grid.L * (1.0 - cfg.seam_margin_frac) if traj.guard_mode == "front" else None
 
     report = DiagnosticsReport(
-        stretch_pair=pair, flat_level=f_level, flat_radius=f_radius
+        stretch_pair=pair, flat_level=cfg.flat_level, flat_radius=cfg.flat_radius
     )
     positions = {lam: [] for lam in levels}
     for t, fld in traj.snapshots():
@@ -296,7 +286,7 @@ def build_report(
         except ThresholdsNotSpanned:
             w = float("nan")
         try:
-            fl, fr = flatness(fld, f_level, f_radius, x_max=x_max)
+            fl, fr = flatness(fld, cfg.flat_level, cfg.flat_radius, x_max=x_max)
         except (InfinitePosition, WindowOutOfDomain):
             fl, fr = float("nan"), float("nan")
         report.rows.append(
@@ -307,14 +297,12 @@ def build_report(
     for lam in levels:
         if len(times) >= 2:
             report.traces[lam] = LevelTrace(lam, times, positions[lam])
-    if speed_window is None and len(times) >= 3:
+    if len(times) >= 3:
         # trailing quarter, widened so it always holds >= 4 snapshot times
         start = min(0.75 * times[-1], times[max(0, len(times) - 4)])
-        speed_window = (start, times[-1])
-    if speed_window is not None:
         for lam, trace in report.traces.items():
             try:
-                report.speeds[lam] = speed_fit(trace, *speed_window)
+                report.speeds[lam] = speed_fit(trace, start, times[-1])
             except InsufficientPoints:
                 pass
     return report

@@ -56,7 +56,6 @@ __all__ = [
     "FractionalFastDiffusion",
     "DispersalSpec",
     "LINEAR_VARIANTS",
-    "Symbol",
     "build_symbol",
     "apply_symbol",
     "convolve_direct",
@@ -234,11 +233,6 @@ def kernel_discrete_mass(kernel: KernelSpec, grid: Grid) -> float:
     return float(grid.dx * _raw_samples(kernel, grid).sum())
 
 
-def _offset_layout(node_values: np.ndarray) -> np.ndarray:
-    """Reorder node samples J(x_i) into periodic-offset order J(0), J(dx), ..."""
-    return np.fft.ifftshift(node_values)
-
-
 # ---------------------------------------------------------------------------
 # operator specifications
 # ---------------------------------------------------------------------------
@@ -303,27 +297,10 @@ LINEAR_VARIANTS = (FractionalLaplacian, Convolution)
 # symbols and linear steps
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class Symbol:
-    """Real multiplier per frequency bin (FFT layout) for a linear operator."""
-
-    grid: Grid
-    m: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (self.grid.n,):
-            raise LengthMismatch("symbol length does not match grid")
-        self.m = m
-
-    @property
-    def m_half(self) -> np.ndarray:
-        """Multipliers on the real-transform bins 0..n/2."""
-        return self.m[: self.grid.n // 2 + 1]
-
-
-def build_symbol(spec: DispersalSpec, grid: Grid) -> Symbol:
-    """Transform-space multiplier of a linear dispersal operator.
+def build_symbol(spec: DispersalSpec, grid: Grid) -> np.ndarray:
+    """Transform-space multiplier of a linear dispersal operator: a real array
+    of length n in FFT layout; its first n//2 + 1 entries are the multipliers
+    on the real-transform bins.
 
     Raises NonlinearVariant for the fast-diffusion operators, which have no
     symbol. For kernels left unnormalized the zero-frequency value reports the
@@ -331,28 +308,29 @@ def build_symbol(spec: DispersalSpec, grid: Grid) -> Symbol:
     """
     if isinstance(spec, FractionalLaplacian):
         if spec.alpha == 1.0:
-            m = -(grid.xi * grid.xi)
-        else:
-            m = -np.power(grid.xi * grid.xi, spec.alpha)
-        return Symbol(grid, m)
+            return -(grid.xi * grid.xi)
+        return -np.power(grid.xi * grid.xi, spec.alpha)
     if isinstance(spec, Convolution):
         samples = sample_kernel(spec.kernel, grid)
-        jhat = grid.dx * np.fft.fft(_offset_layout(samples)).real
+        # ifftshift reorders the node samples into offsets J(0), J(dx), ...
+        jhat = grid.dx * np.fft.fft(np.fft.ifftshift(samples)).real
         m = jhat - 1.0
         if spec.kernel.normalize:
             # mass neutrality and dissipativity hold analytically; pin away
             # the last-ulp roundoff so downstream invariants are exact
             m[0] = 0.0
             np.minimum(m, 0.0, out=m)
-        return Symbol(grid, m)
+        return m
     raise NonlinearVariant(f"{type(spec).__name__} has no transform-space symbol")
 
 
-def apply_symbol(field: Field, symbol: Symbol) -> Field:
-    """Evaluate the linear operator itself (not its semigroup) on a field."""
-    if field.grid.n != symbol.grid.n:
-        raise LengthMismatch("field and symbol live on different grids")
-    out = np.fft.irfft(np.fft.rfft(field.values) * symbol.m_half)
+def apply_symbol(field: Field, m: np.ndarray) -> Field:
+    """Evaluate the linear operator with multiplier m (from build_symbol) on a
+    field; the operator itself, not its semigroup."""
+    n = field.grid.n
+    if m.shape != (n,):
+        raise LengthMismatch(f"multiplier of shape {m.shape} for a grid of {n} nodes")
+    out = np.fft.irfft(np.fft.rfft(field.values) * m[: n // 2 + 1])
     return Field(field.grid, out)
 
 
@@ -366,7 +344,7 @@ def convolve_direct(field: Field, kernel: KernelSpec, grid: Grid) -> Field:
     if field.grid.n != grid.n:
         raise LengthMismatch("field does not match grid")
     n = grid.n
-    offsets = _offset_layout(sample_kernel(kernel, grid))
+    offsets = np.fft.ifftshift(sample_kernel(kernel, grid))
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     smooth = grid.dx * (offsets[idx] @ field.values)
     return Field(grid, smooth - field.values)
@@ -520,9 +498,9 @@ def fractional_fast_diffusion_step(
     if not dt > 0:
         raise ParameterOutOfRange(f"sub-cycled step needs dt > 0, got {dt!r}")
     _require_finite(field)
-    symbol = build_symbol(FractionalLaplacian(spec.alpha), grid)
+    m = build_symbol(FractionalLaplacian(spec.alpha), grid)
     if n_sub is None:
-        stiffness = float(np.max(np.abs(symbol.m))) * gamma * eps_reg ** (gamma - 1.0)
+        stiffness = float(np.max(np.abs(m))) * gamma * eps_reg ** (gamma - 1.0)
         n_sub = max(1, int(math.ceil(dt * stiffness / 0.5)))
         if n_sub > 1_000_000:
             raise ParameterOutOfRange(
@@ -532,7 +510,7 @@ def fractional_fast_diffusion_step(
     elif n_sub < 1:
         raise ParameterOutOfRange(f"n_sub must be >= 1, got {n_sub!r}")
     tau = dt / n_sub
-    m_half = symbol.m_half
+    m_half = m[: grid.n // 2 + 1]
     u = field.values.copy()
     w = np.empty_like(u)
     du = np.empty_like(u)

@@ -47,7 +47,6 @@ from .integrator import (
 from .reaction import KppLogistic
 
 __all__ = [
-    "parse_config",
     "parse_config_text",
     "PRESET_NAMES",
     "preset_config",
@@ -196,6 +195,8 @@ def _build_initial(entries):
             data = np.loadtxt(entries["initial.file"], dtype=float, ndmin=2)
         except OSError as exc:
             raise IoFailure(f"cannot read initial data: {exc}") from exc
+        except ValueError as exc:
+            raise ValidationFailed(f"malformed initial data: {exc}") from exc
         return TabulatedInitial.from_array(data[:, -1])
     raise ValidationFailed(f"unknown initial kind {kind!r}")
 
@@ -260,12 +261,6 @@ def parse_config_text(text: str) -> tuple:
     return config, extras
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a flat section.key config document into a validated RunConfig."""
-    config, _ = parse_config_text(text)
-    return config
-
-
 # ---------------------------------------------------------------------------
 # figure presets
 # ---------------------------------------------------------------------------
@@ -300,14 +295,29 @@ def _downsample(xs: np.ndarray, ys: np.ndarray, max_points: int = 1024) -> tuple
     return xs[::stride], ys[::stride]
 
 
+def make_out_dir(path) -> Path:
+    """Create an output directory and its parents; OSError becomes IoFailure."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
+
+def write_run_files(stem: str, traj: Trajectory, report: DiagnosticsReport, out: Path) -> tuple:
+    """Write `<stem>_snapshots.txt` and `<stem>_diagnostics.csv` into `out`;
+    returns their paths. Every verb names a run's files here."""
+    snap_path = out / f"{stem}_snapshots.txt"
+    save_snapshots(traj, snap_path)
+    csv_path = out / f"{stem}_diagnostics.csv"
+    emit_csv(report, csv_path)
+    return snap_path, csv_path
+
+
 def _bundle(name: str, traj: Trajectory, report: DiagnosticsReport, out: Path) -> dict:
     paths = {}
-    snap_path = out / f"{name}_snapshots.txt"
-    save_snapshots(traj, snap_path)
-    paths["snapshots"] = snap_path
-    csv_path = out / f"{name}_diagnostics.csv"
-    emit_csv(report, csv_path)
-    paths["csv"] = csv_path
+    paths["snapshots"], paths["csv"] = write_run_files(name, traj, report, out)
     grid = traj.grid
     profiles = []
     for t, fld in traj.snapshots():
@@ -342,8 +352,7 @@ def run_preset(name: str, out_dir, *, raise_on_breach: bool = True) -> dict:
     """
     if name not in PRESET_NAMES:
         raise UnknownKey(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     result = {"paths": {}, "trajectories": {}, "reports": {}}
     members = ("fig1a", "fig1b", "fig1c", "fig1d") if name == "fig2" else (name,)
     series = []
@@ -415,9 +424,13 @@ def read_csv(path) -> tuple:
     except OSError as exc:
         raise IoFailure(f"cannot read CSV {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    return header, rows
+    if not lines:
+        raise ValidationFailed(f"CSV {path} is empty")
+    try:
+        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+    except ValueError as exc:
+        raise ValidationFailed(f"malformed CSV {path}: {exc}") from exc
+    return lines[0].split(","), rows
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +557,16 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
             f'transform="rotate(-90 18 {mid_y})">{_xml_escape(y_label)}</text>'
         )
 
-    for i, (name, xs, ys) in enumerate(cleaned):
-        style = {}
-        if styles is not None and i < len(styles):
-            style = dict(styles[i])
+    # (markers?, colour, dash attribute) per series, for the plot and the legend
+    looks = []
+    for i in range(len(cleaned)):
+        style = dict(styles[i]) if styles is not None and i < len(styles) else {}
+        dash = f' stroke-dasharray="{style["dash"]}"' if "dash" in style else ""
         color = style.get("color", _PALETTE[i % len(_PALETTE)])
-        if style.get("markers"):
+        looks.append((style.get("markers"), color, dash))
+
+    for (name, xs, ys), (markers, color, dash) in zip(cleaned, looks):
+        if markers:
             pts = "".join(
                 f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="{color}"/>'
                 for x, y in zip(xs, ys)
@@ -557,7 +574,6 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
             parts.append(f"<g>{pts}</g>")
         else:
             coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-            dash = f' stroke-dasharray="{style["dash"]}"' if "dash" in style else ""
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"{dash}/>'
@@ -565,16 +581,11 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
 
     legend_x = _MARGIN_L + plot_w + 12
     shown = cleaned if legend_max is None else cleaned[:legend_max]
-    for i, (name, _, _) in enumerate(shown):
-        style = {}
-        if styles is not None and i < len(styles):
-            style = dict(styles[i])
-        color = style.get("color", _PALETTE[i % len(_PALETTE)])
+    for i, ((name, _, _), (markers, color, dash)) in enumerate(zip(shown, looks)):
         y0 = _MARGIN_T + 10 + 18 * i
-        if style.get("markers"):
+        if markers:
             parts.append(f'<circle cx="{legend_x + 11}" cy="{y0}" r="2.5" fill="{color}"/>')
         else:
-            dash = f' stroke-dasharray="{style["dash"]}"' if "dash" in style else ""
             parts.append(
                 f'<line x1="{legend_x}" y1="{y0}" x2="{legend_x + 22}" y2="{y0}" '
                 f'stroke="{color}" stroke-width="1.5"{dash}/>'
@@ -623,10 +634,7 @@ def sweep_values(text: str, vary: str) -> list:
 def _sweep_worker(args):
     label, config, out_dir = args
     traj = run(config)
-    report = build_report(traj)
-    out = Path(out_dir)
-    emit_csv(report, out / f"{label}_diagnostics.csv")
-    save_snapshots(traj, out / f"{label}_snapshots.txt")
+    write_run_files(label, traj, build_report(traj), Path(out_dir))
     return label, traj.guard_breach_time, len(traj.times)
 
 
@@ -636,8 +644,7 @@ def run_sweep(text: str, vary: str, out_dir, *, workers: int | None = None) -> l
     Returns [(label, guard_breach_time_or_None, n_snapshots)] in input order.
     """
     jobs = sweep_values(text, vary)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     args = [(label, config, str(out)) for label, config in jobs]
     if workers is None:
         workers = min(len(args), os.cpu_count() or 1)

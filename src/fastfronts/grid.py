@@ -59,19 +59,11 @@ class Grid:
         self.freq_index = k
         self.xi = xi
 
-    @property
-    def xi_half(self) -> np.ndarray:
-        """Frequencies of the real-transform bins 0..n/2 (ascending)."""
-        return self.xi[: self.n // 2 + 1]
-
-    def compatible(self, other: "Grid") -> bool:
-        return self.n == other.n and self.L == other.L
-
     def __repr__(self) -> str:
         return f"Grid(L={self.L:g}, n={self.n})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Grid) and self.compatible(other)
+        return isinstance(other, Grid) and self.n == other.n and self.L == other.L
 
     def __hash__(self) -> int:
         return hash((self.L, self.n))

@@ -29,7 +29,6 @@ from .dispersal import (
     DispersalSpec,
     FastDiffusion,
     LINEAR_VARIANTS,
-    Symbol,
     build_symbol,
     fast_diffusion_step,
     fractional_fast_diffusion_step,
@@ -121,7 +120,8 @@ InitialSpec = Union[GaussianBump, Indicator, TabulatedInitial]
 
 def build_initial(spec: InitialSpec, grid: Grid) -> Field:
     vals = spec.build(grid)
-    if np.any(vals < 0.0) or np.any(vals > 1.0):
+    # min and max propagate NaN, so NaN and +-inf samples fail the test too
+    if not (vals.min() >= 0.0 and vals.max() <= 1.0):
         raise ValidationFailed("initial condition must take values in [0, 1]")
     return Field(grid, vals)
 
@@ -214,10 +214,11 @@ class DispersalStepper:
         self.spec = spec
         self.grid = grid
         self.eps_reg = eps_reg
-        self.symbol: Optional[Symbol] = None
+        # multipliers on the real-transform bins 0..n/2; None for the fast diffusions
+        self.m_half: Optional[np.ndarray] = None
         self._factors: dict = {}
         if isinstance(spec, LINEAR_VARIANTS):
-            self.symbol = build_symbol(spec, grid)
+            self.m_half = build_symbol(spec, grid)[: grid.n // 2 + 1]
             self._bins = np.empty(grid.n // 2 + 1, dtype=complex)
         elif isinstance(spec, FastDiffusion):
             # the Newton solves need scipy.linalg: load it here, as set-up,
@@ -231,13 +232,13 @@ class DispersalStepper:
         `values` itself) and otherwise return a new array. The fast
         diffusions always return a new array.
         """
-        if self.symbol is not None:
+        if self.m_half is not None:
             # insertion order is recency order: a hit moves dt to the end,
             # a miss evicts the least recently used of two entries
             factors = self._factors
             factor = factors.pop(dt, None)
             if factor is None:
-                factor = np.exp(self.symbol.m_half * dt)
+                factor = np.exp(self.m_half * dt)
                 if len(factors) == 2:
                     del factors[next(iter(factors))]
             factors[dt] = factor

@@ -103,7 +103,7 @@ def test_c03_kernel_discrete_mass():
     grid = ff.make_grid(200.0, 2**13)
     raw_kernel = ff.StretchedExponential(0.5, 1.0, normalize=False)
     symbol = ff.build_symbol(ff.Convolution(raw_kernel), grid)
-    deviation = abs(float(symbol.m[0]))
+    deviation = abs(float(symbol[0]))
     record(3, "raw kernel mass defect at the pinned grid", deviation < 1e-3,
            f"|m(0)|={deviation:.4e} vs 1e-3")
     assert deviation < 1e-3

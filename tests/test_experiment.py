@@ -24,7 +24,7 @@ time.t_end = 20
 
 class TestParseConfig:
     def test_minimal_with_defaults(self):
-        cfg = ff.parse_config(MINIMAL)
+        cfg = ff.parse_config_text(MINIMAL)[0]
         assert cfg.dispersal == ff.StandardLaplacian()
         assert cfg.L == 400.0 and cfg.N == 8192 and cfg.t_end == 20.0
         assert cfg.dt == 0.01
@@ -53,7 +53,7 @@ class TestParseConfig:
         diagnostics.flat_level = 0.4
         diagnostics.flat_radius = 8
         """
-        cfg = ff.parse_config(text)
+        cfg = ff.parse_config_text(text)[0]
         assert isinstance(cfg.dispersal, ff.Convolution)
         assert cfg.reaction is None
         assert cfg.snapshot_times == (0.0, 2.5, 10.0)
@@ -66,29 +66,29 @@ class TestParseConfig:
         text = MINIMAL.replace("standard_laplacian", "fractional_laplacian")
         text += "dispersal.alpha = 1.5\n"
         with pytest.raises(ff.ParameterOutOfRange):
-            ff.parse_config(text)
+            ff.parse_config_text(text)[0]
 
     def test_missing_variant(self):
         with pytest.raises(ff.MissingRequired):
-            ff.parse_config("grid.L = 10\ngrid.N = 64\ntime.t_end = 1\n")
+            ff.parse_config_text("grid.L = 10\ngrid.N = 64\ntime.t_end = 1\n")[0]
 
     def test_missing_grid(self):
         with pytest.raises(ff.MissingRequired):
-            ff.parse_config("dispersal.variant = standard_laplacian\ntime.t_end = 1\n")
+            ff.parse_config_text("dispersal.variant = standard_laplacian\ntime.t_end = 1\n")[0]
 
     def test_unknown_key_and_section(self):
         with pytest.raises(ff.UnknownKey):
-            ff.parse_config(MINIMAL + "grid.bogus = 3\n")
+            ff.parse_config_text(MINIMAL + "grid.bogus = 3\n")[0]
         with pytest.raises(ff.UnknownKey):
-            ff.parse_config(MINIMAL + "nonsense.key = 3\n")
+            ff.parse_config_text(MINIMAL + "nonsense.key = 3\n")[0]
 
     def test_comments_and_blanks_ignored(self):
-        cfg = ff.parse_config(MINIMAL + "\n   \n# trailing comment\n")
+        cfg = ff.parse_config_text(MINIMAL + "\n   \n# trailing comment\n")[0]
         assert cfg.N == 8192
 
     def test_bad_number(self):
         with pytest.raises(ff.ValidationFailed):
-            ff.parse_config(MINIMAL.replace("400", "four hundred"))
+            ff.parse_config_text(MINIMAL.replace("400", "four hundred"))[0]
 
     def test_output_dir_extra(self):
         cfg, extras = ff.parse_config_text(MINIMAL + "output.dir = results\n")
@@ -96,23 +96,23 @@ class TestParseConfig:
         assert cfg.N == 8192
 
     def test_seam_margin_key(self):
-        cfg = ff.parse_config(MINIMAL + "diagnostics.seam_margin = 0.4\n")
+        cfg = ff.parse_config_text(MINIMAL + "diagnostics.seam_margin = 0.4\n")[0]
         assert cfg.seam_margin_frac == 0.4
 
     def test_algebraic_kernel_config(self):
         text = MINIMAL.replace("standard_laplacian", "convolution")
         text += "dispersal.kernel = algebraic\ndispersal.kernel_p = 3.5\n"
-        cfg = ff.parse_config(text)
+        cfg = ff.parse_config_text(text)[0]
         assert cfg.dispersal.kernel == ff.AlgebraicTail(3.5)
         with pytest.raises(ff.MissingRequired):
-            ff.parse_config(text.replace("dispersal.kernel_p = 3.5\n", ""))
+            ff.parse_config_text(text.replace("dispersal.kernel_p = 3.5\n", ""))[0]
 
     def test_tabulated_kernel_config(self, tmp_path):
         xs = np.linspace(-6, 6, 49)
         np.savetxt(tmp_path / "k.txt", np.column_stack([xs, np.exp(-np.abs(xs))]))
         text = MINIMAL.replace("standard_laplacian", "convolution")
         text += f"dispersal.kernel = tabulated\ndispersal.kernel_file = {tmp_path / 'k.txt'}\n"
-        cfg = ff.parse_config(text)
+        cfg = ff.parse_config_text(text)[0]
         assert isinstance(cfg.dispersal.kernel, ff.TabulatedKernel)
 
     def test_tabulated_initial_config(self, tmp_path):
@@ -120,9 +120,15 @@ class TestParseConfig:
         g = ff.make_grid(400.0, n)
         u = np.exp(-g.x**2 / 50.0)
         np.savetxt(tmp_path / "u0.txt", np.column_stack([g.x, u]))
-        cfg = ff.parse_config(MINIMAL + f"initial.kind = tabulated\ninitial.file = {tmp_path / 'u0.txt'}\n")
+        cfg = ff.parse_config_text(MINIMAL + f"initial.kind = tabulated\ninitial.file = {tmp_path / 'u0.txt'}\n")[0]
         vals = ff.build_initial(cfg.initial, g).values
         assert np.allclose(vals, u)
+
+    def test_malformed_initial_file_is_a_validation_failure(self, tmp_path):
+        (tmp_path / "u0.txt").write_text("0.0 0.5\n1.0 foo\n")
+        text = MINIMAL + f"initial.kind = tabulated\ninitial.file = {tmp_path / 'u0.txt'}\n"
+        with pytest.raises(ff.ValidationFailed):
+            ff.parse_config_text(text)
 
 
 _BASE = dict(L=50.0, N=64, dispersal=ff.StandardLaplacian(), t_end=1.0)
@@ -152,7 +158,7 @@ def test_invalid_input_ends_in_library_error(case, error):
     """A dict overrides RunConfig fields; a string replaces a document line."""
     with pytest.raises(error):
         if isinstance(case, str):
-            ff.parse_config(MINIMAL.replace("grid.N = 8192", case))
+            ff.parse_config_text(MINIMAL.replace("grid.N = 8192", case))[0]
         else:
             ff.run(ff.RunConfig(**{**_BASE, **case}))
 
@@ -254,6 +260,13 @@ class TestCsv:
         assert row[3] == "+inf"   # x_0.4 column (field everywhere >= 0.4)
         header, rows = ff.read_csv(path)
         assert rows[0][5] == float("-inf")
+
+    @pytest.mark.parametrize("text", ["", "t,m\n0,0.5\n1,half\n"], ids=["empty", "non-numeric"])
+    def test_malformed_file_is_a_validation_failure(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ff.ValidationFailed):
+            ff.read_csv(path)
 
 
 class TestCharts:
@@ -406,3 +419,17 @@ class TestCli:
         code = main(["run", str(tmp_path / "nope.cfg")])
         assert code == 1
         assert "IoFailure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "preset", "sweep"])
+    def test_unusable_output_directory_reports_io_category(self, tmp_path, capsys, verb):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        (tmp_path / "afile").write_text("a regular file, not a directory\n")
+        out = ["--out", str(tmp_path / "afile" / "sub")]
+        argv = {
+            "run": ["run", str(cfg)],
+            "preset": ["preset", "fig1d"],
+            "sweep": ["sweep", str(cfg), "--vary", "time.t_end=1", "--workers", "1"],
+        }[verb]
+        assert main(argv + out) == 1
+        assert "error IoFailure" in capsys.readouterr().err

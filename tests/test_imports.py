@@ -1,10 +1,12 @@
 """Import guard: `import fastfronts` loads numpy and no scipy, and each scipy
-submodule loads only when an operator that needs it is built.
+submodule loads only when an operator that needs it is built; and no module
+of the package imports a name it never uses.
 
-Every check runs in a fresh interpreter, so modules that other tests loaded
-do not count, and checks membership in sys.modules only, never a time.
+Every load check runs in a fresh interpreter, so modules that other tests
+loaded do not count, and checks membership in sys.modules only, never a time.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +48,48 @@ def test_stepper_set_up_loads_its_scipy_module(spec, module):
         f"ff.DispersalStepper({spec}, ff.make_grid(50.0, 2**8))"
     )
     assert module in loaded
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by the imports of `source` that it never reads.
+
+    A name counts as used when it is read anywhere in the module or listed
+    in its __all__. `from __future__` imports and lines marked
+    `# noqa: F401` (imports made for their side effect) are skipped.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(bound - used)
+
+
+# __init__.py is left out: its imports are the package's public namespace
+MODULES = sorted(
+    p.name for p in (Path(SRC) / "fastfronts").glob("*.py") if p.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_every_name_it_imports(module):
+    source = (Path(SRC) / "fastfronts" / module).read_text()
+    assert unused_imports(source) == []
+
+
+def test_unused_import_finder_flags_an_unread_name():
+    source = (
+        "from __future__ import annotations\nimport os\nimport sys\n"
+        "import numpy.linalg  # noqa: F401\nfrom math import pi\nprint(sys)\n"
+    )
+    assert unused_imports(source) == ["os", "pi"]
