@@ -78,6 +78,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_properties(args) -> int:
     (config, extras), _ = _read_config(args.config)
+    out = _resolve_out(args.out, extras) if args.out else None
     rng = np.random.default_rng(args.seed)
     grid = config.grid()
     verdicts = []
@@ -94,8 +95,8 @@ def _cmd_properties(args) -> int:
 
     text = verdict_report(verdicts)
     sys.stdout.write(text)
-    if args.out:
-        path = _resolve_out(args.out, extras) / "properties.txt"
+    if out is not None:
+        path = out / "properties.txt"
         try:
             path.write_text(text)
         except OSError as exc:

@@ -24,6 +24,7 @@ operators and kernels never load it.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -47,6 +48,7 @@ __all__ = [
     "TabulatedKernel",
     "KernelSpec",
     "load_kernel_table",
+    "read_table",
     "sample_kernel",
     "kernel_discrete_mass",
     "FractionalLaplacian",
@@ -125,14 +127,16 @@ class StretchedExponential:
 
 @dataclass(frozen=True)
 class AlgebraicTail:
-    """Kernel c / (1 + |x|^p) with p > 2, unit analytic mass."""
+    """Kernel c / (1 + |x|^p) with finite p > 2, unit analytic mass."""
 
     p: float
     normalize: bool = True
 
     def __post_init__(self):
-        if not self.p > 2.0:
-            raise ParameterOutOfRange(f"algebraic-tail exponent p={self.p!r} must be > 2")
+        if not 2.0 < self.p < math.inf:
+            raise ParameterOutOfRange(
+                f"algebraic-tail exponent p={self.p!r} must be finite and > 2"
+            )
 
     @property
     def amplitude(self) -> float:
@@ -164,6 +168,8 @@ class TabulatedKernel:
         j = np.asarray(j, dtype=float)
         if x.ndim != 1 or x.shape != j.shape or x.size < 2:
             raise ValidationFailed("tabulated kernel needs two equal-length 1D columns")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(j))):
+            raise ValidationFailed("tabulated kernel samples must be finite")
         if not np.all(np.diff(x) > 0):
             raise ValidationFailed("tabulated kernel abscissae must be strictly increasing")
         if np.any(j < 0):
@@ -186,14 +192,25 @@ class TabulatedKernel:
 KernelSpec = Union[StretchedExponential, AlgebraicTail, TabulatedKernel]
 
 
+def read_table(path, what: str) -> np.ndarray:
+    """Rows of a whitespace-separated numeric table, as a 2D array. An unreadable
+    file raises IoFailure; a malformed or empty one, ValidationFailed."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty file
+            data = np.loadtxt(path, dtype=float, ndmin=2)
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationFailed(f"malformed {what} {path}: {exc}") from exc
+    if data.size == 0:
+        raise ValidationFailed(f"{what} {path} holds no samples")
+    return data
+
+
 def load_kernel_table(path, normalize: bool = True) -> TabulatedKernel:
     """Load a kernel from two-column whitespace-separated text (x, J(x))."""
-    try:
-        data = np.loadtxt(path, dtype=float, ndmin=2)
-    except OSError as exc:
-        raise IoFailure(f"cannot read kernel table {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationFailed(f"malformed kernel table {path}: {exc}") from exc
+    data = read_table(path, "kernel table")
     if data.shape[1] != 2:
         raise ValidationFailed(f"kernel table {path} must have exactly two columns")
     return TabulatedKernel.from_arrays(data[:, 0], data[:, 1], normalize)

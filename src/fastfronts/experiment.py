@@ -3,15 +3,16 @@ emitters, and concurrent parameter sweeps.
 
 Config documents are flat `section.key = value` lines with `#` comments.
 Sections: grid, dispersal, reaction, time, initial, diagnostics, output.
-Required keys: dispersal.variant, grid.L, grid.N, time.t_end; everything else
-has documented defaults (dt=0.01, guard 1e-4, lambdas 0.4/0.5/0.6, Gaussian
-initial data of width 100, logistic reaction).
+Required keys: dispersal.variant, grid.L, grid.N, time.t_end, and the
+parameters the chosen operator, kernel or initial data cannot do without. A
+key a document leaves out takes the default of the dataclass field it fills.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from .dispersal import (
     StandardLaplacian,
     StretchedExponential,
     load_kernel_table,
+    read_table,
 )
 from .diagnostics import DiagnosticsReport, build_report
 from .errors import (
@@ -63,22 +65,90 @@ __all__ = [
 # config documents
 # ---------------------------------------------------------------------------
 
-_SECTIONS = {
-    "grid": {"l", "n", "guard"},
-    "dispersal": {
-        "variant", "alpha", "gamma", "kernel", "kernel_a", "kernel_b",
-        "kernel_p", "kernel_file", "kernel_normalize",
-    },
-    "reaction": {"variant"},
-    "time": {"dt", "t_end", "snapshots"},
-    "initial": {"kind", "width", "position", "file"},
-    "diagnostics": {"lambdas", "stretch", "flat_level", "flat_radius", "seam_margin"},
-    "output": {"dir"},
+def _integer(text: str) -> int:
+    return int(float(text))
+
+
+def _numbers(text: str) -> tuple:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _choice(options: dict):
+    """Reader that looks a case-insensitive token up in `options`."""
+
+    def read(text: str):
+        if text.lower() not in options:
+            raise ValueError(f"not one of {', '.join(options)}")
+        return options[text.lower()]
+
+    return read
+
+
+_flag = _choice(dict.fromkeys(("true", "yes", "1", "on"), True)
+                | dict.fromkeys(("false", "no", "0", "off"), False))
+
+
+def _snapshot_times(text: str):
+    return None if text.lower() == "auto" else _numbers(text)
+
+
+def _load_initial(path: str) -> TabulatedInitial:
+    """Initial data from the last column of a whitespace-separated table."""
+    return TabulatedInitial.from_array(read_table(path, "initial data")[:, -1])
+
+
+# Document key -> (keyword, reader), one table per constructor. Only the keys
+# a document sets are passed, so every default is the dataclass's own.
+_RUN_KEYS = {
+    "reaction.variant": ("reaction", _choice({"kpp_logistic": KppLogistic(), "none": None})),
+    "time.snapshots": ("snapshot_times", _snapshot_times),
+    "grid.l": ("L", float),
+    "grid.n": ("N", _integer),
+    "time.t_end": ("t_end", float),
+    "time.dt": ("dt", float),
+    "grid.guard": ("guard_threshold", float),
+    "diagnostics.lambdas": ("lambdas", _numbers),
+    "diagnostics.stretch": ("stretch_pair", _numbers),
+    "diagnostics.flat_level": ("flat_level", float),
+    "diagnostics.flat_radius": ("flat_radius", float),
+    "diagnostics.seam_margin": ("seam_margin_frac", float),
+}
+_ALPHA = {"dispersal.alpha": ("alpha", float)}
+_GAMMA = {"dispersal.gamma": ("gamma", float)}
+_NORMALIZE = {"dispersal.kernel_normalize": ("normalize", _flag)}
+
+# A selector key's value -> (constructor, the table of keys it reads). A
+# convolution reads its kernel through dispersal.kernel instead.
+_VARIANTS = {
+    "fractional_laplacian": (FractionalLaplacian, _ALPHA),
+    "convolution": (Convolution, {}),
+    "standard_laplacian": (StandardLaplacian, {}),
+    "fast_diffusion": (FastDiffusion, _GAMMA),
+    "fractional_fast_diffusion": (FractionalFastDiffusion, {**_ALPHA, **_GAMMA}),
+}
+_KERNELS = {
+    # StretchedExponential has no default for a; a document's is 0.5
+    "stretched_exponential": (
+        partial(StretchedExponential, a=0.5),
+        {"dispersal.kernel_a": ("a", float), "dispersal.kernel_b": ("b", float), **_NORMALIZE},
+    ),
+    "algebraic": (AlgebraicTail, {"dispersal.kernel_p": ("p", float), **_NORMALIZE}),
+    "tabulated": (load_kernel_table, {"dispersal.kernel_file": ("path", str), **_NORMALIZE}),
+}
+_INITIALS = {
+    "gaussian": (GaussianBump, {"initial.width": ("width", float)}),
+    "indicator": (Indicator, {"initial.position": ("position", float)}),
+    "tabulated": (_load_initial, {"initial.file": ("path", str)}),
 }
 
-_VARIANTS = (
-    "fractional_laplacian", "convolution", "standard_laplacian",
-    "fast_diffusion", "fractional_fast_diffusion",
+# Keys a document must set wherever they apply
+_REQUIRED = frozenset({
+    "grid.l", "grid.n", "time.t_end", "dispersal.variant", "dispersal.alpha",
+    "dispersal.gamma", "dispersal.kernel_p", "dispersal.kernel_file", "initial.file",
+})
+_KEYS = frozenset().union(
+    _RUN_KEYS, ("dispersal.variant", "dispersal.kernel", "initial.kind", "output.dir"),
+    *(table for kinds in (_VARIANTS, _KERNELS, _INITIALS) for _, table in kinds.values()),
 )
 
 
@@ -91,166 +161,59 @@ def _parse_lines(text: str) -> dict:
         if "=" not in line:
             raise ValidationFailed(f"line {lineno}: expected `section.key = value`, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.count(".") != 1:
-            raise UnknownKey(f"line {lineno}: key {key!r} is not of the form section.key")
-        section, name = key.lower().split(".")
-        if section not in _SECTIONS:
-            raise UnknownKey(f"line {lineno}: unknown section {section!r}")
-        if name not in _SECTIONS[section]:
-            raise UnknownKey(f"line {lineno}: unknown key {name!r} in section {section!r}")
-        entries[f"{section}.{name}"] = value
+        if key.lower() not in _KEYS:
+            raise UnknownKey(f"line {lineno}: unknown key {key!r}")
+        entries[key.lower()] = value
     return entries
 
 
-def _as_float(entries, key):
-    try:
-        return float(entries[key])
-    except ValueError as exc:
-        raise ValidationFailed(f"{key} = {entries[key]!r} is not a number") from exc
+def _require(entries: dict, keys) -> None:
+    for key in keys:
+        if key in _REQUIRED and key not in entries:
+            raise MissingRequired(f"{key} is required")
 
 
-def _as_int(entries, key):
+def _read(entries: dict, key: str, reader, default=None):
+    text = entries.get(key, default)
     try:
-        return int(float(entries[key]))
+        return reader(text)
     except (ValueError, OverflowError) as exc:
-        raise ValidationFailed(f"{key} = {entries[key]!r} is not an integer") from exc
+        raise ValidationFailed(f"{key} = {text!r}: {exc}") from exc
 
 
-def _as_bool(entries, key, default=True):
-    if key not in entries:
-        return default
-    token = entries[key].lower()
-    if token in ("true", "yes", "1", "on"):
-        return True
-    if token in ("false", "no", "0", "off"):
-        return False
-    raise ValidationFailed(f"{key} = {entries[key]!r} is not a boolean")
+def _keywords(entries: dict, table: dict) -> dict:
+    """Keyword arguments for the keys of `table` that the document sets."""
+    return {kw: _read(entries, key, read) for key, (kw, read) in table.items() if key in entries}
 
 
-def _float_list(entries, key):
-    try:
-        return tuple(float(tok) for tok in entries[key].split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValidationFailed(f"{key} = {entries[key]!r} is not a comma-separated list") from exc
-
-
-def _build_dispersal(entries):
-    if "dispersal.variant" not in entries:
-        raise MissingRequired("dispersal.variant is required")
-    variant = entries["dispersal.variant"].lower()
-    if variant not in _VARIANTS:
-        raise ValidationFailed(
-            f"dispersal.variant {variant!r} is not one of {', '.join(_VARIANTS)}"
-        )
-    if variant == "standard_laplacian":
-        return StandardLaplacian()
-    if variant == "fractional_laplacian":
-        if "dispersal.alpha" not in entries:
-            raise MissingRequired("dispersal.alpha is required for the fractional variant")
-        return FractionalLaplacian(_as_float(entries, "dispersal.alpha"))
-    if variant == "fast_diffusion":
-        if "dispersal.gamma" not in entries:
-            raise MissingRequired("dispersal.gamma is required for fast diffusion")
-        return FastDiffusion(_as_float(entries, "dispersal.gamma"))
-    if variant == "fractional_fast_diffusion":
-        for need in ("dispersal.alpha", "dispersal.gamma"):
-            if need not in entries:
-                raise MissingRequired(f"{need} is required for fractional fast diffusion")
-        return FractionalFastDiffusion(
-            _as_float(entries, "dispersal.alpha"), _as_float(entries, "dispersal.gamma")
-        )
-    kind = entries.get("dispersal.kernel", "stretched_exponential").lower()
-    normalize = _as_bool(entries, "dispersal.kernel_normalize", True)
-    if kind == "stretched_exponential":
-        kernel = StretchedExponential(
-            a=_as_float(entries, "dispersal.kernel_a") if "dispersal.kernel_a" in entries else 0.5,
-            b=_as_float(entries, "dispersal.kernel_b") if "dispersal.kernel_b" in entries else 1.0,
-            normalize=normalize,
-        )
-    elif kind == "algebraic":
-        if "dispersal.kernel_p" not in entries:
-            raise MissingRequired("dispersal.kernel_p is required for the algebraic kernel")
-        kernel = AlgebraicTail(_as_float(entries, "dispersal.kernel_p"), normalize=normalize)
-    elif kind == "tabulated":
-        if "dispersal.kernel_file" not in entries:
-            raise MissingRequired("dispersal.kernel_file is required for a tabulated kernel")
-        kernel = load_kernel_table(entries["dispersal.kernel_file"], normalize=normalize)
-    else:
-        raise ValidationFailed(f"unknown kernel kind {kind!r}")
-    return Convolution(kernel)
-
-
-def _build_initial(entries):
-    kind = entries.get("initial.kind", "gaussian").lower()
-    if kind == "gaussian":
-        width = _as_float(entries, "initial.width") if "initial.width" in entries else 100.0
-        return GaussianBump(width)
-    if kind == "indicator":
-        pos = _as_float(entries, "initial.position") if "initial.position" in entries else 0.0
-        return Indicator(pos)
-    if kind == "tabulated":
-        if "initial.file" not in entries:
-            raise MissingRequired("initial.file is required for tabulated initial data")
-        try:
-            data = np.loadtxt(entries["initial.file"], dtype=float, ndmin=2)
-        except OSError as exc:
-            raise IoFailure(f"cannot read initial data: {exc}") from exc
-        except ValueError as exc:
-            raise ValidationFailed(f"malformed initial data: {exc}") from exc
-        return TabulatedInitial.from_array(data[:, -1])
-    raise ValidationFailed(f"unknown initial kind {kind!r}")
+def _select(entries: dict, selector: str, kinds: dict, default=None) -> tuple:
+    """The (constructor, key table) that the selector key's value names; raises
+    MissingRequired unless the document sets the table's required keys."""
+    make, table = _read(entries, selector, _choice(kinds), default)
+    _require(entries, table)
+    return make, table
 
 
 def parse_config_text(text: str) -> tuple:
     """Parse a config document; returns (RunConfig, extras dict).
 
     Extras currently carry output.dir when present. Raises UnknownKey,
-    MissingRequired, or ValidationFailed.
+    MissingRequired or ValidationFailed; ParameterOutOfRange for an operator
+    or kernel parameter out of range, IoFailure for an unreadable table file.
     """
     entries = _parse_lines(text)
-    for need in ("grid.l", "grid.n", "time.t_end"):
-        if need not in entries:
-            raise MissingRequired(f"{need.replace('.l', '.L').replace('.n', '.N')} is required")
-    dispersal = _build_dispersal(entries)
-    reaction_kind = entries.get("reaction.variant", "kpp_logistic").lower()
-    if reaction_kind == "kpp_logistic":
-        reaction = KppLogistic()
-    elif reaction_kind == "none":
-        reaction = None
+    _require(entries, (*_RUN_KEYS, "dispersal.variant"))
+    spec, table = _select(entries, "dispersal.variant", _VARIANTS)
+    if spec is Convolution:
+        kernel, table = _select(entries, "dispersal.kernel", _KERNELS, "stretched_exponential")
+        dispersal = Convolution(kernel(**_keywords(entries, table)))
     else:
-        raise ValidationFailed(
-            f"reaction.variant {reaction_kind!r} must be kpp_logistic or none"
-        )
-    snapshots = None
-    if "time.snapshots" in entries and entries["time.snapshots"].lower() != "auto":
-        snapshots = _float_list(entries, "time.snapshots")
-    kwargs = dict(
-        L=_as_float(entries, "grid.l"),
-        N=_as_int(entries, "grid.n"),
-        dispersal=dispersal,
-        t_end=_as_float(entries, "time.t_end"),
-        reaction=reaction,
-        dt=_as_float(entries, "time.dt") if "time.dt" in entries else 0.01,
-        snapshot_times=snapshots,
-        initial=_build_initial(entries),
-    )
-    if "grid.guard" in entries:
-        kwargs["guard_threshold"] = _as_float(entries, "grid.guard")
-    if "diagnostics.lambdas" in entries:
-        kwargs["lambdas"] = _float_list(entries, "diagnostics.lambdas")
-    if "diagnostics.stretch" in entries:
-        pair = _float_list(entries, "diagnostics.stretch")
-        if len(pair) != 2:
-            raise ValidationFailed("diagnostics.stretch needs exactly two levels")
-        kwargs["stretch_pair"] = pair
-    if "diagnostics.flat_level" in entries:
-        kwargs["flat_level"] = _as_float(entries, "diagnostics.flat_level")
-    if "diagnostics.flat_radius" in entries:
-        kwargs["flat_radius"] = _as_float(entries, "diagnostics.flat_radius")
-    if "diagnostics.seam_margin" in entries:
-        kwargs["seam_margin_frac"] = _as_float(entries, "diagnostics.seam_margin")
+        dispersal = spec(**_keywords(entries, table))
+    kwargs = _keywords(entries, _RUN_KEYS)
+    make, table = _select(entries, "initial.kind", _INITIALS, "gaussian")
+    initial = make(**_keywords(entries, table))
     try:
-        config = RunConfig(**kwargs)
+        config = RunConfig(dispersal=dispersal, initial=initial, **kwargs)
     except FastFrontsError:
         raise
     except Exception as exc:  # defensive: dataclass construction surprises

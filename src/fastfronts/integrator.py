@@ -163,6 +163,8 @@ class RunConfig:
             raise ValidationFailed(f"t_end must be finite and >= 0, got {self.t_end!r}")
         if not 0 < self.eps_reg < math.inf:
             raise ValidationFailed(f"eps_reg must be finite and > 0, got {self.eps_reg!r}")
+        if not 0.0 < self.flat_level < 1.0:
+            raise ValidationFailed(f"flat level must lie in (0, 1), got {self.flat_level!r}")
         if not self.flat_radius >= 0:
             raise ValidationFailed(f"flat radius must be >= 0, got {self.flat_radius!r}")
         pair = tuple(self.stretch_pair)
@@ -179,7 +181,8 @@ class RunConfig:
                 raise ValidationFailed(f"diagnostic level {lam!r} not in (0, 1)")
         if self.snapshot_times is not None:
             times = tuple(float(t) for t in self.snapshot_times)
-            if any(t < 0 or t > self.t_end for t in times):
+            # written so that a NaN time fails the test too
+            if not all(0 <= t <= self.t_end for t in times):
                 raise ValidationFailed("snapshot times must lie in [0, t_end]")
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValidationFailed("snapshot times must be strictly increasing")

@@ -94,6 +94,8 @@ class TestKernels:
             ff.StretchedExponential(0.5, -1.0)
         with pytest.raises(ff.ParameterOutOfRange):
             ff.AlgebraicTail(2.0)
+        with pytest.raises(ff.ParameterOutOfRange):
+            ff.AlgebraicTail(float("inf"))  # amplitude inf * sin(0) would be NaN
 
     def test_algebraic_analytic_mass(self):
         kernel = ff.AlgebraicTail(4.0)
@@ -140,6 +142,10 @@ class TestKernels:
             ff.TabulatedKernel.from_arrays(xs, -np.exp(-np.abs(xs)))  # negative
         with pytest.raises(ff.ValidationFailed):
             ff.TabulatedKernel.from_arrays(xs[::-1], np.exp(-np.abs(xs)))  # not increasing
+        with pytest.raises(ff.ValidationFailed):
+            ff.TabulatedKernel.from_arrays(xs, np.where(xs == 0, np.nan, np.exp(-np.abs(xs))))
+        with pytest.raises(ff.ValidationFailed):
+            ff.TabulatedKernel.from_arrays(np.append(xs[:-1], np.inf), np.exp(-np.abs(xs)))
 
     def test_table_loader(self, tmp_path):
         xs = np.linspace(-4, 4, 33)

@@ -3,6 +3,8 @@ preset fidelity against the hard-coded parameter table, CSV round trips,
 SVG determinism, sweeps, and the CLI surface.
 """
 
+import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -130,6 +132,14 @@ class TestParseConfig:
         with pytest.raises(ff.ValidationFailed):
             ff.parse_config_text(text)
 
+    def test_empty_initial_file_is_a_validation_failure(self, tmp_path):
+        (tmp_path / "u0.txt").write_text("")
+        text = MINIMAL + f"initial.kind = tabulated\ninitial.file = {tmp_path / 'u0.txt'}\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ff.ValidationFailed):
+                ff.parse_config_text(text)
+
 
 _BASE = dict(L=50.0, N=64, dispersal=ff.StandardLaplacian(), t_end=1.0)
 _NAN, _INF = float("nan"), float("inf")
@@ -148,11 +158,17 @@ _NAN, _INF = float("nan"), float("inf")
         (dict(stretch_pair=(0.6, 0.4)), ff.ValidationFailed),
         (dict(stretch_pair=(0.0, 0.5)), ff.ValidationFailed),
         (dict(stretch_pair=(0.5, 1.0)), ff.ValidationFailed),
+        (dict(flat_level=1.5), ff.ValidationFailed),
+        (dict(flat_level=_NAN), ff.ValidationFailed),
+        (dict(snapshot_times=(_NAN,)), ff.ValidationFailed),
         ("grid.N = 1e400", ff.ValidationFailed),
+        ("grid.N = 8192\ntime.snapshots = nan", ff.ValidationFailed),
+        ("grid.N = 8192\ndiagnostics.flat_level = 1.5", ff.ValidationFailed),
     ],
     ids=["t_end-nan", "t_end-inf", "dt-inf", "L-inf", "flat_radius-negative",
          "eps_reg-zero", "eps_reg-negative", "stretch-reversed", "stretch-at-zero",
-         "stretch-at-one", "N-overflow"],
+         "stretch-at-one", "flat_level-above-one", "flat_level-nan", "snapshot-nan",
+         "N-overflow", "snapshots-nan-document", "flat_level-document"],
 )
 def test_invalid_input_ends_in_library_error(case, error):
     """A dict overrides RunConfig fields; a string replaces a document line."""
@@ -394,6 +410,13 @@ class TestCli:
         assert code == 1
         assert "error ValidationFailed" in capsys.readouterr().err
 
+    def test_nan_snapshot_time_reports_validation_category(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(SMALL_CFG + "time.snapshots = nan\n")
+        code = main(["run", str(cfg), "--out", str(tmp_path)])
+        assert code == 1
+        assert "error ValidationFailed" in capsys.readouterr().err
+
     def test_huge_node_count_reports_validation_category(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the node bound must fire before the grid allocates")
@@ -420,7 +443,7 @@ class TestCli:
         assert code == 1
         assert "IoFailure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["run", "preset", "sweep"])
+    @pytest.mark.parametrize("verb", ["run", "preset", "sweep", "properties"])
     def test_unusable_output_directory_reports_io_category(self, tmp_path, capsys, verb):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
@@ -430,6 +453,10 @@ class TestCli:
             "run": ["run", str(cfg)],
             "preset": ["preset", "fig1d"],
             "sweep": ["sweep", str(cfg), "--vary", "time.t_end=1", "--workers", "1"],
+            "properties": ["properties", str(cfg)],
         }[verb]
         assert main(argv + out) == 1
-        assert "error IoFailure" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error IoFailure" in captured.err
+        # the directory is resolved before any work: no property verdict is printed
+        assert not re.search(r"^\w+ (pass|fail) ", captured.out, re.M)

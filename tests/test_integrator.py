@@ -87,6 +87,9 @@ class TestRun:
         with pytest.raises(ff.ValidationFailed):
             ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(),
                          t_end=2.0, snapshot_times=(1.0, 1.0))
+        with pytest.raises(ff.ValidationFailed):
+            ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(),
+                         t_end=2.0, snapshot_times=(float("nan"),))
 
     def test_determinism_bitwise(self):
         cfg = ff.RunConfig(L=200.0, N=2**11, dispersal=ff.FractionalLaplacian(0.9), t_end=3.0)
