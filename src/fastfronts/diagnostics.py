@@ -239,8 +239,6 @@ class DiagnosticsReport:
     traces: dict = dc_field(default_factory=dict)
     speeds: dict = dc_field(default_factory=dict)
     stretch_pair: tuple = (0.4, 0.6)
-    flat_level: float = 0.5
-    flat_radius: float = 5.0
 
     @property
     def times(self) -> np.ndarray:
@@ -264,9 +262,7 @@ def build_report(traj, *, lambdas: Optional[tuple] = None) -> DiagnosticsReport:
     pair = tuple(cfg.stretch_pair)
     x_max = traj.grid.L * (1.0 - cfg.seam_margin_frac) if traj.guard_mode == "front" else None
 
-    report = DiagnosticsReport(
-        stretch_pair=pair, flat_level=cfg.flat_level, flat_radius=cfg.flat_radius
-    )
+    report = DiagnosticsReport(stretch_pair=pair)
     positions = {lam: [] for lam in levels}
     for t, fld in traj.snapshots():
         lo, hi = range_bounds(fld)

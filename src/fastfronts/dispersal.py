@@ -3,7 +3,7 @@ implicit and sub-cycled schemes for the nonlinear fast diffusions, and slow
 direct-quadrature oracles used by the tests. The exact semigroup step of a
 linear operator lives in integrator.DispersalStepper.
 
-Linear operators are represented by a real multiplier per frequency:
+Linear operators are represented by a real multiplier per real-transform bin:
 
     fractional power of the Laplacian   m(xi) = -|xi|^(2 alpha)
     kernel smoothing minus identity     m(xi) = Jhat(xi) - 1
@@ -75,7 +75,7 @@ EPS_REG = 1e-8
 
 @dataclass(frozen=True)
 class StretchedExponential:
-    """Kernel c * exp(-b |x|^a) with 0 < a < 1, b > 0.
+    """Kernel c * exp(-b |x|^a) with 0 < a < 1 and finite b > 0.
 
     The amplitude c is the closed-form unit-mass constant
     b^(1/a) / (2 Gamma(1 + 1/a)); with a=1/2, b=1 this is exp(-sqrt|x|)/4.
@@ -90,8 +90,10 @@ class StretchedExponential:
     def __post_init__(self):
         if not (0.0 < self.a < 1.0):
             raise ParameterOutOfRange(f"stretched-exponential exponent a={self.a!r} not in (0,1)")
-        if not self.b > 0.0:
-            raise ParameterOutOfRange(f"stretched-exponential rate b={self.b!r} must be > 0")
+        if not 0.0 < self.b < math.inf:
+            raise ParameterOutOfRange(
+                f"stretched-exponential rate b={self.b!r} must be finite and > 0"
+            )
 
     @property
     def amplitude(self) -> float:
@@ -316,8 +318,8 @@ LINEAR_VARIANTS = (FractionalLaplacian, Convolution)
 
 def build_symbol(spec: DispersalSpec, grid: Grid) -> np.ndarray:
     """Transform-space multiplier of a linear dispersal operator: a real array
-    of length n in FFT layout; its first n//2 + 1 entries are the multipliers
-    on the real-transform bins.
+    of length n//2 + 1 whose entry k multiplies real-transform bin k, at the
+    frequency grid.xi[k].
 
     Raises NonlinearVariant for the fast-diffusion operators, which have no
     symbol. For kernels left unnormalized the zero-frequency value reports the
@@ -329,8 +331,9 @@ def build_symbol(spec: DispersalSpec, grid: Grid) -> np.ndarray:
         return -np.power(grid.xi * grid.xi, spec.alpha)
     if isinstance(spec, Convolution):
         samples = sample_kernel(spec.kernel, grid)
-        # ifftshift reorders the node samples into offsets J(0), J(dx), ...
-        jhat = grid.dx * np.fft.fft(np.fft.ifftshift(samples)).real
+        # ifftshift reorders the node samples into offsets J(0), J(dx), ...;
+        # fft cut to the real-transform bins (rfft differs in the last ulp)
+        jhat = grid.dx * np.fft.fft(np.fft.ifftshift(samples))[: grid.xi.size].real
         m = jhat - 1.0
         if spec.kernel.normalize:
             # mass neutrality and dissipativity hold analytically; pin away
@@ -345,9 +348,9 @@ def apply_symbol(field: Field, m: np.ndarray) -> Field:
     """Evaluate the linear operator with multiplier m (from build_symbol) on a
     field; the operator itself, not its semigroup."""
     n = field.grid.n
-    if m.shape != (n,):
+    if m.shape != (n // 2 + 1,):
         raise LengthMismatch(f"multiplier of shape {m.shape} for a grid of {n} nodes")
-    out = np.fft.irfft(np.fft.rfft(field.values) * m[: n // 2 + 1])
+    out = np.fft.irfft(np.fft.rfft(field.values) * m, n=n)
     return Field(field.grid, out)
 
 
@@ -527,16 +530,15 @@ def fractional_fast_diffusion_step(
     elif n_sub < 1:
         raise ParameterOutOfRange(f"n_sub must be >= 1, got {n_sub!r}")
     tau = dt / n_sub
-    m_half = m[: grid.n // 2 + 1]
     u = field.values.copy()
     w = np.empty_like(u)
     du = np.empty_like(u)
-    bins = np.empty(m_half.size, dtype=complex)
+    bins = np.empty(m.size, dtype=complex)
     for _ in range(n_sub):
         np.maximum(u, eps_reg, out=w)
         np.power(w, gamma, out=w)
         np.fft.rfft(w, out=bins)
-        bins *= m_half
+        bins *= m
         np.fft.irfft(bins, n=grid.n, out=du)
         du *= tau
         u += du

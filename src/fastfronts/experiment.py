@@ -305,13 +305,13 @@ def _bundle(name: str, traj: Trajectory, report: DiagnosticsReport, out: Path) -
     return paths
 
 
-def run_preset(name: str, out_dir, *, raise_on_breach: bool = True) -> dict:
+def run_preset(name: str, out_dir) -> dict:
     """Run a figure preset and write its output bundle.
 
     Each single-operator preset emits a snapshot dump, the diagnostics CSV,
-    a profile chart, and a level-separation chart. fig2 runs all four
-    operators and adds the combined separation chart. Returns a dict with
-    trajectories, reports, and written paths.
+    a profile chart and a level-separation chart; fig2 runs all four
+    operators and adds the combined separation chart. Returns a dict of
+    trajectories, reports and written paths; a breach raises GuardBreached.
     """
     if name not in PRESET_NAMES:
         raise UnknownKey(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
@@ -321,7 +321,7 @@ def run_preset(name: str, out_dir, *, raise_on_breach: bool = True) -> dict:
     series = []
     for member in members:
         config = preset_config(member)
-        traj = run(config, raise_on_breach=raise_on_breach)
+        traj = run(config, raise_on_breach=True)
         report = build_report(traj)
         result["trajectories"][member] = traj
         result["reports"][member] = report
@@ -434,9 +434,10 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
                styles=None, legend_max: int | None = None) -> int:
     """Render line series into a standalone SVG 1.1 document (800x500 viewbox).
 
-    `series` is a sequence of (name, xs, ys). Nonfinite points are dropped
-    with a warning count returned; a series left with fewer than two points
-    raises EmptySeries. Identical inputs produce byte-identical files.
+    `series` is a sequence of (name, xs, ys); `styles[i]` may set "dash" (an
+    SVG dash array) and "markers" (points, no line). Nonfinite points are
+    dropped with a warning count returned; a series left with fewer than two
+    points raises EmptySeries. Identical inputs give byte-identical files.
     """
     series = list(series)
     if not series:
@@ -525,8 +526,7 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
     for i in range(len(cleaned)):
         style = dict(styles[i]) if styles is not None and i < len(styles) else {}
         dash = f' stroke-dasharray="{style["dash"]}"' if "dash" in style else ""
-        color = style.get("color", _PALETTE[i % len(_PALETTE)])
-        looks.append((style.get("markers"), color, dash))
+        looks.append((style.get("markers"), _PALETTE[i % len(_PALETTE)], dash))
 
     for (name, xs, ys), (markers, color, dash) in zip(cleaned, looks):
         if markers:

@@ -1,10 +1,10 @@
 """Periodic spatial mesh and sampled fields.
 
 The computational domain is the periodic box [-L, L) with N equispaced nodes,
-N a power of two. Each FFT bin carries the signed integer frequency index in
-(-N/2, N/2] (Nyquist carried with positive sign), so the continuous frequency
-of bin k is xi_k = pi * k / L and xi_0 = 0; the dispersal symbols are built
-on these frequencies.
+N a power of two. Spectral quantities live on the N/2 + 1 bins of the real
+transform (numpy's rfft): bin k, 0 <= k <= N/2, has the continuous frequency
+xi_k = pi * k / L, so xi_0 = 0 and the last bin is Nyquist. The dispersal
+symbols are built on these frequencies.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import LengthMismatch, NonPositiveLength, NotPowerOfTwo, Validation
 
 __all__ = ["Grid", "Field", "make_grid"]
 
-# Largest node count: each of the grid's three arrays then takes 8 GiB.
+# Largest node count: the grid's two arrays (x, xi) then take 12 GiB in all.
 MAX_NODES = 2**30
 
 
@@ -32,11 +32,10 @@ class Grid:
         n: number of nodes.
         dx: node spacing 2L/n.
         x: node coordinates, x[i] = -L + i*dx.
-        freq_index: signed integer frequency per FFT bin, in (-n/2, n/2].
-        xi: continuous frequency per FFT bin, pi*freq_index/L.
+        xi: continuous frequency pi*k/L of real-transform bin k, 0 <= k <= n/2.
     """
 
-    __slots__ = ("L", "n", "dx", "x", "freq_index", "xi")
+    __slots__ = ("L", "n", "dx", "x", "xi")
 
     def __init__(self, L: float, n: int):
         if not (isinstance(n, (int, np.integer)) and n >= 8 and (n & (n - 1)) == 0):
@@ -50,13 +49,10 @@ class Grid:
         self.n = int(n)
         self.dx = 2.0 * L / n
         x = -L + self.dx * np.arange(n)
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        k[n // 2] = n // 2  # Nyquist carried with positive sign
-        xi = np.pi * k / L
-        for arr in (x, k, xi):
+        xi = np.pi * np.arange(n // 2 + 1.0) / L
+        for arr in (x, xi):
             arr.setflags(write=False)
         self.x = x
-        self.freq_index = k
         self.xi = xi
 
     def __repr__(self) -> str:

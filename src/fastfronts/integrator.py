@@ -85,9 +85,13 @@ class GaussianBump:
 
 @dataclass(frozen=True)
 class Indicator:
-    """u0 = 1 where x < position, 0 elsewhere."""
+    """u0 = 1 where x < position, 0 elsewhere; the position must be finite."""
 
     position: float = 0.0
+
+    def __post_init__(self):
+        if not abs(self.position) < math.inf:
+            raise ValidationFailed(f"indicator position must be finite, got {self.position!r}")
 
     def build(self, grid: Grid) -> np.ndarray:
         return (grid.x < self.position).astype(float)
@@ -165,8 +169,10 @@ class RunConfig:
             raise ValidationFailed(f"eps_reg must be finite and > 0, got {self.eps_reg!r}")
         if not 0.0 < self.flat_level < 1.0:
             raise ValidationFailed(f"flat level must lie in (0, 1), got {self.flat_level!r}")
-        if not self.flat_radius >= 0:
-            raise ValidationFailed(f"flat radius must be >= 0, got {self.flat_radius!r}")
+        if not 0 <= self.flat_radius < math.inf:
+            raise ValidationFailed(
+                f"flat radius must be finite and >= 0, got {self.flat_radius!r}"
+            )
         pair = tuple(self.stretch_pair)
         if not (len(pair) == 2 and 0 < pair[0] < pair[1] < 1):
             raise ValidationFailed(f"stretch pair must satisfy 0 < a < b < 1, got {pair!r}")
@@ -218,11 +224,11 @@ class DispersalStepper:
         self.grid = grid
         self.eps_reg = eps_reg
         # multipliers on the real-transform bins 0..n/2; None for the fast diffusions
-        self.m_half: Optional[np.ndarray] = None
+        self.m: Optional[np.ndarray] = None
         self._factors: dict = {}
         if isinstance(spec, LINEAR_VARIANTS):
-            self.m_half = build_symbol(spec, grid)[: grid.n // 2 + 1]
-            self._bins = np.empty(grid.n // 2 + 1, dtype=complex)
+            self.m = build_symbol(spec, grid)
+            self._bins = np.empty(self.m.size, dtype=complex)
         elif isinstance(spec, FastDiffusion):
             # the Newton solves need scipy.linalg: load it here, as set-up,
             # not inside the first step
@@ -233,15 +239,18 @@ class DispersalStepper:
 
         Linear operators write the result into `out` when given (it may be
         `values` itself) and otherwise return a new array. The fast
-        diffusions always return a new array.
+        diffusions always return a new array. Every operator raises
+        ParameterOutOfRange unless dt > 0.
         """
-        if self.m_half is not None:
+        if not dt > 0:
+            raise ParameterOutOfRange(f"dispersal step needs dt > 0, got {dt!r}")
+        if self.m is not None:
             # insertion order is recency order: a hit moves dt to the end,
             # a miss evicts the least recently used of two entries
             factors = self._factors
             factor = factors.pop(dt, None)
             if factor is None:
-                factor = np.exp(self.m_half * dt)
+                factor = np.exp(self.m * dt)
                 if len(factors) == 2:
                     del factors[next(iter(factors))]
             factors[dt] = factor

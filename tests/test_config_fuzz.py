@@ -5,8 +5,10 @@ boundary, zero, negative, nan, inf, garbage). Hypothesis draws the rest of the
 document: an operator, kernel and initial data that read the key, and valid
 values for a random subset of the other keys that apply. Every document must
 parse and run, or end in a FastFrontsError. A run that completes must stay
-finite and must also report. Through `fastfronts run` the same document must
-exit 0, or exit 1 with `error <Category>` naming the same error class.
+finite and must also report. A key set to nan, inf or -inf must never
+complete a clean run: it ends in a FastFrontsError, or the guard breaches.
+Through `fastfronts run` the same document must exit 0, or exit 1 with
+`error <Category>` naming the same error class.
 
 Grids stay small (N <= 256, t_end <= 0.1): the node-count bound is reached
 through validation (2**31 nodes fail before any allocation), never by
@@ -27,6 +29,7 @@ from fastfronts import experiment
 from fastfronts.cli import main
 
 _BAD = ("0", "-1", "nan", "inf", "abc")
+_NONFINITE = ("nan", "inf", "-inf")
 
 # key -> (valid tokens, other tokens); `@name` stands for a file of FILES
 TOKENS = {
@@ -146,6 +149,8 @@ def _direct(text):
 def test_document_runs_or_fails_in_category(key, token, files, data):
     text = data.draw(documents(key, token, files))
     failure = _direct(text)
+    if token in _NONFINITE:
+        assert failure is not None, f"{key} = {token} completed a clean run"
     if not data.draw(st.booleans(), label="through the CLI"):
         return
     (files / "doc.cfg").write_text(text)

@@ -179,6 +179,35 @@ def test_invalid_input_ends_in_library_error(case, error):
             ff.run(ff.RunConfig(**{**_BASE, **case}))
 
 
+@pytest.mark.parametrize(
+    "make, lines, error",
+    [
+        (lambda: ff.Indicator(_NAN), "initial.kind = indicator\ninitial.position = nan",
+         ff.ValidationFailed),
+        (lambda: ff.Indicator(-_INF), "initial.kind = indicator\ninitial.position = -inf",
+         ff.ValidationFailed),
+        (lambda: ff.StretchedExponential(0.5, b=_INF),
+         "dispersal.variant = convolution\ndispersal.kernel_b = inf", ff.ParameterOutOfRange),
+        (lambda: ff.RunConfig(**_BASE, flat_radius=_INF), "diagnostics.flat_radius = inf",
+         ff.ValidationFailed),
+    ],
+    ids=["indicator-nan", "indicator-minus-inf", "kernel_b-inf", "flat_radius-inf"],
+)
+def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, capsys):
+    """Unchecked, each of these runs clean: an all-zero run, a run without
+    dispersal, or NaN flatness columns. The dataclass, the document and the
+    CLI must all end in the same error category."""
+    with pytest.raises(error):
+        make()
+    text = MINIMAL.replace("grid.N = 8192", f"grid.N = 256\n{lines}")
+    with pytest.raises(error):
+        ff.parse_config_text(text)
+    (tmp_path / "doc.cfg").write_text(text)
+    assert main(["run", str(tmp_path / "doc.cfg"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error {error.__name__}: ")
+    assert not (tmp_path / "out").exists()
+
+
 class TestPresets:
     # mirror of the figure-caption parameters the presets must match
     CAPTION = {

@@ -39,7 +39,7 @@ class TestStrangStep:
     def test_zero_symbol_reduces_to_exact_logistic(self, small_grid):
         g = small_grid
         stepper = DispersalStepper(ff.Convolution(delta_kernel(g)), g)
-        assert np.all(stepper.m_half == 0.0)
+        assert np.all(stepper.m == 0.0)
         f = ff.Field.from_function(g, lambda x: np.exp(-x**2 / 30.0))
         out, _ = ff.strang_step(f.values, stepper, ff.KppLogistic(), 0.2)
         # R(dt/2) o I o R(dt/2) composes exactly to the dt flow
@@ -51,6 +51,21 @@ class TestStrangStep:
         f = ff.Field.constant(small_grid, 0.5)
         with pytest.raises(ff.ParameterOutOfRange):
             ff.strang_step(f.values, stepper, ff.KppLogistic(), 0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "spec",
+        [ff.FractionalLaplacian(0.5), ff.Convolution(ff.AlgebraicTail(3.0)),
+         ff.FastDiffusion(0.5), ff.FractionalFastDiffusion(0.75, 0.8)],
+        ids=["fractional", "convolution", "fast_diffusion", "fractional_fast_diffusion"],
+    )
+    def test_dispersal_substep_requires_positive_dt(self, spec, dt):
+        # a linear step with dt = -1 would run the backward semigroup, and
+        # dt = nan would return an all-NaN array
+        g = ff.make_grid(50.0, 2**8)
+        stepper = DispersalStepper(spec, g)
+        with pytest.raises(ff.ParameterOutOfRange):
+            stepper.step_values(np.exp(-g.x**2 / 40.0), dt)
 
 
 class TestRun:
@@ -307,19 +322,28 @@ class TestInPlaceStepping:
         assert u.tobytes() == expected.tobytes()
         assert over_in_place == over
 
-    def test_factor_cache_keeps_two_step_sizes(self):
+    @staticmethod
+    def _check_cached_steps(spec):
+        """Each step is bitwise irfft(rfft(u) * exp(m dt)) with the symbol's
+        N/2 + 1 bins, and the cache never holds more than two factors."""
         g = ff.make_grid(50.0, 2**8)
-        stepper = DispersalStepper(ff.FractionalLaplacian(0.5), g)
+        stepper = DispersalStepper(spec, g)
         u = np.exp(-g.x**2 / 40.0)
-        m_half = build_symbol(ff.FractionalLaplacian(0.5), g)[: g.n // 2 + 1]
+        m = build_symbol(spec, g)
         for k in range(50):
             # the fixed step between landing steps of 50 distinct sizes
             for dt in (0.01, 0.01 * (k + 1) / 51):
                 v = stepper.step_values(u, dt)
-                expected = np.fft.irfft(np.fft.rfft(u) * np.exp(m_half * dt), n=g.n)
+                expected = np.fft.irfft(np.fft.rfft(u) * np.exp(m * dt), n=g.n)
                 assert v.tobytes() == expected.tobytes()
                 assert len(stepper._factors) <= 2
         assert 0.01 in stepper._factors
+
+    def test_factor_cache_keeps_two_step_sizes(self):
+        self._check_cached_steps(ff.FractionalLaplacian(0.5))
+
+    def test_convolution_factor_cache_keeps_two_step_sizes(self):
+        self._check_cached_steps(ff.Convolution(ff.StretchedExponential(0.5, 1.0)))
 
     def test_logistic_out_matches_allocating_form(self):
         u = np.concatenate([[0.0, 1.0, 5e-324, 1.0 - 2.0**-53], np.linspace(0.0, 1.0, 101)])
