@@ -348,6 +348,7 @@ def apply_symbol(field: Field, m: np.ndarray) -> Field:
     """Evaluate the linear operator with multiplier m (from build_symbol) on a
     field; the operator itself, not its semigroup."""
     n = field.grid.n
+    m = np.asarray(m)
     if m.shape != (n // 2 + 1,):
         raise LengthMismatch(f"multiplier of shape {m.shape} for a grid of {n} nodes")
     out = np.fft.irfft(np.fft.rfft(field.values) * m, n=n)

@@ -33,7 +33,7 @@ from .dispersal import (
     fast_diffusion_step,
     fractional_fast_diffusion_step,
 )
-from .errors import GuardBreached, IoFailure, ParameterOutOfRange, ValidationFailed
+from .errors import GuardBreached, IoFailure, LengthMismatch, ParameterOutOfRange, ValidationFailed
 from .grid import Field, Grid, make_grid
 from .reaction import (
     KppLogistic,
@@ -240,10 +240,12 @@ class DispersalStepper:
         Linear operators write the result into `out` when given (it may be
         `values` itself) and otherwise return a new array. The fast
         diffusions always return a new array. Every operator raises
-        ParameterOutOfRange unless dt > 0.
+        ParameterOutOfRange unless dt > 0, and LengthMismatch unless `values`
+        holds one sample per node.
         """
         if not dt > 0:
             raise ParameterOutOfRange(f"dispersal step needs dt > 0, got {dt!r}")
+        _check_length(values, self.grid)
         if self.m is not None:
             # insertion order is recency order: a hit moves dt to the end,
             # a miss evicts the least recently used of two entries
@@ -270,6 +272,11 @@ class DispersalStepper:
         return stepped.values
 
 
+def _check_length(values: np.ndarray, grid: Grid) -> None:
+    if np.shape(values) != (grid.n,):
+        raise LengthMismatch(f"{np.shape(values)} values for a grid of {grid.n} nodes")
+
+
 def _reaction_update(
     values: np.ndarray, spec: Optional[ReactionSpec], dt: float, out
 ) -> np.ndarray:
@@ -292,10 +299,12 @@ def strang_step(
     Without `out` the result is a new array and `values` is left unchanged.
     With `out` (which may be `values` itself) the logistic and linear
     substeps write into it; the RK4 and fast-diffusion substeps still
-    allocate, so callers must use the returned array, not `out`.
+    allocate, so callers must use the returned array, not `out`. The step
+    gates (dt > 0, one sample per node) run before any substep writes.
     """
     if not dt > 0:
         raise ParameterOutOfRange(f"strang step needs dt > 0, got {dt!r}")
+    _check_length(values, stepper.grid)
     half = 0.5 * dt
     v = _reaction_update(values, reaction, half, out)
     v = stepper.step_values(v, dt, out=out)
@@ -310,7 +319,8 @@ def strang_step(
 
 @dataclass(eq=False)
 class Trajectory:
-    """Timestamped snapshots of one run plus guard and clamp bookkeeping."""
+    """Timestamped snapshots of one run plus guard and clamp bookkeeping;
+    `window` is the guard's observation window (every node unless front mode)."""
 
     config: RunConfig
     times: list
@@ -318,6 +328,7 @@ class Trajectory:
     guard_breach_time: Optional[float] = None
     max_overshoot: float = 0.0
     guard_mode: str = "both_ends"
+    window: slice = dc_field(default_factory=lambda: slice(None))
 
     @property
     def grid(self) -> Grid:
@@ -356,10 +367,12 @@ class _Guard:
         if front_like:
             self.mode = "front"
             margin_nodes = int(round(config.seam_margin_frac * (n // 2)))
+            self.window = slice(margin_nodes, n - margin_nodes)
             hi = max(band + 1, n - margin_nodes)
             self._slices = (slice(hi - band, hi),)
         else:
             self.mode = "both_ends"
+            self.window = slice(None)
             self._slices = (slice(0, band), slice(n - band, n))
 
     def breached(self, values: np.ndarray) -> bool:
@@ -376,65 +389,66 @@ def _segment_steps(span: float, dt: float):
     return steps
 
 
-def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
-    """March the Cauchy problem from 0 to t_end, recording requested snapshots.
+def march(config: RunConfig) -> tuple:
+    """Set up `config` and return (grid, u0, steps), the one march loop.
 
-    Each segment between snapshot times is covered by fixed dt steps with one
-    shortened step to land exactly on the target, so restarting from a
-    snapshot replays the identical step sequence. The guard is evaluated
-    after every step; on a breach the march stops, the current state is
-    appended as a final snapshot, and the trajectory reports the breach time
-    (or GuardBreached is raised when raise_on_breach is set). Identical
-    configs produce bitwise-identical trajectories on one platform.
-
-    The march advances one state array that the run owns: each step writes
-    into it where the substeps allow (logistic and linear dispersal), and
-    snapshots store copies.
+    `steps` yields (t, u, overshoot, landed) for the initial state and after
+    every step, where `landed` is the snapshot time reached or None. Fixed dt
+    steps and one shortened landing step cover each segment between snapshot
+    times, so restarting from a snapshot replays the identical step sequence.
+    u is advanced in place where the substeps allow (logistic and linear
+    dispersal), so a consumer copies what it keeps. The march knows no guard.
     """
     if config.reaction is not None:
         validate_reaction(config.reaction)
     grid = config.grid()
-    u = build_initial(config.initial, grid).values.copy()
+    u0 = build_initial(config.initial, grid).values.copy()
     stepper = DispersalStepper(config.dispersal, grid, eps_reg=config.eps_reg)
-    guard = _Guard(config, grid, u)
     snaps = config.resolved_snapshots()
 
-    traj = Trajectory(config, [], [], guard_mode=guard.mode)
-    breach_time = None
-    max_overshoot = 0.0
-
-    if guard.breached(u):
-        breach_time = 0.0
-    if snaps and snaps[0] == 0.0:
-        traj.times.append(0.0)
-        traj.fields.append(Field(grid, u.copy()))
-
-    if breach_time is None:
+    def steps(u):
+        yield 0.0, u, 0.0, 0.0 if snaps[:1] == (0.0,) else None
         t_prev = 0.0
         for target in snaps:
             if target <= 0.0:
                 continue
+            segment = _segment_steps(target - t_prev, config.dt)
+            if not segment:
+                yield t_prev, u, 0.0, target
             t_local = 0.0
-            for dt_step in _segment_steps(target - t_prev, config.dt):
+            for k, dt_step in enumerate(segment, 1):
                 u, over = strang_step(u, stepper, config.reaction, dt_step, out=u)
                 np.clip(u, 0.0, 1.0, out=u)
                 t_local += dt_step
-                max_overshoot = max(max_overshoot, over)
-                if guard.breached(u):
-                    breach_time = t_prev + t_local
-                    break
-            if breach_time is not None:
-                traj.times.append(breach_time)
-                traj.fields.append(Field(grid, u.copy()))
-                break
-            traj.times.append(target)
-            traj.fields.append(Field(grid, u.copy()))
+                yield t_prev + t_local, u, over, target if k == len(segment) else None
             t_prev = target
 
-    traj.max_overshoot = max_overshoot
-    traj.guard_breach_time = breach_time
-    if breach_time is not None and raise_on_breach:
-        raise GuardBreached(breach_time)
+    return grid, u0, steps(u0)
+
+
+def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
+    """March the Cauchy problem from 0 to t_end, recording requested snapshots.
+
+    The guard is evaluated on the initial data and after every step; on a
+    breach the march stops, the current state is appended as a final
+    snapshot, and the trajectory reports the breach time (or GuardBreached
+    is raised when raise_on_breach is set). Identical configs produce
+    bitwise-identical trajectories on one platform.
+    """
+    grid, u0, steps = march(config)
+    guard = _Guard(config, grid, u0)
+    traj = Trajectory(config, [], [], guard_mode=guard.mode, window=guard.window)
+    for t, u, over, landed in steps:
+        traj.max_overshoot = max(traj.max_overshoot, over)
+        if guard.breached(u):
+            traj.guard_breach_time = landed = t
+        if landed is not None:
+            traj.times.append(landed)
+            traj.fields.append(Field(grid, u.copy()))
+        if traj.breached:
+            break
+    if traj.breached and raise_on_breach:
+        raise GuardBreached(traj.guard_breach_time)
     return traj
 
 

@@ -62,6 +62,13 @@ class TestSymbols:
             ff.apply_symbol(field, m)
         with pytest.raises(ff.LengthMismatch):
             ff.apply_symbol(field, np.zeros(unit_grid.n))  # one value per node, not per bin
+        # a list is read as an array: one of the right length works, one of
+        # the wrong length is a LengthMismatch
+        wave = ff.Field(unit_grid, np.cos(unit_grid.x))
+        m = ff.build_symbol(ff.StandardLaplacian(), unit_grid)
+        assert np.array_equal(ff.apply_symbol(wave, list(m)).values, ff.apply_symbol(wave, m).values)
+        with pytest.raises(ff.LengthMismatch):
+            ff.apply_symbol(wave, [0.0] * (m.size + 1))
 
     def test_nonlinear_variant_rejected(self, unit_grid):
         with pytest.raises(ff.NonlinearVariant):

@@ -249,6 +249,11 @@ class TestPresets:
         with pytest.raises(ff.UnknownKey):
             preset_config("fig9z")
 
+    def test_unknown_preset_creates_no_directory(self, tmp_path):
+        with pytest.raises(ff.UnknownKey):
+            ff.run_preset("fig9z", tmp_path / "new")
+        assert not (tmp_path / "new").exists()
+
     def test_run_preset_bundle(self, tmp_path):
         # the classical preset is cheap enough to exercise end to end
         result = ff.run_preset("fig1d", tmp_path)
@@ -431,6 +436,17 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "GuardBreached" in err and "grid.L" in err
+
+    def test_properties_breach_reports_guard_category(self, tmp_path, capsys):
+        # on this box the comparison pair reaches the guard band; no verdict
+        # may be read off the truncated runs
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(SMALL_CFG.replace("grid.L = 200", "grid.L = 40").replace("4096", "512"))
+        code = main(["properties", str(cfg), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error GuardBreached" in captured.err
+        assert " pass " not in captured.out and " fail " not in captured.out
 
     def test_overflowing_node_count_reports_validation_category(self, tmp_path, capsys):
         cfg = tmp_path / "huge.cfg"

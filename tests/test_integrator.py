@@ -178,6 +178,25 @@ class TestRun:
         assert worst < 1e-10
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [ff.FractionalLaplacian(0.5), ff.Convolution(ff.AlgebraicTail(3.0)),
+     ff.FastDiffusion(0.5), ff.FractionalFastDiffusion(0.75, 0.8)],
+    ids=["fractional", "convolution", "fast_diffusion", "fractional_fast_diffusion"],
+)
+def test_wrong_length_is_a_length_mismatch(spec):
+    # the strang step gates the length before its first substep writes into out
+    g = ff.make_grid(50.0, 2**8)
+    stepper = DispersalStepper(spec, g)
+    short = np.exp(-g.x[::2] ** 2 / 40.0)
+    before = short.copy()
+    with pytest.raises(ff.LengthMismatch):
+        stepper.step_values(short, 0.01)
+    with pytest.raises(ff.LengthMismatch):
+        ff.strang_step(short, stepper, ff.KppLogistic(), 0.01, out=short)
+    assert np.array_equal(short, before)
+
+
 class TestGuard:
     def test_gaussian_guard_watches_both_ends(self):
         cfg = ff.RunConfig(L=60.0, N=2**10, dispersal=ff.StandardLaplacian(), t_end=20.0)
@@ -201,6 +220,24 @@ class TestGuard:
         traj = ff.run(cfg)
         assert traj.guard_mode == "front"
         assert not traj.breached
+
+    def test_breach_at_start_records_the_initial_state(self):
+        # 0 is not a snapshot time, so the breach state is the only snapshot
+        values = np.full(64, 0.5)
+        cfg = ff.RunConfig(L=20.0, N=64, dispersal=ff.StandardLaplacian(), t_end=1.0,
+                           snapshot_times=(0.5, 1.0),
+                           initial=ff.TabulatedInitial.from_array(values))
+        traj = ff.run(cfg)
+        assert traj.guard_breach_time == 0.0
+        assert traj.times == [0.0]
+        assert np.array_equal(traj.fields[0].values, values)
+
+    def test_window_is_the_guard_observation_window(self):
+        front = ff.run(ff.RunConfig(L=400.0, N=2**12, dispersal=ff.StandardLaplacian(),
+                                    t_end=0.1, initial=ff.Indicator(0.0)))
+        assert front.window == slice(512, 2**12 - 512)
+        bump = ff.run(ff.RunConfig(L=200.0, N=2**11, dispersal=ff.StandardLaplacian(), t_end=0.1))
+        assert bump.window == slice(None)
 
     def test_clean_small_run(self):
         cfg = ff.RunConfig(L=200.0, N=2**11, dispersal=ff.StandardLaplacian(), t_end=5.0)

@@ -45,6 +45,16 @@ class TestComparison:
         v2 = ff.check_comparison(u0, v0, frac_cfg)
         assert v1.violation == v2.violation
 
+    def test_breaching_run_raises(self):
+        # v0 breaches at t=2.17 and u0 at t=4.12; a verdict read off the two
+        # truncated runs compared u(3) with v(2.17) and reported a fail
+        cfg = ff.RunConfig(L=16.0, N=256, dispersal=ff.StandardLaplacian(), t_end=10.0)
+        g = cfg.grid()
+        u0 = 0.5 * np.exp(-g.x**2 / 4.0)
+        v0 = u0 + 0.05 * np.exp(-g.x**2 / 20.0) * (1.0 - u0)
+        with pytest.raises(ff.GuardBreached):
+            ff.check_comparison(ff.Field(g, u0), ff.Field(g, v0), cfg)
+
     def test_pair_builder_contract(self):
         g = ff.make_grid(300.0, 2**10)
         rng = np.random.default_rng(17)
@@ -72,6 +82,13 @@ class TestMonotone:
         v = ff.check_monotone_preservation(ff.smoothed_step(cfg.grid()), cfg)
         assert v.passed, v.line()
 
+    def test_breaching_run_raises(self, frac_cfg):
+        # the fat tail reaches the window edge at t=1.95; the slope there
+        # is the guard's breach, not a fault of the scheme
+        with pytest.raises(ff.GuardBreached) as err:
+            ff.check_monotone_preservation(ff.smoothed_step(frac_cfg.grid()), frac_cfg)
+        assert err.value.time == pytest.approx(1.95)
+
     def test_increasing_data_rejected(self):
         cfg = ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(), t_end=1.0)
         g = cfg.grid()
@@ -91,6 +108,12 @@ class TestSpreading:
         u0 = ff.Field(g, np.exp(-g.x**2 / 100.0))
         with pytest.raises(ff.DomainTooSmall):
             ff.check_spreading(u0, cfg, 3.0)
+
+    def test_breaching_run_raises(self):
+        cfg = ff.RunConfig(L=16.0, N=256, dispersal=ff.StandardLaplacian(), t_end=10.0)
+        g = cfg.grid()
+        with pytest.raises(ff.GuardBreached):
+            ff.check_spreading(ff.Field(g, np.exp(-g.x**2 / 4.0)), cfg, 0.5)
 
     def test_standard_passes_below_front_speed(self):
         cfg = ff.RunConfig(L=400.0, N=2**12, dispersal=ff.StandardLaplacian(), t_end=12.0)
@@ -155,6 +178,20 @@ class TestMassNeutral:
         cfg = ff.RunConfig(L=100.0, N=2**10, dispersal=ff.FastDiffusion(0.5), t_end=1.0)
         with pytest.raises(ff.NonlinearVariant):
             ff.check_mass_neutral(cfg)
+
+    def test_unnormalised_kernel_drifts_over_the_whole_horizon(self):
+        # random data breach the guard at t=0; the mass check must still
+        # march to t_end, where a kernel of mass != 1 has moved the mean
+        n = 2**10
+        cfg = ff.RunConfig(
+            L=100.0, N=n, dispersal=ff.Convolution(ff.AlgebraicTail(3.0, normalize=False)),
+            t_end=10.0, initial=ff.TabulatedInitial.from_array(np.random.default_rng(7).random(n)),
+        )
+        assert ff.run(cfg).guard_breach_time == 0.0
+        v = ff.check_mass_neutral(cfg)
+        assert not v.passed
+        assert v.violation > 1e-4
+        assert v.worst_time == 10.0
 
 
 class TestVerdicts:
