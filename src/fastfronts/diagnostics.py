@@ -10,12 +10,13 @@ sub-grid positions. The level position x_lambda is the discrete analog of
 
 scanned from the right end, so for bump-like data it tracks the right-moving
 interface. It is +inf when lambda <= min(u) and -inf when lambda > max(u).
+Each scan runs on a node slice `window`; build_report passes the window the
+run's guard chose, which leaves out the seam zone of front-like data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
@@ -49,13 +50,12 @@ def range_bounds(field: Field) -> tuple:
     return float(vals.min()), float(vals.max())
 
 
-def _window_slice(field: Field, x_max: Optional[float]) -> slice:
-    if x_max is None:
-        return slice(None)
-    hi = int(np.searchsorted(field.grid.x, x_max, side="right"))
-    if hi < 2:
-        raise WindowOutOfDomain(f"x_max={x_max!r} leaves no usable nodes")
-    return slice(0, hi)
+def _windowed(field: Field, window: slice) -> tuple:
+    """(values, positions) of the nodes in `window`; fewer than two raise."""
+    vals = field.values[window]
+    if vals.size < 2:
+        raise WindowOutOfDomain(f"window {window!r} holds {vals.size} nodes; need >= 2")
+    return vals, field.grid.x[window]
 
 
 def _falling_crossing(xs: np.ndarray, profile: np.ndarray, level: float) -> float:
@@ -73,18 +73,16 @@ def _falling_crossing(xs: np.ndarray, profile: np.ndarray, level: float) -> floa
     return float(xs[i] + frac * (xs[i + 1] - xs[i]))
 
 
-def level_position(field: Field, lam: float, *, x_max: Optional[float] = None) -> float:
+def level_position(field: Field, lam: float, *, window: slice = slice(None)) -> float:
     """Rightmost position where the running maximum from the right crosses lam.
 
     Returns +inf when lam <= min(u) (the level is attained arbitrarily far
-    right) and -inf when lam > max(u). An optional x_max restricts the scan,
-    which front-mode runs use to exclude the seam-contaminated zone.
+    right) and -inf when lam > max(u). Only the nodes in the slice `window`
+    are scanned; a window of fewer than two nodes raises WindowOutOfDomain.
     """
     if not (0.0 < lam < 1.0):
         raise LambdaOutOfRange(f"level must lie in (0, 1), got {lam!r}")
-    sl = _window_slice(field, x_max)
-    vals = field.values[sl]
-    xs = field.grid.x[sl]
+    vals, xs = _windowed(field, window)
     if lam > float(vals.max()):
         return float("-inf")
     if lam <= float(vals.min()):
@@ -96,7 +94,7 @@ def level_position(field: Field, lam: float, *, x_max: Optional[float] = None) -
     return _falling_crossing(xs, rmax, lam)
 
 
-def stretching(field: Field, a: float, b: float, *, x_max: Optional[float] = None) -> float:
+def stretching(field: Field, a: float, b: float, *, window: slice = slice(None)) -> float:
     """Distance x_a - x_b between a lower and a higher level, a < b.
 
     Nonnegative up to one interpolation cell for profiles monotone from the
@@ -105,8 +103,8 @@ def stretching(field: Field, a: float, b: float, *, x_max: Optional[float] = Non
     """
     if not (0.0 < a < b < 1.0):
         raise LambdaOutOfRange(f"need 0 < a < b < 1, got a={a!r}, b={b!r}")
-    xa = level_position(field, a, x_max=x_max)
-    xb = level_position(field, b, x_max=x_max)
+    xa = level_position(field, a, window=window)
+    xb = level_position(field, b, window=window)
     if not (np.isfinite(xa) and np.isfinite(xb)):
         raise InfinitePosition(f"x_{a:g}={xa!r}, x_{b:g}={xb!r}")
     return xa - xb
@@ -117,7 +115,7 @@ def interface_width(
     *,
     hi: float = 2.0 / 3.0,
     lo: float = 1.0 / 3.0,
-    x_max: Optional[float] = None,
+    window: slice = slice(None),
 ) -> float:
     """Width of the transition zone between the hi and lo occupancy levels.
 
@@ -126,12 +124,14 @@ def interface_width(
     maximum from the right falls below lo. Starting the minimum scan at the
     peak makes the same definition cover both monotone fronts (peak at the
     left end) and bump-shaped profiles, where it measures the right-moving
-    interface. Raises ThresholdsNotSpanned when the profile does not reach
-    both levels; the result is clipped at 0 against interpolation slack.
+    interface. Only the nodes in `window` are scanned. Raises
+    LambdaOutOfRange unless 0 < lo < hi < 1 and ThresholdsNotSpanned when
+    the profile does not reach both levels; the result is clipped at 0
+    against interpolation slack.
     """
-    sl = _window_slice(field, x_max)
-    vals = field.values[sl]
-    xs = field.grid.x[sl]
+    if not (0.0 < lo < hi < 1.0):
+        raise LambdaOutOfRange(f"need 0 < lo < hi < 1, got lo={lo!r}, hi={hi!r}")
+    vals, xs = _windowed(field, window)
     if float(vals.max()) < hi or float(vals.min()) > lo:
         raise ThresholdsNotSpanned(
             f"field range [{vals.min():g}, {vals.max():g}] does not span [{lo:g}, {hi:g}]"
@@ -150,15 +150,18 @@ def interface_width(
     return max(xi_plus - xi_minus, 0.0)
 
 
-def flatness(field: Field, lam: float, radius: float, *, x_max: Optional[float] = None) -> tuple:
+def flatness(field: Field, lam: float, radius: float, *, window: slice = slice(None)) -> tuple:
     """Deviation from lam over windows of the given radius beside x_lambda.
 
     Returns (left_dev, right_dev): the largest |u - lam| over nodes in
-    [x_lam - radius, x_lam] and [x_lam, x_lam + radius]. Raises
-    InfinitePosition for sentinel positions and WindowOutOfDomain when a
-    window extends past the grid.
+    [x_lam - radius, x_lam] and [x_lam, x_lam + radius], where x_lam is
+    scanned on `window`. Raises ValidationFailed unless the radius is finite
+    and >= 0, InfinitePosition for sentinel positions and WindowOutOfDomain
+    when a radius window extends past the grid.
     """
-    pos = level_position(field, lam, x_max=x_max)
+    if not 0 <= radius < np.inf:
+        raise ValidationFailed(f"flatness radius must be finite and >= 0, got {radius!r}")
+    pos = level_position(field, lam, window=window)
     if not np.isfinite(pos):
         raise InfinitePosition(f"x_{lam:g} = {pos!r}")
     xs = field.grid.x
@@ -245,22 +248,18 @@ class DiagnosticsReport:
         return np.asarray([r.t for r in self.rows])
 
 
-def build_report(traj, *, lambdas: Optional[tuple] = None) -> DiagnosticsReport:
+def build_report(traj) -> DiagnosticsReport:
     """Evaluate the full diagnostic set on every snapshot of a trajectory.
 
-    Levels are 0.4/0.5/0.6 plus `lambdas` (default: the run's config.lambdas);
-    every other setting comes from the run's config. Quantities that are
-    undefined on a given snapshot (sentinel positions, thresholds not
-    spanned, windows leaving the domain) are recorded as nan rather than
-    aborting the report. Front-mode trajectories are evaluated on the
-    seam-margin window automatically.
+    Levels are 0.4/0.5/0.6 plus the run's config.lambdas; every other
+    setting comes from the run's config, and every scan runs on the
+    trajectory's window (`traj.window`). Quantities that are undefined on a
+    given snapshot (sentinel positions, thresholds not spanned, windows
+    leaving the domain) are recorded as nan rather than aborting the report.
     """
     cfg = traj.config
-    levels = set(_CANONICAL_LEVELS)
-    levels.update(cfg.lambdas if lambdas is None else lambdas)
-    levels = tuple(sorted(levels))
+    levels = tuple(sorted(set(_CANONICAL_LEVELS).union(cfg.lambdas)))
     pair = tuple(cfg.stretch_pair)
-    x_max = traj.grid.L * (1.0 - cfg.seam_margin_frac) if traj.guard_mode == "front" else None
 
     report = DiagnosticsReport(stretch_pair=pair)
     positions = {lam: [] for lam in levels}
@@ -270,19 +269,19 @@ def build_report(traj, *, lambdas: Optional[tuple] = None) -> DiagnosticsReport:
             raise ValidationFailed(f"snapshot at t={t:g} left [0, 1]: range [{lo:g}, {hi:g}]")
         row_levels = {}
         for lam in levels:
-            pos = level_position(fld, lam, x_max=x_max)
+            pos = level_position(fld, lam, window=traj.window)
             row_levels[lam] = pos
             positions[lam].append(pos)
         try:
-            s = stretching(fld, pair[0], pair[1], x_max=x_max)
+            s = stretching(fld, pair[0], pair[1], window=traj.window)
         except InfinitePosition:
             s = float("nan")
         try:
-            w = interface_width(fld, x_max=x_max)
+            w = interface_width(fld, window=traj.window)
         except ThresholdsNotSpanned:
             w = float("nan")
         try:
-            fl, fr = flatness(fld, cfg.flat_level, cfg.flat_radius, x_max=x_max)
+            fl, fr = flatness(fld, cfg.flat_level, cfg.flat_radius, window=traj.window)
         except (InfinitePosition, WindowOutOfDomain):
             fl, fr = float("nan"), float("nan")
         report.rows.append(

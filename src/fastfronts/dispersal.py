@@ -67,6 +67,8 @@ __all__ = [
 
 # Regularization floor for the degenerate coefficient u^(gamma-1) at u = 0.
 EPS_REG = 1e-8
+# Max-norm residual at which a fast-diffusion Newton iteration has converged.
+_NEWTON_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +429,6 @@ def fast_diffusion_step(
     *,
     eps_reg: float = EPS_REG,
     max_iter: int = 40,
-    tol: float = 1e-13,
 ) -> Field:
     """One backward-Euler step of u_t = d/dx( D(u) du/dx ), D = gamma*max(u,eps)^(gamma-1).
 
@@ -435,16 +436,17 @@ def fast_diffusion_step(
     Kirchhoff potential w by Newton's method: each iterate evaluates w and its
     slope with one power, then makes one tridiagonal direct solve with the
     Jacobian at the current iterate. The iteration is driven until the
-    residual's max norm is at most tol, which makes the step order-preserving;
-    if the iterate after max_iter solves is still above tol, the step raises
-    SolverNotConverged instead of returning it. max_iter=1 is the exception: it
-    is the plain lagged-coefficient scheme, one solve returned as it is,
-    without a convergence test. Discrete mass dx * sum(u) is conserved up to
-    the iteration residual.
+    residual's max norm is at most 1e-13, which makes the step
+    order-preserving; if the iterate after max_iter solves is still above it,
+    the step raises SolverNotConverged instead of returning it. max_iter=1 is
+    the exception: it is the plain lagged-coefficient scheme, one solve
+    returned as it is, without a convergence test. Discrete mass dx * sum(u)
+    is conserved up to the iteration residual.
 
-    A NaN or infinite input raises ValidationFailed before any work, and every
-    update is checked to be finite, so the solve skips scipy's own finiteness
-    scan of its inputs.
+    eps_reg must be finite and > 0 (ParameterOutOfRange otherwise). A NaN or
+    infinite input raises ValidationFailed before any work, and every update
+    is checked to be finite, so the solve skips scipy's own finiteness scan
+    of its inputs.
     """
     if field.grid.n != grid.n:
         raise LengthMismatch("field does not match grid")
@@ -454,6 +456,8 @@ def fast_diffusion_step(
         raise ParameterOutOfRange(f"fast-diffusion step needs dt > 0, got {dt!r}")
     if max_iter < 1:
         raise ParameterOutOfRange(f"max_iter must be >= 1, got {max_iter!r}")
+    if not 0 < eps_reg < math.inf:
+        raise ParameterOutOfRange(f"eps_reg must be finite and > 0, got {eps_reg!r}")
     _require_finite(field)
     u0 = field.values
     u = u0.copy()
@@ -472,11 +476,11 @@ def fast_diffusion_step(
         rhs -= u
         rhs += u0
         residual = np.max(np.abs(rhs))
-        if residual <= tol:
+        if residual <= _NEWTON_TOL:
             break
         if solves == max_iter:
             raise SolverNotConverged(
-                f"fast-diffusion Newton residual {residual:.3g} > tol={tol:g} "
+                f"fast-diffusion Newton residual {residual:.3g} > tol={_NEWTON_TOL:g} "
                 f"after max_iter={max_iter} solves (gamma={gamma:g}, dt={dt:g})"
             )
         np.multiply(d[1:], -r, out=ab[0, 1:])
@@ -511,13 +515,16 @@ def fractional_fast_diffusion_step(
 
     Repeats n_sub times: w = max(u, eps)^gamma, then u += (dt/n_sub) * D_alpha w,
     with the substep count chosen so the stiffest linearized mode satisfies
-    (dt/n_sub) * |m|_max * gamma * eps^(gamma-1) <= 1/2.
+    (dt/n_sub) * |m|_max * gamma * eps^(gamma-1) <= 1/2. eps_reg must be
+    finite and > 0 (ParameterOutOfRange otherwise).
     """
     spec = FractionalFastDiffusion(alpha, gamma)  # validates the parameter gate
     if field.grid.n != grid.n:
         raise LengthMismatch("field does not match grid")
     if not dt > 0:
         raise ParameterOutOfRange(f"sub-cycled step needs dt > 0, got {dt!r}")
+    if not 0 < eps_reg < math.inf:
+        raise ParameterOutOfRange(f"eps_reg must be finite and > 0, got {eps_reg!r}")
     _require_finite(field)
     m = build_symbol(FractionalLaplacian(spec.alpha), grid)
     if n_sub is None:

@@ -393,10 +393,11 @@ def march(config: RunConfig) -> tuple:
     """Set up `config` and return (grid, u0, steps), the one march loop.
 
     `steps` yields (t, u, overshoot, landed) for the initial state and after
-    every step, where `landed` is the snapshot time reached or None. Fixed dt
-    steps and one shortened landing step cover each segment between snapshot
-    times, so restarting from a snapshot replays the identical step sequence.
-    u is advanced in place where the substeps allow (logistic and linear
+    every step up to t_end, where `landed` is the snapshot time reached or
+    None. Fixed dt steps and one shortened landing step cover each segment
+    between snapshot times (and on to t_end, landing on no snapshot), so
+    restarting from a snapshot replays the identical step sequence. u is
+    advanced in place where the substeps allow (logistic and linear
     dispersal), so a consumer copies what it keeps. The march knows no guard.
     """
     if config.reaction is not None:
@@ -409,18 +410,18 @@ def march(config: RunConfig) -> tuple:
     def steps(u):
         yield 0.0, u, 0.0, 0.0 if snaps[:1] == (0.0,) else None
         t_prev = 0.0
-        for target in snaps:
-            if target <= 0.0:
+        for target, label in [*zip(snaps, snaps), (config.t_end, None)]:
+            if target <= t_prev:
                 continue
             segment = _segment_steps(target - t_prev, config.dt)
             if not segment:
-                yield t_prev, u, 0.0, target
+                yield t_prev, u, 0.0, label
             t_local = 0.0
             for k, dt_step in enumerate(segment, 1):
                 u, over = strang_step(u, stepper, config.reaction, dt_step, out=u)
                 np.clip(u, 0.0, 1.0, out=u)
                 t_local += dt_step
-                yield t_prev + t_local, u, over, target if k == len(segment) else None
+                yield t_prev + t_local, u, over, label if k == len(segment) else None
             t_prev = target
 
     return grid, u0, steps(u0)
@@ -429,10 +430,10 @@ def march(config: RunConfig) -> tuple:
 def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
     """March the Cauchy problem from 0 to t_end, recording requested snapshots.
 
-    The guard is evaluated on the initial data and after every step; on a
-    breach the march stops, the current state is appended as a final
-    snapshot, and the trajectory reports the breach time (or GuardBreached
-    is raised when raise_on_breach is set). Identical configs produce
+    The guard is evaluated on the initial data and after every step, also
+    past the last snapshot time; on a breach the march stops, the current
+    state is appended as a final snapshot, and the trajectory reports the
+    breach time (or GuardBreached is raised when raise_on_breach is set). Identical configs produce
     bitwise-identical trajectories on one platform.
     """
     grid, u0, steps = march(config)

@@ -3,10 +3,10 @@ ordered, nonincreasing data stay nonincreasing, nontrivial data spread over
 linearly growing regions, and linear dispersal alone conserves the mean.
 
 The continuum equations satisfy all four properties exactly; on the grid
-each becomes a runnable check with an explicit tolerance, and a scheme that
-fails one cannot be trusted to reproduce front behavior. Each check owns its
-runs and is reproducible: the same inputs give bitwise-identical verdicts on
-one platform.
+each becomes a runnable check with a fixed gate (1e-9, or for spreading a
+0.9 target within 1e-3), and a scheme that fails one cannot be trusted to
+reproduce front behavior. Each check owns its runs and is reproducible: the
+same inputs give bitwise-identical verdicts on one platform.
 
 The whole-line checks evolve through `_evolve`: a run that the boundary
 guard stops ends in GuardBreached, never in a verdict. The mass check
@@ -41,6 +41,12 @@ __all__ = [
     "smoothed_step",
 ]
 
+# comparison, monotonicity and mass hold exactly, so only roundoff may break them
+_TOLERANCE = 1e-9
+# the spreading window's minimum must reach the target by t_end, within its slack
+_SPREADING_TARGET = 0.9
+_SPREADING_TOLERANCE = 1e-3
+
 
 @dataclass
 class PropertyVerdict:
@@ -69,7 +75,7 @@ def _evolve(config: RunConfig, values: np.ndarray) -> Trajectory:
     return run(replace(config, initial=TabulatedInitial.from_array(values)), raise_on_breach=True)
 
 
-def _worst(name: str, tolerance: float, excesses) -> PropertyVerdict:
+def _worst(name: str, excesses) -> PropertyVerdict:
     """Verdict on the largest positive excess over (t, xs, excess) triples,
     where xs holds the positions of the excess entries; the first maximum wins."""
     worst = 0.0
@@ -81,7 +87,7 @@ def _worst(name: str, tolerance: float, excesses) -> PropertyVerdict:
         if excess[i] > worst:
             worst = float(excess[i])
             w_time, w_pos = t, float(xs[i])
-    return PropertyVerdict(name, worst <= tolerance, worst, tolerance, w_time, w_pos)
+    return PropertyVerdict(name, worst <= _TOLERANCE, worst, _TOLERANCE, w_time, w_pos)
 
 
 def ordered_gaussian_pair(grid, rng: np.random.Generator) -> tuple:
@@ -103,9 +109,9 @@ def ordered_gaussian_pair(grid, rng: np.random.Generator) -> tuple:
     return Field(grid, u0), Field(grid, v0)
 
 
-def smoothed_step(grid, position: float = 0.0, width: float = 1.0) -> Field:
-    """Nonincreasing logistic-in-x profile 1 / (1 + exp((x - position)/width))."""
-    z = (grid.x - position) / width
+def smoothed_step(grid) -> Field:
+    """Nonincreasing logistic-in-x profile 1 / (1 + exp(x))."""
+    z = grid.x
     vals = np.empty_like(z)
     pos = z >= 0
     vals[pos] = np.exp(-z[pos]) / (1.0 + np.exp(-z[pos]))
@@ -113,7 +119,7 @@ def smoothed_step(grid, position: float = 0.0, width: float = 1.0) -> Field:
     return Field(grid, vals)
 
 
-def check_comparison(u0: Field, v0: Field, config: RunConfig, *, tolerance: float = 1e-9) -> PropertyVerdict:
+def check_comparison(u0: Field, v0: Field, config: RunConfig) -> PropertyVerdict:
     """Ordered initial data must stay ordered: u(t) <= v(t) for all snapshots.
 
     Both fields are evolved under the same config; the violation is the worst
@@ -128,10 +134,10 @@ def check_comparison(u0: Field, v0: Field, config: RunConfig, *, tolerance: floa
     x = tu.grid.x
     pairs = zip(tu.snapshots(), tv.snapshots())
     gaps = ((t, x, fu.values - fv.values) for (t, fu), (_, fv) in pairs)
-    return _worst("comparison", tolerance, gaps)
+    return _worst("comparison", gaps)
 
 
-def check_monotone_preservation(u0: Field, config: RunConfig, *, tolerance: float = 1e-9) -> PropertyVerdict:
+def check_monotone_preservation(u0: Field, config: RunConfig) -> PropertyVerdict:
     """Nonincreasing data must stay nonincreasing on the observation window.
 
     The violation is the largest positive forward difference u[i+1] - u[i]
@@ -145,24 +151,17 @@ def check_monotone_preservation(u0: Field, config: RunConfig, *, tolerance: floa
     traj = _evolve(config, vals)
     x = traj.grid.x[traj.window]
     slopes = ((t, x, np.diff(fld.values[traj.window])) for t, fld in traj.snapshots())
-    return _worst("monotone_preservation", tolerance, slopes)
+    return _worst("monotone_preservation", slopes)
 
 
-def check_spreading(
-    u0: Field,
-    config: RunConfig,
-    c: float,
-    *,
-    level_target: float = 0.9,
-    tolerance: float = 1e-3,
-) -> PropertyVerdict:
-    """The solution must fill (0, c * t_end) up to the target level by t_end.
+def check_spreading(u0: Field, config: RunConfig, c: float) -> PropertyVerdict:
+    """The solution must fill (0, c * t_end) up to the level 0.9 by t_end.
 
     The window (0, c*t_end) is fixed; its minimum on the final snapshot must
-    reach level_target and the sequence of window minima over snapshots must
-    be nondecreasing up to the tolerance (the density in the window only
-    builds up). Distinguishes accelerating dispersal from finite-speed
-    classical diffusion, which fails for c above its front speed.
+    reach 0.9 and the sequence of window minima over snapshots must be
+    nondecreasing, both up to 1e-3 (the density in the window only builds
+    up). Distinguishes accelerating dispersal from finite-speed classical
+    diffusion, which fails for c above its front speed.
     """
     vals = u0.values
     if not np.any(vals > 0.0):
@@ -184,15 +183,15 @@ def check_spreading(
     backslide = 0.0
     for (_, lo0), (_, lo1) in zip(minima, minima[1:]):
         backslide = max(backslide, lo0 - lo1)
-    violation = max(level_target - final_min, backslide, 0.0)
-    detail = f"final_min={final_min:.6g} target={level_target:g} backslide={backslide:.3g}"
+    violation = max(_SPREADING_TARGET - final_min, backslide, 0.0)
+    detail = f"final_min={final_min:.6g} target={_SPREADING_TARGET:g} backslide={backslide:.3g}"
     return PropertyVerdict(
-        "spreading", violation <= tolerance, violation, tolerance,
+        "spreading", violation <= _SPREADING_TOLERANCE, violation, _SPREADING_TOLERANCE,
         minima[-1][0], None, detail,
     )
 
 
-def check_mass_neutral(config: RunConfig, *, tolerance: float = 1e-9) -> PropertyVerdict:
+def check_mass_neutral(config: RunConfig) -> PropertyVerdict:
     """With reaction off, linear dispersal must conserve the mean.
 
     The drift from the initial mean is taken at every snapshot up to t_end;
@@ -208,5 +207,5 @@ def check_mass_neutral(config: RunConfig, *, tolerance: float = 1e-9) -> Propert
     drifts = ((t, abs(float(u.mean()) - mean0)) for _, u, _, t in steps if t is not None)
     w_time, worst = max(drifts, key=lambda drift: drift[1], default=(0.0, 0.0))
     return PropertyVerdict(
-        "mass_neutrality", worst <= tolerance, worst, tolerance, w_time, None
+        "mass_neutrality", worst <= _TOLERANCE, worst, _TOLERANCE, w_time, None
     )

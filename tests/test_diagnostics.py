@@ -59,6 +59,20 @@ class TestLevelPosition:
             with pytest.raises(ff.LambdaOutOfRange):
                 ff.level_position(f, lam)
 
+    @pytest.mark.parametrize("window", [slice(5, 5), slice(5, 6), slice(600, None)])
+    def test_window_below_two_nodes_raises(self, grid, window):
+        f = ff.Field(grid, (grid.x < 0).astype(float))
+        with pytest.raises(ff.WindowOutOfDomain):
+            ff.level_position(f, 0.5, window=window)
+
+    def test_window_hides_nodes_outside_it(self, grid):
+        # a spike at node 400 moves x_0.5 there unless the window stops before it
+        vals = (grid.x < 0).astype(float)
+        vals[400] = 0.7
+        f = ff.Field(grid, vals)
+        assert ff.level_position(f, 0.5) > grid.x[400]
+        assert abs(ff.level_position(f, 0.5, window=slice(0, 400))) <= grid.dx
+
     def test_nonincreasing_in_lambda(self, grid):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -120,10 +134,9 @@ class TestStretching:
         cfg = ff.RunConfig(L=200.0, N=2**11, dispersal=ff.StandardLaplacian(), t_end=3.0,
                            initial=ff.Indicator(0.0))
         traj = ff.run(cfg)
-        x_win = traj.grid.L * (1 - cfg.seam_margin_frac)
         for _, fld in traj.snapshots():
-            x4 = ff.level_position(fld, 0.4, x_max=x_win)
-            x6 = ff.level_position(fld, 0.6, x_max=x_win)
+            x4 = ff.level_position(fld, 0.4, window=traj.window)
+            x6 = ff.level_position(fld, 0.6, window=traj.window)
             assert x6 <= x4 + traj.grid.dx
 
 
@@ -145,9 +158,8 @@ class TestInterfaceWidth:
         cfg = ff.RunConfig(L=200.0, N=2**11, dispersal=ff.StandardLaplacian(), t_end=3.0,
                            initial=ff.Indicator(0.0))
         traj = ff.run(cfg)
-        x_win = traj.grid.L * (1 - cfg.seam_margin_frac)
         for _, fld in traj.snapshots():
-            assert ff.interface_width(fld, x_max=x_win) >= 0.0
+            assert ff.interface_width(fld, window=traj.window) >= 0.0
 
     def test_relates_to_stretching_on_monotone_profile(self, grid):
         f = ramp_field(grid, -3.0, 6.0)
@@ -169,6 +181,15 @@ class TestInterfaceWidth:
         # levels 0.8 and 0.2 sit 6 units apart on this ramp
         w = ff.interface_width(f, hi=0.8, lo=0.2)
         assert w == pytest.approx(6.0, abs=grid.dx)
+
+    @pytest.mark.parametrize("hi, lo", [
+        (float("nan"), 1.0 / 3.0), (0.3, 0.7), (0.5, 0.5), (1.0, 0.2), (0.8, 0.0),
+        (0.8, float("nan")),
+    ])
+    def test_thresholds_must_be_ordered_in_unit_interval(self, grid, hi, lo):
+        f = ramp_field(grid, 0.0, 10.0)
+        with pytest.raises(ff.LambdaOutOfRange):
+            ff.interface_width(f, hi=hi, lo=lo)
 
 
 class TestFlatness:
@@ -209,6 +230,14 @@ class TestFlatness:
         f = ff.Field(g, np.clip(0.5 - 0.2 * g.x, 0.0, 1.0))
         with pytest.raises(ff.WindowOutOfDomain):
             ff.flatness(f, 0.5, 100.0)
+
+    @pytest.mark.parametrize("radius", [float("nan"), -3.0, float("inf")])
+    def test_radius_must_be_finite_and_nonnegative(self, radius):
+        # a NaN or negative radius would otherwise read as perfectly flat
+        g = ff.make_grid(20.0, 2**10)
+        f = ff.Field(g, np.clip(0.5 - 0.04 * g.x, 0.0, 1.0))
+        with pytest.raises(ff.ValidationFailed):
+            ff.flatness(f, 0.5, radius)
 
 
 class TestSpeedFit:
@@ -262,3 +291,25 @@ class TestReport:
         traj = ff.Trajectory(cfg, [0.0], [field])
         with pytest.raises(ff.ValidationFailed):
             build_report(traj)
+
+    def test_front_report_scans_the_guard_window_only(self):
+        # the window stops at node 7168 (x = 300 = 0.75 L); a spike on that
+        # node lies outside it, so no level position may move to x = 300
+        cfg = ff.RunConfig(L=400.0, N=2**13, dispersal=ff.StandardLaplacian(), t_end=0.0,
+                           initial=ff.Indicator(0.0))
+        g = cfg.grid()
+        assert g.x[7168] == 300.0
+        clean = ff.smoothed_step(g).values
+        spiked = clean.copy()
+        spiked[7168] = 0.7
+
+        def report(vals):
+            traj = ff.Trajectory(cfg, [0.0], [ff.Field(g, vals)], guard_mode="front",
+                                 window=slice(1024, 7168))
+            return build_report(traj).rows[0]
+
+        row, ref = report(spiked), report(clean)
+        assert row.levels == ref.levels
+        assert all(abs(x) < 1.0 for x in row.levels.values())
+        assert (row.stretch, row.width) == (ref.stretch, ref.width)
+        assert (row.flat_left, row.flat_right) == (ref.flat_left, ref.flat_right)

@@ -316,6 +316,9 @@ class TestFastDiffusion:
             ff.fast_diffusion_step(f, 0.5, 0.0, g)
         with pytest.raises(ff.ParameterOutOfRange):
             ff.fast_diffusion_step(f, 0.5, 0.01, g, max_iter=0)
+        for eps in (0.0, -1e-8, np.nan, np.inf):
+            with pytest.raises(ff.ParameterOutOfRange):
+                ff.fast_diffusion_step(f, 0.5, 0.01, g, eps_reg=eps)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_fails_loudly(self, bad):
@@ -391,6 +394,10 @@ class TestFractionalFastDiffusion:
         with pytest.raises(ff.ParameterOutOfRange):
             # max(1 - 2*0.4, 0) = 0.2 > gamma = 0.1
             ff.fractional_fast_diffusion_step(f, 0.4, 0.1, 0.01, g)
+        # an infinite floor would otherwise return an all-NaN field
+        for eps in (0.0, -1e-8, np.nan, np.inf):
+            with pytest.raises(ff.ParameterOutOfRange):
+                ff.fractional_fast_diffusion_step(f, 0.6, 0.5, 0.001, g, eps_reg=eps)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_nonfinite_input_fails_loudly(self, bad):

@@ -4,6 +4,7 @@ equivariance (bitwise for half-box shifts, roundoff-tight in general).
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,29 @@ class TestGuard:
         assert traj.guard_breach_time == 0.0
         assert traj.times == [0.0]
         assert np.array_equal(traj.fields[0].values, values)
+
+    def test_breach_after_the_last_snapshot_time_is_seen(self):
+        # snapshots stop at t=1, the guard breaches at t=13.4 < t_end
+        cfg = ff.RunConfig(L=60.0, N=512, dispersal=ff.StandardLaplacian(), t_end=20.0,
+                           snapshot_times=(0.0, 1.0))
+        traj = ff.run(cfg)
+        assert traj.breached
+        assert 1.0 < traj.guard_breach_time < 20.0
+        assert traj.times == [0.0, 1.0, traj.guard_breach_time]
+        with pytest.raises(ff.GuardBreached) as err:
+            ff.run(cfg, raise_on_breach=True)
+        assert err.value.time == traj.guard_breach_time
+
+    def test_clean_march_past_the_last_snapshot_adds_none(self):
+        cfg = ff.RunConfig(L=200.0, N=2**11, dispersal=ff.StandardLaplacian(), t_end=3.0,
+                           snapshot_times=(0.0, 1.0))
+        traj = ff.run(cfg)
+        assert not traj.breached
+        assert traj.times == [0.0, 1.0]
+        full = ff.run(replace(cfg, snapshot_times=(0.0, 1.0, 3.0)))
+        assert traj.fields[1].values.tobytes() == full.fields[1].values.tobytes()
+        _, _, steps = integrator.march(cfg)
+        assert max(t for t, _, _, _ in steps) == pytest.approx(3.0)
 
     def test_window_is_the_guard_observation_window(self):
         front = ff.run(ff.RunConfig(L=400.0, N=2**12, dispersal=ff.StandardLaplacian(),

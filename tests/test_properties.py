@@ -195,6 +195,20 @@ class TestMassNeutral:
 
 
 class TestVerdicts:
+    def test_gates_are_fixed(self):
+        cfg = ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(), t_end=1.0)
+        g = cfg.grid()
+        bump = ff.Field(g, np.exp(-g.x**2 / 100.0))
+        half = ff.Field(g, 0.5 * bump.values)
+        verdicts = [
+            ff.check_comparison(half, bump, cfg),
+            ff.check_monotone_preservation(ff.smoothed_step(g), cfg),
+            ff.check_spreading(bump, cfg, 1.0),
+            ff.check_mass_neutral(cfg),
+        ]
+        assert [v.tolerance for v in verdicts] == [1e-9, 1e-9, 1e-3, 1e-9]
+        assert "target=0.9 " in verdicts[2].detail
+
     def test_line_format(self):
         v = ff.PropertyVerdict("comparison", True, 1.25e-12, 1e-9)
         fields = v.line().split()
