@@ -57,7 +57,6 @@ __all__ = [
     "FastDiffusion",
     "FractionalFastDiffusion",
     "DispersalSpec",
-    "LINEAR_VARIANTS",
     "build_symbol",
     "apply_symbol",
     "convolve_direct",
@@ -311,8 +310,6 @@ class FractionalFastDiffusion:
 
 DispersalSpec = Union[FractionalLaplacian, Convolution, FastDiffusion, FractionalFastDiffusion]
 
-LINEAR_VARIANTS = (FractionalLaplacian, Convolution)
-
 
 # ---------------------------------------------------------------------------
 # symbols and linear steps
@@ -438,10 +435,9 @@ def fast_diffusion_step(
     Jacobian at the current iterate. The iteration is driven until the
     residual's max norm is at most 1e-13, which makes the step
     order-preserving; if the iterate after max_iter solves is still above it,
-    the step raises SolverNotConverged instead of returning it. max_iter=1 is
-    the exception: it is the plain lagged-coefficient scheme, one solve
-    returned as it is, without a convergence test. Discrete mass dx * sum(u)
-    is conserved up to the iteration residual.
+    the step raises SolverNotConverged instead of returning it, whatever
+    max_iter is. Discrete mass dx * sum(u) is conserved up to the iteration
+    residual.
 
     eps_reg must be finite and > 0 (ParameterOutOfRange otherwise). A NaN or
     infinite input raises ValidationFailed before any work, and every update
@@ -467,8 +463,8 @@ def fast_diffusion_step(
     ab = np.empty((3, grid.n))
     ab[0, 0] = ab[2, -1] = 0.0
     rhs = np.empty(grid.n)
-    # beyond the lagged scheme, one residual more than solves tests the last iterate
-    for solves in range(max_iter + 1 if max_iter > 1 else 1):
+    # one residual more than solves, so the last iterate is always tested
+    for solves in range(max_iter + 1):
         w, d = _kirchhoff(u, gamma, eps_reg)
         # rhs is minus the Newton residual u - dt * Lap(w) - u0
         _lap_neumann(w, grid.dx, out=rhs)

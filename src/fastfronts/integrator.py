@@ -28,7 +28,7 @@ from .dispersal import (
     EPS_REG,
     DispersalSpec,
     FastDiffusion,
-    LINEAR_VARIANTS,
+    FractionalFastDiffusion,
     build_symbol,
     fast_diffusion_step,
     fractional_fast_diffusion_step,
@@ -161,6 +161,12 @@ class RunConfig:
     flat_radius: float = 5.0
 
     def __post_init__(self):
+        if not isinstance(self.dispersal, DispersalSpec):
+            raise ValidationFailed(f"dispersal {self.dispersal!r} is not a fastfronts spec")
+        if not isinstance(self.reaction, Optional[ReactionSpec]):
+            raise ValidationFailed(f"reaction {self.reaction!r} is not a fastfronts spec")
+        if not isinstance(self.initial, InitialSpec):
+            raise ValidationFailed(f"initial {self.initial!r} is not a fastfronts spec")
         if not 0 < self.dt < math.inf:
             raise ValidationFailed(f"dt must be finite and > 0, got {self.dt!r}")
         if not 0 <= self.t_end < math.inf:
@@ -211,28 +217,34 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 class DispersalStepper:
-    """Per-run dispersal substep with cached transform-space factors.
-
-    Linear operators cache their semigroup factor exp(m dt) for the two most
-    recently used dt, which in a run are the fixed step and the latest
-    shortened landing step, and keep one buffer for the real-transform bins
-    that every step reuses.
+    """Per-run dispersal substep. The constructor is the one place that tells
+    the operator families apart: FastDiffusion binds the Newton step and
+    FractionalFastDiffusion the sub-cycled step, each looked up in this module
+    at call time, and any other spec goes to build_symbol (NonlinearVariant if
+    it has no symbol). Linear operators cache exp(m dt) for the two most
+    recently used dt, the fixed step and the latest landing step, and reuse
+    one buffer for the real-transform bins.
     """
 
     def __init__(self, spec: DispersalSpec, grid: Grid, eps_reg: float = EPS_REG):
-        self.spec = spec
         self.grid = grid
-        self.eps_reg = eps_reg
         # multipliers on the real-transform bins 0..n/2; None for the fast diffusions
         self.m: Optional[np.ndarray] = None
         self._factors: dict = {}
-        if isinstance(spec, LINEAR_VARIANTS):
-            self.m = build_symbol(spec, grid)
-            self._bins = np.empty(self.m.size, dtype=complex)
-        elif isinstance(spec, FastDiffusion):
+        if isinstance(spec, FastDiffusion):
             # the Newton solves need scipy.linalg: load it here, as set-up,
             # not inside the first step
             import scipy.linalg  # noqa: F401
+            self._nonlinear = lambda values, dt: fast_diffusion_step(
+                Field(grid, values), spec.gamma, dt, grid, eps_reg=eps_reg
+            ).values
+        elif isinstance(spec, FractionalFastDiffusion):
+            self._nonlinear = lambda values, dt: fractional_fast_diffusion_step(
+                Field(grid, values), spec.alpha, spec.gamma, dt, grid, eps_reg=eps_reg
+            ).values
+        else:
+            self.m = build_symbol(spec, grid)
+            self._bins = np.empty(self.m.size, dtype=complex)
 
     def step_values(self, values: np.ndarray, dt: float, out=None) -> np.ndarray:
         """Advance `values` by dt; never changes `values` unless it is `out`.
@@ -246,30 +258,20 @@ class DispersalStepper:
         if not dt > 0:
             raise ParameterOutOfRange(f"dispersal step needs dt > 0, got {dt!r}")
         _check_length(values, self.grid)
-        if self.m is not None:
-            # insertion order is recency order: a hit moves dt to the end,
-            # a miss evicts the least recently used of two entries
-            factors = self._factors
-            factor = factors.pop(dt, None)
-            if factor is None:
-                factor = np.exp(self.m * dt)
-                if len(factors) == 2:
-                    del factors[next(iter(factors))]
-            factors[dt] = factor
-            bins = np.fft.rfft(values, out=self._bins)
-            bins *= factor
-            return np.fft.irfft(bins, n=self.grid.n, out=out)
-        spec = self.spec
-        if isinstance(spec, FastDiffusion):
-            stepped = fast_diffusion_step(
-                Field(self.grid, values), spec.gamma, dt, self.grid, eps_reg=self.eps_reg
-            )
-            return stepped.values
-        stepped = fractional_fast_diffusion_step(
-            Field(self.grid, values), spec.alpha, spec.gamma, dt, self.grid,
-            eps_reg=self.eps_reg,
-        )
-        return stepped.values
+        if self.m is None:
+            return self._nonlinear(values, dt)
+        # insertion order is recency order: a hit moves dt to the end,
+        # a miss evicts the least recently used of two entries
+        factors = self._factors
+        factor = factors.pop(dt, None)
+        if factor is None:
+            factor = np.exp(self.m * dt)
+            if len(factors) == 2:
+                del factors[next(iter(factors))]
+        factors[dt] = factor
+        bins = np.fft.rfft(values, out=self._bins)
+        bins *= factor
+        return np.fft.irfft(bins, n=self.grid.n, out=out)
 
 
 def _check_length(values: np.ndarray, grid: Grid) -> None:
@@ -327,7 +329,6 @@ class Trajectory:
     fields: list
     guard_breach_time: Optional[float] = None
     max_overshoot: float = 0.0
-    guard_mode: str = "both_ends"
     window: slice = dc_field(default_factory=lambda: slice(None))
 
     @property
@@ -362,16 +363,12 @@ class _Guard:
         self.threshold = config.guard_threshold
         n = grid.n
         band = max(1, n // 100)
-        diffs = np.diff(u0)
-        front_like = bool(np.all(diffs <= 0.0) and u0[0] > u0[-1])
-        if front_like:
-            self.mode = "front"
+        if np.all(np.diff(u0) <= 0.0) and u0[0] > u0[-1]:  # front-like data
             margin_nodes = int(round(config.seam_margin_frac * (n // 2)))
             self.window = slice(margin_nodes, n - margin_nodes)
             hi = max(band + 1, n - margin_nodes)
             self._slices = (slice(hi - band, hi),)
         else:
-            self.mode = "both_ends"
             self.window = slice(None)
             self._slices = (slice(0, band), slice(n - band, n))
 
@@ -438,7 +435,7 @@ def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
     """
     grid, u0, steps = march(config)
     guard = _Guard(config, grid, u0)
-    traj = Trajectory(config, [], [], guard_mode=guard.mode, window=guard.window)
+    traj = Trajectory(config, [], [], window=guard.window)
     for t, u, over, landed in steps:
         traj.max_overshoot = max(traj.max_overshoot, over)
         if guard.breached(u):

@@ -304,8 +304,7 @@ class TestReport:
         spiked[7168] = 0.7
 
         def report(vals):
-            traj = ff.Trajectory(cfg, [0.0], [ff.Field(g, vals)], guard_mode="front",
-                                 window=slice(1024, 7168))
+            traj = ff.Trajectory(cfg, [0.0], [ff.Field(g, vals)], window=slice(1024, 7168))
             return build_report(traj).rows[0]
 
         row, ref = report(spiked), report(clean)

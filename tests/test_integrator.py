@@ -198,11 +198,18 @@ def test_wrong_length_is_a_length_mismatch(spec):
     assert np.array_equal(short, before)
 
 
+def test_stepper_rejects_a_spec_with_no_step(small_grid):
+    # the constructor is the one dispatch point: anything that is neither
+    # fast diffusion goes to build_symbol, which knows only the linear specs
+    with pytest.raises(ff.NonlinearVariant):
+        DispersalStepper(ff.AlgebraicTail(3.0), small_grid)
+
+
 class TestGuard:
     def test_gaussian_guard_watches_both_ends(self):
         cfg = ff.RunConfig(L=60.0, N=2**10, dispersal=ff.StandardLaplacian(), t_end=20.0)
         traj = ff.run(cfg)
-        assert traj.guard_mode == "both_ends"
+        assert traj.window == slice(None)
         assert traj.breached
         assert 0.0 < traj.guard_breach_time <= 20.0
         # the final recorded state is the breaching one
@@ -219,7 +226,7 @@ class TestGuard:
         cfg = ff.RunConfig(L=400.0, N=2**12, dispersal=ff.StandardLaplacian(), t_end=2.0,
                            initial=ff.Indicator(0.0))
         traj = ff.run(cfg)
-        assert traj.guard_mode == "front"
+        assert traj.window == slice(512, 3584)
         assert not traj.breached
 
     def test_breach_at_start_records_the_initial_state(self):
@@ -449,3 +456,15 @@ class TestInitialConditions:
         with pytest.raises(ff.ValidationFailed):
             ff.RunConfig(L=10.0, N=16, dispersal=ff.StandardLaplacian(), t_end=1.0,
                          guard_threshold=0.9)
+
+    @pytest.mark.parametrize(
+        "case",
+        [dict(dispersal="fractional"), dict(dispersal=ff.AlgebraicTail(3.0)),
+         dict(reaction="kpp"), dict(initial="gaussian"), dict(initial=None)],
+        ids=["dispersal-str", "dispersal-kernel", "reaction-str", "initial-str", "initial-none"],
+    )
+    def test_config_rejects_a_foreign_spec(self, case):
+        # unchecked, a foreign object fails at the first step on a missing attribute
+        with pytest.raises(ff.ValidationFailed):
+            ff.RunConfig(**{**dict(L=10.0, N=16, dispersal=ff.StandardLaplacian(), t_end=1.0),
+                            **case})

@@ -3,6 +3,8 @@ runs exercising the ordering, monotonicity, spreading, and mass checks at
 small scale (the full acceptance-scale runs live in test_acceptance).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,20 @@ class TestMassNeutral:
         assert not v.passed
         assert v.violation > 1e-4
         assert v.worst_time == 10.0
+
+    def test_drift_after_the_last_snapshot_time_is_measured(self):
+        # the snapshots end at t=1, but the march and the drift go on to t_end
+        n = 2**10
+        cfg = ff.RunConfig(
+            L=100.0, N=n, dispersal=ff.Convolution(ff.AlgebraicTail(3.0, normalize=False)),
+            t_end=10.0, snapshot_times=(0.0, 1.0),
+            initial=ff.TabulatedInitial.from_array(np.random.default_rng(7).random(n)),
+        )
+        v = ff.check_mass_neutral(cfg)
+        auto = ff.check_mass_neutral(replace(cfg, snapshot_times=None))
+        assert v.violation > 1e-4
+        assert v.violation == pytest.approx(auto.violation, rel=1e-12)
+        assert v.worst_time == pytest.approx(10.0, rel=1e-12)
 
 
 class TestVerdicts:
