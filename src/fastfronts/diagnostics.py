@@ -76,21 +76,18 @@ def _falling_crossing(xs: np.ndarray, profile: np.ndarray, level: float) -> floa
 def level_position(field: Field, lam: float, *, window: slice = slice(None)) -> float:
     """Rightmost position where the running maximum from the right crosses lam.
 
-    Returns +inf when lam <= min(u) (the level is attained arbitrarily far
-    right) and -inf when lam > max(u). Only the nodes in the slice `window`
-    are scanned; a window of fewer than two nodes raises WindowOutOfDomain.
+    Returns +inf when lam <= u at the scan's right end (so when lam <= min(u))
+    and -inf when lam > max(u). Only the nodes in the slice `window` are
+    scanned; a window of fewer than two nodes raises WindowOutOfDomain.
     """
     if not (0.0 < lam < 1.0):
         raise LambdaOutOfRange(f"level must lie in (0, 1), got {lam!r}")
     vals, xs = _windowed(field, window)
-    if lam > float(vals.max()):
-        return float("-inf")
-    if lam <= float(vals.min()):
+    if lam <= vals[-1]:
         return float("inf")
     rmax = np.maximum.accumulate(vals[::-1])[::-1]
-    if rmax[-1] >= lam:
-        # running sup never drops below lam inside the scanned window
-        return float("inf")
+    if lam > rmax[0]:
+        return float("-inf")
     return _falling_crossing(xs, rmax, lam)
 
 

@@ -278,33 +278,6 @@ def write_run_files(stem: str, traj: Trajectory, report: DiagnosticsReport, out:
     return snap_path, csv_path
 
 
-def _bundle(name: str, traj: Trajectory, report: DiagnosticsReport, out: Path) -> dict:
-    paths = {}
-    paths["snapshots"], paths["csv"] = write_run_files(name, traj, report, out)
-    grid = traj.grid
-    profiles = []
-    for t, fld in traj.snapshots():
-        xs, ys = _downsample(grid.x, fld.values)
-        profiles.append((f"t={t:g}", xs, ys))
-    prof_path = out / f"{name}_profiles.svg"
-    emit_chart(
-        profiles, prof_path,
-        title=f"{name}: density profiles", x_label="x", y_label="u",
-        legend_max=6,
-    )
-    paths["profiles"] = prof_path
-    a, b = report.stretch_pair
-    ts = report.times
-    ss = np.asarray([row.stretch for row in report.rows])
-    stretch_path = out / f"{name}_stretching.svg"
-    emit_chart(
-        [(f"x_{a:g} - x_{b:g}", ts, ss)], stretch_path,
-        title=f"{name}: level-set separation", x_label="t", y_label="distance",
-    )
-    paths["stretching"] = stretch_path
-    return paths
-
-
 def run_preset(name: str, out_dir) -> dict:
     """Run a figure preset and write its output bundle.
 
@@ -317,25 +290,39 @@ def run_preset(name: str, out_dir) -> dict:
     configs = {member: preset_config(member) for member in members}
     out = make_out_dir(out_dir)
     result = {"paths": {}, "trajectories": {}, "reports": {}}
+    paths = result["paths"]
     series = []
     for member, config in configs.items():
         traj = run(config, raise_on_breach=True)
         report = build_report(traj)
         result["trajectories"][member] = traj
         result["reports"][member] = report
-        result["paths"].update(
-            {f"{member}:{k}": v for k, v in _bundle(member, traj, report, out).items()}
+        paths[f"{member}:snapshots"], paths[f"{member}:csv"] = write_run_files(
+            member, traj, report, out
         )
+        profiles = [
+            (f"t={t:g}", *_downsample(traj.grid.x, fld.values)) for t, fld in traj.snapshots()
+        ]
+        paths[f"{member}:profiles"] = out / f"{member}_profiles.svg"
+        emit_chart(
+            profiles, paths[f"{member}:profiles"],
+            title=f"{member}: density profiles", x_label="x", y_label="u", legend_max=6,
+        )
+        a, b = report.stretch_pair
         ss = np.asarray([row.stretch for row in report.rows])
+        paths[f"{member}:stretching"] = out / f"{member}_stretching.svg"
+        emit_chart(
+            [(f"x_{a:g} - x_{b:g}", report.times, ss)], paths[f"{member}:stretching"],
+            title=f"{member}: level-set separation", x_label="t", y_label="distance",
+        )
         series.append((member, report.times, ss))
     if name == "fig2":
-        combined = out / "fig2_stretching.svg"
+        paths["fig2:stretching"] = out / "fig2_stretching.svg"
         emit_chart(
-            series, combined,
+            series, paths["fig2:stretching"],
             title="level-set separation x_0.4 - x_0.6", x_label="t", y_label="distance",
             styles=[{}, {"dash": "8,4"}, {"dash": "2,3"}, {"markers": True}],
         )
-        result["paths"]["fig2:stretching"] = combined
     return result
 
 
@@ -576,6 +563,7 @@ def sweep_values(text: str, vary: str) -> list:
 
     Returns a list of (label, RunConfig); the varied key is injected into the
     document before parsing so it passes the same validation as any config.
+    A repeated value raises ValidationFailed: both runs would write one file.
     """
     if "=" not in vary:
         raise ValidationFailed("--vary expects section.key=v1,v2,...")
@@ -584,6 +572,8 @@ def sweep_values(text: str, vary: str) -> list:
     tokens = [tok.strip() for tok in values.split(",") if tok.strip()]
     if not tokens:
         raise ValidationFailed("--vary needs at least one value")
+    if len(set(tokens)) < len(tokens):
+        raise ValidationFailed(f"--vary repeats a value in {values.strip()!r}")
     jobs = []
     for tok in tokens:
         doc = text + f"\n{key} = {tok}\n"

@@ -139,9 +139,9 @@ class RunConfig:
     """Complete description of one experiment.
 
     snapshot_times=None records integer times 0, 1, ..., plus t_end when it is
-    not an integer. guard_threshold is the density level watched near the
-    domain edges; seam_margin_frac sets the front-mode observation window as a
-    fraction of the half-length.
+    not an integer; given times must be nonempty. guard_threshold is the
+    density level watched near the domain edges; seam_margin_frac sets the
+    front-mode observation window as a fraction of the half-length.
     """
 
     L: float
@@ -193,6 +193,8 @@ class RunConfig:
                 raise ValidationFailed(f"diagnostic level {lam!r} not in (0, 1)")
         if self.snapshot_times is not None:
             times = tuple(float(t) for t in self.snapshot_times)
+            if not times:
+                raise ValidationFailed("snapshot times must not be empty")
             # written so that a NaN time fails the test too
             if not all(0 <= t <= self.t_end for t in times):
                 raise ValidationFailed("snapshot times must lie in [0, t_end]")
@@ -302,7 +304,8 @@ def strang_step(
     With `out` (which may be `values` itself) the logistic and linear
     substeps write into it; the RK4 and fast-diffusion substeps still
     allocate, so callers must use the returned array, not `out`. The step
-    gates (dt > 0, one sample per node) run before any substep writes.
+    gates (dt > 0, one sample per node) run before any substep writes; a
+    step that leaves a NaN or an infinite value raises ValidationFailed.
     """
     if not dt > 0:
         raise ParameterOutOfRange(f"strang step needs dt > 0, got {dt!r}")
@@ -311,8 +314,11 @@ def strang_step(
     v = _reaction_update(values, reaction, half, out)
     v = stepper.step_values(v, dt, out=out)
     v = _reaction_update(v, reaction, half, out)
-    overshoot = max(float(np.max(v)) - 1.0, -float(np.min(v)), 0.0)
-    return v, overshoot
+    hi, lo = float(np.max(v)), float(np.min(v))
+    # max and min propagate NaN, and hi - lo is finite only when both are
+    if not math.isfinite(hi - lo):
+        raise ValidationFailed(f"step of dt={dt:g} left a non-finite range [{lo:g}, {hi:g}]")
+    return v, max(hi - 1.0, -lo, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +339,7 @@ class Trajectory:
 
     @property
     def grid(self) -> Grid:
-        return self.fields[0].grid if self.fields else self.config.grid()
+        return self.fields[0].grid
 
     @property
     def breached(self) -> bool:
@@ -357,7 +363,8 @@ class Trajectory:
 
 
 class _Guard:
-    """Watches density near the domain (or window) edge after every step."""
+    """Watches density near the domain (or window) edge after every step;
+    `bands` holds the watched node slices, the right-hand band last."""
 
     def __init__(self, config: RunConfig, grid: Grid, u0: np.ndarray):
         self.threshold = config.guard_threshold
@@ -367,13 +374,13 @@ class _Guard:
             margin_nodes = int(round(config.seam_margin_frac * (n // 2)))
             self.window = slice(margin_nodes, n - margin_nodes)
             hi = max(band + 1, n - margin_nodes)
-            self._slices = (slice(hi - band, hi),)
+            self.bands = (slice(hi - band, hi),)
         else:
             self.window = slice(None)
-            self._slices = (slice(0, band), slice(n - band, n))
+            self.bands = (slice(0, band), slice(n - band, n))
 
     def breached(self, values: np.ndarray) -> bool:
-        return any(float(values[s].max()) > self.threshold for s in self._slices)
+        return any(float(values[s].max()) > self.threshold for s in self.bands)
 
 
 def _segment_steps(span: float, dt: float):
@@ -387,7 +394,7 @@ def _segment_steps(span: float, dt: float):
 
 
 def march(config: RunConfig) -> tuple:
-    """Set up `config` and return (grid, u0, steps), the one march loop.
+    """Set up `config` and return (stepper, u0, steps), the one march loop.
 
     `steps` yields (t, u, overshoot, landed) for the initial state and after
     every step up to t_end, where `landed` is the snapshot time reached or
@@ -396,6 +403,7 @@ def march(config: RunConfig) -> tuple:
     restarting from a snapshot replays the identical step sequence. u is
     advanced in place where the substeps allow (logistic and linear
     dispersal), so a consumer copies what it keeps. The march knows no guard.
+    `stepper` is the run's DispersalStepper, on the run's grid `stepper.grid`.
     """
     if config.reaction is not None:
         validate_reaction(config.reaction)
@@ -421,7 +429,7 @@ def march(config: RunConfig) -> tuple:
                 yield t_prev + t_local, u, over, label if k == len(segment) else None
             t_prev = target
 
-    return grid, u0, steps(u0)
+    return stepper, u0, steps(u0)
 
 
 def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
@@ -433,8 +441,8 @@ def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
     breach time (or GuardBreached is raised when raise_on_breach is set). Identical configs produce
     bitwise-identical trajectories on one platform.
     """
-    grid, u0, steps = march(config)
-    guard = _Guard(config, grid, u0)
+    stepper, u0, steps = march(config)
+    guard = _Guard(config, stepper.grid, u0)
     traj = Trajectory(config, [], [], window=guard.window)
     for t, u, over, landed in steps:
         traj.max_overshoot = max(traj.max_overshoot, over)
@@ -442,7 +450,7 @@ def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
             traj.guard_breach_time = landed = t
         if landed is not None:
             traj.times.append(landed)
-            traj.fields.append(Field(grid, u.copy()))
+            traj.fields.append(Field(stepper.grid, u.copy()))
         if traj.breached:
             break
     if traj.breached and raise_on_breach:

@@ -20,14 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dispersal import build_symbol
-from .errors import (
-    DomainTooSmall,
-    PreconditionViolated,
-    ZeroInitialCondition,
-)
+from .errors import DomainTooSmall, NonlinearVariant, PreconditionViolated, ZeroInitialCondition
 from .grid import Field
-from .integrator import RunConfig, TabulatedInitial, Trajectory, march, run
+from .integrator import RunConfig, TabulatedInitial, Trajectory, _Guard, march, run
 
 __all__ = [
     "PropertyVerdict",
@@ -160,7 +155,8 @@ def check_spreading(u0: Field, config: RunConfig, c: float) -> PropertyVerdict:
     reach 0.9 and the sequence of window minima over snapshots must be
     nondecreasing, both up to 1e-3 (the density in the window only builds
     up). Distinguishes accelerating dispersal from finite-speed classical
-    diffusion, which fails for c above its front speed.
+    diffusion, which fails for c above its front speed. A window reaching the
+    guard's right-hand band raises DomainTooSmall.
     """
     vals = u0.values
     if not np.any(vals > 0.0):
@@ -168,10 +164,10 @@ def check_spreading(u0: Field, config: RunConfig, c: float) -> PropertyVerdict:
     if not c > 0:
         raise PreconditionViolated(f"speed must be positive, got {c!r}")
     grid_x = u0.grid.x
-    guard_start = u0.grid.L * (1.0 - 2.0 * max(1, u0.grid.n // 100) / u0.grid.n)
-    if c * config.t_end >= guard_start:
+    band_start = grid_x[_Guard(config, u0.grid, vals).bands[-1].start]
+    if c * config.t_end >= band_start:
         raise DomainTooSmall(
-            f"window (0, {c * config.t_end:g}) overlaps the guard band near L={u0.grid.L:g}"
+            f"window (0, {c * config.t_end:g}) overlaps the guard band from x={band_start:g}"
         )
     traj = _evolve(config, vals)
     mask = (grid_x > 0.0) & (grid_x < c * config.t_end)
@@ -196,11 +192,12 @@ def check_mass_neutral(config: RunConfig) -> PropertyVerdict:
     The drift from the initial mean is taken on the initial state and after
     every step up to t_end, timed by the snapshot label where a step lands on
     one. The guard does not stop this run, since truncating the line leaves
-    the mass balance on the periodic box intact. An operator without a
-    transform-space symbol (a fast diffusion) raises NonlinearVariant.
+    the mass balance on the periodic box intact. A run whose stepper holds no
+    symbol (a fast diffusion) raises NonlinearVariant before the first step.
     """
-    build_symbol(config.dispersal, config.grid())
-    _, u0, steps = march(replace(config, reaction=None))
+    stepper, u0, steps = march(replace(config, reaction=None))
+    if stepper.m is None:
+        raise NonlinearVariant(f"{type(config.dispersal).__name__} has no transform-space symbol")
     mean0 = float(u0.mean())
     drifts = ((t if at is None else at, abs(float(u.mean()) - mean0)) for t, u, _, at in steps)
     w_time, worst = max(drifts, key=lambda drift: drift[1], default=(0.0, 0.0))

@@ -52,18 +52,20 @@ def validate_reaction(spec: ReactionSpec) -> ReactionSpec:
 
     Requires f(0) = f(1) = 0 within 1e-12, f > 0 at u = 0.01, ..., 0.99, and a
     positive forward-difference slope at 0. Returns the spec unchanged when it
-    passes; raises EndpointNotZero, NotMonostable, or DegenerateAtZero.
+    passes; raises EndpointNotZero, NotMonostable, or DegenerateAtZero. Each
+    test states what passes, so a NaN value fails it.
     """
     f = spec.f
     f0, f1 = float(f(0.0)), float(f(1.0))
-    if abs(f0) > _ENDPOINT_TOL or abs(f1) > _ENDPOINT_TOL:
+    if not (abs(f0) <= _ENDPOINT_TOL and abs(f1) <= _ENDPOINT_TOL):
         raise EndpointNotZero(f"f(0)={f0:g}, f(1)={f1:g}; both must vanish")
     interior = np.asarray([float(f(u)) for u in _INTERIOR_SAMPLES])
-    if np.any(interior <= 0.0):
-        bad = _INTERIOR_SAMPLES[np.argmin(interior)]
-        raise NotMonostable(f"f({bad:g}) = {interior.min():g} is not positive")
+    if not np.all(interior > 0.0):
+        # argmin finds the first NaN, else the smallest value
+        bad = np.argmin(interior)
+        raise NotMonostable(f"f({_INTERIOR_SAMPLES[bad]:g}) = {interior[bad]:g} is not positive")
     slope = (float(f(_SLOPE_STEP)) - f0) / _SLOPE_STEP
-    if slope <= 0.0:
+    if not slope > 0.0:
         raise DegenerateAtZero(f"forward-difference f'(0) = {slope:g} is not positive")
     return spec
 

@@ -387,6 +387,11 @@ class TestSweep:
         with pytest.raises(ff.UnknownKey):
             sweep_values(MINIMAL, "bogus.key=1")
 
+    def test_repeated_value_rejected(self):
+        # both runs would write the same two files, at once under a pool
+        with pytest.raises(ff.ValidationFailed):
+            sweep_values(MINIMAL, "time.dt=0.01,0.01")
+
 
 SMALL_CFG = """
 dispersal.variant = standard_laplacian

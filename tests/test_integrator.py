@@ -53,6 +53,17 @@ class TestStrangStep:
         with pytest.raises(ff.ParameterOutOfRange):
             ff.strang_step(f.values, stepper, ff.KppLogistic(), 0.0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_state_ends_the_run(self, bad):
+        # bad values only strictly between the sampled points 0.99 and 1, so
+        # the reaction passes validation; the bump's peak nodes reach them
+        f = lambda u: np.where((u > 0.995) & (u < 1.0), bad, u * (1.0 - u))
+        cfg = ff.RunConfig(L=50.0, N=256, dispersal=ff.StandardLaplacian(), t_end=1.0,
+                           reaction=ff.CustomMonostable(f))
+        with pytest.raises(ff.ValidationFailed, match="non-finite"):
+            ff.run(cfg)
+
     @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize(
         "spec",
@@ -106,6 +117,12 @@ class TestRun:
         with pytest.raises(ff.ValidationFailed):
             ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(),
                          t_end=2.0, snapshot_times=(float("nan"),))
+
+    def test_empty_snapshot_times_rejected(self):
+        # a run with no snapshot would report a clean guard and write nothing
+        with pytest.raises(ff.ValidationFailed):
+            ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(),
+                         t_end=2.0, snapshot_times=())
 
     def test_determinism_bitwise(self):
         cfg = ff.RunConfig(L=200.0, N=2**11, dispersal=ff.FractionalLaplacian(0.9), t_end=3.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fastfronts as ff
+from fastfronts import dispersal, integrator, properties
 
 
 @pytest.fixture
@@ -111,6 +112,13 @@ class TestSpreading:
         with pytest.raises(ff.DomainTooSmall):
             ff.check_spreading(u0, cfg, 3.0)
 
+    def test_front_window_reaching_the_seam_band_rejected(self):
+        # front-like data: the guard watches the band [292, 300) at the
+        # seam-window edge, which the window (0, 300) reaches
+        cfg = ff.RunConfig(L=400.0, N=2**12, dispersal=ff.StandardLaplacian(), t_end=2.0)
+        with pytest.raises(ff.DomainTooSmall, match="from x=292"):
+            ff.check_spreading(ff.smoothed_step(cfg.grid()), cfg, 150.0)
+
     def test_breaching_run_raises(self):
         cfg = ff.RunConfig(L=16.0, N=256, dispersal=ff.StandardLaplacian(), t_end=10.0)
         g = cfg.grid()
@@ -175,6 +183,24 @@ class TestMassNeutral:
         )
         v = ff.check_mass_neutral(cfg)
         assert v.passed and v.violation <= 1e-9
+
+    def test_symbol_is_built_once(self, monkeypatch):
+        calls = []
+        original = dispersal.build_symbol
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for module in (dispersal, integrator, properties):
+            if hasattr(module, "build_symbol"):
+                monkeypatch.setattr(module, "build_symbol", counting)
+        cfg = ff.RunConfig(
+            L=100.0, N=2**10,
+            dispersal=ff.Convolution(ff.StretchedExponential(0.5, 1.0)), t_end=0.1,
+        )
+        assert ff.check_mass_neutral(cfg).passed
+        assert len(calls) == 1
 
     def test_nonlinear_variant_rejected(self):
         cfg = ff.RunConfig(L=100.0, N=2**10, dispersal=ff.FastDiffusion(0.5), t_end=1.0)

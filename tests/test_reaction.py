@@ -113,6 +113,21 @@ class TestValidateReaction:
         with pytest.raises(ff.EndpointNotZero):
             ff.validate_reaction(ff.CustomMonostable(lambda u: u * (1.1 - u)))
 
+    @pytest.mark.parametrize(
+        "f, error",
+        [
+            (lambda u: np.nan * u, ff.EndpointNotZero),
+            (lambda u: u * (1.0 - u) * np.inf, ff.EndpointNotZero),
+            (lambda u: np.nan if u == 0.5 else u * (1.0 - u), ff.NotMonostable),
+            (lambda u: np.nan if 0.0 < u < 0.01 else u * (1.0 - u), ff.DegenerateAtZero),
+        ],
+        ids=["nan_everywhere", "times_inf", "nan_interior", "nan_slope"],
+    )
+    def test_nan_values_rejected(self, f, error):
+        # NaN compares false, so each gate must fail it rather than pass it
+        with pytest.raises(error):
+            ff.validate_reaction(ff.CustomMonostable(f))
+
     def test_degenerate_slope_rejected(self):
         # negative just above 0 but positive at every interior sample point,
         # so only the forward-difference slope gate can reject it
