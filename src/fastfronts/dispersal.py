@@ -374,21 +374,36 @@ def convolve_direct(field: Field, kernel: KernelSpec, grid: Grid) -> Field:
 # nonlinear fast diffusion
 # ---------------------------------------------------------------------------
 
-def _kirchhoff(u: np.ndarray, gamma: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone potential w and its slope d = gamma * max(u, eps)^(gamma - 1).
+def newton_work(n: int) -> tuple:
+    """Work arrays of the fast-diffusion Newton step on n nodes, as the
+    `work` argument of fast_diffusion_step: the Jacobian bands ab (3, n), the
+    right-hand side rhs, the potential w, its slope d and the below-floor
+    mask. The two band corners that the tridiagonal solve never reads are
+    zeroed here; every iterate overwrites the rest."""
+    ab = np.empty((3, n))
+    ab[0, 0] = ab[2, -1] = 0.0
+    return ab, np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+
+
+def _kirchhoff(u: np.ndarray, gamma: float, eps: float, work: tuple) -> tuple:
+    """Monotone potential w and its slope d = gamma * max(u, eps)^(gamma - 1),
+    written into work's w and d (work from newton_work; its rhs holds the
+    below-floor line).
 
     w equals u^gamma above the floor and continues linearly below it, so it is
     defined and increasing on the whole line (Newton iterates may leave [0,1]).
     One power per call: with m = max(u, eps) and p = m^gamma, d = gamma * p / m.
     """
-    d = np.maximum(u, eps)
-    w = d ** gamma
+    _, lo, w, d, below = work
+    np.maximum(u, eps, out=d)
+    np.power(d, gamma, out=w)
     np.divide(w, d, out=d)
     d *= gamma
-    lo = np.subtract(u, eps)
+    np.subtract(u, eps, out=lo)
     lo *= gamma * eps ** (gamma - 1.0)
     lo += eps ** gamma
-    np.copyto(w, lo, where=u < eps)
+    np.less(u, eps, out=below)
+    np.copyto(w, lo, where=below)
     return w, d
 
 
@@ -426,6 +441,7 @@ def fast_diffusion_step(
     *,
     eps_reg: float = EPS_REG,
     max_iter: int = 40,
+    work: tuple | None = None,
 ) -> Field:
     """One backward-Euler step of u_t = d/dx( D(u) du/dx ), D = gamma*max(u,eps)^(gamma-1).
 
@@ -443,9 +459,19 @@ def fast_diffusion_step(
     infinite input raises ValidationFailed before any work, and every update
     is checked to be finite, so the solve skips scipy's own finiteness scan
     of its inputs.
+
+    Apart from the returned state, the step allocates nothing per Newton
+    iterate: every pass writes into the arrays of `work`, as built by
+    newton_work(grid.n). DispersalStepper owns one such set for its run;
+    without `work` the call builds its own, and work for another node count
+    raises LengthMismatch.
     """
     if field.grid.n != grid.n:
         raise LengthMismatch("field does not match grid")
+    if work is None:
+        work = newton_work(grid.n)
+    elif any(a.shape[-1] != grid.n for a in work):
+        raise LengthMismatch(f"Newton work arrays do not fit a grid of {grid.n} nodes")
     if not (0.0 < gamma <= 1.0):
         raise ParameterOutOfRange(f"gamma={gamma!r} not in (0,1]")
     if not dt > 0:
@@ -458,20 +484,17 @@ def fast_diffusion_step(
     u0 = field.values
     u = u0.copy()
     r = dt / grid.dx**2
-    # the solve overwrites the bands, so every iterate refills all of them;
-    # the two corners are never read by the tridiagonal solver
-    ab = np.empty((3, grid.n))
-    ab[0, 0] = ab[2, -1] = 0.0
-    rhs = np.empty(grid.n)
+    ab, rhs = work[0], work[1]
     # one residual more than solves, so the last iterate is always tested
     for solves in range(max_iter + 1):
-        w, d = _kirchhoff(u, gamma, eps_reg)
+        w, d = _kirchhoff(u, gamma, eps_reg, work)
         # rhs is minus the Newton residual u - dt * Lap(w) - u0
         _lap_neumann(w, grid.dx, out=rhs)
         rhs *= dt
         rhs -= u
         rhs += u0
-        residual = np.max(np.abs(rhs))
+        # max|rhs| without an abs temporary
+        residual = max(rhs.max(), -rhs.min())
         if residual <= _NEWTON_TOL:
             break
         if solves == max_iter:
@@ -479,6 +502,7 @@ def fast_diffusion_step(
                 f"fast-diffusion Newton residual {residual:.3g} > tol={_NEWTON_TOL:g} "
                 f"after max_iter={max_iter} solves (gamma={gamma:g}, dt={dt:g})"
             )
+        # the solve overwrites the bands, so every iterate refills all of them
         np.multiply(d[1:], -r, out=ab[0, 1:])
         np.multiply(d, 2.0 * r, out=ab[1])
         ab[1] += 1.0
@@ -491,7 +515,8 @@ def fast_diffusion_step(
             )
         except np.linalg.LinAlgError as exc:  # pragma: no cover - D >= 0 keeps this away
             raise SolverSingular(str(exc)) from exc
-        if not np.all(np.isfinite(du)):
+        # max and min propagate NaN, and hi - lo is finite only when both are
+        if not math.isfinite(float(du.max()) - float(du.min())):
             raise SolverSingular("non-finite update in fast-diffusion solve")
         u += du
     return Field(grid, u)

@@ -32,6 +32,7 @@ from .dispersal import (
     build_symbol,
     fast_diffusion_step,
     fractional_fast_diffusion_step,
+    newton_work,
 )
 from .errors import GuardBreached, IoFailure, LengthMismatch, ParameterOutOfRange, ValidationFailed
 from .grid import Field, Grid, make_grid
@@ -225,7 +226,9 @@ class DispersalStepper:
     at call time, and any other spec goes to build_symbol (NonlinearVariant if
     it has no symbol). Linear operators cache exp(m dt) for the two most
     recently used dt, the fixed step and the latest landing step, and reuse
-    one buffer for the real-transform bins.
+    one buffer for the real-transform bins. FastDiffusion allocates the Newton
+    work arrays (dispersal.newton_work) once and passes them to every step,
+    so its Newton iterates allocate nothing.
     """
 
     def __init__(self, spec: DispersalSpec, grid: Grid, eps_reg: float = EPS_REG):
@@ -237,8 +240,9 @@ class DispersalStepper:
             # the Newton solves need scipy.linalg: load it here, as set-up,
             # not inside the first step
             import scipy.linalg  # noqa: F401
+            work = newton_work(grid.n)
             self._nonlinear = lambda values, dt: fast_diffusion_step(
-                Field(grid, values), spec.gamma, dt, grid, eps_reg=eps_reg
+                Field(grid, values), spec.gamma, dt, grid, eps_reg=eps_reg, work=work
             ).values
         elif isinstance(spec, FractionalFastDiffusion):
             self._nonlinear = lambda values, dt: fractional_fast_diffusion_step(
@@ -302,8 +306,9 @@ def strang_step(
 
     Without `out` the result is a new array and `values` is left unchanged.
     With `out` (which may be `values` itself) the logistic and linear
-    substeps write into it; the RK4 and fast-diffusion substeps still
-    allocate, so callers must use the returned array, not `out`. The step
+    substeps write into it; the RK4 and fast-diffusion substeps return a new
+    state array (the Newton step's work arrays belong to the stepper), so
+    callers must use the returned array, not `out`. The step
     gates (dt > 0, one sample per node) run before any substep writes; a
     step that leaves a NaN or an infinite value raises ValidationFailed.
     """

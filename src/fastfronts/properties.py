@@ -69,6 +69,15 @@ def _evolve(config: RunConfig, values: np.ndarray) -> Trajectory:
     return run(replace(config, initial=TabulatedInitial.from_array(values)), raise_on_breach=True)
 
 
+def _require_run_grid(config: RunConfig, *fields: Field) -> None:
+    """The checks read windows and positions off the data's grid, so it must
+    be the grid the run steps on."""
+    grid = config.grid()
+    for fld in fields:
+        if fld.grid != grid:
+            raise PreconditionViolated(f"initial data on {fld.grid!r}, but the run is on {grid!r}")
+
+
 def _worst(name: str, excesses) -> PropertyVerdict:
     """Verdict on the largest positive excess over (t, xs, excess) triples,
     where xs holds the positions of the excess entries; the first maximum wins."""
@@ -117,11 +126,11 @@ def check_comparison(u0: Field, v0: Field, config: RunConfig) -> PropertyVerdict
     """Ordered initial data must stay ordered: u(t) <= v(t) for all snapshots.
 
     Both fields are evolved under the same config; the violation is the worst
-    of max(u - v) over every snapshot and node.
+    of max(u - v) over every snapshot and node. Both must lie on
+    config.grid() (PreconditionViolated otherwise).
     """
+    _require_run_grid(config, u0, v0)
     a, b = u0.values, v0.values
-    if a.shape != b.shape:
-        raise PreconditionViolated("comparison inputs must share one grid")
     if not (np.all(a >= 0.0) and np.all(a <= b) and np.all(b <= 1.0)):
         raise PreconditionViolated("need 0 <= u0 <= v0 <= 1 componentwise")
     tu, tv = _evolve(config, a), _evolve(config, b)
@@ -138,7 +147,9 @@ def check_monotone_preservation(u0: Field, config: RunConfig) -> PropertyVerdict
     over all snapshots. The periodic seam (and, for nonlocal operators, the
     zone its spurious wrap front contaminates) is excluded via the run's
     seam-margin window; the wrap pair itself never enters the differences.
+    u0 must lie on config.grid() (PreconditionViolated otherwise).
     """
+    _require_run_grid(config, u0)
     vals = u0.values
     if np.any(np.diff(vals) > 0.0):
         raise PreconditionViolated("initial data must be nonincreasing componentwise")
@@ -156,8 +167,10 @@ def check_spreading(u0: Field, config: RunConfig, c: float) -> PropertyVerdict:
     nondecreasing, both up to 1e-3 (the density in the window only builds
     up). Distinguishes accelerating dispersal from finite-speed classical
     diffusion, which fails for c above its front speed. A window reaching the
-    guard's right-hand band raises DomainTooSmall.
+    guard's right-hand band raises DomainTooSmall, and u0 off config.grid()
+    raises PreconditionViolated.
     """
+    _require_run_grid(config, u0)
     vals = u0.values
     if not np.any(vals > 0.0):
         raise ZeroInitialCondition("spreading check needs u0 not identically 0")

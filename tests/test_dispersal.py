@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import fastfronts as ff
-from fastfronts.dispersal import _kirchhoff, sample_kernel
+from fastfronts.dispersal import _kirchhoff, newton_work, sample_kernel
 
 
 def semigroup(spec, field, dt):
@@ -311,6 +311,12 @@ class TestFastDiffusion:
             with pytest.raises(ff.ParameterOutOfRange):
                 ff.fast_diffusion_step(f, 0.5, 0.01, g, eps_reg=eps)
 
+    def test_work_for_another_grid_is_a_length_mismatch(self):
+        g = ff.make_grid(10.0, 64)
+        f = ff.Field.constant(g, 0.5)
+        with pytest.raises(ff.LengthMismatch):
+            ff.fast_diffusion_step(f, 0.5, 0.01, g, work=newton_work(128))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_fails_loudly(self, bad):
         g = ff.make_grid(10.0, 64)
@@ -358,16 +364,16 @@ def test_kirchhoff_branches_and_slope(gamma):
     eps = 1e-4
     above = np.array([eps, 2 * eps, 0.3, 1.0, 1.7])
     below = np.array([-0.5, -eps, 0.0, 0.5 * eps, eps * (1 - 1e-9)])
-    w, d = _kirchhoff(above, gamma, eps)
+    w, d = _kirchhoff(above, gamma, eps, newton_work(above.size))
     np.testing.assert_allclose(w, above**gamma, rtol=1e-15)
     np.testing.assert_allclose(d, gamma * above ** (gamma - 1.0), rtol=1e-15)
-    w, d = _kirchhoff(below, gamma, eps)
+    w, d = _kirchhoff(below, gamma, eps, newton_work(below.size))
     line = eps**gamma + gamma * eps ** (gamma - 1.0) * (below - eps)
     np.testing.assert_allclose(w, line, rtol=1e-15)
     np.testing.assert_allclose(d, gamma * eps ** (gamma - 1.0), rtol=1e-15)
     # continuous at the floor: the two branches meet at eps
-    left, _ = _kirchhoff(np.array([eps * (1 - 1e-12)]), gamma, eps)
-    right, _ = _kirchhoff(np.array([eps * (1 + 1e-12)]), gamma, eps)
+    left, _ = _kirchhoff(np.array([eps * (1 - 1e-12)]), gamma, eps, newton_work(1))
+    right, _ = _kirchhoff(np.array([eps * (1 + 1e-12)]), gamma, eps, newton_work(1))
     assert abs(left[0] - eps**gamma) < 1e-11 * eps**gamma
     assert abs(right[0] - eps**gamma) < 1e-11 * eps**gamma
 

@@ -4,6 +4,7 @@ equivariance (bitwise for half-box shifts, roundoff-tight in general).
 """
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -441,6 +442,59 @@ class TestInPlaceStepping:
             assert ff.logistic_exact_step(same, dt, out=same) is same
             assert same.tobytes() == expected.tobytes()
             assert same[0] == 0.0 and same[1] == 1.0
+
+
+class TestNewtonWork:
+    """The fast-diffusion stepper owns its Newton work arrays for the run."""
+
+    def test_step_allocates_one_state_array(self):
+        # each step returns one fresh state; the Newton iterates write into
+        # the stepper's arrays, so the traced peak above the start stays near
+        # one state array (an allocating loop peaks near ten)
+        g = ff.make_grid(400.0, 2**14)
+        stepper = DispersalStepper(ff.FastDiffusion(0.5), g)
+        u = stepper.step_values(np.exp(-g.x**2 / 100.0), 0.01)
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                u = stepper.step_values(u, 0.01)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak - start <= 1.5 * 8 * g.n
+        finally:
+            tracemalloc.stop()
+
+    def test_reused_work_matches_fresh_calls_bitwise(self):
+        g = ff.make_grid(300.0, 2**10)
+        stepper = DispersalStepper(ff.FastDiffusion(0.5), g)
+        u = v = np.exp(-g.x**2 / 100.0)
+        # fixed steps and a shorter landing step
+        for dt in (0.01, 0.01, 0.01, 0.0037, 0.01):
+            u = stepper.step_values(u, dt)
+            v = ff.fast_diffusion_step(ff.Field(g, v), 0.5, dt, g).values
+            assert u.tobytes() == v.tobytes()
+
+    def test_interleaved_steppers_match_sequential_runs(self):
+        specs = [(ff.FastDiffusion(0.5), ff.make_grid(300.0, 2**10)),
+                 (ff.FastDiffusion(0.3), ff.make_grid(100.0, 2**9))]
+        dts = (0.01, 0.01, 0.0037, 0.01)
+
+        def start(grid):
+            return np.exp(-grid.x**2 / 50.0)
+
+        sequential = []
+        for spec, g in specs:
+            stepper, u = DispersalStepper(spec, g), start(g)
+            for dt in dts:
+                u = stepper.step_values(u, dt)
+            sequential.append(u)
+        steppers = [DispersalStepper(spec, g) for spec, g in specs]
+        states = [start(g) for _, g in specs]
+        for dt in dts:
+            states = [st.step_values(u, dt) for st, u in zip(steppers, states)]
+        for u, ref in zip(states, sequential, strict=True):
+            assert u.tobytes() == ref.tobytes()
 
 
 class TestInitialConditions:

@@ -40,6 +40,14 @@ class TestComparison:
         with pytest.raises(ff.PreconditionViolated):
             ff.check_comparison(ff.Field(g, a), ff.Field(g, b), frac_cfg)
 
+    def test_data_off_the_run_grid_rejected(self, frac_cfg):
+        g = ff.make_grid(250.0, frac_cfg.N)
+        u0 = ff.Field(g, 0.5 * np.exp(-g.x**2 / 100.0))
+        with pytest.raises(ff.PreconditionViolated):
+            ff.check_comparison(u0, u0.copy(), frac_cfg)
+        with pytest.raises(ff.PreconditionViolated):
+            ff.check_comparison(ff.Field(frac_cfg.grid(), u0.values), u0, frac_cfg)
+
     def test_reproducible_bitwise(self, frac_cfg):
         g = frac_cfg.grid()
         rng = np.random.default_rng(5)
@@ -92,6 +100,10 @@ class TestMonotone:
             ff.check_monotone_preservation(ff.smoothed_step(frac_cfg.grid()), frac_cfg)
         assert err.value.time == pytest.approx(1.95)
 
+    def test_data_off_the_run_grid_rejected(self, frac_cfg):
+        with pytest.raises(ff.PreconditionViolated):
+            ff.check_monotone_preservation(ff.smoothed_step(ff.make_grid(100.0, 2**12)), frac_cfg)
+
     def test_increasing_data_rejected(self):
         cfg = ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(), t_end=1.0)
         g = cfg.grid()
@@ -124,6 +136,14 @@ class TestSpreading:
         g = cfg.grid()
         with pytest.raises(ff.GuardBreached):
             ff.check_spreading(ff.Field(g, np.exp(-g.x**2 / 4.0)), cfg, 0.5)
+
+    def test_data_off_the_run_grid_rejected(self):
+        # same N on a quarter of the box: the window and guard band were read
+        # off the data's grid while the run stepped on the config's
+        cfg = ff.RunConfig(L=400.0, N=2**10, dispersal=ff.StandardLaplacian(), t_end=5.0)
+        g = ff.make_grid(100.0, 2**10)
+        with pytest.raises(ff.PreconditionViolated, match="L=100"):
+            ff.check_spreading(ff.Field(g, np.exp(-g.x**2 / 100.0)), cfg, 3.0)
 
     def test_standard_passes_below_front_speed(self):
         cfg = ff.RunConfig(L=400.0, N=2**12, dispersal=ff.StandardLaplacian(), t_end=12.0)
