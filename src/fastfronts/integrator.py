@@ -258,11 +258,11 @@ class DispersalStepper:
         Linear operators write the result into `out` when given (it may be
         `values` itself) and otherwise return a new array. The fast
         diffusions always return a new array. Every operator raises
-        ParameterOutOfRange unless dt > 0, and LengthMismatch unless `values`
-        holds one sample per node.
+        ParameterOutOfRange unless dt is finite and > 0, and LengthMismatch
+        unless `values` holds one sample per node.
         """
-        if not dt > 0:
-            raise ParameterOutOfRange(f"dispersal step needs dt > 0, got {dt!r}")
+        if not 0 < dt < math.inf:
+            raise ParameterOutOfRange(f"dispersal step needs a finite dt > 0, got {dt!r}")
         _check_length(values, self.grid)
         if self.m is None:
             return self._nonlinear(values, dt)
@@ -309,11 +309,11 @@ def strang_step(
     substeps write into it; the RK4 and fast-diffusion substeps return a new
     state array (the Newton step's work arrays belong to the stepper), so
     callers must use the returned array, not `out`. The step
-    gates (dt > 0, one sample per node) run before any substep writes; a
-    step that leaves a NaN or an infinite value raises ValidationFailed.
+    gates (0 < dt < inf, one sample per node) run before any substep writes;
+    a step that leaves a NaN or an infinite value raises ValidationFailed.
     """
-    if not dt > 0:
-        raise ParameterOutOfRange(f"strang step needs dt > 0, got {dt!r}")
+    if not 0 < dt < math.inf:
+        raise ParameterOutOfRange(f"strang step needs a finite dt > 0, got {dt!r}")
     _check_length(values, stepper.grid)
     half = 0.5 * dt
     v = _reaction_update(values, reaction, half, out)

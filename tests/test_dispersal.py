@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import fastfronts as ff
-from fastfronts.dispersal import _kirchhoff, newton_work, sample_kernel
+from fastfronts.dispersal import _kirchhoff, _packed_multiplier, newton_work, sample_kernel
 
 
 def semigroup(spec, field, dt):
@@ -406,16 +406,26 @@ class TestFractionalFastDiffusion:
 
     @pytest.mark.parametrize("gamma", [0.5, 0.8])
     def test_subcycles_match_plain_expression_bitwise(self, gamma):
-        # the buffered loop against u = u + tau * irfft(rfft(max(u, eps)**gamma) * m)
+        # the buffered loop against the packed sub-cycle written out plainly:
+        # u = u + ifft(a * z + b * conj(z[-k]), norm="forward") with z the fft
+        # of max(u, eps)**gamma viewed as n/2 complex samples
         g = ff.make_grid(20.0, 128)
         f = ff.Field.from_function(g, lambda x: np.exp(-x**2 / 8.0))
         alpha, dt, n_sub, eps = 0.75, 0.01, 7, ff.EPS_REG
         m = ff.build_symbol(ff.FractionalLaplacian(alpha), g)
+        a, b = _packed_multiplier((dt / n_sub) * m)
+        reverse = -np.arange(g.n // 2) % (g.n // 2)
         u = f.values.copy()
         for _ in range(n_sub):
-            u = u + (dt / n_sub) * np.fft.irfft(np.fft.rfft(np.maximum(u, eps) ** gamma) * m)
+            z = np.fft.fft((np.maximum(u, eps) ** gamma).view(complex))
+            u = u + np.fft.ifft(a * z + b * np.conj(z[reverse]), norm="forward").view(float)
         out = ff.fractional_fast_diffusion_step(f, alpha, gamma, dt, g, n_sub=n_sub)
         assert out.values.tobytes() == u.tobytes()
+        # and within roundoff of the real-transform loop
+        v = f.values.copy()
+        for _ in range(n_sub):
+            v = v + (dt / n_sub) * np.fft.irfft(np.fft.rfft(np.maximum(v, eps) ** gamma) * m)
+        assert np.max(np.abs(out.values - v)) < 1e-13
 
     def test_gamma_one_converges_to_semigroup_first_order(self):
         g = ff.make_grid(10.0, 128)
@@ -429,3 +439,62 @@ class TestFractionalFastDiffusion:
         rate1 = errs[0] / errs[1]
         rate2 = errs[1] / errs[2]
         assert 1.7 < rate1 < 2.3 and 1.7 < rate2 < 2.3  # O(dt/n_sub)
+
+
+def packed_apply(x, f):
+    """irfft(f * rfft(x)) through the half-length complex transform pair."""
+    a, b = _packed_multiplier(f)
+    z = np.fft.fft(x.view(complex))
+    reverse = -np.arange(z.size) % z.size
+    return np.fft.ifft(a * z + b * np.conj(z[reverse]), norm="forward").view(float)
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(3, 13)])
+def test_packed_multiplier_matches_real_transform_pair(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    f = rng.standard_normal(n // 2 + 1)
+    f[0], f[-1] = 1.5, -2.0  # nonzero zero-frequency and Nyquist bins
+    ref = np.fft.irfft(f * np.fft.rfft(x), n=n)
+    scale = np.finfo(float).eps * np.log2(n) * np.max(np.abs(ref))
+    assert np.max(np.abs(packed_apply(x, f) - ref)) < 8 * scale
+    # a multiplier that vanishes at frequency zero adds no mass
+    f[0] = 0.0
+    du = packed_apply(x, f)
+    assert abs(du.sum()) < 8 * np.finfo(float).eps * np.log2(n) * np.abs(du).sum()
+
+
+def linear_stepper(field):
+    return ff.DispersalStepper(ff.FractionalLaplacian(0.5), field.grid)
+
+
+GATED_STEPS = {
+    "step_values": lambda f, dt: linear_stepper(f).step_values(f.values, dt),
+    "strang_step": lambda f, dt: ff.strang_step(f.values, linear_stepper(f), ff.KppLogistic(), dt),
+    "fast_diffusion_step": lambda f, dt, **kw: ff.fast_diffusion_step(f, 0.5, dt, f.grid, **kw),
+    "fractional_fast_diffusion_step": lambda f, dt, **kw: ff.fractional_fast_diffusion_step(
+        f, 0.75, 0.8, dt, f.grid, **kw),
+}
+BAD_STEPS = (
+    [(name, dt, {}) for name in GATED_STEPS for dt in (0.0, -0.01, np.nan, np.inf)]
+    + [("fractional_fast_diffusion_step", 0.01, {"n_sub": v}) for v in (0, 2.5, np.nan, True)]
+    + [("fast_diffusion_step", 0.01, {"max_iter": v}) for v in (0, 2.5, np.nan, True)]
+)
+
+
+@pytest.mark.parametrize("name, dt, counts", BAD_STEPS)
+def test_step_gates_reject_bad_dt_and_counts(name, dt, counts, monkeypatch):
+    # without the gates dt=inf gave a silent NaN state, an OverflowError or
+    # SolverSingular, and a fractional count a TypeError, by operator
+    field = ff.Field.constant(ff.make_grid(10.0, 64), 0.5)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the step's gates ran")
+
+    # the linear stepper builds its symbol through integrator's own binding,
+    # so only the work inside the dispersal step functions is forbidden
+    monkeypatch.setattr(ff.dispersal, "build_symbol", no_work)
+    monkeypatch.setattr(ff.dispersal, "newton_work", no_work)
+    with pytest.raises(ff.ParameterOutOfRange):
+        GATED_STEPS[name](field, dt, **counts)
+    assert np.all(field.values == 0.5)

@@ -50,6 +50,20 @@ def test_stepper_set_up_loads_its_scipy_module(spec, module):
     assert module in loaded
 
 
+def test_fractional_fast_diffusion_step_loads_no_scipy():
+    # the sub-cycle runs on numpy's own transforms, so scipy's import cost
+    # stays out of a fractional-fast-diffusion run's start-up
+    loaded = loaded_after(
+        "import numpy as np\n"
+        "import fastfronts as ff\n"
+        "g = ff.make_grid(50.0, 2**8)\n"
+        "s = ff.DispersalStepper(ff.FractionalFastDiffusion(0.75, 0.8), g)\n"
+        "s.step_values(np.exp(-g.x**2 / 100.0), 0.01)"
+    )
+    assert "fastfronts.dispersal" in loaded
+    assert not any(name == "scipy" or name.startswith("scipy.") for name in loaded)
+
+
 def unused_imports(source: str) -> list:
     """Names bound by the imports of `source` that it never reads.
 

@@ -154,7 +154,8 @@ class TestRun:
         # rolling by N/2 commutes bitwise with the whole split pipeline
         base = dict(L=200.0, N=2**11, t_end=2.0)
         for spec in (ff.StandardLaplacian(), ff.FractionalLaplacian(0.9),
-                     ff.Convolution(ff.StretchedExponential(0.5, 1.0))):
+                     ff.Convolution(ff.StretchedExponential(0.5, 1.0)),
+                     ff.FractionalFastDiffusion(0.75, 0.8)):
             g = ff.make_grid(base["L"], base["N"])
             u0 = np.exp(-g.x**2 / 100.0)
             s = g.n // 2
