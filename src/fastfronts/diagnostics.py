@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 
+# default occupancy levels bounding the interface width
+_WIDTH_HI, _WIDTH_LO = 2.0 / 3.0, 1.0 / 3.0
+
+
 def range_bounds(field: Field) -> tuple:
     """(min, max) over the nodes; discrete stand-ins for ess inf / ess sup."""
     vals = field.values
@@ -73,6 +77,20 @@ def _falling_crossing(xs: np.ndarray, profile: np.ndarray, level: float) -> floa
     return float(xs[i] + frac * (xs[i + 1] - xs[i]))
 
 
+def _suffix_max(vals: np.ndarray) -> np.ndarray:
+    """Running maximum from the right: entry i is max(vals[i:])."""
+    return np.maximum.accumulate(vals[::-1])[::-1]
+
+
+def _position(xs: np.ndarray, rmax: np.ndarray, lam: float) -> float:
+    """x_lam from the running maximum from the right of the scanned values."""
+    if lam <= rmax[-1]:
+        return float("inf")
+    if lam > rmax[0]:
+        return float("-inf")
+    return _falling_crossing(xs, rmax, lam)
+
+
 def level_position(field: Field, lam: float, *, window: slice = slice(None)) -> float:
     """Rightmost position where the running maximum from the right crosses lam.
 
@@ -85,10 +103,7 @@ def level_position(field: Field, lam: float, *, window: slice = slice(None)) -> 
     vals, xs = _windowed(field, window)
     if lam <= vals[-1]:
         return float("inf")
-    rmax = np.maximum.accumulate(vals[::-1])[::-1]
-    if lam > rmax[0]:
-        return float("-inf")
-    return _falling_crossing(xs, rmax, lam)
+    return _position(xs, _suffix_max(vals), lam)
 
 
 def stretching(field: Field, a: float, b: float, *, window: slice = slice(None)) -> float:
@@ -110,8 +125,8 @@ def stretching(field: Field, a: float, b: float, *, window: slice = slice(None))
 def interface_width(
     field: Field,
     *,
-    hi: float = 2.0 / 3.0,
-    lo: float = 1.0 / 3.0,
+    hi: float = _WIDTH_HI,
+    lo: float = _WIDTH_LO,
     window: slice = slice(None),
 ) -> float:
     """Width of the transition zone between the hi and lo occupancy levels.
@@ -129,15 +144,20 @@ def interface_width(
     if not (0.0 < lo < hi < 1.0):
         raise LambdaOutOfRange(f"need 0 < lo < hi < 1, got lo={lo!r}, hi={hi!r}")
     vals, xs = _windowed(field, window)
+    return _width(vals, xs, _suffix_max(vals), hi, lo)
+
+
+def _width(vals: np.ndarray, xs: np.ndarray, rmax: np.ndarray, hi: float, lo: float) -> float:
+    """interface_width on scanned values whose running maximum from the right
+    is `rmax`; its tail from the peak is the tail's own running maximum."""
     if float(vals.max()) < hi or float(vals.min()) > lo:
         raise ThresholdsNotSpanned(
             f"field range [{vals.min():g}, {vals.max():g}] does not span [{lo:g}, {hi:g}]"
         )
     i0 = int(np.argmax(vals))
-    tail = vals[i0:]
     tail_x = xs[i0:]
-    run_min = np.minimum.accumulate(tail)
-    run_max = np.maximum.accumulate(tail[::-1])[::-1]
+    run_min = np.minimum.accumulate(vals[i0:])
+    run_max = rmax[i0:]
     if run_min[-1] >= hi or run_max[-1] >= lo:
         raise ThresholdsNotSpanned(
             "profile right of its peak does not descend through both thresholds"
@@ -158,7 +178,11 @@ def flatness(field: Field, lam: float, radius: float, *, window: slice = slice(N
     """
     if not 0 <= radius < np.inf:
         raise ValidationFailed(f"flatness radius must be finite and >= 0, got {radius!r}")
-    pos = level_position(field, lam, window=window)
+    return _deviations(field, lam, radius, level_position(field, lam, window=window))
+
+
+def _deviations(field: Field, lam: float, radius: float, pos: float) -> tuple:
+    """flatness beside the level position `pos` already found for lam."""
     if not np.isfinite(pos):
         raise InfinitePosition(f"x_{lam:g} = {pos!r}")
     xs = field.grid.x
@@ -253,10 +277,14 @@ def build_report(traj) -> DiagnosticsReport:
     trajectory's window (`traj.window`). Quantities that are undefined on a
     given snapshot (sentinel positions, thresholds not spanned, windows
     leaving the domain) are recorded as nan rather than aborting the report.
+    Each snapshot takes one running maximum, shared by every level position
+    (the stretch pair's and the flatness level's too) and the interface
+    width, so each row equals the standalone functions bitwise.
     """
     cfg = traj.config
     levels = tuple(sorted(set(_CANONICAL_LEVELS).union(cfg.lambdas)))
     pair = tuple(cfg.stretch_pair)
+    scanned = set(levels).union(pair, (cfg.flat_level,))
 
     report = DiagnosticsReport(stretch_pair=pair)
     positions = {lam: [] for lam in levels}
@@ -264,21 +292,20 @@ def build_report(traj) -> DiagnosticsReport:
         lo, hi = range_bounds(fld)
         if not 0.0 <= lo <= hi <= 1.0:
             raise ValidationFailed(f"snapshot at t={t:g} left [0, 1]: range [{lo:g}, {hi:g}]")
-        row_levels = {}
+        vals, xs = _windowed(fld, traj.window)
+        rmax = _suffix_max(vals)
+        at = {lam: _position(xs, rmax, lam) for lam in scanned}
+        row_levels = {lam: at[lam] for lam in levels}
         for lam in levels:
-            pos = level_position(fld, lam, window=traj.window)
-            row_levels[lam] = pos
-            positions[lam].append(pos)
+            positions[lam].append(at[lam])
+        xa, xb = at[pair[0]], at[pair[1]]
+        s = xa - xb if np.isfinite(xa) and np.isfinite(xb) else float("nan")
         try:
-            s = stretching(fld, pair[0], pair[1], window=traj.window)
-        except InfinitePosition:
-            s = float("nan")
-        try:
-            w = interface_width(fld, window=traj.window)
+            w = _width(vals, xs, rmax, _WIDTH_HI, _WIDTH_LO)
         except ThresholdsNotSpanned:
             w = float("nan")
         try:
-            fl, fr = flatness(fld, cfg.flat_level, cfg.flat_radius, window=traj.window)
+            fl, fr = _deviations(fld, cfg.flat_level, cfg.flat_radius, at[cfg.flat_level])
         except (InfinitePosition, WindowOutOfDomain):
             fl, fr = float("nan"), float("nan")
         report.rows.append(

@@ -513,15 +513,15 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
         dash = f' stroke-dasharray="{style["dash"]}"' if "dash" in style else ""
         looks.append((style.get("markers"), _PALETTE[i % len(_PALETTE)], dash))
 
+    # px and py map a whole series in one pass, in the same operation order
+    # as on a scalar; one `%` then formats all its points
     for (name, xs, ys), (markers, color, dash) in zip(cleaned, looks):
+        flat = tuple(np.column_stack((px(xs), py(ys))).ravel().tolist())
         if markers:
-            pts = "".join(
-                f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="{color}"/>'
-                for x, y in zip(xs, ys)
-            )
-            parts.append(f"<g>{pts}</g>")
+            point = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>'
+            parts.append(f"<g>{(point * xs.size) % flat}</g>")
         else:
-            coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+            coords = " ".join(["%.2f,%.2f"] * xs.size) % flat
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"{dash}/>'

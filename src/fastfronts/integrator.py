@@ -319,7 +319,7 @@ def strang_step(
     v = _reaction_update(values, reaction, half, out)
     v = stepper.step_values(v, dt, out=out)
     v = _reaction_update(v, reaction, half, out)
-    hi, lo = float(np.max(v)), float(np.min(v))
+    hi, lo = float(v.max()), float(v.min())
     # max and min propagate NaN, and hi - lo is finite only when both are
     if not math.isfinite(hi - lo):
         raise ValidationFailed(f"step of dt={dt:g} left a non-finite range [{lo:g}, {hi:g}]")
@@ -429,7 +429,10 @@ def march(config: RunConfig) -> tuple:
             t_local = 0.0
             for k, dt_step in enumerate(segment, 1):
                 u, over = strang_step(u, stepper, config.reaction, dt_step, out=u)
-                np.clip(u, 0.0, 1.0, out=u)
+                # over == 0 puts every value in [0, 1] already (a non-finite
+                # step raised), so the clamp would change no bit
+                if over > 0:
+                    np.clip(u, 0.0, 1.0, out=u)
                 t_local += dt_step
                 yield t_prev + t_local, u, over, label if k == len(segment) else None
             t_prev = target

@@ -292,6 +292,48 @@ class TestReport:
         with pytest.raises(ff.ValidationFailed):
             build_report(traj)
 
+    @pytest.mark.parametrize(
+        "initial, settings",
+        [
+            (ff.Indicator(0.0), {}),
+            # levels, stretch pair and flatness level that share no value
+            (ff.GaussianBump(100.0), dict(lambdas=(0.3,), stretch_pair=(0.25, 0.7),
+                                          flat_level=0.45, flat_radius=3.0)),
+        ],
+        ids=["front", "bump"],
+    )
+    def test_rows_equal_standalone_functions_bitwise(self, initial, settings):
+        cfg = ff.RunConfig(L=100.0, N=2**10, dispersal=ff.StandardLaplacian(), t_end=3.0,
+                           initial=initial, **settings)
+        traj = ff.run(cfg)
+        assert (traj.window == slice(None)) == isinstance(initial, ff.GaussianBump)
+        window = traj.window
+        # a flat snapshot puts sentinels in every level and nan in the rest
+        traj.times.append(cfg.t_end + 1.0)
+        traj.fields.append(ff.Field.constant(traj.grid, 0.5))
+        nan = float("nan")
+        rows = build_report(traj).rows
+        for (t, fld), row in zip(traj.snapshots(), rows, strict=True):
+            levels = {lam: ff.level_position(fld, lam, window=window) for lam in row.levels}
+            try:
+                stretch = ff.stretching(fld, *cfg.stretch_pair, window=window)
+            except ff.InfinitePosition:
+                stretch = nan
+            try:
+                width = ff.interface_width(fld, window=window)
+            except ff.ThresholdsNotSpanned:
+                width = nan
+            try:
+                devs = ff.flatness(fld, cfg.flat_level, cfg.flat_radius, window=window)
+            except (ff.InfinitePosition, ff.WindowOutOfDomain):
+                devs = (nan, nan)
+            expected = [t, *ff.range_bounds(fld), *levels.values(), stretch, width, *devs]
+            got = [row.t, row.m, row.M, *row.levels.values(), row.stretch, row.width,
+                   row.flat_left, row.flat_right]
+            assert set(levels) == {0.4, 0.5, 0.6, *cfg.lambdas}
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert np.isinf(list(rows[-1].levels.values())).all() and np.isnan(rows[-1].stretch)
+
     def test_front_report_scans_the_guard_window_only(self):
         # the window stops at node 7168 (x = 300 = 0.75 L); a spike on that
         # node lies outside it, so no level position may move to x = 300

@@ -3,6 +3,7 @@ preset fidelity against the hard-coded parameter table, CSV round trips,
 SVG determinism, sweeps, and the CLI surface.
 """
 
+import hashlib
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -319,6 +320,11 @@ class TestCsv:
             ff.read_csv(path)
 
 
+# sha256 of the chart that test_chart_bytes_pinned draws, as the per-point
+# formatter (one f-string per coordinate pair) wrote it
+_PINNED_CHART_SHA256 = "bec8032528df390a7bd6cd0bac8a00a1f2647e6f9bff716c167773277a922cd1"
+
+
 class TestCharts:
     def test_deterministic_bytes(self, tmp_path):
         series = [("a", [0.0, 1.0, 2.0], [0.0, 1.0, 4.0]), ("b", [0.0, 2.0], [1.0, 0.0])]
@@ -367,6 +373,28 @@ class TestCharts:
             ff.emit_chart([], tmp_path / "no.svg")
         with pytest.raises(ff.EmptySeries):
             ff.emit_chart([("one", [0.0], [1.0])], tmp_path / "one.svg")
+
+    def test_chart_bytes_pinned(self, tmp_path):
+        # x spans [0, 580], the plot width, so px(x) = 70 + x up to roundoff;
+        # 116 of the 246 x coordinates land exactly on a halfway case .xx5
+        xs = np.append(np.arange(0.0, 580.0, 2.375), 580.0)
+        # only correctly rounded operations, so the bytes do not hang on a libm
+        solid = (xs - 290.0) * (xs - 290.0) / 84100.0 - 3.0
+        solid[[5, 40]] = np.nan, np.inf
+        dashed = -1.0 - 0.25 * np.mod(xs, 23.0) / 23.0
+        dashed[77] = -np.inf
+        marks_x = np.arange(0.0, 580.0, 14.5)
+        series = [("solid", xs, solid), ("dashed", xs, dashed),
+                  ("marks", marks_x, -2.0 + marks_x / 580.0)]
+        path = tmp_path / "pinned.svg"
+        dropped = ff.emit_chart(series, path, title="pinned", x_label="x", y_label="u",
+                                styles=[{}, {"dash": "4,2"}, {"markers": True}])
+        assert dropped == 3
+        body = path.read_text()
+        assert body.count("<polyline") == 2 and 'stroke-dasharray="4,2"' in body
+        # halfway cases round to even: 72.375 up, 77.125 down
+        assert "72.38," in body and "77.12," in body
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_CHART_SHA256
 
     def test_sentinels_dropped_with_warning_count(self, tmp_path):
         xs = [0.0, 1.0, 2.0, 3.0]
