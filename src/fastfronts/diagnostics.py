@@ -257,12 +257,15 @@ class SnapshotDiagnostics:
 
 @dataclass
 class DiagnosticsReport:
-    """Per-snapshot observables plus level traces and fitted speeds."""
+    """Per-snapshot observables plus level traces and fitted speeds;
+    `levels` are the tracked levels in ascending order, the keys of every
+    row's `levels`."""
 
     rows: list = dc_field(default_factory=list)
     traces: dict = dc_field(default_factory=dict)
     speeds: dict = dc_field(default_factory=dict)
     stretch_pair: tuple = (0.4, 0.6)
+    levels: tuple = _CANONICAL_LEVELS
 
     @property
     def times(self) -> np.ndarray:
@@ -286,7 +289,7 @@ def build_report(traj) -> DiagnosticsReport:
     pair = tuple(cfg.stretch_pair)
     scanned = set(levels).union(pair, (cfg.flat_level,))
 
-    report = DiagnosticsReport(stretch_pair=pair)
+    report = DiagnosticsReport(stretch_pair=pair, levels=levels)
     positions = {lam: [] for lam in levels}
     for t, fld in traj.snapshots():
         lo, hi = range_bounds(fld)

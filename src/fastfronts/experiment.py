@@ -1,5 +1,5 @@
-"""Experiment front end: config documents, figure presets, CSV and SVG
-emitters, and concurrent parameter sweeps.
+"""Experiment front end: config documents, figure presets, the snapshot dump,
+CSV and SVG emitters, and concurrent parameter sweeps.
 
 Config documents are flat `section.key = value` lines with `#` comments.
 Sections: grid, dispersal, reaction, time, initial, diagnostics, output.
@@ -44,7 +44,6 @@ from .integrator import (
     TabulatedInitial,
     Trajectory,
     run,
-    save_snapshots,
 )
 from .reaction import KppLogistic
 
@@ -55,6 +54,7 @@ __all__ = [
     "run_preset",
     "emit_csv",
     "read_csv",
+    "save_snapshots",
     "emit_chart",
     "sweep_values",
     "run_sweep",
@@ -268,6 +268,35 @@ def make_out_dir(path) -> Path:
     return out
 
 
+# Lines per `%` operation in save_snapshots: a block of text (about 1.5 kB)
+# that fits in the file's write buffer.
+_DUMP_ROWS = 32
+
+
+def save_snapshots(traj: Trajectory, path) -> None:
+    """Dump a trajectory: `# t=<value>` header then one `x u` line per node.
+
+    The x column is formatted once per dump into `"<x> %.17g"` line
+    templates of `_DUMP_ROWS` lines each; every snapshot fills them one
+    block at a time with one `%` operation, so the writer holds one block of
+    formatted values at a time.
+    """
+    x = traj.grid.x
+    templates = [
+        "".join(f"{xv:.17g} %.17g\n" for xv in x[start:start + _DUMP_ROWS])
+        for start in range(0, x.size, _DUMP_ROWS)
+    ]
+    try:
+        with open(path, "w") as fh:
+            for t, fld in traj.snapshots():
+                fh.write(f"# t={t:.17g}\n")
+                for k, template in enumerate(templates):
+                    block = fld.values[k * _DUMP_ROWS:(k + 1) * _DUMP_ROWS]
+                    fh.write(template % tuple(block.tolist()))
+    except OSError as exc:
+        raise IoFailure(f"cannot write snapshots to {path}: {exc}") from exc
+
+
 def write_run_files(stem: str, traj: Trajectory, report: DiagnosticsReport, out: Path) -> tuple:
     """Write `<stem>_snapshots.txt` and `<stem>_diagnostics.csv` into `out`;
     returns their paths. Every verb names a run's files here."""
@@ -320,7 +349,7 @@ def run_preset(name: str, out_dir) -> dict:
         paths["fig2:stretching"] = out / "fig2_stretching.svg"
         emit_chart(
             series, paths["fig2:stretching"],
-            title="level-set separation x_0.4 - x_0.6", x_label="t", y_label="distance",
+            title=f"level-set separation x_{a:g} - x_{b:g}", x_label="t", y_label="distance",
             styles=[{}, {"dash": "8,4"}, {"dash": "2,3"}, {"markers": True}],
         )
     return result
@@ -341,24 +370,25 @@ def _fmt(value: float) -> str:
 def emit_csv(report: DiagnosticsReport, path) -> None:
     """Write the per-snapshot diagnostics table.
 
-    Header: t,m,M,x_0.4,x_0.5,x_0.6,stretch_a_b,width,flat_left,flat_right
-    with one row per snapshot in time order. Level sentinels are written as
-    -inf/+inf; undefined diagnostics as nan. Values carry 17 significant
-    digits so parsing the file recovers them exactly.
+    Header: t,m,M, one x_<level> column per report level in ascending order
+    (x_0.4,x_0.5,x_0.6 unless the config adds lambdas), then
+    stretch_a_b,width,flat_left,flat_right, with one row per snapshot in
+    time order. Each level is labelled with its shortest repr, so distinct
+    levels never share a label. Level sentinels are written as -inf/+inf;
+    undefined diagnostics as nan. Values carry 17 significant digits so
+    parsing the file recovers them exactly.
     """
     a, b = report.stretch_pair
-    header = (
-        f"t,m,M,x_0.4,x_0.5,x_0.6,stretch_{a:g}_{b:g},width,flat_left,flat_right"
-    )
+    levels = sorted(report.levels)
+    header = ",".join([
+        "t,m,M", *(f"x_{float(lam)!r}" for lam in levels),
+        f"stretch_{a:g}_{b:g},width,flat_left,flat_right",
+    ])
     lines = [header]
     for row in report.rows:
-        cells = [
-            _fmt(row.t), _fmt(row.m), _fmt(row.M),
-            _fmt(row.levels[0.4]), _fmt(row.levels[0.5]), _fmt(row.levels[0.6]),
-            _fmt(row.stretch), _fmt(row.width),
-            _fmt(row.flat_left), _fmt(row.flat_right),
-        ]
-        lines.append(",".join(cells))
+        cells = (row.t, row.m, row.M, *(row.levels[lam] for lam in levels),
+                 row.stretch, row.width, row.flat_left, row.flat_right)
+        lines.append(",".join(map(_fmt, cells)))
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:

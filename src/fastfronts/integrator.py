@@ -34,7 +34,7 @@ from .dispersal import (
     fractional_fast_diffusion_step,
     newton_work,
 )
-from .errors import GuardBreached, IoFailure, LengthMismatch, ParameterOutOfRange, ValidationFailed
+from .errors import GuardBreached, LengthMismatch, ParameterOutOfRange, ValidationFailed
 from .grid import Field, Grid, make_grid
 from .reaction import (
     KppLogistic,
@@ -55,15 +55,11 @@ __all__ = [
     "DispersalStepper",
     "strang_step",
     "run",
-    "save_snapshots",
 ]
 
 # Relative slack used when deciding whether a residual step is a genuine step
 # or floating-point dust from the segment arithmetic.
 _TIME_DUST = 1e-9
-# Lines per `%` operation in save_snapshots: a block of text (about 1.5 kB)
-# that fits in the file's write buffer.
-_DUMP_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +220,9 @@ class DispersalStepper:
     the operator families apart: FastDiffusion binds the Newton step and
     FractionalFastDiffusion the sub-cycled step, each looked up in this module
     at call time, and any other spec goes to build_symbol (NonlinearVariant if
-    it has no symbol). Linear operators cache exp(m dt) for the two most
-    recently used dt, the fixed step and the latest landing step, and reuse
+    it has no symbol). Linear operators keep exp(m dt) for the last dt only,
+    recomputed when dt changes: a run takes its fixed step throughout, and a
+    landing step comes only from a snapshot time off the dt grid. They reuse
     one buffer for the real-transform bins. FastDiffusion allocates the Newton
     work arrays (dispersal.newton_work) once and passes them to every step,
     so its Newton iterates allocate nothing.
@@ -235,7 +232,6 @@ class DispersalStepper:
         self.grid = grid
         # multipliers on the real-transform bins 0..n/2; None for the fast diffusions
         self.m: Optional[np.ndarray] = None
-        self._factors: dict = {}
         if isinstance(spec, FastDiffusion):
             # the Newton solves need scipy.linalg: load it here, as set-up,
             # not inside the first step
@@ -251,6 +247,7 @@ class DispersalStepper:
         else:
             self.m = build_symbol(spec, grid)
             self._bins = np.empty(self.m.size, dtype=complex)
+            self._dt, self._factor = None, None
 
     def step_values(self, values: np.ndarray, dt: float, out=None) -> np.ndarray:
         """Advance `values` by dt; never changes `values` unless it is `out`.
@@ -266,17 +263,10 @@ class DispersalStepper:
         _check_length(values, self.grid)
         if self.m is None:
             return self._nonlinear(values, dt)
-        # insertion order is recency order: a hit moves dt to the end,
-        # a miss evicts the least recently used of two entries
-        factors = self._factors
-        factor = factors.pop(dt, None)
-        if factor is None:
-            factor = np.exp(self.m * dt)
-            if len(factors) == 2:
-                del factors[next(iter(factors))]
-        factors[dt] = factor
+        if dt != self._dt:
+            self._dt, self._factor = dt, np.exp(self.m * dt)
         bins = np.fft.rfft(values, out=self._bins)
-        bins *= factor
+        bins *= self._factor
         return np.fft.irfft(bins, n=self.grid.n, out=out)
 
 
@@ -465,26 +455,3 @@ def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
         raise GuardBreached(traj.guard_breach_time)
     return traj
 
-
-def save_snapshots(traj: Trajectory, path) -> None:
-    """Dump a trajectory: `# t=<value>` header then one `x u` line per node.
-
-    The x column is formatted once per dump into `"<x> %.17g"` line
-    templates of `_DUMP_ROWS` lines each; every snapshot fills them one
-    block at a time with one `%` operation, so the writer holds one block of
-    formatted values at a time.
-    """
-    x = traj.grid.x
-    templates = [
-        "".join(f"{xv:.17g} %.17g\n" for xv in x[start:start + _DUMP_ROWS])
-        for start in range(0, x.size, _DUMP_ROWS)
-    ]
-    try:
-        with open(path, "w") as fh:
-            for t, fld in traj.snapshots():
-                fh.write(f"# t={t:.17g}\n")
-                for k, template in enumerate(templates):
-                    block = fld.values[k * _DUMP_ROWS:(k + 1) * _DUMP_ROWS]
-                    fh.write(template % tuple(block.tolist()))
-    except OSError as exc:
-        raise IoFailure(f"cannot write snapshots to {path}: {exc}") from exc

@@ -438,6 +438,22 @@ class TestCli:
         assert (tmp_path / "out" / "small_snapshots.txt").exists()
         assert (tmp_path / "out" / "small_diagnostics.csv").exists()
 
+    def test_run_writes_a_column_per_configured_level(self, tmp_path, capsys):
+        text = SMALL_CFG + "diagnostics.lambdas = 0.1, 0.9\n"
+        cfg = tmp_path / "levels.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+        header, rows = ff.read_csv(tmp_path / "levels_diagnostics.csv")
+        assert header == ["t", "m", "M", "x_0.1", "x_0.4", "x_0.5", "x_0.6", "x_0.9",
+                          "stretch_0.4_0.6", "width", "flat_left", "flat_right"]
+        report = ff.build_report(ff.run(ff.parse_config_text(text)[0]))
+        expected = [
+            [r.t, r.m, r.M, *(r.levels[lam] for lam in (0.1, 0.4, 0.5, 0.6, 0.9)),
+             r.stretch, r.width, r.flat_left, r.flat_right]
+            for r in report.rows
+        ]
+        assert np.asarray(rows).tobytes() == np.asarray(expected).tobytes()
+
     def test_properties_command(self, tmp_path, capsys):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)

@@ -1,12 +1,15 @@
 """Import guard: `import fastfronts` loads numpy and no scipy, and each scipy
-submodule loads only when an operator that needs it is built; and no module
-of the package imports a name it never uses.
+submodule loads only when an operator that needs it is built; no module of
+the package imports a name it never uses; and the package namespace is
+exactly the union of the names its modules declare public.
 
 Every load check runs in a fresh interpreter, so modules that other tests
 loaded do not count, and checks membership in sys.modules only, never a time.
 """
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +110,27 @@ def test_unused_import_finder_flags_an_unread_name():
         "import numpy.linalg  # noqa: F401\nfrom math import pi\nprint(sys)\n"
     )
     assert unused_imports(source) == ["os", "pi"]
+
+
+# the modules `fastfronts/__init__.py` re-exports, in its order
+PUBLIC_MODULES = ("errors", "grid", "dispersal", "reaction", "integrator", "diagnostics",
+                  "properties", "experiment")
+
+
+def test_package_namespace_is_the_union_of_module_declarations():
+    # a module's declaration is its __all__; without one (errors), every name
+    # without a leading underscore, which is what `import *` takes
+    import fastfronts as ff
+
+    declared = {}
+    for name in PUBLIC_MODULES:
+        module = importlib.import_module(f"fastfronts.{name}")
+        names = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
+        declared.update((n, module) for n in names)
+    public = {
+        n for n, value in vars(ff).items()
+        if not n.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(declared)
+    for n, module in declared.items():
+        assert getattr(ff, n) is getattr(module, n), n

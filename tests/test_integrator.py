@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fastfronts as ff
-from fastfronts import integrator
+from fastfronts import experiment, integrator
 from fastfronts.dispersal import build_symbol
 from fastfronts.integrator import DispersalStepper, _segment_steps
 
@@ -318,7 +318,7 @@ class TestSnapshotDump:
         # negative and zero x, and a snapshot time that is not an integer;
         # small block sizes split the 8 lines into full and partial blocks
         if block is not None:
-            monkeypatch.setattr(integrator, "_DUMP_ROWS", block)
+            monkeypatch.setattr(experiment, "_DUMP_ROWS", block)
         cfg = ff.RunConfig(L=3.0, N=8, dispersal=ff.StandardLaplacian(), t_end=1.0)
         grid = cfg.grid()
         rows = [
@@ -417,7 +417,7 @@ class TestInPlaceStepping:
     @staticmethod
     def _check_cached_steps(spec):
         """Each step is bitwise irfft(rfft(u) * exp(m dt)) with the symbol's
-        N/2 + 1 bins, and the cache never holds more than two factors."""
+        N/2 + 1 bins, and the stepper holds the one factor of the last dt."""
         g = ff.make_grid(50.0, 2**8)
         stepper = DispersalStepper(spec, g)
         u = np.exp(-g.x**2 / 40.0)
@@ -426,15 +426,16 @@ class TestInPlaceStepping:
             # the fixed step between landing steps of 50 distinct sizes
             for dt in (0.01, 0.01 * (k + 1) / 51):
                 v = stepper.step_values(u, dt)
-                expected = np.fft.irfft(np.fft.rfft(u) * np.exp(m * dt), n=g.n)
+                factor = np.exp(m * dt)
+                expected = np.fft.irfft(np.fft.rfft(u) * factor, n=g.n)
                 assert v.tobytes() == expected.tobytes()
-                assert len(stepper._factors) <= 2
-        assert 0.01 in stepper._factors
+                assert stepper._dt == dt
+                assert stepper._factor.tobytes() == factor.tobytes()
 
-    def test_factor_cache_keeps_two_step_sizes(self):
+    def test_factor_cache_holds_the_last_step_size(self):
         self._check_cached_steps(ff.FractionalLaplacian(0.5))
 
-    def test_convolution_factor_cache_keeps_two_step_sizes(self):
+    def test_convolution_factor_cache_holds_the_last_step_size(self):
         self._check_cached_steps(ff.Convolution(ff.StretchedExponential(0.5, 1.0)))
 
     def test_logistic_out_matches_allocating_form(self):
