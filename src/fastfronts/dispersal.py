@@ -377,9 +377,9 @@ def convolve_direct(field: Field, kernel: KernelSpec, grid: Grid) -> Field:
 def newton_work(n: int) -> tuple:
     """Work arrays of the fast-diffusion Newton step on n nodes, as the
     `work` argument of fast_diffusion_step: the Jacobian bands ab (3, n), the
-    right-hand side rhs, the potential w, its slope d and the below-floor
-    mask. The two band corners that the tridiagonal solve never reads are
-    zeroed here; every iterate overwrites the rest."""
+    right-hand side rhs, the potential w, its slope d and the mask of nodes
+    at or above the floor. The two band corners that the tridiagonal solve
+    never reads are zeroed here; every iterate overwrites the rest."""
     ab = np.empty((3, n))
     ab[0, 0] = ab[2, -1] = 0.0
     return ab, np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
@@ -387,23 +387,39 @@ def newton_work(n: int) -> tuple:
 
 def _kirchhoff(u: np.ndarray, gamma: float, eps: float, work: tuple) -> tuple:
     """Monotone potential w and its slope d = gamma * max(u, eps)^(gamma - 1),
-    written into work's w and d (work from newton_work; its rhs holds the
-    below-floor line).
+    written into work's w and d (work from newton_work; its rhs holds p).
 
     w equals u^gamma above the floor and continues linearly below it, so it is
     defined and increasing on the whole line (Newton iterates may leave [0,1]).
-    One power per call: with m = max(u, eps) and p = m^gamma, d = gamma * p / m.
+    With m = max(u, eps) and p = m^gamma, d = gamma * p / m.
+
+    The power is taken only on the span from the first node with u >= eps to
+    the last one, read off the mask with one argmax from each end; when every
+    node is below the floor the span is empty and no power is taken. w is the
+    line everywhere and the power branch is copied in where u >= eps; outside
+    the span d is the floor slope, made by the same ufuncs on one element.
+    Elementwise ufuncs do not depend on an element's position, so w and d are
+    bitwise what the full-array formula gives.
     """
-    _, lo, w, d, below = work
-    np.maximum(u, eps, out=d)
-    np.power(d, gamma, out=w)
-    np.divide(w, d, out=d)
-    d *= gamma
-    np.subtract(u, eps, out=lo)
-    lo *= gamma * eps ** (gamma - 1.0)
-    lo += eps ** gamma
-    np.less(u, eps, out=below)
-    np.copyto(w, lo, where=below)
+    _, p, w, d, above = work
+    np.greater_equal(u, eps, out=above)
+    first = int(above.argmax())
+    end = u.size - int(above[::-1].argmax()) if above[first] else first
+    np.subtract(u, eps, out=w)
+    w *= gamma * eps ** (gamma - 1.0)
+    w += eps ** gamma
+    floor = np.full(1, eps)
+    np.divide(np.power(floor, gamma), floor, out=floor)
+    floor *= gamma
+    d[:first] = d[end:] = floor[0]
+    if first < end:
+        span = slice(first, end)
+        ds, ps = d[span], p[span]
+        np.maximum(u[span], eps, out=ds)
+        np.power(ds, gamma, out=ps)
+        np.divide(ps, ds, out=ds)
+        ds *= gamma
+        np.copyto(w[span], ps, where=above[span])
     return w, d
 
 
@@ -445,6 +461,17 @@ def _require_positive(name: str, value: float) -> None:
         raise ParameterOutOfRange(f"{name} must be finite and > 0, got {value!r}")
 
 
+def _require_work(work, n: int) -> None:
+    """Gate a caller's Newton work: the five arrays of newton_work(n), in order."""
+    if not (isinstance(work, tuple) and len(work) == 5
+            and all(isinstance(a, np.ndarray) for a in work)):
+        raise ValidationFailed("Newton work must be the tuple of 5 arrays from newton_work")
+    if work[0].shape != (3, n) or any(a.shape != (n,) for a in work[1:]):
+        raise LengthMismatch(f"Newton work arrays do not fit a grid of {n} nodes")
+    if any(a.dtype != np.float64 for a in work[:4]) or work[4].dtype != np.bool_:
+        raise ValidationFailed("Newton work needs four float64 arrays and a bool mask")
+
+
 def fast_diffusion_step(
     field: Field,
     gamma: float,
@@ -459,13 +486,15 @@ def fast_diffusion_step(
 
     Homogeneous Neumann ends. The step solves u - dt * Lap(w(u)) = u0 for the
     Kirchhoff potential w by Newton's method: each iterate evaluates w and its
-    slope with one power, then makes one tridiagonal direct solve with the
-    Jacobian at the current iterate. The iteration is driven until the
-    residual's max norm is at most 1e-13, which makes the step
-    order-preserving; if the iterate after max_iter solves is still above it,
-    the step raises SolverNotConverged instead of returning it, whatever
-    max_iter is. Discrete mass dx * sum(u) is conserved up to the iteration
-    residual.
+    slope, taking a power only on the span from the first node at or above
+    eps_reg to the last one (a line and a constant slope outside it; early
+    in a run that span is a small part of the box), then makes one
+    tridiagonal direct solve with the Jacobian at the current iterate. The
+    iteration is driven until the residual's max norm is at most 1e-13, which
+    makes the step order-preserving; if the iterate after max_iter solves is
+    still above it, the step raises SolverNotConverged instead of returning
+    it, whatever max_iter is. Discrete mass dx * sum(u) is conserved up to
+    the iteration residual.
 
     dt and eps_reg must be finite and > 0 and max_iter an integer >= 1
     (ParameterOutOfRange otherwise). A NaN or infinite input raises
@@ -476,13 +505,13 @@ def fast_diffusion_step(
     Apart from the returned state, the step allocates nothing per Newton
     iterate: every pass writes into the arrays of `work`, as built by
     newton_work(grid.n). DispersalStepper owns one such set for its run;
-    without `work` the call builds its own, and work for another node count
-    raises LengthMismatch.
+    without `work` the call builds its own. Other work raises LengthMismatch
+    if its shapes differ from newton_work(grid.n)'s, else ValidationFailed.
     """
     if field.grid.n != grid.n:
         raise LengthMismatch("field does not match grid")
-    if work is not None and any(a.shape[-1] != grid.n for a in work):
-        raise LengthMismatch(f"Newton work arrays do not fit a grid of {grid.n} nodes")
+    if work is not None:
+        _require_work(work, grid.n)
     if not (0.0 < gamma <= 1.0):
         raise ParameterOutOfRange(f"gamma={gamma!r} not in (0,1]")
     _require_positive("dt", dt)

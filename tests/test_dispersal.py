@@ -317,6 +317,26 @@ class TestFastDiffusion:
         with pytest.raises(ff.LengthMismatch):
             ff.fast_diffusion_step(f, 0.5, 0.01, g, work=newton_work(128))
 
+    @pytest.mark.parametrize("error, malform", [
+        (ff.ValidationFailed, lambda work: work[:4]),
+        (ff.LengthMismatch, lambda work: (work[0][:2],) + work[1:]),
+        (ff.ValidationFailed, lambda work: work[:4] + (work[4].astype(float),)),
+        (ff.ValidationFailed, lambda work: (work[0], work[1].astype(int)) + work[2:]),
+    ], ids=["four_arrays", "two_band_rows", "float_mask", "int_rhs"])
+    def test_malformed_work_fails_before_any_work(self, error, malform, monkeypatch):
+        # unchecked, these ended in ValueError, IndexError, TypeError and
+        # UFuncTypeError from inside the Newton loop
+        g = ff.make_grid(10.0, 64)
+        f = ff.Field.constant(g, 0.5)
+        work = malform(newton_work(g.n))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("Newton work started before the work gate ran")
+
+        monkeypatch.setattr(ff.dispersal, "_kirchhoff", no_work)
+        with pytest.raises(error):
+            ff.fast_diffusion_step(f, 0.5, 0.01, g, work=work)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_fails_loudly(self, bad):
         g = ff.make_grid(10.0, 64)
@@ -376,6 +396,52 @@ def test_kirchhoff_branches_and_slope(gamma):
     right, _ = _kirchhoff(np.array([eps * (1 + 1e-12)]), gamma, eps, newton_work(1))
     assert abs(left[0] - eps**gamma) < 1e-11 * eps**gamma
     assert abs(right[0] - eps**gamma) < 1e-11 * eps**gamma
+
+
+def _kirchhoff_full_array(u, gamma, eps):
+    """The full-array potential and slope: one power on every node, then the
+    below-floor line copied in where u < eps."""
+    lo, w, d, below = np.empty_like(u), np.empty_like(u), np.empty_like(u), u < eps
+    np.maximum(u, eps, out=d)
+    np.power(d, gamma, out=w)
+    np.divide(w, d, out=d)
+    d *= gamma
+    np.subtract(u, eps, out=lo)
+    lo *= gamma * eps ** (gamma - 1.0)
+    lo += eps ** gamma
+    np.copyto(w, lo, where=below)
+    return w, d
+
+
+def _kirchhoff_states(n, eps):
+    """States by span shape: none, the whole box, exactly eps, touching
+    either end, with below-floor holes, and negative Newton iterates."""
+    rng = np.random.default_rng(n)
+    mixed = rng.uniform(0.0, 2.0 * eps, n) * 10.0 ** rng.uniform(-4.0, 4.0, n)
+    holes = np.where(rng.random(n) < 0.3, 0.25 * eps, rng.uniform(eps, 1.0, n))
+    holes[0] = holes[-1] = 0.0
+    left = np.linspace(1.0, -eps, n)
+    return {
+        "all_below": np.full(n, 0.5 * eps) - rng.random(n) * eps,
+        "all_above": eps + rng.random(n),
+        "exactly_eps": np.full(n, eps),
+        "touches_left": left,
+        "touches_right": left[::-1].copy(),
+        "holes": holes,
+        "mixed": mixed,
+        "negative": rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-12.0, 0.0, n),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+@pytest.mark.parametrize("eps", [1e-8, 1e-4])
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8, 1.0])
+def test_kirchhoff_span_is_bitwise_the_full_array_formula(gamma, eps, n):
+    for name, u in _kirchhoff_states(n, eps).items():
+        w, d = _kirchhoff(u, gamma, eps, newton_work(n))
+        expected_w, expected_d = _kirchhoff_full_array(u, gamma, eps)
+        assert w.tobytes() == expected_w.tobytes(), name
+        assert d.tobytes() == expected_d.tobytes(), name
 
 
 class TestFractionalFastDiffusion:

@@ -454,13 +454,13 @@ class TestInPlaceStepping:
 class TestNewtonWork:
     """The fast-diffusion stepper owns its Newton work arrays for the run."""
 
-    def test_step_allocates_one_state_array(self):
+    @staticmethod
+    def _check_one_state_array_per_step(g, u):
         # each step returns one fresh state; the Newton iterates write into
         # the stepper's arrays, so the traced peak above the start stays near
         # one state array (an allocating loop peaks near ten)
-        g = ff.make_grid(400.0, 2**14)
         stepper = DispersalStepper(ff.FastDiffusion(0.5), g)
-        u = stepper.step_values(np.exp(-g.x**2 / 100.0), 0.01)
+        u = stepper.step_values(u, 0.01)
         tracemalloc.start()
         try:
             for _ in range(3):
@@ -471,6 +471,19 @@ class TestNewtonWork:
                 assert peak - start <= 1.5 * 8 * g.n
         finally:
             tracemalloc.stop()
+
+    def test_step_allocates_one_state_array(self):
+        g = ff.make_grid(400.0, 2**14)
+        self._check_one_state_array_per_step(g, np.exp(-g.x**2 / 100.0))
+
+    @pytest.mark.parametrize("floor_span", ["empty", "whole_box"])
+    def test_step_allocates_one_state_array_at_span_extremes(self, floor_span):
+        # the power span is found without an index array: a search such as
+        # flatnonzero over the whole-box span would add one more state array
+        g = ff.make_grid(400.0, 2**14)
+        bump = np.exp(-g.x**2 / 100.0)
+        u = 1e-9 * bump if floor_span == "empty" else 0.5 + 0.4 * bump
+        self._check_one_state_array_per_step(g, u)
 
     def test_reused_work_matches_fresh_calls_bitwise(self):
         g = ff.make_grid(300.0, 2**10)
