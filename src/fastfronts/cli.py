@@ -86,7 +86,7 @@ def _cmd_properties(args) -> int:
     u0, v0 = ordered_gaussian_pair(grid, rng)
     verdicts.append(check_comparison(u0, v0, config))
     verdicts.append(check_monotone_preservation(smoothed_step(grid), config))
-    if args.speed > 0:
+    if args.speed != 0:
         verdicts.append(check_spreading(u0, config, args.speed))
     try:
         verdicts.append(check_mass_neutral(config))

@@ -156,19 +156,22 @@ class AlgebraicTail:
 
 @dataclass(frozen=True)
 class TabulatedKernel:
-    """Kernel given by (x, J(x)) samples; linear interpolation, zero outside."""
+    """Kernel given by (x, J(x)) samples; linear interpolation, zero outside.
+
+    The constructor stores x and j as tuples of floats and raises
+    ValidationFailed unless they are equal-length finite 1D columns of at
+    least 2 samples, x strictly increasing and J nonnegative and even."""
 
     x: tuple = field(repr=False)
     j: tuple = field(repr=False)
     normalize: bool = True
 
-    def __repr__(self) -> str:
-        return f"TabulatedKernel(<{len(self.x)} samples>, normalize={self.normalize})"
-
-    @classmethod
-    def from_arrays(cls, x, j, normalize: bool = True) -> "TabulatedKernel":
-        x = np.asarray(x, dtype=float)
-        j = np.asarray(j, dtype=float)
+    def __post_init__(self):
+        try:
+            x = np.asarray(self.x, dtype=float)
+            j = np.asarray(self.j, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationFailed(f"tabulated kernel samples must be numbers: {exc}") from exc
         if x.ndim != 1 or x.shape != j.shape or x.size < 2:
             raise ValidationFailed("tabulated kernel needs two equal-length 1D columns")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(j))):
@@ -181,7 +184,11 @@ class TabulatedKernel:
         scale = max(j.max(), 1.0)
         if np.max(np.abs(mirrored - j)) > 1e-9 * scale:
             raise ValidationFailed("tabulated kernel must be even: J(x) = J(-x)")
-        return cls(tuple(x.tolist()), tuple(j.tolist()), normalize)
+        object.__setattr__(self, "x", tuple(x.tolist()))
+        object.__setattr__(self, "j", tuple(j.tolist()))
+
+    def __repr__(self) -> str:
+        return f"TabulatedKernel(<{len(self.x)} samples>, normalize={self.normalize})"
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, np.asarray(self.x), np.asarray(self.j), left=0.0, right=0.0)
@@ -216,7 +223,7 @@ def load_kernel_table(path, normalize: bool = True) -> TabulatedKernel:
     data = read_table(path, "kernel table")
     if data.shape[1] != 2:
         raise ValidationFailed(f"kernel table {path} must have exactly two columns")
-    return TabulatedKernel.from_arrays(data[:, 0], data[:, 1], normalize)
+    return TabulatedKernel(data[:, 0], data[:, 1], normalize)
 
 
 def _raw_samples(kernel: KernelSpec, grid: Grid) -> np.ndarray:
@@ -273,6 +280,10 @@ class Convolution:
     """Kernel smoothing minus identity: J*u - u with an even unit-mass kernel."""
 
     kernel: KernelSpec
+
+    def __post_init__(self):
+        if not isinstance(self.kernel, KernelSpec):
+            raise ValidationFailed(f"kernel {self.kernel!r} is not a fastfronts kernel spec")
 
 
 def StandardLaplacian() -> FractionalLaplacian:
@@ -374,20 +385,26 @@ def convolve_direct(field: Field, kernel: KernelSpec, grid: Grid) -> Field:
 # nonlinear fast diffusion
 # ---------------------------------------------------------------------------
 
-def newton_work(n: int) -> tuple:
-    """Work arrays of the fast-diffusion Newton step on n nodes, as the
-    `work` argument of fast_diffusion_step: the Jacobian bands ab (3, n), the
-    right-hand side rhs, the potential w, its slope d and the mask of nodes
-    at or above the floor. The two band corners that the tridiagonal solve
-    never reads are zeroed here; every iterate overwrites the rest."""
-    ab = np.empty((3, n))
-    ab[0, 0] = ab[2, -1] = 0.0
-    return ab, np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+class NewtonWork:
+    """Work arrays of the fast-diffusion Newton step on n nodes, passed to
+    fast_diffusion_step as `work`: the Jacobian bands `ab` (3, n), the
+    right-hand side `rhs` (which holds the power p while _kirchhoff runs),
+    the potential `w`, its slope `d` and the mask `above` of nodes at or
+    above the floor. The two band corners that the tridiagonal solve never
+    reads are zeroed here; every iterate overwrites the rest."""
+
+    __slots__ = ("ab", "rhs", "w", "d", "above")
+
+    def __init__(self, n: int):
+        self.ab = np.empty((3, n))
+        self.ab[0, 0] = self.ab[2, -1] = 0.0
+        self.rhs, self.w, self.d = np.empty(n), np.empty(n), np.empty(n)
+        self.above = np.empty(n, dtype=bool)
 
 
-def _kirchhoff(u: np.ndarray, gamma: float, eps: float, work: tuple) -> tuple:
+def _kirchhoff(u: np.ndarray, gamma: float, eps: float, work: NewtonWork) -> tuple:
     """Monotone potential w and its slope d = gamma * max(u, eps)^(gamma - 1),
-    written into work's w and d (work from newton_work; its rhs holds p).
+    written into work.w and work.d.
 
     w equals u^gamma above the floor and continues linearly below it, so it is
     defined and increasing on the whole line (Newton iterates may leave [0,1]).
@@ -395,13 +412,14 @@ def _kirchhoff(u: np.ndarray, gamma: float, eps: float, work: tuple) -> tuple:
 
     The power is taken only on the span from the first node with u >= eps to
     the last one, read off the mask with one argmax from each end; when every
-    node is below the floor the span is empty and no power is taken. w is the
-    line everywhere and the power branch is copied in where u >= eps; outside
-    the span d is the floor slope, made by the same ufuncs on one element.
+    node is below the floor the span is empty and its ufuncs do nothing. w is
+    the line everywhere and the power branch is copied in where u >= eps;
+    outside the span d is the floor slope, made by the same ufuncs on one
+    element.
     Elementwise ufuncs do not depend on an element's position, so w and d are
     bitwise what the full-array formula gives.
     """
-    _, p, w, d, above = work
+    p, w, d, above = work.rhs, work.w, work.d, work.above
     np.greater_equal(u, eps, out=above)
     first = int(above.argmax())
     end = u.size - int(above[::-1].argmax()) if above[first] else first
@@ -412,14 +430,13 @@ def _kirchhoff(u: np.ndarray, gamma: float, eps: float, work: tuple) -> tuple:
     np.divide(np.power(floor, gamma), floor, out=floor)
     floor *= gamma
     d[:first] = d[end:] = floor[0]
-    if first < end:
-        span = slice(first, end)
-        ds, ps = d[span], p[span]
-        np.maximum(u[span], eps, out=ds)
-        np.power(ds, gamma, out=ps)
-        np.divide(ps, ds, out=ds)
-        ds *= gamma
-        np.copyto(w[span], ps, where=above[span])
+    span = slice(first, end)
+    ds, ps = d[span], p[span]
+    np.maximum(u[span], eps, out=ds)
+    np.power(ds, gamma, out=ps)
+    np.divide(ps, ds, out=ds)
+    ds *= gamma
+    np.copyto(w[span], ps, where=above[span])
     return w, d
 
 
@@ -444,32 +461,23 @@ def solve_banded(l_and_u, ab, b, **kwargs) -> np.ndarray:
     return banded(l_and_u, ab, b, **kwargs)
 
 
-def _require_finite(field: Field) -> None:
-    if not np.isfinite(field.values).all():
-        raise ValidationFailed("field holds a NaN or an infinite value")
-
-
 def _require_count(name: str, value) -> None:
     """ParameterOutOfRange unless value is an integer >= 1 (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ParameterOutOfRange(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _require_positive(name: str, value: float) -> None:
-    """ParameterOutOfRange unless 0 < value < inf (a NaN fails too)."""
-    if not 0 < value < math.inf:
-        raise ParameterOutOfRange(f"{name} must be finite and > 0, got {value!r}")
-
-
-def _require_work(work, n: int) -> None:
-    """Gate a caller's Newton work: the five arrays of newton_work(n), in order."""
-    if not (isinstance(work, tuple) and len(work) == 5
-            and all(isinstance(a, np.ndarray) for a in work)):
-        raise ValidationFailed("Newton work must be the tuple of 5 arrays from newton_work")
-    if work[0].shape != (3, n) or any(a.shape != (n,) for a in work[1:]):
-        raise LengthMismatch(f"Newton work arrays do not fit a grid of {n} nodes")
-    if any(a.dtype != np.float64 for a in work[:4]) or work[4].dtype != np.bool_:
-        raise ValidationFailed("Newton work needs four float64 arrays and a bool mask")
+def _require_step(field: Field, grid: Grid, dt: float, eps_reg: float) -> None:
+    """Entry gate of the fast-diffusion steps: LengthMismatch unless the field
+    is on grid, ParameterOutOfRange unless dt and eps_reg are finite and > 0
+    (a NaN fails too), ValidationFailed unless every value is finite."""
+    if field.grid.n != grid.n:
+        raise LengthMismatch("field does not match grid")
+    for name, value in (("dt", dt), ("eps_reg", eps_reg)):
+        if not 0 < value < math.inf:
+            raise ParameterOutOfRange(f"{name} must be finite and > 0, got {value!r}")
+    if not np.isfinite(field.values).all():
+        raise ValidationFailed("field holds a NaN or an infinite value")
 
 
 def fast_diffusion_step(
@@ -480,7 +488,7 @@ def fast_diffusion_step(
     *,
     eps_reg: float = EPS_REG,
     max_iter: int = 40,
-    work: tuple | None = None,
+    work: NewtonWork | None = None,
 ) -> Field:
     """One backward-Euler step of u_t = d/dx( D(u) du/dx ), D = gamma*max(u,eps)^(gamma-1).
 
@@ -496,34 +504,31 @@ def fast_diffusion_step(
     it, whatever max_iter is. Discrete mass dx * sum(u) is conserved up to
     the iteration residual.
 
-    dt and eps_reg must be finite and > 0 and max_iter an integer >= 1
-    (ParameterOutOfRange otherwise). A NaN or infinite input raises
-    ValidationFailed; every gate runs before any work, and every update
-    is checked to be finite, so the solve skips scipy's own finiteness scan
-    of its inputs.
+    gamma must lie in (0, 1], dt and eps_reg must be finite and > 0 and
+    max_iter an integer >= 1 (ParameterOutOfRange otherwise). A NaN or
+    infinite input raises ValidationFailed; every gate runs before any work,
+    and every update is checked to be finite, so the solve skips scipy's own
+    finiteness scan of its inputs.
 
     Apart from the returned state, the step allocates nothing per Newton
-    iterate: every pass writes into the arrays of `work`, as built by
-    newton_work(grid.n). DispersalStepper owns one such set for its run;
-    without `work` the call builds its own. Other work raises LengthMismatch
-    if its shapes differ from newton_work(grid.n)'s, else ValidationFailed.
+    iterate: every pass writes into `work`, a NewtonWork(grid.n).
+    DispersalStepper owns one for its run; without `work` the call builds
+    its own. Work that is not a NewtonWork raises ValidationFailed, and one
+    for another node count LengthMismatch.
     """
-    if field.grid.n != grid.n:
-        raise LengthMismatch("field does not match grid")
-    if work is not None:
-        _require_work(work, grid.n)
-    if not (0.0 < gamma <= 1.0):
-        raise ParameterOutOfRange(f"gamma={gamma!r} not in (0,1]")
-    _require_positive("dt", dt)
+    FastDiffusion(gamma)  # validates gamma's range
+    _require_step(field, grid, dt, eps_reg)
     _require_count("max_iter", max_iter)
-    _require_positive("eps_reg", eps_reg)
-    _require_finite(field)
     if work is None:
-        work = newton_work(grid.n)
+        work = NewtonWork(grid.n)
+    elif not isinstance(work, NewtonWork):
+        raise ValidationFailed(f"Newton work must be a NewtonWork, got {type(work).__name__}")
+    elif work.w.size != grid.n:
+        raise LengthMismatch(f"Newton work for {work.w.size} nodes on a grid of {grid.n}")
     u0 = field.values
     u = u0.copy()
     r = dt / grid.dx**2
-    ab, rhs = work[0], work[1]
+    ab, rhs = work.ab, work.rhs
     # one residual more than solves, so the last iterate is always tested
     for solves in range(max_iter + 1):
         w, d = _kirchhoff(u, gamma, eps_reg, work)
@@ -616,13 +621,9 @@ def fractional_fast_diffusion_step(
     below 1e-13 over a call (the two forms are not bitwise equal).
     """
     spec = FractionalFastDiffusion(alpha, gamma)  # validates the parameter gate
-    if field.grid.n != grid.n:
-        raise LengthMismatch("field does not match grid")
-    _require_positive("dt", dt)
-    _require_positive("eps_reg", eps_reg)
+    _require_step(field, grid, dt, eps_reg)
     if n_sub is not None:
         _require_count("n_sub", n_sub)
-    _require_finite(field)
     m = build_symbol(FractionalLaplacian(spec.alpha), grid)
     if n_sub is None:
         stiffness = float(np.max(np.abs(m))) * gamma * eps_reg ** (gamma - 1.0)

@@ -66,7 +66,11 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _integer(text: str) -> int:
-    return int(float(text))
+    """An integral number such as 64, 64.0 or 1e3; 64.5 raises ValueError."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError("not an integral value")
+    return int(value)
 
 
 def _numbers(text: str) -> tuple:
@@ -201,7 +205,11 @@ def parse_config_text(text: str) -> tuple:
     MissingRequired or ValidationFailed; ParameterOutOfRange for an operator
     or kernel parameter out of range, IoFailure for an unreadable table file.
     """
-    entries = _parse_lines(text)
+    return _build_config(_parse_lines(text))
+
+
+def _build_config(entries: dict) -> tuple:
+    """(RunConfig, extras) from a document's key -> value-text entries."""
     _require(entries, (*_RUN_KEYS, "dispersal.variant"))
     spec, table = _select(entries, "dispersal.variant", _VARIANTS)
     if spec is Convolution:
@@ -591,9 +599,11 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
 def sweep_values(text: str, vary: str) -> list:
     """Expand `section.key=v1,v2,...` over a base config document.
 
-    Returns a list of (label, RunConfig); the varied key is injected into the
-    document before parsing so it passes the same validation as any config.
-    A repeated value raises ValidationFailed: both runs would write one file.
+    Returns a list of (label, RunConfig). The base document is parsed once;
+    each value then replaces the varied key's entry as its whole value text
+    (a `#` in it is not a comment) and passes the same readers and
+    validation as any config. An unknown key raises UnknownKey; a repeated
+    value raises ValidationFailed: both runs would write one file.
     """
     if "=" not in vary:
         raise ValidationFailed("--vary expects section.key=v1,v2,...")
@@ -604,10 +614,12 @@ def sweep_values(text: str, vary: str) -> list:
         raise ValidationFailed("--vary needs at least one value")
     if len(set(tokens)) < len(tokens):
         raise ValidationFailed(f"--vary repeats a value in {values.strip()!r}")
+    entries = _parse_lines(text)
+    if key.lower() not in _KEYS:
+        raise UnknownKey(f"--vary names an unknown key {key!r}")
     jobs = []
     for tok in tokens:
-        doc = text + f"\n{key} = {tok}\n"
-        config, _ = parse_config_text(doc)
+        config, _ = _build_config({**entries, key.lower(): tok})
         jobs.append((f"{key.replace('.', '_')}_{tok}", config))
     return jobs
 

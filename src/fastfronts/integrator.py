@@ -29,10 +29,10 @@ from .dispersal import (
     DispersalSpec,
     FastDiffusion,
     FractionalFastDiffusion,
+    NewtonWork,
     build_symbol,
     fast_diffusion_step,
     fractional_fast_diffusion_step,
-    newton_work,
 )
 from .errors import GuardBreached, LengthMismatch, ParameterOutOfRange, ValidationFailed
 from .grid import Field, Grid, make_grid
@@ -223,9 +223,9 @@ class DispersalStepper:
     it has no symbol). Linear operators keep exp(m dt) for the last dt only,
     recomputed when dt changes: a run takes its fixed step throughout, and a
     landing step comes only from a snapshot time off the dt grid. They reuse
-    one buffer for the real-transform bins. FastDiffusion allocates the Newton
-    work arrays (dispersal.newton_work) once and passes them to every step,
-    so its Newton iterates allocate nothing.
+    one buffer for the real-transform bins. FastDiffusion allocates one
+    dispersal.NewtonWork and passes it to every step, so its Newton iterates
+    allocate nothing.
     """
 
     def __init__(self, spec: DispersalSpec, grid: Grid, eps_reg: float = EPS_REG):
@@ -236,7 +236,7 @@ class DispersalStepper:
             # the Newton solves need scipy.linalg: load it here, as set-up,
             # not inside the first step
             import scipy.linalg  # noqa: F401
-            work = newton_work(grid.n)
+            work = NewtonWork(grid.n)
             self._nonlinear = lambda values, dt: fast_diffusion_step(
                 Field(grid, values), spec.gamma, dt, grid, eps_reg=eps_reg, work=work
             ).values
@@ -258,9 +258,7 @@ class DispersalStepper:
         ParameterOutOfRange unless dt is finite and > 0, and LengthMismatch
         unless `values` holds one sample per node.
         """
-        if not 0 < dt < math.inf:
-            raise ParameterOutOfRange(f"dispersal step needs a finite dt > 0, got {dt!r}")
-        _check_length(values, self.grid)
+        _check_step(values, self.grid, dt)
         if self.m is None:
             return self._nonlinear(values, dt)
         if dt != self._dt:
@@ -270,7 +268,11 @@ class DispersalStepper:
         return np.fft.irfft(bins, n=self.grid.n, out=out)
 
 
-def _check_length(values: np.ndarray, grid: Grid) -> None:
+def _check_step(values: np.ndarray, grid: Grid, dt: float) -> None:
+    """Gate of the linear layer: ParameterOutOfRange unless 0 < dt < inf,
+    LengthMismatch unless `values` holds one sample per node."""
+    if not 0 < dt < math.inf:
+        raise ParameterOutOfRange(f"step needs a finite dt > 0, got {dt!r}")
     if np.shape(values) != (grid.n,):
         raise LengthMismatch(f"{np.shape(values)} values for a grid of {grid.n} nodes")
 
@@ -302,9 +304,7 @@ def strang_step(
     gates (0 < dt < inf, one sample per node) run before any substep writes;
     a step that leaves a NaN or an infinite value raises ValidationFailed.
     """
-    if not 0 < dt < math.inf:
-        raise ParameterOutOfRange(f"strang step needs a finite dt > 0, got {dt!r}")
-    _check_length(values, stepper.grid)
+    _check_step(values, stepper.grid, dt)
     half = 0.5 * dt
     v = _reaction_update(values, reaction, half, out)
     v = stepper.step_values(v, dt, out=out)

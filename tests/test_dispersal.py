@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import fastfronts as ff
-from fastfronts.dispersal import _kirchhoff, _packed_multiplier, newton_work, sample_kernel
+from fastfronts.dispersal import NewtonWork, _kirchhoff, _packed_multiplier, sample_kernel
 
 
 def semigroup(spec, field, dt):
@@ -142,18 +142,44 @@ class TestKernels:
 
     def test_tabulated_validation(self):
         xs = np.linspace(-5, 5, 41)
-        good = ff.TabulatedKernel.from_arrays(xs, np.exp(-np.abs(xs)))
+        good = ff.TabulatedKernel(xs, np.exp(-np.abs(xs)))
         assert good.evaluate(np.array([0.0]))[0] == 1.0
         with pytest.raises(ff.ValidationFailed):
-            ff.TabulatedKernel.from_arrays(xs, np.exp(-xs))  # uneven
+            ff.TabulatedKernel(xs, np.exp(-xs))  # uneven
         with pytest.raises(ff.ValidationFailed):
-            ff.TabulatedKernel.from_arrays(xs, -np.exp(-np.abs(xs)))  # negative
+            ff.TabulatedKernel(xs, -np.exp(-np.abs(xs)))  # negative
         with pytest.raises(ff.ValidationFailed):
-            ff.TabulatedKernel.from_arrays(xs[::-1], np.exp(-np.abs(xs)))  # not increasing
+            ff.TabulatedKernel(xs[::-1], np.exp(-np.abs(xs)))  # not increasing
         with pytest.raises(ff.ValidationFailed):
-            ff.TabulatedKernel.from_arrays(xs, np.where(xs == 0, np.nan, np.exp(-np.abs(xs))))
+            ff.TabulatedKernel(xs, np.where(xs == 0, np.nan, np.exp(-np.abs(xs))))
         with pytest.raises(ff.ValidationFailed):
-            ff.TabulatedKernel.from_arrays(np.append(xs[:-1], np.inf), np.exp(-np.abs(xs)))
+            ff.TabulatedKernel(np.append(xs[:-1], np.inf), np.exp(-np.abs(xs)))
+
+    @pytest.mark.parametrize("x, j", [
+        ((-2.0, 0.0, 2.0), (0.0, 5.0, 3.0)),
+        ((-1.0, 0.0, 1.0), (0.5, np.nan, 0.5)),
+        ((-1.0, 0.0, 1.0), (0.5, 1.0)),
+        ("abc", (0.5, 1.0, 0.5)),
+    ], ids=["uneven", "nan_sample", "unequal_columns", "not_numbers"])
+    def test_constructor_runs_the_table_checks(self, x, j):
+        # the checks lived in a classmethod, so the plain constructor built
+        # an uneven kernel's symbol and a NaN symbol from a NaN sample
+        with pytest.raises(ff.ValidationFailed):
+            ff.TabulatedKernel(x, j)
+
+    def test_constructor_stores_tuples_of_floats(self):
+        kernel = ff.TabulatedKernel(np.array([-1, 0, 1]), [0.5, 1, 0.5])
+        assert kernel.x == (-1.0, 0.0, 1.0) and kernel.j == (0.5, 1.0, 0.5)
+        assert kernel == ff.TabulatedKernel((-1.0, 0.0, 1.0), (0.5, 1.0, 0.5))
+        assert hash(kernel) == hash(ff.TabulatedKernel((-1.0, 0.0, 1.0), (0.5, 1.0, 0.5)))
+
+    @pytest.mark.parametrize("kernel", ["abc", None, ff.FractionalLaplacian(0.5)],
+                             ids=["string", "none", "operator_spec"])
+    def test_convolution_rejects_a_non_kernel(self, kernel):
+        # 'abc' passed RunConfig's spec gate and ended in an AttributeError
+        # when the run sampled it
+        with pytest.raises(ff.ValidationFailed):
+            ff.Convolution(kernel)
 
     def test_table_loader(self, tmp_path):
         xs = np.linspace(-4, 4, 33)
@@ -231,7 +257,7 @@ class TestConvolveDirect:
         xs = g.x
         js = np.zeros_like(xs)
         js[g.n // 2] = 1.0 / g.dx
-        kernel = ff.TabulatedKernel.from_arrays(xs, js)
+        kernel = ff.TabulatedKernel(xs, js)
         rng = np.random.default_rng(1)
         f = ff.Field(g, rng.random(64))
         out = ff.convolve_direct(f, kernel, g)
@@ -315,26 +341,20 @@ class TestFastDiffusion:
         g = ff.make_grid(10.0, 64)
         f = ff.Field.constant(g, 0.5)
         with pytest.raises(ff.LengthMismatch):
-            ff.fast_diffusion_step(f, 0.5, 0.01, g, work=newton_work(128))
+            ff.fast_diffusion_step(f, 0.5, 0.01, g, work=NewtonWork(128))
 
-    @pytest.mark.parametrize("error, malform", [
-        (ff.ValidationFailed, lambda work: work[:4]),
-        (ff.LengthMismatch, lambda work: (work[0][:2],) + work[1:]),
-        (ff.ValidationFailed, lambda work: work[:4] + (work[4].astype(float),)),
-        (ff.ValidationFailed, lambda work: (work[0], work[1].astype(int)) + work[2:]),
-    ], ids=["four_arrays", "two_band_rows", "float_mask", "int_rhs"])
-    def test_malformed_work_fails_before_any_work(self, error, malform, monkeypatch):
-        # unchecked, these ended in ValueError, IndexError, TypeError and
-        # UFuncTypeError from inside the Newton loop
+    def test_malformed_work_fails_before_any_work(self, monkeypatch):
+        # the old positional layout (ab, rhs, w, d, mask) is not a NewtonWork
         g = ff.make_grid(10.0, 64)
         f = ff.Field.constant(g, 0.5)
-        work = malform(newton_work(g.n))
+        arrays = NewtonWork(g.n)
+        work = (arrays.ab, arrays.rhs, arrays.w, arrays.d, arrays.above)
 
         def no_work(*args, **kwargs):
             raise AssertionError("Newton work started before the work gate ran")
 
         monkeypatch.setattr(ff.dispersal, "_kirchhoff", no_work)
-        with pytest.raises(error):
+        with pytest.raises(ff.ValidationFailed):
             ff.fast_diffusion_step(f, 0.5, 0.01, g, work=work)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -384,16 +404,16 @@ def test_kirchhoff_branches_and_slope(gamma):
     eps = 1e-4
     above = np.array([eps, 2 * eps, 0.3, 1.0, 1.7])
     below = np.array([-0.5, -eps, 0.0, 0.5 * eps, eps * (1 - 1e-9)])
-    w, d = _kirchhoff(above, gamma, eps, newton_work(above.size))
+    w, d = _kirchhoff(above, gamma, eps, NewtonWork(above.size))
     np.testing.assert_allclose(w, above**gamma, rtol=1e-15)
     np.testing.assert_allclose(d, gamma * above ** (gamma - 1.0), rtol=1e-15)
-    w, d = _kirchhoff(below, gamma, eps, newton_work(below.size))
+    w, d = _kirchhoff(below, gamma, eps, NewtonWork(below.size))
     line = eps**gamma + gamma * eps ** (gamma - 1.0) * (below - eps)
     np.testing.assert_allclose(w, line, rtol=1e-15)
     np.testing.assert_allclose(d, gamma * eps ** (gamma - 1.0), rtol=1e-15)
     # continuous at the floor: the two branches meet at eps
-    left, _ = _kirchhoff(np.array([eps * (1 - 1e-12)]), gamma, eps, newton_work(1))
-    right, _ = _kirchhoff(np.array([eps * (1 + 1e-12)]), gamma, eps, newton_work(1))
+    left, _ = _kirchhoff(np.array([eps * (1 - 1e-12)]), gamma, eps, NewtonWork(1))
+    right, _ = _kirchhoff(np.array([eps * (1 + 1e-12)]), gamma, eps, NewtonWork(1))
     assert abs(left[0] - eps**gamma) < 1e-11 * eps**gamma
     assert abs(right[0] - eps**gamma) < 1e-11 * eps**gamma
 
@@ -438,7 +458,7 @@ def _kirchhoff_states(n, eps):
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8, 1.0])
 def test_kirchhoff_span_is_bitwise_the_full_array_formula(gamma, eps, n):
     for name, u in _kirchhoff_states(n, eps).items():
-        w, d = _kirchhoff(u, gamma, eps, newton_work(n))
+        w, d = _kirchhoff(u, gamma, eps, NewtonWork(n))
         expected_w, expected_d = _kirchhoff_full_array(u, gamma, eps)
         assert w.tobytes() == expected_w.tobytes(), name
         assert d.tobytes() == expected_d.tobytes(), name
@@ -560,7 +580,7 @@ def test_step_gates_reject_bad_dt_and_counts(name, dt, counts, monkeypatch):
     # the linear stepper builds its symbol through integrator's own binding,
     # so only the work inside the dispersal step functions is forbidden
     monkeypatch.setattr(ff.dispersal, "build_symbol", no_work)
-    monkeypatch.setattr(ff.dispersal, "newton_work", no_work)
+    monkeypatch.setattr(ff.dispersal, "NewtonWork", no_work)
     with pytest.raises(ff.ParameterOutOfRange):
         GATED_STEPS[name](field, dt, **counts)
     assert np.all(field.values == 0.5)

@@ -93,6 +93,16 @@ class TestParseConfig:
         with pytest.raises(ff.ValidationFailed):
             ff.parse_config_text(MINIMAL.replace("400", "four hundred"))[0]
 
+    @pytest.mark.parametrize("text, n", [("64", 64), ("64.0", 64), ("1e3", 1000)])
+    def test_integral_node_count_accepted(self, text, n):
+        assert ff.parse_config_text(MINIMAL.replace("8192", text))[0].N == n
+
+    @pytest.mark.parametrize("text", ["64.9", "64.5", "1e-3"])
+    def test_nonintegral_node_count_rejected(self, text):
+        # read as int(float(text)), 64.9 ran on 64 nodes
+        with pytest.raises(ff.ValidationFailed):
+            ff.parse_config_text(MINIMAL.replace("8192", text))
+
     def test_output_dir_extra(self):
         cfg, extras = ff.parse_config_text(MINIMAL + "output.dir = results\n")
         assert extras == {"out_dir": "results"}
@@ -420,6 +430,14 @@ class TestSweep:
         with pytest.raises(ff.ValidationFailed):
             sweep_values(MINIMAL, "time.dt=0.01,0.01")
 
+    @pytest.mark.parametrize("vary", ["grid.L=50#x,60", "grid.L=50\ntime.t_end = 3",
+                                      "grid.N=64,64.5"])
+    def test_value_is_read_whole(self, vary):
+        # spliced into the document text, `50#x` ran L=50 (the `#` began a
+        # comment), a newline added a line, and 64.5 ran on 64 nodes
+        with pytest.raises(ff.ValidationFailed):
+            sweep_values(MINIMAL, vary)
+
 
 SMALL_CFG = """
 dispersal.variant = standard_laplacian
@@ -531,6 +549,19 @@ class TestCli:
         assert code == 0
         assert "mass_neutrality skipped" in out
         assert "comparison pass" in out
+
+    @pytest.mark.parametrize("speed", ["nan", "-2"])
+    def test_properties_passes_a_nonzero_speed_to_the_spreading_check(
+            self, tmp_path, capsys, speed):
+        # only the documented 0 skips the check; before, any speed that is
+        # not > 0 skipped it silently
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("dispersal.variant = standard_laplacian\n"
+                       "grid.L = 100\ngrid.N = 512\ntime.t_end = 0.1\n")
+        assert main(["properties", str(cfg), "--speed", speed]) == 1
+        captured = capsys.readouterr()
+        assert "error PreconditionViolated" in captured.err
+        assert "spreading" not in captured.out
 
     def test_missing_config_reports_io_category(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.cfg")])

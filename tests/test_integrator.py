@@ -20,7 +20,7 @@ def delta_kernel(grid):
     """Kernel with all mass at x=0: its symbol is exactly zero."""
     js = np.zeros(grid.n)
     js[grid.n // 2] = 1.0 / grid.dx
-    return ff.TabulatedKernel.from_arrays(grid.x, js)
+    return ff.TabulatedKernel(grid.x, js)
 
 
 @pytest.fixture
