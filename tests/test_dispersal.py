@@ -343,12 +343,20 @@ class TestFastDiffusion:
         with pytest.raises(ff.LengthMismatch):
             ff.fast_diffusion_step(f, 0.5, 0.01, g, work=NewtonWork(128))
 
-    def test_malformed_work_fails_before_any_work(self, monkeypatch):
-        # the old positional layout (ab, rhs, w, d, mask) is not a NewtonWork
+    @pytest.mark.parametrize("malform", [
+        lambda work: work,
+        lambda work: work[:4],
+        lambda work: (work[0][:2],) + work[1:],
+        lambda work: work[:4] + (work[4].astype(float),),
+        lambda work: (work[0], work[1].astype(int)) + work[2:],
+    ], ids=["five_arrays", "four_arrays", "two_band_rows", "float_mask", "int_rhs"])
+    def test_malformed_work_fails_before_any_work(self, malform, monkeypatch):
+        # the old positional layout (ab, rhs, w, d, mask), whole or malformed,
+        # is not a NewtonWork
         g = ff.make_grid(10.0, 64)
         f = ff.Field.constant(g, 0.5)
         arrays = NewtonWork(g.n)
-        work = (arrays.ab, arrays.rhs, arrays.w, arrays.d, arrays.above)
+        work = malform((arrays.ab, arrays.rhs, arrays.w, arrays.d, arrays.above))
 
         def no_work(*args, **kwargs):
             raise AssertionError("Newton work started before the work gate ran")
