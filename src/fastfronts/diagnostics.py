@@ -70,8 +70,6 @@ def _falling_crossing(xs: np.ndarray, profile: np.ndarray, level: float) -> floa
     """
     above = np.nonzero(profile >= level)[0]
     i = above[-1]
-    if i == len(profile) - 1:
-        return float(xs[i])
     p0, p1 = profile[i], profile[i + 1]
     frac = (p0 - level) / (p0 - p1)
     return float(xs[i] + frac * (xs[i + 1] - xs[i]))
@@ -101,8 +99,6 @@ def level_position(field: Field, lam: float, *, window: slice = slice(None)) -> 
     if not (0.0 < lam < 1.0):
         raise LambdaOutOfRange(f"level must lie in (0, 1), got {lam!r}")
     vals, xs = _windowed(field, window)
-    if lam <= vals[-1]:
-        return float("inf")
     return _position(xs, _suffix_max(vals), lam)
 
 

@@ -226,14 +226,6 @@ def load_kernel_table(path, normalize: bool = True) -> TabulatedKernel:
     return TabulatedKernel(data[:, 0], data[:, 1], normalize)
 
 
-def _raw_samples(kernel: KernelSpec, grid: Grid) -> np.ndarray:
-    """The kernel's own grid samples, before any rescaling."""
-    vals = np.asarray(kernel.grid_samples(grid), dtype=float)
-    if np.any(vals < 0):
-        raise ValidationFailed("kernel samples must be nonnegative")
-    return vals
-
-
 def sample_kernel(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     """Sample a kernel on the grid, rescaled to unit discrete mass dx * sum(J).
 
@@ -242,7 +234,7 @@ def sample_kernel(kernel: KernelSpec, grid: Grid) -> np.ndarray:
     kernel's normalize flag is unset the raw samples are returned, exposing
     the mass they miss against the analytic normalization.
     """
-    vals = _raw_samples(kernel, grid)
+    vals = kernel.grid_samples(grid)
     if kernel.normalize:
         mass = grid.dx * vals.sum()
         if mass <= 0.0:
@@ -257,7 +249,7 @@ def kernel_discrete_mass(kernel: KernelSpec, grid: Grid) -> float:
     These are the samples build_symbol transforms, so for an unnormalized
     kernel the symbol's m(0) equals this mass minus one.
     """
-    return float(grid.dx * _raw_samples(kernel, grid).sum())
+    return float(grid.dx * kernel.grid_samples(grid).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +328,6 @@ def build_symbol(spec: DispersalSpec, grid: Grid) -> np.ndarray:
     raw discrete-mass defect instead of being pinned to zero.
     """
     if isinstance(spec, FractionalLaplacian):
-        if spec.alpha == 1.0:
-            return -(grid.xi * grid.xi)
         return -np.power(grid.xi * grid.xi, spec.alpha)
     if isinstance(spec, Convolution):
         samples = sample_kernel(spec.kernel, grid)

@@ -65,14 +65,12 @@ class GuardBreached(FastFrontsError):
     Carries the breach time; the standard remedy is to enlarge grid.L.
     """
 
-    def __init__(self, time: float, message: str = ""):
+    def __init__(self, time: float):
         self.time = float(time)
-        if not message:
-            message = (
-                f"boundary guard breached at t={time:g}; "
-                "increase grid.L (or reduce t_end)"
-            )
-        super().__init__(message)
+        super().__init__(self.time)
+
+    def __str__(self) -> str:
+        return f"boundary guard breached at t={self.time:g}; increase grid.L (or reduce t_end)"
 
 
 # --- diagnostics --------------------------------------------------------

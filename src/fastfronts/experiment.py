@@ -368,11 +368,8 @@ def run_preset(name: str, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "+inf" if value > 0 else "-inf"
-    return format(value, ".17g")
+    """17 significant digits; format writes nan and -inf itself, not +inf."""
+    return "+inf" if value == math.inf else format(value, ".17g")
 
 
 def emit_csv(report: DiagnosticsReport, path) -> None:
