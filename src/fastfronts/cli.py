@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import build_report
-from .errors import FastFrontsError, IoFailure, NonlinearVariant
+from .errors import FastFrontsError, IoFailure, NonlinearVariant, ValidationFailed
 from .experiment import (
     PRESET_NAMES,
     make_out_dir,
@@ -77,6 +77,8 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_properties(args) -> int:
+    if args.seed < 0:
+        raise ValidationFailed(f"--seed must be >= 0, got {args.seed}")
     (config, extras), _ = _read_config(args.config)
     out = _resolve_out(args.out, extras) if args.out else None
     rng = np.random.default_rng(args.seed)
@@ -138,7 +140,7 @@ def main(argv=None) -> int:
     p_prop = sub.add_parser("properties", help="run scheme property checks on a config")
     p_prop.add_argument("config")
     p_prop.add_argument("--out", default=None)
-    p_prop.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
+    p_prop.add_argument("--seed", type=int, default=0, help="seed (>= 0) for randomized inputs")
     p_prop.add_argument("--speed", type=float, default=0.0,
                         help="window speed for the spreading check (0 skips it)")
     p_prop.set_defaults(fn=_cmd_properties)

@@ -62,6 +62,13 @@ def _windowed(field: Field, window: slice) -> tuple:
     return vals, field.grid.x[window]
 
 
+def _scanned(field: Field, window: slice) -> tuple:
+    """_windowed, but ValidationFailed for a field holding a NaN or an inf."""
+    if not np.isfinite(field.values).all():
+        raise ValidationFailed("field holds a NaN or an infinite value")
+    return _windowed(field, window)
+
+
 def _falling_crossing(xs: np.ndarray, profile: np.ndarray, level: float) -> float:
     """Interpolated abscissa where a nonincreasing profile drops below level.
 
@@ -94,11 +101,12 @@ def level_position(field: Field, lam: float, *, window: slice = slice(None)) -> 
 
     Returns +inf when lam <= u at the scan's right end (so when lam <= min(u))
     and -inf when lam > max(u). Only the nodes in the slice `window` are
-    scanned; a window of fewer than two nodes raises WindowOutOfDomain.
+    scanned; a window of fewer than two nodes raises WindowOutOfDomain, and
+    a field holding a NaN or an infinite value ValidationFailed.
     """
     if not (0.0 < lam < 1.0):
         raise LambdaOutOfRange(f"level must lie in (0, 1), got {lam!r}")
-    vals, xs = _windowed(field, window)
+    vals, xs = _scanned(field, window)
     return _position(xs, _suffix_max(vals), lam)
 
 
@@ -133,13 +141,14 @@ def interface_width(
     peak makes the same definition cover both monotone fronts (peak at the
     left end) and bump-shaped profiles, where it measures the right-moving
     interface. Only the nodes in `window` are scanned. Raises
-    LambdaOutOfRange unless 0 < lo < hi < 1 and ThresholdsNotSpanned when
-    the profile does not reach both levels; the result is clipped at 0
-    against interpolation slack.
+    LambdaOutOfRange unless 0 < lo < hi < 1, ValidationFailed for a field
+    holding a NaN or an infinite value and ThresholdsNotSpanned when the
+    profile does not reach both levels; the result is clipped at 0 against
+    interpolation slack.
     """
     if not (0.0 < lo < hi < 1.0):
         raise LambdaOutOfRange(f"need 0 < lo < hi < 1, got lo={lo!r}, hi={hi!r}")
-    vals, xs = _windowed(field, window)
+    vals, xs = _scanned(field, window)
     return _width(vals, xs, _suffix_max(vals), hi, lo)
 
 

@@ -98,7 +98,7 @@ def _snapshot_times(text: str):
 
 def _load_initial(path: str) -> TabulatedInitial:
     """Initial data from the last column of a whitespace-separated table."""
-    return TabulatedInitial.from_array(read_table(path, "initial data")[:, -1])
+    return TabulatedInitial(read_table(path, "initial data")[:, -1])
 
 
 # Document key -> (keyword, reader), one table per constructor. Only the keys
@@ -599,8 +599,10 @@ def sweep_values(text: str, vary: str) -> list:
     Returns a list of (label, RunConfig). The base document is parsed once;
     each value then replaces the varied key's entry as its whole value text
     (a `#` in it is not a comment) and passes the same readers and
-    validation as any config. An unknown key raises UnknownKey; a repeated
-    value raises ValidationFailed: both runs would write one file.
+    validation as any config. A label is the key and the value, with `_`
+    for the dot and for each path separator. An unknown key raises
+    UnknownKey; two values with one label raise ValidationFailed before any
+    run: both runs would write one file.
     """
     if "=" not in vary:
         raise ValidationFailed("--vary expects section.key=v1,v2,...")
@@ -609,16 +611,15 @@ def sweep_values(text: str, vary: str) -> list:
     tokens = [tok.strip() for tok in values.split(",") if tok.strip()]
     if not tokens:
         raise ValidationFailed("--vary needs at least one value")
-    if len(set(tokens)) < len(tokens):
-        raise ValidationFailed(f"--vary repeats a value in {values.strip()!r}")
+    labels = [f"{key.replace('.', '_')}_{tok}".replace("/", "_").replace(os.sep, "_")
+              for tok in tokens]
+    if len(set(labels)) < len(labels):
+        raise ValidationFailed(f"--vary values {values.strip()!r} repeat a run label")
     entries = _parse_lines(text)
     if key.lower() not in _KEYS:
         raise UnknownKey(f"--vary names an unknown key {key!r}")
-    jobs = []
-    for tok in tokens:
-        config, _ = _build_config({**entries, key.lower(): tok})
-        jobs.append((f"{key.replace('.', '_')}_{tok}", config))
-    return jobs
+    return [(label, _build_config({**entries, key.lower(): tok})[0])
+            for label, tok in zip(labels, tokens)]
 
 
 def _sweep_worker(args):
@@ -631,14 +632,14 @@ def _sweep_worker(args):
 def run_sweep(text: str, vary: str, out_dir, *, workers: int | None = None) -> list:
     """Run a sweep concurrently; one CSV and snapshot dump per value.
 
+    Starts at most one process per value; `workers` defaults to the CPU count.
     Returns [(label, guard_breach_time_or_None, n_snapshots)] in input order.
     """
     jobs = sweep_values(text, vary)
     out = make_out_dir(out_dir)
     args = [(label, config, str(out)) for label, config in jobs]
-    if workers is None:
-        workers = min(len(args), os.cpu_count() or 1)
-    if workers <= 1 or len(args) == 1:
+    workers = min((os.cpu_count() or 1) if workers is None else workers, len(args))
+    if workers <= 1:
         return [_sweep_worker(a) for a in args]
     from concurrent.futures import ProcessPoolExecutor
 

@@ -96,16 +96,24 @@ class Indicator:
 
 @dataclass(frozen=True)
 class TabulatedInitial:
-    """Explicit per-node samples (tuple so configs stay hashable/picklable)."""
+    """Explicit per-node samples, stored as a tuple of floats so configs stay
+    hashable and picklable. ValidationFailed unless they are a nonempty 1D
+    sequence of numbers in [0, 1]; a NaN fails."""
 
     values: tuple = dc_field(repr=False)
 
+    def __post_init__(self):
+        try:
+            vals = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationFailed(f"tabulated initial samples must be numbers: {exc}") from exc
+        # min and max propagate NaN, so NaN and +-inf samples fail the test too
+        if vals.ndim != 1 or vals.size == 0 or not (vals.min() >= 0.0 and vals.max() <= 1.0):
+            raise ValidationFailed("tabulated initial samples must be a 1D sequence in [0, 1]")
+        object.__setattr__(self, "values", tuple(vals.tolist()))
+
     def __repr__(self) -> str:
         return f"TabulatedInitial(<{len(self.values)} samples>)"
-
-    @classmethod
-    def from_array(cls, values) -> "TabulatedInitial":
-        return cls(tuple(np.asarray(values, dtype=float).tolist()))
 
     def build(self, grid: Grid) -> np.ndarray:
         vals = np.asarray(self.values, dtype=float)
@@ -120,11 +128,8 @@ InitialSpec = Union[GaussianBump, Indicator, TabulatedInitial]
 
 
 def build_initial(spec: InitialSpec, grid: Grid) -> Field:
-    vals = spec.build(grid)
-    # min and max propagate NaN, so NaN and +-inf samples fail the test too
-    if not (vals.min() >= 0.0 and vals.max() <= 1.0):
-        raise ValidationFailed("initial condition must take values in [0, 1]")
-    return Field(grid, vals)
+    """The spec's samples on grid; every spec's values lie in [0, 1]."""
+    return Field(grid, spec.build(grid))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def verdict_report(verdicts) -> str:
 
 def _evolve(config: RunConfig, values: np.ndarray) -> Trajectory:
     """Run `config` from `values`; a run the guard stops raises GuardBreached."""
-    return run(replace(config, initial=TabulatedInitial.from_array(values)), raise_on_breach=True)
+    return run(replace(config, initial=TabulatedInitial(values)), raise_on_breach=True)
 
 
 def _require_run_grid(config: RunConfig, *fields: Field) -> None:

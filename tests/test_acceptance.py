@@ -204,7 +204,7 @@ def test_c07_mass_neutrality_reaction_off():
     rng = np.random.default_rng(7)
     configs = [
         ff.RunConfig(L=100.0, N=n, dispersal=ff.FractionalLaplacian(0.5), t_end=10.0,
-                     initial=ff.TabulatedInitial.from_array(rng.random(n))),
+                     initial=ff.TabulatedInitial(rng.random(n))),
         ff.RunConfig(L=100.0, N=n,
                      dispersal=ff.Convolution(ff.StretchedExponential(0.5, 1.0)),
                      t_end=10.0),
@@ -339,8 +339,8 @@ def test_c13_equivariance_and_restart(preset_runs):
     u_left = np.exp(-((grid.x + grid.L / 2.0) ** 2) / 100.0)
     shift = grid.n // 2
     u_right = np.roll(u_left, shift)
-    run_left = ff.run(replace(base, initial=ff.TabulatedInitial.from_array(u_left)))
-    run_right = ff.run(replace(base, initial=ff.TabulatedInitial.from_array(u_right)))
+    run_left = ff.run(replace(base, initial=ff.TabulatedInitial(u_left)))
+    run_right = ff.run(replace(base, initial=ff.TabulatedInitial(u_right)))
     assert not run_left.breached and not run_right.breached
     exact = all(
         np.array_equal(b.values, np.roll(a.values, shift))
@@ -350,7 +350,7 @@ def test_c13_equivariance_and_restart(preset_runs):
     traj, _ = preset_runs["fig1b"]
     mid = traj.field_at(10.0)
     restart = ff.run(replace(base, t_end=10.0,
-                             initial=ff.TabulatedInitial.from_array(mid.values)))
+                             initial=ff.TabulatedInitial(mid.values)))
     gap = float(np.max(np.abs(restart.field_at(10.0).values - traj.field_at(20.0).values)))
     ok = exact and gap <= 1e-10
     record(13, "translation equivariance (bitwise) and restart (1e-10)", ok,

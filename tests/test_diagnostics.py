@@ -240,6 +240,21 @@ class TestFlatness:
             ff.flatness(f, 0.5, radius)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "diagnostic",
+    [lambda f: ff.level_position(f, 0.5), lambda f: ff.stretching(f, 0.4, 0.6),
+     lambda f: ff.interface_width(f), lambda f: ff.flatness(f, 0.5, 1.0)],
+    ids=["level_position", "stretching", "interface_width", "flatness"],
+)
+def test_nonfinite_value_is_rejected(grid, diagnostic, bad):
+    # the running maximum from the right would skip a NaN left of the crossing
+    f = ramp_field(grid, -2.0, 2.0)
+    f.values[5] = bad
+    with pytest.raises(ff.ValidationFailed):
+        diagnostic(f)
+
+
 class TestSpeedFit:
     def test_exact_linear_trace(self):
         t = np.linspace(0, 10, 21)

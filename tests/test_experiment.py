@@ -3,6 +3,7 @@ preset fidelity against the hard-coded parameter table, CSV round trips,
 SVG determinism, sweeps, and the CLI surface.
 """
 
+import concurrent.futures
 import hashlib
 import re
 import warnings
@@ -311,7 +312,7 @@ class TestCsv:
         n = 2**9
         cfg = ff.RunConfig(
             L=100.0, N=n, dispersal=ff.StandardLaplacian(), t_end=0.0,
-            initial=ff.TabulatedInitial.from_array(np.full(n, 0.5)),
+            initial=ff.TabulatedInitial(np.full(n, 0.5)),
         )
         rep = ff.build_report(ff.run(cfg))
         path = tmp_path / "sent.csv"
@@ -438,6 +439,70 @@ class TestSweep:
         with pytest.raises(ff.ValidationFailed):
             sweep_values(MINIMAL, vary)
 
+    def test_path_separator_in_a_value_becomes_underscore(self, tmp_path, monkeypatch):
+        # a `/` kept in a label would name a directory under the output one
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        for name, level in (("a", 0.5), ("b", 0.25)):
+            (tmp_path / "data" / f"{name}.txt").write_text(f"{level}\n" * 64)
+        text = TINY_CFG + "initial.kind = tabulated\ninitial.file = data/a.txt\n"
+        vary = "initial.file=data/a.txt,data/b.txt"
+        labels = [label for label, _ in sweep_values(text, vary)]
+        assert labels == ["initial_file_data_a.txt", "initial_file_data_b.txt"]
+        experiment.run_sweep(text, vary, tmp_path / "out", workers=1)
+        for label in labels:
+            assert (tmp_path / "out" / f"{label}_diagnostics.csv").is_file()
+
+    def test_values_with_one_label_are_rejected_before_any_read(self, tmp_path, monkeypatch):
+        # neither file exists: reading one would raise IoFailure
+        monkeypatch.chdir(tmp_path)
+        text = TINY_CFG + "initial.kind = tabulated\ninitial.file = a_b\n"
+        with pytest.raises(ff.ValidationFailed):
+            sweep_values(text, "initial.file=a/b,a_b")
+
+    def test_pool_is_capped_at_the_value_count(self, tmp_path, monkeypatch):
+        # under fork a pool starts all max_workers processes at once; this
+        # stand-in records the request and starts none
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        results = experiment.run_sweep(TINY_CFG, "time.t_end=0.05,0.1", tmp_path, workers=5000)
+        assert created == [2]
+        assert [label for label, _, _ in results] == ["time_t_end_0.05", "time_t_end_0.1"]
+        experiment.run_sweep(TINY_CFG, "time.t_end=0.05", tmp_path, workers=5000)
+        assert created == [2]
+
+    def test_two_worker_sweep_writes_the_bytes_of_a_serial_one(self, tmp_path):
+        outputs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            results = experiment.run_sweep(TINY_CFG, "time.t_end=0.05,0.1", out,
+                                           workers=workers)
+            outputs[workers] = (results, {p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[1][1]) == 4
+        assert outputs[2] == outputs[1]
+
+
+# a run of a few milliseconds: 64 nodes, a clean guard up to t = 0.1
+TINY_CFG = """
+dispersal.variant = standard_laplacian
+grid.L = 50
+grid.N = 64
+time.t_end = 0.1
+"""
 
 SMALL_CFG = """
 dispersal.variant = standard_laplacian
@@ -481,6 +546,15 @@ class TestCli:
         assert "comparison pass" in out
         assert "monotone_preservation pass" in out
         assert "mass_neutrality pass" in out
+
+    def test_properties_negative_seed_reports_validation_category(self, tmp_path, capsys):
+        # numpy's generator would reject it with a bare ValueError
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        assert main(["properties", str(cfg), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "error ValidationFailed" in captured.err
+        assert "pass" not in captured.out
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg = tmp_path / "small.cfg"

@@ -4,6 +4,7 @@ equivariance (bitwise for half-box shifts, roundoff-tight in general).
 """
 
 import hashlib
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -92,7 +93,7 @@ class TestRun:
     def test_zero_initial_stays_zero(self):
         cfg = ff.RunConfig(
             L=100.0, N=2**9, dispersal=ff.FractionalLaplacian(0.5), t_end=3.0,
-            initial=ff.TabulatedInitial.from_array(np.zeros(2**9)),
+            initial=ff.TabulatedInitial(np.zeros(2**9)),
         )
         traj = ff.run(cfg)
         for _, fld in traj.snapshots():
@@ -145,7 +146,7 @@ class TestRun:
         mid = traj.field_at(2.0)
         cfg2 = ff.RunConfig(L=400.0, N=2**12, dispersal=ff.Convolution(
             ff.StretchedExponential(0.5, 1.0)), t_end=2.0,
-            initial=ff.TabulatedInitial.from_array(mid.values))
+            initial=ff.TabulatedInitial(mid.values))
         tail = ff.run(cfg2)
         gap = np.max(np.abs(tail.field_at(2.0).values - traj.field_at(4.0).values))
         assert gap < 1e-10
@@ -162,7 +163,7 @@ class TestRun:
             ref = ff.run(ff.RunConfig(dispersal=spec, **base))
             rolled = ff.run(ff.RunConfig(
                 dispersal=spec, **base,
-                initial=ff.TabulatedInitial.from_array(np.roll(u0, s))))
+                initial=ff.TabulatedInitial(np.roll(u0, s))))
             for a, b in zip(rolled.fields, ref.fields):
                 assert np.array_equal(a.values, np.roll(b.values, s))
 
@@ -174,7 +175,7 @@ class TestRun:
                     dispersal=ff.FractionalLaplacian(0.9))
         ref = ff.run(ff.RunConfig(**base))
         rolled = ff.run(ff.RunConfig(
-            **base, initial=ff.TabulatedInitial.from_array(np.roll(u0, shift))))
+            **base, initial=ff.TabulatedInitial(np.roll(u0, shift))))
         worst = max(
             float(np.max(np.abs(a.values - np.roll(b.values, shift))))
             for a, b in zip(rolled.fields, ref.fields)
@@ -190,7 +191,7 @@ class TestRun:
         shift = 16
         ref = ff.run(ff.RunConfig(**base))
         rolled = ff.run(ff.RunConfig(
-            **base, initial=ff.TabulatedInitial.from_array(np.roll(u0, shift))))
+            **base, initial=ff.TabulatedInitial(np.roll(u0, shift))))
         worst = max(
             float(np.max(np.abs(a.values - np.roll(b.values, shift))))
             for a, b in zip(rolled.fields, ref.fields)
@@ -241,6 +242,13 @@ class TestGuard:
         assert err.value.time > 0.0
         assert "grid.L" in str(err.value)
 
+    def test_breach_survives_a_pickle_round_trip(self):
+        # a pool worker's error crosses a process boundary by pickle
+        err = pickle.loads(pickle.dumps(ff.GuardBreached(1.5)))
+        assert err.time == 1.5
+        assert str(err) == str(ff.GuardBreached(1.5))
+        assert "t=1.5" in str(err) and "grid.L" in str(err)
+
     def test_front_mode_detected_and_clean(self):
         cfg = ff.RunConfig(L=400.0, N=2**12, dispersal=ff.StandardLaplacian(), t_end=2.0,
                            initial=ff.Indicator(0.0))
@@ -253,7 +261,7 @@ class TestGuard:
         values = np.full(64, 0.5)
         cfg = ff.RunConfig(L=20.0, N=64, dispersal=ff.StandardLaplacian(), t_end=1.0,
                            snapshot_times=(0.5, 1.0),
-                           initial=ff.TabulatedInitial.from_array(values))
+                           initial=ff.TabulatedInitial(values))
         traj = ff.run(cfg)
         assert traj.guard_breach_time == 0.0
         assert traj.times == [0.0]
@@ -526,12 +534,12 @@ class TestInitialConditions:
     def test_tabulated_length_checked(self):
         g = ff.make_grid(10.0, 16)
         with pytest.raises(ff.ValidationFailed):
-            ff.build_initial(ff.TabulatedInitial.from_array(np.zeros(8)), g)
+            ff.build_initial(ff.TabulatedInitial(np.zeros(8)), g)
 
     def test_range_checked(self):
         g = ff.make_grid(10.0, 16)
         with pytest.raises(ff.ValidationFailed):
-            ff.build_initial(ff.TabulatedInitial.from_array(np.full(16, 1.5)), g)
+            ff.build_initial(ff.TabulatedInitial(np.full(16, 1.5)), g)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_sample_rejected(self, bad):
@@ -539,7 +547,24 @@ class TestInitialConditions:
         vals = np.full(16, 0.5)
         vals[3] = bad
         with pytest.raises(ff.ValidationFailed):
-            ff.build_initial(ff.TabulatedInitial.from_array(vals), g)
+            ff.build_initial(ff.TabulatedInitial(vals), g)
+
+    @pytest.mark.parametrize(
+        "values",
+        [("a",) * 16, [[0.5] * 4] * 4, (), (0.5, np.nan), (0.5, 1.5), (0.5, -0.1)],
+        ids=["strings", "two_d", "empty", "nan", "above_one", "below_zero"],
+    )
+    def test_tabulated_constructor_checks_samples(self, values):
+        # checked at construction, so a bad table never reaches a run
+        with pytest.raises(ff.ValidationFailed):
+            ff.TabulatedInitial(values)
+
+    def test_tabulated_constructor_stores_a_tuple_of_floats(self):
+        spec = ff.TabulatedInitial(np.array([0, 0.5, 1]))
+        assert type(spec.values) is tuple
+        assert spec.values == (0.0, 0.5, 1.0)
+        assert all(type(v) is float for v in spec.values)
+        assert hash(spec) == hash(ff.TabulatedInitial((0.0, 0.5, 1.0)))
 
     def test_config_validation(self):
         with pytest.raises(ff.ValidationFailed):

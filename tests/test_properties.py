@@ -191,7 +191,7 @@ class TestMassNeutral:
         rng = np.random.default_rng(2)
         cfg = ff.RunConfig(
             L=100.0, N=n, dispersal=ff.FractionalLaplacian(0.5), t_end=10.0,
-            initial=ff.TabulatedInitial.from_array(rng.random(n)),
+            initial=ff.TabulatedInitial(rng.random(n)),
         )
         v = ff.check_mass_neutral(cfg)
         assert v.passed and v.violation <= 1e-9
@@ -233,7 +233,7 @@ class TestMassNeutral:
         n = 2**10
         cfg = ff.RunConfig(
             L=100.0, N=n, dispersal=ff.Convolution(ff.AlgebraicTail(3.0, normalize=False)),
-            t_end=10.0, initial=ff.TabulatedInitial.from_array(np.random.default_rng(7).random(n)),
+            t_end=10.0, initial=ff.TabulatedInitial(np.random.default_rng(7).random(n)),
         )
         assert ff.run(cfg).guard_breach_time == 0.0
         v = ff.check_mass_neutral(cfg)
@@ -247,7 +247,7 @@ class TestMassNeutral:
         cfg = ff.RunConfig(
             L=100.0, N=n, dispersal=ff.Convolution(ff.AlgebraicTail(3.0, normalize=False)),
             t_end=10.0, snapshot_times=(0.0, 1.0),
-            initial=ff.TabulatedInitial.from_array(np.random.default_rng(7).random(n)),
+            initial=ff.TabulatedInitial(np.random.default_rng(7).random(n)),
         )
         v = ff.check_mass_neutral(cfg)
         auto = ff.check_mass_neutral(replace(cfg, snapshot_times=None))
