@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import build_report
 from .errors import FastFrontsError, IoFailure, NonlinearVariant, ValidationFailed
 from .experiment import (
     PRESET_NAMES,
@@ -27,9 +26,8 @@ from .experiment import (
     parse_config_text,
     run_preset,
     run_sweep,
-    write_run_files,
+    run_to_files,
 )
-from .integrator import run
 from .properties import (
     check_comparison,
     check_mass_neutral,
@@ -59,8 +57,7 @@ def _cmd_run(args) -> int:
     (config, extras), _ = _read_config(args.config)
     out = _resolve_out(args.out, extras)
     stem = Path(args.config).stem or "run"
-    traj = run(config, raise_on_breach=True)
-    paths = write_run_files(stem, traj, build_report(traj), out)
+    traj, _, *paths = run_to_files(stem, config, out)
     print(f"{stem}: {len(traj.times)} snapshots, guard clean, "
           f"max overshoot {traj.max_overshoot:.3e}")
     for path in paths:

@@ -276,38 +276,127 @@ def make_out_dir(path) -> Path:
     return out
 
 
-# Lines per `%` operation in save_snapshots: a block of text (about 1.5 kB)
-# that fits in the file's write buffer.
+# Lines per `%` operation in the dump: a block of text (about 1.5 kB) that
+# fits in the file's write buffer.
 _DUMP_ROWS = 32
 
 
-def save_snapshots(traj: Trajectory, path) -> None:
-    """Dump a trajectory: `# t=<value>` header then one `x u` line per node.
+def _write_dump(fh, x: np.ndarray, snapshots) -> None:
+    """Write (t, values) pairs to `fh` in the dump format, the one formatter
+    of both `save_snapshots` and the dump helper process.
 
     The x column is formatted once per dump into `"<x> %.17g"` line
     templates of `_DUMP_ROWS` lines each; every snapshot fills them one
     block at a time with one `%` operation, so the writer holds one block of
     formatted values at a time.
     """
-    x = traj.grid.x
     templates = [
         "".join(f"{xv:.17g} %.17g\n" for xv in x[start:start + _DUMP_ROWS])
         for start in range(0, x.size, _DUMP_ROWS)
     ]
+    for t, values in snapshots:
+        fh.write(f"# t={t:.17g}\n")
+        for k, template in enumerate(templates):
+            block = values[k * _DUMP_ROWS:(k + 1) * _DUMP_ROWS]
+            fh.write(template % tuple(block.tolist()))
+
+
+def save_snapshots(traj: Trajectory, path) -> None:
+    """Dump a trajectory: `# t=<value>` header then one `x u` line per node.
+
+    Values carry 17 significant digits. The dump is written in the calling
+    process, straight to `path`. `run_to_files` writes the same bytes from a
+    helper process while a run marches.
+    """
     try:
         with open(path, "w") as fh:
-            for t, fld in traj.snapshots():
-                fh.write(f"# t={t:.17g}\n")
-                for k, template in enumerate(templates):
-                    block = fld.values[k * _DUMP_ROWS:(k + 1) * _DUMP_ROWS]
-                    fh.write(template % tuple(block.tolist()))
+            _write_dump(fh, traj.grid.x, ((t, fld.values) for t, fld in traj.snapshots()))
     except OSError as exc:
         raise IoFailure(f"cannot write snapshots to {path}: {exc}") from exc
 
 
+def _dump_helper(conn, x: np.ndarray, part: Path) -> None:
+    """Body of the dump helper process: write each (t, values) that arrives
+    on `conn` to `part` until None arrives, then send back None or the text
+    of the OSError that stopped the writing."""
+    snapshots = iter(conn.recv, None)
+    error = None
+    try:
+        with open(part, "w") as fh:
+            _write_dump(fh, x, snapshots)
+    except OSError as exc:
+        error = str(exc)
+        for _ in snapshots:  # read on to None, so that the run never waits on a full pipe
+            pass
+    conn.send(error)
+
+
+class _DumpProcess:
+    """A forked helper process that writes the dump at `path` while a run
+    marches. `send` is the run's on_snapshot. `finish` waits for the helper
+    and renames `<path>.part` to `path`. Leaving the `with` block in any
+    other way kills the helper and removes `<path>.part`."""
+
+    def __init__(self, path: Path, x: np.ndarray):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self.path = path
+        self.part = path.with_name(path.name + ".part")
+        self.conn, child = ctx.Pipe()
+        self.proc = ctx.Process(target=_dump_helper, args=(child, x, self.part), daemon=True)
+        self.proc.start()
+        child.close()
+
+    def _failure(self, reason) -> IoFailure:
+        return IoFailure(f"cannot write snapshots to {self.path}: {reason}")
+
+    def send(self, t: float, values: np.ndarray) -> None:
+        try:
+            self.conn.send((t, values))
+        except OSError as exc:  # the helper is gone; a write error would still read on
+            raise self._failure(f"the writer process stopped ({exc})") from exc
+
+    def finish(self) -> None:
+        try:
+            self.conn.send(None)
+            error = self.conn.recv()
+        except (OSError, EOFError):
+            error = "the writer process stopped"
+        self.proc.join()
+        if error is None and self.proc.exitcode != 0:
+            error = f"the writer process exited with code {self.proc.exitcode}"
+        if error is None:
+            try:
+                os.replace(self.part, self.path)
+            except OSError as exc:
+                error = str(exc)
+        if error is not None:
+            raise self._failure(error)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join()
+        self.conn.close()
+        self.part.unlink(missing_ok=True)
+
+
+def _can_fork() -> bool:
+    """True where a helper process can be forked: the platform has the fork
+    start method and this process is not a daemon, which may have none."""
+    import multiprocessing
+
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
+
+
 def write_run_files(stem: str, traj: Trajectory, report: DiagnosticsReport, out: Path) -> tuple:
-    """Write `<stem>_snapshots.txt` and `<stem>_diagnostics.csv` into `out`;
-    returns their paths. Every verb names a run's files here."""
+    """Write `<stem>_snapshots.txt` and `<stem>_diagnostics.csv` into `out`
+    in this process; returns their paths. Sweep workers write here."""
     snap_path = out / f"{stem}_snapshots.txt"
     save_snapshots(traj, snap_path)
     csv_path = out / f"{stem}_diagnostics.csv"
@@ -315,13 +404,43 @@ def write_run_files(stem: str, traj: Trajectory, report: DiagnosticsReport, out:
     return snap_path, csv_path
 
 
+def run_to_files(stem: str, config: RunConfig, out: Path) -> tuple:
+    """Run `config` and write `<stem>_snapshots.txt` and
+    `<stem>_diagnostics.csv` into `out`; returns (trajectory, report,
+    snapshot path, CSV path). The `run` verb and each preset member run here.
+
+    A breach raises GuardBreached. Where `_can_fork`, a helper process forked
+    before the run writes the dump to `<stem>_snapshots.txt.part` while the
+    run marches, and this process builds the report and the CSV meanwhile;
+    the file is renamed into place only after the helper exits cleanly. On
+    any exception the helper is stopped and the `.part` file removed, so a
+    dump appears only after a clean run. Elsewhere the dump is written in
+    this process after the run. Both ways write the same bytes.
+    """
+    if not _can_fork():
+        traj = run(config, raise_on_breach=True)
+        report = build_report(traj)
+        return traj, report, *write_run_files(stem, traj, report, out)
+    snap_path = out / f"{stem}_snapshots.txt"
+    csv_path = out / f"{stem}_diagnostics.csv"
+    with _DumpProcess(snap_path, config.grid().x) as dump:
+        traj = run(config, raise_on_breach=True, on_snapshot=dump.send)
+        report = build_report(traj)
+        emit_csv(report, csv_path)
+        dump.finish()
+    return traj, report, snap_path, csv_path
+
+
 def run_preset(name: str, out_dir) -> dict:
     """Run a figure preset and write its output bundle.
 
     Each single-operator preset emits a snapshot dump, the diagnostics CSV,
     a profile chart and a level-separation chart; fig2 runs all four
-    operators and adds the combined separation chart. Returns a dict of
-    trajectories, reports and written paths; a breach raises GuardBreached.
+    operators and adds the combined separation chart. Each member goes
+    through `run_to_files`: a helper process writes its dump while it
+    marches, and the dump appears only once the member ran clean (inline
+    after the run where fork is missing). Returns a dict of trajectories,
+    reports and written paths; a breach raises GuardBreached.
     """
     members = tuple(_PRESET_TABLE) if name == "fig2" else (name,)
     configs = {member: preset_config(member) for member in members}
@@ -330,13 +449,11 @@ def run_preset(name: str, out_dir) -> dict:
     paths = result["paths"]
     series = []
     for member, config in configs.items():
-        traj = run(config, raise_on_breach=True)
-        report = build_report(traj)
+        traj, report, paths[f"{member}:snapshots"], paths[f"{member}:csv"] = run_to_files(
+            member, config, out
+        )
         result["trajectories"][member] = traj
         result["reports"][member] = report
-        paths[f"{member}:snapshots"], paths[f"{member}:csv"] = write_run_files(
-            member, traj, report, out
-        )
         profiles = [
             (f"t={t:g}", *_downsample(traj.grid.x, fld.values)) for t, fld in traj.snapshots()
         ]

@@ -435,14 +435,18 @@ def march(config: RunConfig) -> tuple:
     return stepper, u0, steps(u0)
 
 
-def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
+def run(config: RunConfig, *, raise_on_breach: bool = False, on_snapshot=None) -> Trajectory:
     """March the Cauchy problem from 0 to t_end, recording requested snapshots.
 
     The guard is evaluated on the initial data and after every step, also
     past the last snapshot time; on a breach the march stops, the current
     state is appended as a final snapshot, and the trajectory reports the
     breach time (or GuardBreached is raised when raise_on_breach is set). Identical configs produce
-    bitwise-identical trajectories on one platform.
+    bitwise-identical trajectories on one platform. `on_snapshot(t, values)`,
+    if given, is called with each snapshot's array as soon as it is
+    recorded (the breach snapshot too), while the march goes on; it must not
+    modify the array. `experiment.run_to_files` passes the snapshot to the
+    process that writes the dump.
     """
     stepper, u0, steps = march(config)
     guard = _Guard(config, stepper.grid, u0)
@@ -454,6 +458,8 @@ def run(config: RunConfig, *, raise_on_breach: bool = False) -> Trajectory:
         if landed is not None:
             traj.times.append(landed)
             traj.fields.append(Field(stepper.grid, u.copy()))
+            if on_snapshot is not None:
+                on_snapshot(landed, traj.fields[-1].values)
         if traj.breached:
             break
     if traj.breached and raise_on_breach:

@@ -5,6 +5,8 @@ SVG determinism, sweeps, and the CLI surface.
 
 import concurrent.futures
 import hashlib
+import multiprocessing
+import os
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -220,6 +222,13 @@ def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def fig1d_bundle(tmp_path_factory):
+    """The fig1d preset run once into a fresh directory: (result, directory)."""
+    out = tmp_path_factory.mktemp("fig1d")
+    return ff.run_preset("fig1d", out), out
+
+
 class TestPresets:
     # mirror of the figure-caption parameters the presets must match
     CAPTION = {
@@ -266,9 +275,9 @@ class TestPresets:
             ff.run_preset("fig9z", tmp_path / "new")
         assert not (tmp_path / "new").exists()
 
-    def test_run_preset_bundle(self, tmp_path):
+    def test_run_preset_bundle(self, fig1d_bundle):
         # the classical preset is cheap enough to exercise end to end
-        result = ff.run_preset("fig1d", tmp_path)
+        result, tmp_path = fig1d_bundle
         traj = result["trajectories"]["fig1d"]
         assert not traj.breached
         assert len(traj.times) == 21  # profiles at t = 0, 1, ..., 20
@@ -510,6 +519,87 @@ grid.L = 200
 grid.N = 4096
 time.t_end = 2
 """
+
+
+# a preset member that breaches the guard at t = 0.16, after the writer got
+# three snapshots
+BREACHING_MEMBER = dict(
+    L=4.0, N=2**7, dispersal=ff.StandardLaplacian(), t_end=1.0,
+    initial=ff.GaussianBump(1.0), snapshot_times=(0.0, 0.01, 0.02, 0.5, 1.0),
+)
+SMALL_MEMBER = dict(L=50.0, N=2**9, dispersal=ff.StandardLaplacian(), t_end=1.0)
+
+
+def _no_partial_dump(out):
+    """No `.part` file under `out` and no helper process left running."""
+    assert not list(out.rglob("*.part"))
+    assert multiprocessing.active_children() == []
+
+
+class TestDumpProcess:
+    """The dump that a helper process writes while the run marches."""
+
+    def test_preset_dump_is_the_bytes_of_save_snapshots(self, fig1d_bundle, tmp_path):
+        result, out = fig1d_bundle
+        ff.save_snapshots(result["trajectories"]["fig1d"], tmp_path / "serial.txt")
+        assert (out / "fig1d_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
+        _no_partial_dump(out)
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_run_verb_dump_is_the_bytes_of_save_snapshots(self, tmp_path, capsys, monkeypatch,
+                                                          fork):
+        if not fork:  # a platform without fork: the dump is written after the run
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+            monkeypatch.setattr(experiment, "_DumpProcess", None)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        ff.save_snapshots(ff.run(experiment.parse_config_text(SMALL_CFG)[0]), tmp_path / "serial.txt")
+        assert (out / "small_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
+        _no_partial_dump(out)
+
+    def test_breaching_preset_member_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(experiment._PRESET_TABLE, "fig1d", BREACHING_MEMBER)
+        with pytest.raises(ff.GuardBreached):
+            ff.run_preset("fig1d", tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        _no_partial_dump(tmp_path)
+
+    @pytest.mark.parametrize("verb", ["run", "preset"])
+    def test_dump_path_that_is_a_directory_is_an_io_failure(self, tmp_path, capsys, monkeypatch,
+                                                            verb):
+        monkeypatch.setitem(experiment._PRESET_TABLE, "fig1d", SMALL_MEMBER)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(TINY_CFG)
+        out = tmp_path / "out"
+        stem, argv = {"run": ("small", ["run", str(cfg)]), "preset": ("fig1d", ["preset", "fig1d"])}[verb]
+        (out / f"{stem}_snapshots.txt").mkdir(parents=True)
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "error IoFailure" in capsys.readouterr().err
+        assert not any((out / f"{stem}_snapshots.txt").iterdir())
+        _no_partial_dump(out)
+
+    def test_writer_that_dies_is_an_io_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiment, "_dump_helper", lambda conn, x, part: os._exit(3))
+        config = experiment.parse_config_text(SMALL_CFG)[0]
+        with pytest.raises(ff.IoFailure, match="writer process"):
+            experiment.run_to_files("small", config, tmp_path)
+        assert not (tmp_path / "small_snapshots.txt").exists()
+        _no_partial_dump(tmp_path)
+
+    def test_write_error_in_the_writer_is_an_io_failure(self, tmp_path, monkeypatch):
+        # the writer stops after the first snapshot and reads on to the end
+        def full_disk(fh, x, snapshots):
+            next(snapshots)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(experiment, "_write_dump", full_disk)
+        config = experiment.parse_config_text(SMALL_CFG)[0]
+        with pytest.raises(ff.IoFailure, match="No space left on device"):
+            experiment.run_to_files("small", config, tmp_path)
+        assert not (tmp_path / "small_snapshots.txt").exists()
+        _no_partial_dump(tmp_path)
 
 
 class TestCli:

@@ -19,8 +19,9 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # scipy costs about 0.2 s per process; the others come with the standard
-# library's process pool and XML helpers, which only sweeps and charts need
-NOT_AT_IMPORT = ("scipy", "concurrent.futures", "xml", "http", "ssl")
+# library's process pool and XML helpers, which only sweeps and charts need,
+# and with multiprocessing, which only the dump writer needs
+NOT_AT_IMPORT = ("scipy", "concurrent.futures", "xml", "http", "ssl", "multiprocessing")
 
 
 def loaded_after(statements: str) -> set:

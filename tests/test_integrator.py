@@ -303,6 +303,15 @@ class TestGuard:
         assert not traj.breached
         assert traj.times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
+    def test_on_snapshot_gets_each_recorded_array(self):
+        # the breach snapshot included; the very array recorded, not a copy
+        cfg = ff.RunConfig(L=4.0, N=2**7, dispersal=ff.StandardLaplacian(), t_end=1.0,
+                           initial=ff.GaussianBump(1.0), snapshot_times=(0.0, 0.01, 0.5, 1.0))
+        seen = []
+        traj = ff.run(cfg, on_snapshot=lambda t, values: seen.append((t, values)))
+        assert traj.breached and [t for t, _ in seen] == traj.times
+        assert all(values is fld.values for (_, values), fld in zip(seen, traj.fields))
+
 
 class TestSnapshotDump:
     def test_format_roundtrip(self, tmp_path):
