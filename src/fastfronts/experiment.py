@@ -340,6 +340,9 @@ class _DumpProcess:
     def __init__(self, path: Path, x: np.ndarray):
         import multiprocessing
 
+        # fork, not spawn: the helper starts at once, with no fresh import of
+        # the package, and only formats Python floats, so no lock held by a
+        # numpy or BLAS thread at the fork is ever taken in it
         ctx = multiprocessing.get_context("fork")
         self.path = path
         self.part = path.with_name(path.name + ".part")
@@ -354,7 +357,7 @@ class _DumpProcess:
     def send(self, t: float, values: np.ndarray) -> None:
         try:
             self.conn.send((t, values))
-        except OSError as exc:  # the helper is gone; a write error would still read on
+        except OSError as exc:  # only a helper that is gone refuses data
             raise self._failure(f"the writer process stopped ({exc})") from exc
 
     def finish(self) -> None:
@@ -411,23 +414,25 @@ def run_to_files(stem: str, config: RunConfig, out: Path) -> tuple:
 
     A breach raises GuardBreached. Where `_can_fork`, a helper process forked
     before the run writes the dump to `<stem>_snapshots.txt.part` while the
-    run marches, and this process builds the report and the CSV meanwhile;
-    the file is renamed into place only after the helper exits cleanly. On
+    run marches, and this process builds the report meanwhile; the file is
+    renamed into place only after the helper exits cleanly. On
     any exception the helper is stopped and the `.part` file removed, so a
     dump appears only after a clean run. Elsewhere the dump is written in
     this process after the run. Both ways write the same bytes.
     """
-    if not _can_fork():
+    snap_path = out / f"{stem}_snapshots.txt"
+    if _can_fork():
+        with _DumpProcess(snap_path, config.grid().x) as dump:
+            traj = run(config, raise_on_breach=True, on_snapshot=dump.send)
+            report = build_report(traj)
+            dump.finish()
+    else:
         traj = run(config, raise_on_breach=True)
         report = build_report(traj)
-        return traj, report, *write_run_files(stem, traj, report, out)
-    snap_path = out / f"{stem}_snapshots.txt"
+        save_snapshots(traj, snap_path)
+    # the CSV comes after the dump, so that a failed dump leaves no CSV behind
     csv_path = out / f"{stem}_diagnostics.csv"
-    with _DumpProcess(snap_path, config.grid().x) as dump:
-        traj = run(config, raise_on_breach=True, on_snapshot=dump.send)
-        report = build_report(traj)
-        emit_csv(report, csv_path)
-        dump.finish()
+    emit_csv(report, csv_path)
     return traj, report, snap_path, csv_path
 
 

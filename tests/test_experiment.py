@@ -577,6 +577,7 @@ class TestDumpProcess:
         (out / f"{stem}_snapshots.txt").mkdir(parents=True)
         assert main(argv + ["--out", str(out)]) == 1
         assert "error IoFailure" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [f"{stem}_snapshots.txt"]
         assert not any((out / f"{stem}_snapshots.txt").iterdir())
         _no_partial_dump(out)
 
@@ -585,7 +586,7 @@ class TestDumpProcess:
         config = experiment.parse_config_text(SMALL_CFG)[0]
         with pytest.raises(ff.IoFailure, match="writer process"):
             experiment.run_to_files("small", config, tmp_path)
-        assert not (tmp_path / "small_snapshots.txt").exists()
+        assert list(tmp_path.iterdir()) == []
         _no_partial_dump(tmp_path)
 
     def test_write_error_in_the_writer_is_an_io_failure(self, tmp_path, monkeypatch):
@@ -598,7 +599,7 @@ class TestDumpProcess:
         config = experiment.parse_config_text(SMALL_CFG)[0]
         with pytest.raises(ff.IoFailure, match="No space left on device"):
             experiment.run_to_files("small", config, tmp_path)
-        assert not (tmp_path / "small_snapshots.txt").exists()
+        assert list(tmp_path.iterdir()) == []
         _no_partial_dump(tmp_path)
 
 
