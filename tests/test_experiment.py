@@ -545,11 +545,16 @@ class TestDumpProcess:
         assert (out / "fig1d_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
         _no_partial_dump(out)
 
-    @pytest.mark.parametrize("fork", [True, False])
+    @pytest.mark.parametrize("writer", ["helper", "no fork", "daemon"])
     def test_run_verb_dump_is_the_bytes_of_save_snapshots(self, tmp_path, capsys, monkeypatch,
-                                                          fork):
-        if not fork:  # a platform without fork: the dump is written after the run
+                                                          writer):
+        # without fork, or in a daemon process (which may not have children),
+        # the dump is written in this process after the run
+        if writer == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        if writer == "daemon":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        if writer != "helper":
             monkeypatch.setattr(experiment, "_DumpProcess", None)
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
