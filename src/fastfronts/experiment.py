@@ -10,6 +10,7 @@ key a document leaves out takes the default of the dataclass field it fills.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from functools import partial
@@ -281,130 +282,136 @@ def make_out_dir(path) -> Path:
 _DUMP_ROWS = 32
 
 
-def _write_dump(fh, x: np.ndarray, snapshots) -> None:
-    """Write (t, values) pairs to `fh` in the dump format, the one formatter
-    of both `save_snapshots` and the dump helper process.
+def _write_dump(fh, templates: list, t: float, values: np.ndarray) -> None:
+    """Write one snapshot to `fh` in the dump format, the one formatter of
+    every dump: the `# t=` header, then the x templates of `_DumpWriter`
+    filled one block at a time with one `%` operation, so the writer holds
+    one block of formatted values at a time."""
+    fh.write(f"# t={t:.17g}\n")
+    for k, template in enumerate(templates):
+        block = values[k * _DUMP_ROWS:(k + 1) * _DUMP_ROWS]
+        fh.write(template % tuple(block.tolist()))
 
-    The x column is formatted once per dump into `"<x> %.17g"` line
-    templates of `_DUMP_ROWS` lines each; every snapshot fills them one
-    block at a time with one `%` operation, so the writer holds one block of
-    formatted values at a time.
-    """
-    templates = [
-        "".join(f"{xv:.17g} %.17g\n" for xv in x[start:start + _DUMP_ROWS])
-        for start in range(0, x.size, _DUMP_ROWS)
-    ]
-    for t, values in snapshots:
-        fh.write(f"# t={t:.17g}\n")
-        for k, template in enumerate(templates):
-            block = values[k * _DUMP_ROWS:(k + 1) * _DUMP_ROWS]
-            fh.write(template % tuple(block.tolist()))
+
+def _dump_helper(conn, x: np.ndarray, path: Path) -> None:
+    """Body of the dump helper process: an in-process writer for `path` takes
+    each (t, values) that arrives on `conn` until None arrives and then
+    publishes the file; the helper sends back None or the IoFailure that
+    stopped it."""
+    snapshots = iter(conn.recv, None)
+    try:
+        _write_all(path, x, snapshots)
+        conn.send(None)
+    except IoFailure as exc:
+        for _ in snapshots:  # read on to None, so that the run never waits on a full pipe
+            pass
+        conn.send(exc)
+
+
+def _start_helper(x: np.ndarray, path: Path) -> tuple:
+    """Fork the dump helper process; returns (process, this end of its pipe)."""
+    import multiprocessing
+
+    # fork, not spawn: the helper starts at once, with no fresh import of
+    # the package, and only formats Python floats, so no lock held by a
+    # numpy or BLAS thread at the fork is ever taken in it
+    ctx = multiprocessing.get_context("fork")
+    conn, child = ctx.Pipe()
+    proc = ctx.Process(target=_dump_helper, args=(child, x, path), daemon=True)
+    proc.start()
+    child.close()
+    return proc, conn
+
+
+def _helper_allowed() -> bool:
+    """The one rule that picks the dump writer: fork a helper process only
+    where the platform has fork, this is a main process and it may use two
+    or more CPUs. A daemon or a pool worker is a child process, and a
+    sweep's pool already keeps every CPU busy; on one CPU the helper would
+    only take turns with the run."""
+    import multiprocessing
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and multiprocessing.parent_process() is None and cpus >= 2)
+
+
+class _DumpWriter(contextlib.AbstractContextManager):
+    """Writes the snapshot dump at `path` as a run records it; `send` is the
+    run's on_snapshot. The snapshots are written to `<path>.part` by a forked
+    helper process where `_helper_allowed()` and by this process otherwise
+    (always with `in_process`). `finish` publishes the file: the in-process
+    writer renames `.part` to `path`, and the helper runs an in-process
+    writer of its own. Leaving the `with` block in any other way stops the
+    helper and removes `<path>.part`. The block holds only the run and the
+    writer's own calls, so an OSError or EOFError raised in it (a failed
+    write, or the pipe of a helper that is gone) ends in IoFailure."""
+
+    def __init__(self, path, x: np.ndarray, *, in_process: bool = False):
+        self.path = Path(path)
+        self.part = self.path.with_name(self.path.name + ".part")
+        self.proc = None
+        if not in_process and _helper_allowed():
+            self.proc, self.conn = _start_helper(x, self.path)
+            return
+        # the x column is formatted once per dump, into `"<x> %.17g"` line
+        # templates of `_DUMP_ROWS` lines each
+        self.templates = ["".join(f"{xv:.17g} %.17g\n" for xv in x[i:i + _DUMP_ROWS])
+                          for i in range(0, x.size, _DUMP_ROWS)]
+        try:
+            self.fh = open(self.part, "w")
+        except OSError as exc:
+            raise IoFailure(f"cannot write snapshots to {self.path}: {exc}") from exc
+
+    def send(self, t: float, values: np.ndarray) -> None:
+        if self.proc is None:
+            _write_dump(self.fh, self.templates, t, values)
+        else:
+            self.conn.send((t, values))
+
+    def finish(self) -> None:
+        if self.proc is None:
+            self.fh.close()
+            os.replace(self.part, self.path)
+            return
+        self.conn.send(None)
+        failure = self.conn.recv()  # None once the helper has published the file
+        self.proc.join()
+        if failure is not None:
+            raise failure
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.proc is None:
+            with contextlib.suppress(OSError):  # what a failed flush loses is removed below
+                self.fh.close()
+        else:
+            self.proc.kill()  # harmless once the helper has exited
+            self.proc.join()
+            self.conn.close()
+        self.part.unlink(missing_ok=True)
+        if isinstance(exc, (OSError, EOFError)):
+            reason = exc if self.proc is None else f"the writer process stopped ({exc!r})"
+            raise IoFailure(f"cannot write snapshots to {self.path}: {reason}") from exc
+
+
+def _write_all(path, x: np.ndarray, snapshots) -> None:
+    """Write (t, values) pairs through an in-process writer and publish the dump."""
+    with _DumpWriter(path, x, in_process=True) as dump:
+        for t, values in snapshots:
+            dump.send(t, values)
+        dump.finish()
 
 
 def save_snapshots(traj: Trajectory, path) -> None:
     """Dump a trajectory: `# t=<value>` header then one `x u` line per node.
 
     Values carry 17 significant digits. The dump is written in the calling
-    process, straight to `path`. `run_to_files` writes the same bytes from a
-    helper process while a run marches.
+    process to `<path>.part`, which is renamed to `path` once it is whole and
+    removed on an error. `run_to_files` and sweep members write the same
+    bytes while their run marches.
     """
-    try:
-        with open(path, "w") as fh:
-            _write_dump(fh, traj.grid.x, ((t, fld.values) for t, fld in traj.snapshots()))
-    except OSError as exc:
-        raise IoFailure(f"cannot write snapshots to {path}: {exc}") from exc
-
-
-def _dump_helper(conn, x: np.ndarray, part: Path) -> None:
-    """Body of the dump helper process: write each (t, values) that arrives
-    on `conn` to `part` until None arrives, then send back None or the text
-    of the OSError that stopped the writing."""
-    snapshots = iter(conn.recv, None)
-    error = None
-    try:
-        with open(part, "w") as fh:
-            _write_dump(fh, x, snapshots)
-    except OSError as exc:
-        error = str(exc)
-        for _ in snapshots:  # read on to None, so that the run never waits on a full pipe
-            pass
-    conn.send(error)
-
-
-class _DumpProcess:
-    """A forked helper process that writes the dump at `path` while a run
-    marches. `send` is the run's on_snapshot. `finish` waits for the helper
-    and renames `<path>.part` to `path`. Leaving the `with` block in any
-    other way kills the helper and removes `<path>.part`."""
-
-    def __init__(self, path: Path, x: np.ndarray):
-        import multiprocessing
-
-        # fork, not spawn: the helper starts at once, with no fresh import of
-        # the package, and only formats Python floats, so no lock held by a
-        # numpy or BLAS thread at the fork is ever taken in it
-        ctx = multiprocessing.get_context("fork")
-        self.path = path
-        self.part = path.with_name(path.name + ".part")
-        self.conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=_dump_helper, args=(child, x, self.part), daemon=True)
-        self.proc.start()
-        child.close()
-
-    def _failure(self, reason) -> IoFailure:
-        return IoFailure(f"cannot write snapshots to {self.path}: {reason}")
-
-    def send(self, t: float, values: np.ndarray) -> None:
-        try:
-            self.conn.send((t, values))
-        except OSError as exc:  # only a helper that is gone refuses data
-            raise self._failure(f"the writer process stopped ({exc})") from exc
-
-    def finish(self) -> None:
-        try:
-            self.conn.send(None)
-            error = self.conn.recv()
-        except (OSError, EOFError):
-            error = "the writer process stopped"
-        self.proc.join()
-        if error is None and self.proc.exitcode != 0:
-            error = f"the writer process exited with code {self.proc.exitcode}"
-        if error is None:
-            try:
-                os.replace(self.part, self.path)
-            except OSError as exc:
-                error = str(exc)
-        if error is not None:
-            raise self._failure(error)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join()
-        self.conn.close()
-        self.part.unlink(missing_ok=True)
-
-
-def _can_fork() -> bool:
-    """True where a helper process can be forked: the platform has the fork
-    start method and this process is not a daemon, which may have none."""
-    import multiprocessing
-
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon)
-
-
-def write_run_files(stem: str, traj: Trajectory, report: DiagnosticsReport, out: Path) -> tuple:
-    """Write `<stem>_snapshots.txt` and `<stem>_diagnostics.csv` into `out`
-    in this process; returns their paths. Sweep workers write here."""
-    snap_path = out / f"{stem}_snapshots.txt"
-    save_snapshots(traj, snap_path)
-    csv_path = out / f"{stem}_diagnostics.csv"
-    emit_csv(report, csv_path)
-    return snap_path, csv_path
+    _write_all(path, traj.grid.x, ((t, fld.values) for t, fld in traj.snapshots()))
 
 
 def run_to_files(stem: str, config: RunConfig, out: Path) -> tuple:
@@ -412,24 +419,20 @@ def run_to_files(stem: str, config: RunConfig, out: Path) -> tuple:
     `<stem>_diagnostics.csv` into `out`; returns (trajectory, report,
     snapshot path, CSV path). The `run` verb and each preset member run here.
 
-    A breach raises GuardBreached. Where `_can_fork`, a helper process forked
-    before the run writes the dump to `<stem>_snapshots.txt.part` while the
-    run marches, and this process builds the report meanwhile; the file is
-    renamed into place only after the helper exits cleanly. On
-    any exception the helper is stopped and the `.part` file removed, so a
-    dump appears only after a clean run. Elsewhere the dump is written in
-    this process after the run. Both ways write the same bytes.
+    A breach raises GuardBreached. Each snapshot is written as the run
+    records it, to `<stem>_snapshots.txt.part`: by a helper process forked
+    before the run where `_helper_allowed` (a main process with fork and two
+    or more CPUs; this process builds the report meanwhile), and by this
+    process otherwise, in the same bytes. The file is renamed into place
+    once the run is clean and the dump whole. On any exception the helper is
+    stopped and the `.part` file removed, so a dump appears only after a
+    clean run, and the CSV only after the dump.
     """
     snap_path = out / f"{stem}_snapshots.txt"
-    if _can_fork():
-        with _DumpProcess(snap_path, config.grid().x) as dump:
-            traj = run(config, raise_on_breach=True, on_snapshot=dump.send)
-            report = build_report(traj)
-            dump.finish()
-    else:
-        traj = run(config, raise_on_breach=True)
+    with _DumpWriter(snap_path, config.grid().x) as dump:
+        traj = run(config, raise_on_breach=True, on_snapshot=dump.send)
         report = build_report(traj)
-        save_snapshots(traj, snap_path)
+        dump.finish()
     # the CSV comes after the dump, so that a failed dump leaves no CSV behind
     csv_path = out / f"{stem}_diagnostics.csv"
     emit_csv(report, csv_path)
@@ -442,9 +445,9 @@ def run_preset(name: str, out_dir) -> dict:
     Each single-operator preset emits a snapshot dump, the diagnostics CSV,
     a profile chart and a level-separation chart; fig2 runs all four
     operators and adds the combined separation chart. Each member goes
-    through `run_to_files`: a helper process writes its dump while it
-    marches, and the dump appears only once the member ran clean (inline
-    after the run where fork is missing). Returns a dict of trajectories,
+    through `run_to_files`: its dump is written while it marches (by a
+    helper process where the rule of `_helper_allowed` allows one) and
+    appears only once the member ran clean. Returns a dict of trajectories,
     reports and written paths; a breach raises GuardBreached.
     """
     members = tuple(_PRESET_TABLE) if name == "fig2" else (name,)
@@ -745,9 +748,13 @@ def sweep_values(text: str, vary: str) -> list:
 
 
 def _sweep_worker(args):
-    label, config, out_dir = args
-    traj = run(config)
-    write_run_files(label, traj, build_report(traj), Path(out_dir))
+    # a breached member keeps its truncated run: its dump and CSV are written
+    label, config, out = args
+    with _DumpWriter(out / f"{label}_snapshots.txt", config.grid().x) as dump:
+        traj = run(config, on_snapshot=dump.send)
+        report = build_report(traj)
+        dump.finish()
+    emit_csv(report, out / f"{label}_diagnostics.csv")
     return label, traj.guard_breach_time, len(traj.times)
 
 
@@ -756,10 +763,15 @@ def run_sweep(text: str, vary: str, out_dir, *, workers: int | None = None) -> l
 
     Starts at most one process per value; `workers` defaults to the CPU count.
     Returns [(label, guard_breach_time_or_None, n_snapshots)] in input order.
+    A member that breaches the guard is not an error: its truncated dump and
+    CSV are written and its breach time returned. Each member writes its
+    dump as `run_to_files` does, through `<label>_snapshots.txt.part`; one
+    worker runs the members in the calling process, which may fork a dump
+    helper, while a pool worker is a child process and writes in-process.
     """
     jobs = sweep_values(text, vary)
     out = make_out_dir(out_dir)
-    args = [(label, config, str(out)) for label, config in jobs]
+    args = [(label, config, out) for label, config in jobs]
     workers = min((os.cpu_count() or 1) if workers is None else workers, len(args))
     if workers <= 1:
         return [_sweep_worker(a) for a in args]

@@ -445,8 +445,12 @@ def run(config: RunConfig, *, raise_on_breach: bool = False, on_snapshot=None) -
     bitwise-identical trajectories on one platform. `on_snapshot(t, values)`,
     if given, is called with each snapshot's array as soon as it is
     recorded (the breach snapshot too), while the march goes on; it must not
-    modify the array. `experiment.run_to_files` passes the snapshot to the
-    process that writes the dump.
+    modify the array. `experiment.run_to_files` (the `run` verb, preset
+    members) and sweep members pass their dump writer here; it writes each
+    snapshot to the dump's `.part` file, from a helper process or from this
+    one, and a callback that raises (a failed write) stops the march. The
+    former set raise_on_breach, so a breach leaves no dump; a sweep member
+    does not, and publishes its truncated dump.
     """
     stepper, u0, steps = march(config)
     guard = _Guard(config, stepper.grid, u0)

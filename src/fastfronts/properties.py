@@ -148,6 +148,17 @@ def check_monotone_preservation(u0: Field, config: RunConfig) -> PropertyVerdict
     zone its spurious wrap front contaminates) is excluded via the run's
     seam-margin window; the wrap pair itself never enters the differences.
     u0 must lie on config.grid() (PreconditionViolated otherwise).
+
+    Grid condition: the seam jump rings at the Nyquist mode, m_Nyquist =
+    -(pi N / (2 L))^2 for the classical operator, and the 1e-9 gate holds
+    only where that ringing is damped at every snapshot after t = 0. Two
+    terms add up (measured with L=100 and `smoothed_step`): the jump's own
+    tail, damped by exp(m_Nyquist t) over the run (5.1e-7 at N=512, t=0.1
+    from the linear flow alone), and the kinks that the clamp and the
+    reaction put at the seam every step, damped by one step's
+    exp(m_Nyquist dt) only: about 0.014/N * dt * exp(m_Nyquist dt) (1.0e-8
+    at N=1024, dt=0.01). A coarse grid needs more nodes, a larger dt or a
+    later first snapshot; README.md has the measured table.
     """
     _require_run_grid(config, u0)
     vals = u0.values

@@ -8,8 +8,11 @@ import hashlib
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ import fastfronts as ff
 from fastfronts import experiment
 from fastfronts.cli import main
 from fastfronts.experiment import preset_config, sweep_values
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MINIMAL = """
 # minimal document
@@ -224,9 +229,12 @@ def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, 
 
 @pytest.fixture(scope="module")
 def fig1d_bundle(tmp_path_factory):
-    """The fig1d preset run once into a fresh directory: (result, directory)."""
+    """The fig1d preset run once into a fresh directory, with the dump helper
+    pinned (two CPUs whatever the host has): (result, directory)."""
     out = tmp_path_factory.mktemp("fig1d")
-    return ff.run_preset("fig1d", out), out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return ff.run_preset("fig1d", out), out
 
 
 class TestPresets:
@@ -494,6 +502,29 @@ class TestSweep:
         experiment.run_sweep(TINY_CFG, "time.t_end=0.05", tmp_path, workers=5000)
         assert created == [2]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_breached_member_writes_its_truncated_run(self, tmp_path, monkeypatch, workers):
+        # one worker runs both members here, with the helper; two pool
+        # workers are child processes and write in-process on any CPU count
+        started = _use_backend(monkeypatch, "helper")
+        if workers == 2:
+            monkeypatch.setattr(experiment, "_start_helper", _refuse_helper)
+        out = tmp_path / "out"
+        results = experiment.run_sweep(BREACHING_CFG, "grid.L=4,32", out, workers=workers)
+        expected = []
+        for label, config in sweep_values(BREACHING_CFG, "grid.L=4,32"):
+            traj = ff.run(config)
+            expected.append((label, traj.guard_breach_time, len(traj.times)))
+            ff.save_snapshots(traj, tmp_path / "snapshots.txt")
+            ff.emit_csv(ff.build_report(traj), tmp_path / "diagnostics.csv")
+            for kind in ("snapshots.txt", "diagnostics.csv"):
+                assert (out / f"{label}_{kind}").read_bytes() == (tmp_path / kind).read_bytes()
+        assert results == expected
+        assert results[0][1] is not None and results[1][1] is None
+        assert len(started) == (2 if workers == 1 else 0)
+        assert len(list(out.iterdir())) == 4
+        _no_partial_dump(out)
+
     def test_two_worker_sweep_writes_the_bytes_of_a_serial_one(self, tmp_path):
         outputs = {}
         for workers in (1, 2):
@@ -529,6 +560,16 @@ BREACHING_MEMBER = dict(
 )
 SMALL_MEMBER = dict(L=50.0, N=2**9, dispersal=ff.StandardLaplacian(), t_end=1.0)
 
+# BREACHING_MEMBER as a config document; with grid.L = 32 the guard stays clean
+BREACHING_CFG = """
+dispersal.variant = standard_laplacian
+grid.L = 4
+grid.N = 128
+time.t_end = 1
+initial.width = 1
+time.snapshots = 0, 0.01, 0.02, 0.5, 1
+"""
+
 
 def _no_partial_dump(out):
     """No `.part` file under `out` and no helper process left running."""
@@ -536,8 +577,36 @@ def _no_partial_dump(out):
     assert multiprocessing.active_children() == []
 
 
+def _refuse_helper(*args):
+    raise AssertionError("the dump must be written in this process")
+
+
+def _use_backend(monkeypatch, backend) -> list:
+    """Make the rule pick `backend` whatever CPUs the host has; returns the
+    list of the helpers started, one dump path each."""
+    cpus = {"helper": {0, 1}, "in-process": {0}}[backend]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    started = []
+    start = experiment._start_helper
+
+    def record(x, path):
+        started.append(path)
+        return start(x, path)
+
+    monkeypatch.setattr(experiment, "_start_helper",
+                        record if backend == "helper" else _refuse_helper)
+    return started
+
+
+def _run_verb_without_helper(cfg, out):
+    """Body of a child process: the run verb with helper start-up refused."""
+    experiment._start_helper = _refuse_helper
+    sys.exit(main(["run", str(cfg), "--out", str(out)]))
+
+
 class TestDumpProcess:
-    """The dump that a helper process writes while the run marches."""
+    """The one dump writer: a helper process where the rule allows it,
+    this process otherwise."""
 
     def test_preset_dump_is_the_bytes_of_save_snapshots(self, fig1d_bundle, tmp_path):
         result, out = fig1d_bundle
@@ -545,35 +614,100 @@ class TestDumpProcess:
         assert (out / "fig1d_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
         _no_partial_dump(out)
 
-    @pytest.mark.parametrize("writer", ["helper", "no fork", "daemon"])
+    @pytest.mark.parametrize("writer", ["helper", "no fork", "daemon", "one cpu"])
     def test_run_verb_dump_is_the_bytes_of_save_snapshots(self, tmp_path, capsys, monkeypatch,
                                                           writer):
-        # without fork, or in a daemon process (which may not have children),
-        # the dump is written in this process after the run
+        # without fork, in a child process (a daemon, a pool worker) or on
+        # one CPU, the dump is written in this process as the run marches
+        started = _use_backend(monkeypatch, "in-process" if writer == "one cpu" else "helper")
         if writer == "no fork":
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         if writer == "daemon":
-            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         if writer != "helper":
-            monkeypatch.setattr(experiment, "_DumpProcess", None)
+            monkeypatch.setattr(experiment, "_start_helper", _refuse_helper)
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert len(started) == (writer == "helper")
+        ff.save_snapshots(ff.run(experiment.parse_config_text(SMALL_CFG)[0]), tmp_path / "serial.txt")
+        assert (out / "small_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
+        _no_partial_dump(out)
+
+    @pytest.mark.parametrize("child", ["one cpu", "daemon"])
+    def test_child_process_writes_in_process(self, tmp_path, child):
+        # real processes: one that may use a single CPU, and a daemon, which
+        # is a child process; each runs the run verb with helper start-up refused
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        out = tmp_path / "out"
+        if child == "one cpu":
+            if not hasattr(os, "sched_setaffinity"):
+                pytest.skip("no CPU affinity on this platform")
+            code = (
+                f"import os, sys; sys.path.insert(0, {SRC!r})\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "from fastfronts import experiment\n"
+                "from fastfronts.cli import main\n"
+                "def refuse(*args): raise AssertionError('the helper was started')\n"
+                "experiment._start_helper = refuse\n"
+                f"sys.exit(main(['run', {str(cfg)!r}, '--out', {str(out)!r}]))\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        else:
+            ctx = multiprocessing.get_context("fork")
+            proc = ctx.Process(target=_run_verb_without_helper, args=(cfg, out), daemon=True)
+            proc.start()
+            proc.join(120)
+            assert proc.exitcode == 0
         ff.save_snapshots(ff.run(experiment.parse_config_text(SMALL_CFG)[0]), tmp_path / "serial.txt")
         assert (out / "small_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
         _no_partial_dump(out)
 
     def test_breaching_preset_member_leaves_no_file(self, tmp_path, monkeypatch):
+        _use_backend(monkeypatch, "helper")
         monkeypatch.setitem(experiment._PRESET_TABLE, "fig1d", BREACHING_MEMBER)
         with pytest.raises(ff.GuardBreached):
             ff.run_preset("fig1d", tmp_path)
         assert list(tmp_path.iterdir()) == []
         _no_partial_dump(tmp_path)
 
+    @pytest.mark.parametrize("backend", ["helper", "in-process"])
+    @pytest.mark.parametrize("outcome", ["clean", "breach", "directory"])
+    def test_every_exit_leaves_no_partial_file(self, tmp_path, monkeypatch, backend, outcome):
+        started = _use_backend(monkeypatch, backend)
+        member = BREACHING_MEMBER if outcome == "breach" else SMALL_MEMBER
+        config = ff.RunConfig(**member)
+        if outcome == "directory":
+            (tmp_path / "m_snapshots.txt").mkdir()
+        if outcome == "clean":
+            experiment.run_to_files("m", config, tmp_path)
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "m_diagnostics.csv", "m_snapshots.txt"]
+        else:
+            error = ff.GuardBreached if outcome == "breach" else ff.IoFailure
+            with pytest.raises(error):
+                experiment.run_to_files("m", config, tmp_path)
+            left = [] if outcome == "breach" else ["m_snapshots.txt"]
+            assert [p.name for p in tmp_path.iterdir()] == left
+        assert len(started) == (backend == "helper")
+        _no_partial_dump(tmp_path)
+
+    def test_save_snapshots_to_a_directory_is_an_io_failure(self, tmp_path):
+        traj = ff.run(ff.RunConfig(**SMALL_MEMBER))
+        (tmp_path / "dump.txt").mkdir()
+        with pytest.raises(ff.IoFailure, match="cannot write snapshots"):
+            ff.save_snapshots(traj, tmp_path / "dump.txt")
+        assert [p.name for p in tmp_path.iterdir()] == ["dump.txt"]
+        _no_partial_dump(tmp_path)
+
     @pytest.mark.parametrize("verb", ["run", "preset"])
     def test_dump_path_that_is_a_directory_is_an_io_failure(self, tmp_path, capsys, monkeypatch,
                                                             verb):
+        _use_backend(monkeypatch, "helper")
         monkeypatch.setitem(experiment._PRESET_TABLE, "fig1d", SMALL_MEMBER)
         cfg = tmp_path / "small.cfg"
         cfg.write_text(TINY_CFG)
@@ -587,18 +721,26 @@ class TestDumpProcess:
         _no_partial_dump(out)
 
     def test_writer_that_dies_is_an_io_failure(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiment, "_dump_helper", lambda conn, x, part: os._exit(3))
+        _use_backend(monkeypatch, "helper")
+        monkeypatch.setattr(experiment, "_dump_helper", lambda conn, x, path: os._exit(3))
         config = experiment.parse_config_text(SMALL_CFG)[0]
         with pytest.raises(ff.IoFailure, match="writer process"):
             experiment.run_to_files("small", config, tmp_path)
         assert list(tmp_path.iterdir()) == []
         _no_partial_dump(tmp_path)
 
-    def test_write_error_in_the_writer_is_an_io_failure(self, tmp_path, monkeypatch):
-        # the writer stops after the first snapshot and reads on to the end
-        def full_disk(fh, x, snapshots):
-            next(snapshots)
-            raise OSError(28, "No space left on device")
+    @pytest.mark.parametrize("backend", ["helper", "in-process"])
+    def test_write_error_in_the_writer_is_an_io_failure(self, tmp_path, monkeypatch, backend):
+        # the writer stops after the first snapshot; the helper reads on to the end
+        _use_backend(monkeypatch, backend)
+        write = experiment._write_dump
+        written = []
+
+        def full_disk(fh, templates, t, values):
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(t)
+            write(fh, templates, t, values)
 
         monkeypatch.setattr(experiment, "_write_dump", full_disk)
         config = experiment.parse_config_text(SMALL_CFG)[0]
