@@ -109,8 +109,9 @@ def _cmd_properties(args) -> int:
 
 def _cmd_sweep(args) -> int:
     (_, extras), text = _read_config(args.config)
-    out = _resolve_out(args.out, extras)
-    results = run_sweep(text, args.vary, out, workers=args.workers)
+    # run_sweep makes the directory after its own gates
+    results = run_sweep(text, args.vary, args.out or extras.get("out_dir", "."),
+                        workers=args.workers)
     for label, breach, n_snaps in results:
         status = "guard clean" if breach is None else f"guard breached at t={breach:g}"
         print(f"{label}: {n_snaps} snapshots, {status}")

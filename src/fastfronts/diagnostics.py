@@ -24,6 +24,7 @@ from .errors import (
     InfinitePosition,
     InsufficientPoints,
     LambdaOutOfRange,
+    LengthMismatch,
     ThresholdsNotSpanned,
     ValidationFailed,
     WindowOutOfDomain,
@@ -219,7 +220,7 @@ class LevelTrace:
         self.times = np.asarray(self.times, dtype=float)
         self.positions = np.asarray(self.positions, dtype=float)
         if self.times.shape != self.positions.shape:
-            raise LambdaOutOfRange("trace times and positions must align")
+            raise LengthMismatch("trace times and positions must align")
         if np.any(np.diff(self.times) <= 0):
             raise InsufficientPoints("trace times must be strictly increasing")
 

@@ -3,6 +3,10 @@ implicit and sub-cycled schemes for the nonlinear fast diffusions, and slow
 direct-quadrature oracles used by the tests. The exact semigroup step of a
 linear operator lives in integrator.DispersalStepper.
 
+Every step takes a state array with one sample per node of its grid and
+returns a new array. check_step is the one gate of that contract, shared
+with integrator's step_values and strang_step.
+
 Linear operators are represented by a real multiplier per real-transform bin:
 
     fractional power of the Laplacian   m(xi) = -|xi|^(2 alpha)
@@ -362,8 +366,8 @@ def convolve_direct(field: Field, kernel: KernelSpec, grid: Grid) -> Field:
     build_symbol transforms (sample_kernel), so it checks the transform, not
     the sampling. Memory grows as N^2, so keep N small.
     """
-    if field.grid.n != grid.n:
-        raise LengthMismatch("field does not match grid")
+    if field.grid != grid:
+        raise LengthMismatch(f"field on {field.grid!r} does not match {grid!r}")
     n = grid.n
     offsets = np.fft.ifftshift(sample_kernel(kernel, grid))
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
@@ -457,21 +461,29 @@ def _require_count(name: str, value) -> None:
         raise ParameterOutOfRange(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _require_step(field: Field, grid: Grid, dt: float, eps_reg: float) -> None:
-    """Entry gate of the fast-diffusion steps: LengthMismatch unless the field
-    is on grid, ParameterOutOfRange unless dt and eps_reg are finite and > 0
-    (a NaN fails too), ValidationFailed unless every value is finite."""
-    if field.grid.n != grid.n:
-        raise LengthMismatch("field does not match grid")
-    for name, value in (("dt", dt), ("eps_reg", eps_reg)):
-        if not 0 < value < math.inf:
-            raise ParameterOutOfRange(f"{name} must be finite and > 0, got {value!r}")
-    if not np.isfinite(field.values).all():
-        raise ValidationFailed("field holds a NaN or an infinite value")
+def check_step(values, grid: Grid, dt: float) -> None:
+    """ParameterOutOfRange unless 0 < dt < inf (a NaN fails), LengthMismatch
+    unless `values` holds one sample per node of grid (a Field has no shape)."""
+    if not 0 < dt < math.inf:
+        raise ParameterOutOfRange(f"step needs a finite dt > 0, got {dt!r}")
+    if np.shape(values) != (grid.n,):
+        raise LengthMismatch(f"{np.shape(values)} values for a grid of {grid.n} nodes")
+
+
+def _fast_state(values, grid: Grid, dt: float, eps_reg: float) -> np.ndarray:
+    """check_step, the eps_reg gate and a finiteness gate (ValidationFailed);
+    returns the values as float64, the input itself when it already is."""
+    check_step(values, grid, dt)
+    if not 0 < eps_reg < math.inf:
+        raise ParameterOutOfRange(f"eps_reg must be finite and > 0, got {eps_reg!r}")
+    u0 = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(u0).all():
+        raise ValidationFailed("state holds a NaN or an infinite value")
+    return u0
 
 
 def fast_diffusion_step(
-    field: Field,
+    values,
     gamma: float,
     dt: float,
     grid: Grid,
@@ -479,7 +491,7 @@ def fast_diffusion_step(
     eps_reg: float = EPS_REG,
     max_iter: int = 40,
     work: NewtonWork | None = None,
-) -> Field:
+) -> np.ndarray:
     """One backward-Euler step of u_t = d/dx( D(u) du/dx ), D = gamma*max(u,eps)^(gamma-1).
 
     Homogeneous Neumann ends. The step solves u - dt * Lap(w(u)) = u0 for the
@@ -494,11 +506,12 @@ def fast_diffusion_step(
     it, whatever max_iter is. Discrete mass dx * sum(u) is conserved up to
     the iteration residual.
 
-    gamma must lie in (0, 1], dt and eps_reg must be finite and > 0 and
-    max_iter an integer >= 1 (ParameterOutOfRange otherwise). A NaN or
-    infinite input raises ValidationFailed; every gate runs before any work,
-    and every update is checked to be finite, so the solve skips scipy's own
-    finiteness scan of its inputs.
+    `values` (one sample per node, read as float64) is never written; the
+    step returns a new array. gamma must lie in (0, 1], dt and eps_reg must
+    be finite and > 0 and max_iter an integer >= 1 (ParameterOutOfRange
+    otherwise). A NaN or infinite input raises ValidationFailed; every gate
+    runs before any work, and every update is checked to be finite, so the
+    solve skips scipy's own finiteness scan of its inputs.
 
     Apart from the returned state, the step allocates nothing per Newton
     iterate: every pass writes into `work`, a NewtonWork(grid.n).
@@ -507,7 +520,7 @@ def fast_diffusion_step(
     for another node count LengthMismatch.
     """
     FastDiffusion(gamma)  # validates gamma's range
-    _require_step(field, grid, dt, eps_reg)
+    u0 = _fast_state(values, grid, dt, eps_reg)
     _require_count("max_iter", max_iter)
     if work is None:
         work = NewtonWork(grid.n)
@@ -515,7 +528,6 @@ def fast_diffusion_step(
         raise ValidationFailed(f"Newton work must be a NewtonWork, got {type(work).__name__}")
     elif work.w.size != grid.n:
         raise LengthMismatch(f"Newton work for {work.w.size} nodes on a grid of {grid.n}")
-    u0 = field.values
     u = u0.copy()
     r = dt / grid.dx**2
     ab, rhs = work.ab, work.rhs
@@ -553,7 +565,7 @@ def fast_diffusion_step(
         if not math.isfinite(float(du.max()) - float(du.min())):
             raise SolverSingular("non-finite update in fast-diffusion solve")
         u += du
-    return Field(grid, u)
+    return u
 
 
 def _packed_multiplier(f: np.ndarray) -> tuple:
@@ -584,7 +596,7 @@ def _packed_multiplier(f: np.ndarray) -> tuple:
 
 
 def fractional_fast_diffusion_step(
-    field: Field,
+    values,
     alpha: float,
     gamma: float,
     dt: float,
@@ -592,14 +604,15 @@ def fractional_fast_diffusion_step(
     *,
     eps_reg: float = EPS_REG,
     n_sub: int | None = None,
-) -> Field:
+) -> np.ndarray:
     """Explicit sub-cycled step of u_t = -(-Lap)^alpha (u^gamma).
 
     Repeats n_sub times: w = max(u, eps)^gamma, then u += (dt/n_sub) * D_alpha w,
     with the substep count chosen so the stiffest linearized mode satisfies
-    (dt/n_sub) * |m|_max * gamma * eps^(gamma-1) <= 1/2. dt must be finite
-    and > 0, eps_reg finite and > 0, and a given n_sub an integer >= 1
-    (ParameterOutOfRange otherwise, before any work).
+    (dt/n_sub) * |m|_max * gamma * eps^(gamma-1) <= 1/2; values and result as
+    in fast_diffusion_step. dt and eps_reg must be finite and > 0, a given
+    n_sub an integer >= 1 and a computed one at most 10^6
+    (ParameterOutOfRange otherwise, before any sub-cycle).
 
     Each sub-cycle applies the multiplier f = (dt/n_sub) * m through one pair
     of half-length complex transforms (see _packed_multiplier): w is viewed
@@ -611,7 +624,7 @@ def fractional_fast_diffusion_step(
     below 1e-13 over a call (the two forms are not bitwise equal).
     """
     spec = FractionalFastDiffusion(alpha, gamma)  # validates the parameter gate
-    _require_step(field, grid, dt, eps_reg)
+    u0 = _fast_state(values, grid, dt, eps_reg)
     if n_sub is not None:
         _require_count("n_sub", n_sub)
     m = build_symbol(FractionalLaplacian(spec.alpha), grid)
@@ -624,7 +637,7 @@ def fractional_fast_diffusion_step(
                 "reduce dt, coarsen the grid, or raise eps_reg"
             )
     a, b = _packed_multiplier((dt / n_sub) * m)
-    u = field.values.copy()
+    u = u0.copy()
     w = np.empty_like(u)
     du = np.empty_like(u)
     z = np.empty(a.size, dtype=complex)
@@ -642,4 +655,4 @@ def fractional_fast_diffusion_step(
         z += t
         np.fft.ifft(z, norm="forward", out=du_packed)
         u += du
-    return Field(grid, u)
+    return u

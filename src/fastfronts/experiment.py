@@ -32,7 +32,6 @@ from .dispersal import (
 from .diagnostics import DiagnosticsReport, build_report
 from .errors import (
     EmptySeries,
-    FastFrontsError,
     IoFailure,
     MissingRequired,
     UnknownKey,
@@ -221,12 +220,8 @@ def _build_config(entries: dict) -> tuple:
     kwargs = _keywords(entries, _RUN_KEYS)
     make, table = _select(entries, "initial.kind", _INITIALS, "gaussian")
     initial = make(**_keywords(entries, table))
-    try:
-        config = RunConfig(dispersal=dispersal, initial=initial, **kwargs)
-    except FastFrontsError:
-        raise
-    except Exception as exc:  # defensive: dataclass construction surprises
-        raise ValidationFailed(str(exc)) from exc
+    # the readers return numbers, tuples and specs: RunConfig's gates see every bad value
+    config = RunConfig(dispersal=dispersal, initial=initial, **kwargs)
     extras = {}
     if "output.dir" in entries:
         extras["out_dir"] = entries["output.dir"]
@@ -761,7 +756,8 @@ def _sweep_worker(args):
 def run_sweep(text: str, vary: str, out_dir, *, workers: int | None = None) -> list:
     """Run a sweep concurrently; one CSV and snapshot dump per value.
 
-    Starts at most one process per value; `workers` defaults to the CPU count.
+    Starts at most one process per value; `workers` defaults to the CPU count,
+    and any other value than an integer >= 1 raises ValidationFailed first.
     Returns [(label, guard_breach_time_or_None, n_snapshots)] in input order.
     A member that breaches the guard is not an error: its truncated dump and
     CSV are written and its breach time returned. Each member writes its
@@ -769,6 +765,8 @@ def run_sweep(text: str, vary: str, out_dir, *, workers: int | None = None) -> l
     worker runs the members in the calling process, which may fork a dump
     helper, while a pool worker is a child process and writes in-process.
     """
+    if workers is not None and (type(workers) is not int or workers < 1):  # type() rules out bool
+        raise ValidationFailed(f"workers must be an integer >= 1, got {workers!r}")
     jobs = sweep_values(text, vary)
     out = make_out_dir(out_dir)
     args = [(label, config, out) for label, config in jobs]

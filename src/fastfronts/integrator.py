@@ -31,10 +31,11 @@ from .dispersal import (
     FractionalFastDiffusion,
     NewtonWork,
     build_symbol,
+    check_step,
     fast_diffusion_step,
     fractional_fast_diffusion_step,
 )
-from .errors import GuardBreached, LengthMismatch, ParameterOutOfRange, ValidationFailed
+from .errors import GuardBreached, ValidationFailed
 from .grid import Field, Grid, make_grid
 from .reaction import (
     KppLogistic,
@@ -243,12 +244,10 @@ class DispersalStepper:
             import scipy.linalg  # noqa: F401
             work = NewtonWork(grid.n)
             self._nonlinear = lambda values, dt: fast_diffusion_step(
-                Field(grid, values), spec.gamma, dt, grid, eps_reg=eps_reg, work=work
-            ).values
+                values, spec.gamma, dt, grid, eps_reg=eps_reg, work=work)
         elif isinstance(spec, FractionalFastDiffusion):
             self._nonlinear = lambda values, dt: fractional_fast_diffusion_step(
-                Field(grid, values), spec.alpha, spec.gamma, dt, grid, eps_reg=eps_reg
-            ).values
+                values, spec.alpha, spec.gamma, dt, grid, eps_reg=eps_reg)
         else:
             self.m = build_symbol(spec, grid)
             self._bins = np.empty(self.m.size, dtype=complex)
@@ -258,12 +257,12 @@ class DispersalStepper:
         """Advance `values` by dt; never changes `values` unless it is `out`.
 
         Linear operators write the result into `out` when given (it may be
-        `values` itself) and otherwise return a new array. The fast
-        diffusions always return a new array. Every operator raises
-        ParameterOutOfRange unless dt is finite and > 0, and LengthMismatch
-        unless `values` holds one sample per node.
+        `values` itself) and otherwise return a new array; the fast
+        diffusions always return a new array. dispersal.check_step gates
+        every operator: ParameterOutOfRange unless dt is finite and > 0,
+        LengthMismatch unless `values` holds one sample per node.
         """
-        _check_step(values, self.grid, dt)
+        check_step(values, self.grid, dt)
         if self.m is None:
             return self._nonlinear(values, dt)
         if dt != self._dt:
@@ -271,15 +270,6 @@ class DispersalStepper:
         bins = np.fft.rfft(values, out=self._bins)
         bins *= self._factor
         return np.fft.irfft(bins, n=self.grid.n, out=out)
-
-
-def _check_step(values: np.ndarray, grid: Grid, dt: float) -> None:
-    """Gate of the linear layer: ParameterOutOfRange unless 0 < dt < inf,
-    LengthMismatch unless `values` holds one sample per node."""
-    if not 0 < dt < math.inf:
-        raise ParameterOutOfRange(f"step needs a finite dt > 0, got {dt!r}")
-    if np.shape(values) != (grid.n,):
-        raise LengthMismatch(f"{np.shape(values)} values for a grid of {grid.n} nodes")
 
 
 def _reaction_update(
@@ -305,11 +295,11 @@ def strang_step(
     With `out` (which may be `values` itself) the logistic and linear
     substeps write into it; the RK4 and fast-diffusion substeps return a new
     state array (the Newton step's work arrays belong to the stepper), so
-    callers must use the returned array, not `out`. The step
-    gates (0 < dt < inf, one sample per node) run before any substep writes;
+    callers must use the returned array, not `out`. dispersal.check_step
+    (0 < dt < inf, one sample per node) runs before any substep writes;
     a step that leaves a NaN or an infinite value raises ValidationFailed.
     """
-    _check_step(values, stepper.grid, dt)
+    check_step(values, stepper.grid, dt)
     half = 0.5 * dt
     v = _reaction_update(values, reaction, half, out)
     v = stepper.step_values(v, dt, out=out)
@@ -445,12 +435,8 @@ def run(config: RunConfig, *, raise_on_breach: bool = False, on_snapshot=None) -
     bitwise-identical trajectories on one platform. `on_snapshot(t, values)`,
     if given, is called with each snapshot's array as soon as it is
     recorded (the breach snapshot too), while the march goes on; it must not
-    modify the array. `experiment.run_to_files` (the `run` verb, preset
-    members) and sweep members pass their dump writer here; it writes each
-    snapshot to the dump's `.part` file, from a helper process or from this
-    one, and a callback that raises (a failed write) stops the march. The
-    former set raise_on_breach, so a breach leaves no dump; a sweep member
-    does not, and publishes its truncated dump.
+    modify the array. The experiment's dump writers are such callbacks; one
+    that raises (a failed write) stops the march.
     """
     stepper, u0, steps = march(config)
     guard = _Guard(config, stepper.grid, u0)

@@ -255,6 +255,18 @@ def test_nonfinite_value_is_rejected(grid, diagnostic, bad):
         diagnostic(f)
 
 
+class TestLevelTrace:
+    def test_misaligned_times_and_positions_are_a_length_mismatch(self):
+        with pytest.raises(ff.LengthMismatch):
+            LevelTrace(0.5, [0.0, 1.0, 2.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
+                             ids=["repeated", "decreasing"])
+    def test_times_must_increase(self, times):
+        with pytest.raises(ff.InsufficientPoints):
+            LevelTrace(0.5, times, [0.0, 1.0, 2.0])
+
+
 class TestSpeedFit:
     def test_exact_linear_trace(self):
         t = np.linspace(0, 10, 21)

@@ -191,6 +191,12 @@ class TestKernels:
         with pytest.raises(ff.IoFailure):
             ff.load_kernel_table(tmp_path / "missing.txt")
 
+    def test_three_column_table_rejected(self, tmp_path):
+        path = tmp_path / "kernel.txt"
+        np.savetxt(path, np.column_stack([np.linspace(-1, 1, 5)] * 3))
+        with pytest.raises(ff.ValidationFailed):
+            ff.load_kernel_table(path)
+
 
 class TestSemigroup:
     def test_constant_field_unchanged(self):
@@ -285,32 +291,41 @@ class TestConvolveDirect:
         assert worst < 1e-8
 
 
+    def test_grid_with_another_length_is_a_length_mismatch(self):
+        # same node count, another box: the sum used the wrong dx and
+        # relabelled the result onto the other grid
+        g = ff.make_grid(8.0, 64)
+        f = ff.Field.from_function(ff.make_grid(16.0, 64), lambda x: np.exp(-x**2))
+        with pytest.raises(ff.LengthMismatch, match="L=16"):
+            ff.convolve_direct(f, ff.AlgebraicTail(4.0), g)
+
+
 class TestFastDiffusion:
     def test_constant_field_unchanged(self):
         g = ff.make_grid(10.0, 64)
         f = ff.Field.constant(g, 0.3)
-        out = ff.fast_diffusion_step(f, 0.5, 0.05, g)
-        assert np.max(np.abs(out.values - 0.3)) < 1e-13
+        out = ff.fast_diffusion_step(f.values, 0.5, 0.05, g)
+        assert np.max(np.abs(out - 0.3)) < 1e-13
 
     def test_gamma_one_matches_dense_heat_oracle(self):
         g = ff.make_grid(20.0, 128)
         f = ff.Field.from_function(g, lambda x: np.exp(-x**2 / 4.0))
         dt = 0.02
-        out = ff.fast_diffusion_step(f, 1.0, dt, g)
+        out = ff.fast_diffusion_step(f.values, 1.0, dt, g)
         # independent dense backward-Euler heat step with Neumann ends
         n, r = g.n, dt / g.dx**2
         A = np.diag(np.full(n, 1.0 + 2.0 * r))
         A[0, 0] = A[-1, -1] = 1.0 + r
         A += np.diag(np.full(n - 1, -r), 1) + np.diag(np.full(n - 1, -r), -1)
         oracle = np.linalg.solve(A, f.values)
-        assert np.max(np.abs(out.values - oracle)) < 1e-10
+        assert np.max(np.abs(out - oracle)) < 1e-10
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
     def test_mass_conserved_per_step(self, gamma):
         g = ff.make_grid(50.0, 256)
         f = ff.Field.from_function(g, lambda x: np.exp(-x**2 / 30.0))
-        out = ff.fast_diffusion_step(f, gamma, 0.01, g)
-        drift = abs(g.dx * out.values.sum() - g.dx * f.values.sum())
+        out = ff.fast_diffusion_step(f.values, gamma, 0.01, g)
+        drift = abs(g.dx * out.sum() - g.dx * f.values.sum())
         assert drift < 1e-8
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
@@ -319,29 +334,29 @@ class TestFastDiffusion:
         g = ff.make_grid(30.0, 128)
         f = ff.Field.from_function(g, lambda x: (x < 0).astype(float))
         with pytest.raises(ff.SolverNotConverged):
-            ff.fast_diffusion_step(f, 0.5, 0.01, g, max_iter=max_iter)
-        six = ff.fast_diffusion_step(f, 0.5, 0.01, g, max_iter=6)
-        full = ff.fast_diffusion_step(f, 0.5, 0.01, g)
-        assert six.values.tobytes() == full.values.tobytes()
+            ff.fast_diffusion_step(f.values, 0.5, 0.01, g, max_iter=max_iter)
+        six = ff.fast_diffusion_step(f.values, 0.5, 0.01, g, max_iter=6)
+        full = ff.fast_diffusion_step(f.values, 0.5, 0.01, g)
+        assert six.tobytes() == full.tobytes()
 
     def test_parameter_gates(self):
         g = ff.make_grid(10.0, 64)
         f = ff.Field.constant(g, 0.5)
         with pytest.raises(ff.ParameterOutOfRange):
-            ff.fast_diffusion_step(f, 1.5, 0.01, g)
+            ff.fast_diffusion_step(f.values, 1.5, 0.01, g)
         with pytest.raises(ff.ParameterOutOfRange):
-            ff.fast_diffusion_step(f, 0.5, 0.0, g)
+            ff.fast_diffusion_step(f.values, 0.5, 0.0, g)
         with pytest.raises(ff.ParameterOutOfRange):
-            ff.fast_diffusion_step(f, 0.5, 0.01, g, max_iter=0)
+            ff.fast_diffusion_step(f.values, 0.5, 0.01, g, max_iter=0)
         for eps in (0.0, -1e-8, np.nan, np.inf):
             with pytest.raises(ff.ParameterOutOfRange):
-                ff.fast_diffusion_step(f, 0.5, 0.01, g, eps_reg=eps)
+                ff.fast_diffusion_step(f.values, 0.5, 0.01, g, eps_reg=eps)
 
     def test_work_for_another_grid_is_a_length_mismatch(self):
         g = ff.make_grid(10.0, 64)
         f = ff.Field.constant(g, 0.5)
         with pytest.raises(ff.LengthMismatch):
-            ff.fast_diffusion_step(f, 0.5, 0.01, g, work=NewtonWork(128))
+            ff.fast_diffusion_step(f.values, 0.5, 0.01, g, work=NewtonWork(128))
 
     @pytest.mark.parametrize("malform", [
         lambda work: work,
@@ -363,7 +378,7 @@ class TestFastDiffusion:
 
         monkeypatch.setattr(ff.dispersal, "_kirchhoff", no_work)
         with pytest.raises(ff.ValidationFailed):
-            ff.fast_diffusion_step(f, 0.5, 0.01, g, work=work)
+            ff.fast_diffusion_step(f.values, 0.5, 0.01, g, work=work)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_fails_loudly(self, bad):
@@ -371,7 +386,7 @@ class TestFastDiffusion:
         f = ff.Field.constant(g, 0.5)
         f.values[7] = bad
         with pytest.raises(ff.ValidationFailed):
-            ff.fast_diffusion_step(f, 0.5, 0.01, g)
+            ff.fast_diffusion_step(f.values, 0.5, 0.01, g)
 
     @pytest.mark.parametrize("gamma", [0.3, 0.5])
     def test_matches_dense_newton_oracle(self, gamma):
@@ -380,7 +395,7 @@ class TestFastDiffusion:
         g = ff.make_grid(20.0, 128)
         f = ff.Field.from_function(g, lambda x: np.clip(1.0 - (x / 6.0) ** 2, 0.0, None))
         dt, eps = 0.05, ff.EPS_REG
-        out = ff.fast_diffusion_step(f, gamma, dt, g)
+        out = ff.fast_diffusion_step(f.values, gamma, dt, g)
 
         def phi(u):
             above = np.maximum(u, eps) ** gamma
@@ -404,7 +419,7 @@ class TestFastDiffusion:
             u = u - np.linalg.solve(jac, residual)
         else:
             pytest.fail("dense Newton oracle did not converge")
-        assert np.max(np.abs(out.values - u)) < 1e-12
+        assert np.max(np.abs(out - u)) < 1e-12
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
@@ -476,19 +491,19 @@ class TestFractionalFastDiffusion:
     def test_constant_field_unchanged(self):
         g = ff.make_grid(10.0, 64)
         f = ff.Field.constant(g, 0.6)
-        out = ff.fractional_fast_diffusion_step(f, 0.6, 0.5, 0.001, g)
-        assert np.max(np.abs(out.values - 0.6)) < 1e-12
+        out = ff.fractional_fast_diffusion_step(f.values, 0.6, 0.5, 0.001, g)
+        assert np.max(np.abs(out - 0.6)) < 1e-12
 
     def test_parameter_gate(self):
         g = ff.make_grid(10.0, 64)
         f = ff.Field.constant(g, 0.5)
         with pytest.raises(ff.ParameterOutOfRange):
             # max(1 - 2*0.4, 0) = 0.2 > gamma = 0.1
-            ff.fractional_fast_diffusion_step(f, 0.4, 0.1, 0.01, g)
+            ff.fractional_fast_diffusion_step(f.values, 0.4, 0.1, 0.01, g)
         # an infinite floor would otherwise return an all-NaN field
         for eps in (0.0, -1e-8, np.nan, np.inf):
             with pytest.raises(ff.ParameterOutOfRange):
-                ff.fractional_fast_diffusion_step(f, 0.6, 0.5, 0.001, g, eps_reg=eps)
+                ff.fractional_fast_diffusion_step(f.values, 0.6, 0.5, 0.001, g, eps_reg=eps)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_nonfinite_input_fails_loudly(self, bad):
@@ -496,7 +511,19 @@ class TestFractionalFastDiffusion:
         f = ff.Field.constant(g, 0.5)
         f.values[7] = bad
         with pytest.raises(ff.ValidationFailed):
-            ff.fractional_fast_diffusion_step(f, 0.6, 0.5, 0.001, g)
+            ff.fractional_fast_diffusion_step(f.values, 0.6, 0.5, 0.001, g)
+
+    def test_bound_above_a_million_substeps_fails_before_any(self, monkeypatch):
+        # max|m| * gamma * eps^(gamma-1) is about 1.6e5 on this grid, so
+        # dt = 10 asks for about 3.2e6 sub-steps
+        g = ff.make_grid(10.0, 64)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("sub-cycling started before the bound was checked")
+
+        monkeypatch.setattr(ff.dispersal, "_packed_multiplier", no_work)
+        with pytest.raises(ff.ParameterOutOfRange, match="sub-steps"):
+            ff.fractional_fast_diffusion_step(np.full(g.n, 0.5), 0.75, 0.5, 10.0, g)
 
     @pytest.mark.parametrize("gamma", [0.5, 0.8])
     def test_subcycles_match_plain_expression_bitwise(self, gamma):
@@ -513,13 +540,13 @@ class TestFractionalFastDiffusion:
         for _ in range(n_sub):
             z = np.fft.fft((np.maximum(u, eps) ** gamma).view(complex))
             u = u + np.fft.ifft(a * z + b * np.conj(z[reverse]), norm="forward").view(float)
-        out = ff.fractional_fast_diffusion_step(f, alpha, gamma, dt, g, n_sub=n_sub)
-        assert out.values.tobytes() == u.tobytes()
+        out = ff.fractional_fast_diffusion_step(f.values, alpha, gamma, dt, g, n_sub=n_sub)
+        assert out.tobytes() == u.tobytes()
         # and within roundoff of the real-transform loop
         v = f.values.copy()
         for _ in range(n_sub):
             v = v + (dt / n_sub) * np.fft.irfft(np.fft.rfft(np.maximum(v, eps) ** gamma) * m)
-        assert np.max(np.abs(out.values - v)) < 1e-13
+        assert np.max(np.abs(out - v)) < 1e-13
 
     def test_gamma_one_converges_to_semigroup_first_order(self):
         g = ff.make_grid(10.0, 128)
@@ -528,8 +555,8 @@ class TestFractionalFastDiffusion:
         exact = semigroup(ff.FractionalLaplacian(alpha), f, dt)
         errs = []
         for n_sub in (40, 80, 160):
-            out = ff.fractional_fast_diffusion_step(f, alpha, 1.0, dt, g, n_sub=n_sub)
-            errs.append(np.max(np.abs(out.values - exact)))
+            out = ff.fractional_fast_diffusion_step(f.values, alpha, 1.0, dt, g, n_sub=n_sub)
+            errs.append(np.max(np.abs(out - exact)))
         rate1 = errs[0] / errs[1]
         rate2 = errs[1] / errs[2]
         assert 1.7 < rate1 < 2.3 and 1.7 < rate2 < 2.3  # O(dt/n_sub)
@@ -565,9 +592,10 @@ def linear_stepper(field):
 GATED_STEPS = {
     "step_values": lambda f, dt: linear_stepper(f).step_values(f.values, dt),
     "strang_step": lambda f, dt: ff.strang_step(f.values, linear_stepper(f), ff.KppLogistic(), dt),
-    "fast_diffusion_step": lambda f, dt, **kw: ff.fast_diffusion_step(f, 0.5, dt, f.grid, **kw),
+    "fast_diffusion_step": lambda f, dt, **kw: ff.fast_diffusion_step(
+        f.values, 0.5, dt, f.grid, **kw),
     "fractional_fast_diffusion_step": lambda f, dt, **kw: ff.fractional_fast_diffusion_step(
-        f, 0.75, 0.8, dt, f.grid, **kw),
+        f.values, 0.75, 0.8, dt, f.grid, **kw),
 }
 BAD_STEPS = (
     [(name, dt, {}) for name in GATED_STEPS for dt in (0.0, -0.01, np.nan, np.inf)]
@@ -592,3 +620,41 @@ def test_step_gates_reject_bad_dt_and_counts(name, dt, counts, monkeypatch):
     with pytest.raises(ff.ParameterOutOfRange):
         GATED_STEPS[name](field, dt, **counts)
     assert np.all(field.values == 0.5)
+
+
+FAST_STEPS = {
+    "fast_diffusion_step": lambda values, grid: ff.fast_diffusion_step(values, 0.5, 0.01, grid),
+    "fractional_fast_diffusion_step": lambda values, grid: ff.fractional_fast_diffusion_step(
+        values, 0.75, 0.8, 0.01, grid),
+}
+
+
+@pytest.mark.parametrize("bad", ["field", "field_on_another_box", "short", "two_d"])
+@pytest.mark.parametrize("name", list(FAST_STEPS))
+def test_fast_steps_take_one_sample_per_node(name, bad, monkeypatch):
+    # a Field was the old argument: with only the node counts compared, one
+    # on L=10 was stepped with the spacing of the L=40 grid and relabelled
+    grid, small = ff.make_grid(40.0, 256), ff.make_grid(10.0, 256)
+    u = np.exp(-small.x**2)
+    values = {"field": ff.Field(grid, u), "field_on_another_box": ff.Field(small, u),
+              "short": u[:-1], "two_d": u[None, :]}[bad]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the step started before its gates ran")
+
+    monkeypatch.setattr(ff.dispersal, "_kirchhoff", no_work)
+    monkeypatch.setattr(ff.dispersal, "build_symbol", no_work)
+    with pytest.raises(ff.LengthMismatch):
+        FAST_STEPS[name](values, grid)
+
+
+@pytest.mark.parametrize("name", list(FAST_STEPS))
+def test_fast_steps_read_float64_and_return_a_new_array(name):
+    grid = ff.make_grid(20.0, 128)
+    u = np.exp(-grid.x**2 / 8.0)
+    before = u.tobytes()
+    out = FAST_STEPS[name](u, grid)
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out is not u
+    assert u.tobytes() == before
+    # a list of the same floats is coerced to the same float64 state
+    assert FAST_STEPS[name](u.tolist(), grid).tobytes() == out.tobytes()

@@ -347,6 +347,10 @@ class TestCsv:
         with pytest.raises(ff.ValidationFailed):
             ff.read_csv(path)
 
+    def test_missing_file_is_an_io_failure(self, tmp_path):
+        with pytest.raises(ff.IoFailure):
+            ff.read_csv(tmp_path / "missing.csv")
+
 
 # sha256 of the chart that test_chart_bytes_pinned draws, as the per-point
 # formatter (one f-string per coordinate pair) wrote it
@@ -442,6 +446,17 @@ class TestSweep:
             sweep_values(MINIMAL, "time.t_end")
         with pytest.raises(ff.UnknownKey):
             sweep_values(MINIMAL, "bogus.key=1")
+
+    @pytest.mark.parametrize("vary", ["time.t_end=", "time.t_end= , ,"])
+    def test_key_without_values_rejected(self, vary):
+        with pytest.raises(ff.ValidationFailed):
+            sweep_values(MINIMAL, vary)
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.0])
+    def test_bad_worker_count_fails_before_any_directory(self, tmp_path, workers):
+        with pytest.raises(ff.ValidationFailed):
+            experiment.run_sweep(TINY_CFG, "time.t_end=0.05", tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
 
     def test_repeated_value_rejected(self):
         # both runs would write the same two files, at once under a pool
@@ -802,6 +817,18 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sw" / "time_t_end_1_diagnostics.csv").exists()
         assert (tmp_path / "sw" / "time_t_end_2_diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_workers_below_one_reports_validation_category(self, tmp_path, capsys,
+                                                                 workers):
+        # both ran serially and exited 0
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        code = main(["sweep", str(cfg), "--vary", "time.t_end=1,2",
+                     "--out", str(tmp_path / "sw"), "--workers", workers])
+        assert code == 1
+        assert "error ValidationFailed" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
     def test_unknown_preset_reports_category(self, capsys):
         code = main(["preset", "fig9z"])

@@ -120,6 +120,15 @@ class TestRun:
             ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(),
                          t_end=2.0, snapshot_times=(float("nan"),))
 
+    def test_snapshot_within_the_time_dust_repeats_the_state(self):
+        # 1e-12 after 0.5 is below the time dust: the march takes no step
+        # and records the state it already holds
+        cfg = ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(), t_end=1.0,
+                           snapshot_times=(0.5, 0.5 + 1e-12, 1.0))
+        traj = ff.run(cfg)
+        assert traj.times == [0.5, 0.5 + 1e-12, 1.0]
+        assert traj.fields[0].values.tobytes() == traj.fields[1].values.tobytes()
+
     def test_empty_snapshot_times_rejected(self):
         # a run with no snapshot would report a clean guard and write nothing
         with pytest.raises(ff.ValidationFailed):
@@ -418,7 +427,7 @@ class TestInPlaceStepping:
         assert v is not u and w is not u
         assert u.tobytes() == before
         ff.logistic_exact_step(u, 0.01)
-        ff.fractional_fast_diffusion_step(ff.Field(g, u), 0.75, 0.8, 0.01, g)
+        ff.fractional_fast_diffusion_step(u, 0.75, 0.8, 0.01, g)
         assert u.tobytes() == before
 
     def test_fft_path_steps_in_place(self):
@@ -509,7 +518,7 @@ class TestNewtonWork:
         # fixed steps and a shorter landing step
         for dt in (0.01, 0.01, 0.01, 0.0037, 0.01):
             u = stepper.step_values(u, dt)
-            v = ff.fast_diffusion_step(ff.Field(g, v), 0.5, dt, g).values
+            v = ff.fast_diffusion_step(v, 0.5, dt, g)
             assert u.tobytes() == v.tobytes()
 
     def test_interleaved_steppers_match_sequential_runs(self):
@@ -532,6 +541,22 @@ class TestNewtonWork:
             states = [st.step_values(u, dt) for st, u in zip(steppers, states)]
         for u, ref in zip(states, sequential, strict=True):
             assert u.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("spec", [ff.FastDiffusion(0.5), ff.FractionalFastDiffusion(0.75, 0.8)],
+                         ids=["fast", "fractional_fast"])
+def test_fast_diffusion_stepper_builds_no_field(spec, monkeypatch):
+    # the steps take and return state arrays, so a step wraps nothing
+    g = ff.make_grid(50.0, 2**8)
+    u = np.exp(-g.x**2 / 40.0)
+    stepper = DispersalStepper(spec, g)
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("a Field was built")
+
+    for module in (integrator, ff.dispersal):
+        monkeypatch.setattr(module, "Field", no_field)
+    assert stepper.step_values(u, 0.01).shape == u.shape
 
 
 class TestInitialConditions:
