@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FastFrontsError, IoFailure, NonlinearVariant, ValidationFailed
+from .errors import FastFrontsError, NonlinearVariant, ValidationFailed, _io
 from .experiment import (
     PRESET_NAMES,
     make_out_dir,
@@ -42,10 +42,8 @@ __all__ = ["main"]
 
 
 def _read_config(path: str):
-    try:
+    with _io(f"cannot read config {path}"):
         text = Path(path).read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text), text
 
 
@@ -79,12 +77,11 @@ def _cmd_properties(args) -> int:
     (config, extras), _ = _read_config(args.config)
     out = _resolve_out(args.out, extras) if args.out else None
     rng = np.random.default_rng(args.seed)
-    grid = config.grid()
     verdicts = []
 
-    u0, v0 = ordered_gaussian_pair(grid, rng)
+    u0, v0 = ordered_gaussian_pair(config.grid(), rng)
     verdicts.append(check_comparison(u0, v0, config))
-    verdicts.append(check_monotone_preservation(smoothed_step(grid), config))
+    verdicts.append(check_monotone_preservation(smoothed_step(config.grid()), config))
     if args.speed != 0:
         verdicts.append(check_spreading(u0, config, args.speed))
     try:
@@ -96,10 +93,8 @@ def _cmd_properties(args) -> int:
     sys.stdout.write(text)
     if out is not None:
         path = out / "properties.txt"
-        try:
+        with _io(f"cannot write {path}"):
             path.write_text(text)
-        except OSError as exc:
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
         print(f"wrote {path}")
     if all(v.passed for v in verdicts):
         return 0

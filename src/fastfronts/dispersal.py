@@ -35,13 +35,13 @@ from typing import Union
 import numpy as np
 
 from .errors import (
-    IoFailure,
     LengthMismatch,
     NonlinearVariant,
     ParameterOutOfRange,
     SolverNotConverged,
     SolverSingular,
     ValidationFailed,
+    _io,
 )
 from .grid import Field, Grid
 
@@ -209,14 +209,12 @@ KernelSpec = Union[StretchedExponential, AlgebraicTail, TabulatedKernel]
 def read_table(path, what: str) -> np.ndarray:
     """Rows of a whitespace-separated numeric table, as a 2D array. An unreadable
     file raises IoFailure; a malformed or empty one, ValidationFailed."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty file
+    with _io(f"cannot read {what} {path}"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt warns on an empty file
+        try:
             data = np.loadtxt(path, dtype=float, ndmin=2)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationFailed(f"malformed {what} {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ValidationFailed(f"malformed {what} {path}: {exc}") from exc
     if data.size == 0:
         raise ValidationFailed(f"{what} {path} holds no samples")
     return data

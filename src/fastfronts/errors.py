@@ -6,6 +6,8 @@ each precondition or failure mode has its own class, and the CLI reports the
 class name as the error category.
 """
 
+import contextlib as _contextlib
+
 
 class FastFrontsError(Exception):
     """Base class for all fastfronts errors."""
@@ -129,3 +131,12 @@ class EmptySeries(FastFrontsError):
 
 class IoFailure(FastFrontsError):
     """File could not be read or written."""
+
+
+@_contextlib.contextmanager
+def _io(action: str):
+    """The one I/O rule: an OSError in the block ends in IoFailure("<action>: <error>")."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"{action}: {exc}") from exc

@@ -36,6 +36,7 @@ from .errors import (
     MissingRequired,
     UnknownKey,
     ValidationFailed,
+    _io,
 )
 from .integrator import (
     GaussianBump,
@@ -202,8 +203,8 @@ def parse_config_text(text: str) -> tuple:
     """Parse a config document; returns (RunConfig, extras dict).
 
     Extras currently carry output.dir when present. Raises UnknownKey,
-    MissingRequired or ValidationFailed; ParameterOutOfRange for an operator
-    or kernel parameter out of range, IoFailure for an unreadable table file.
+    MissingRequired, IoFailure for an unreadable table file, or the error of
+    the first spec or RunConfig gate that the document fails.
     """
     return _build_config(_parse_lines(text))
 
@@ -265,10 +266,8 @@ def _downsample(xs: np.ndarray, ys: np.ndarray, max_points: int = 1024) -> tuple
 def make_out_dir(path) -> Path:
     """Create an output directory and its parents; OSError becomes IoFailure."""
     out = Path(path)
-    try:
+    with _io(f"cannot create output directory {out}"):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -347,17 +346,15 @@ class _DumpWriter(contextlib.AbstractContextManager):
         self.path = Path(path)
         self.part = self.path.with_name(self.path.name + ".part")
         self.proc = None
-        if not in_process and _helper_allowed():
-            self.proc, self.conn = _start_helper(x, self.path)
-            return
-        # the x column is formatted once per dump, into `"<x> %.17g"` line
-        # templates of `_DUMP_ROWS` lines each
-        self.templates = ["".join(f"{xv:.17g} %.17g\n" for xv in x[i:i + _DUMP_ROWS])
-                          for i in range(0, x.size, _DUMP_ROWS)]
-        try:
+        with _io(f"cannot write snapshots to {self.path}"):  # a failed fork too
+            if not in_process and _helper_allowed():
+                self.proc, self.conn = _start_helper(x, self.path)
+                return
+            # the x column is formatted once per dump, into `"<x> %.17g"` line
+            # templates of `_DUMP_ROWS` lines each
+            self.templates = ["".join(f"{xv:.17g} %.17g\n" for xv in x[i:i + _DUMP_ROWS])
+                              for i in range(0, x.size, _DUMP_ROWS)]
             self.fh = open(self.part, "w")
-        except OSError as exc:
-            raise IoFailure(f"cannot write snapshots to {self.path}: {exc}") from exc
 
     def send(self, t: float, values: np.ndarray) -> None:
         if self.proc is None:
@@ -514,18 +511,14 @@ def emit_csv(report: DiagnosticsReport, path) -> None:
         cells = (row.t, row.m, row.M, *(row.levels[lam] for lam in levels),
                  row.stretch, row.width, row.flat_left, row.flat_right)
         lines.append(",".join(map(_fmt, cells)))
-    try:
+    with _io(f"cannot write CSV to {path}"):
         Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write CSV to {path}: {exc}") from exc
 
 
 def read_csv(path) -> tuple:
     """Read back an emitted CSV; returns (column names, rows of floats)."""
-    try:
+    with _io(f"cannot read CSV {path}"):
         text = Path(path).read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read CSV {path}: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationFailed(f"CSV {path} is empty")
@@ -702,10 +695,8 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
             f'<text x="{legend_x}" y="{y0 + 4}">(+{len(cleaned) - legend_max} more)</text>'
         )
     parts.append("</svg>")
-    try:
+    with _io(f"cannot write chart to {path}"):
         Path(path).write_text("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write chart to {path}: {exc}") from exc
     return dropped
 
 

@@ -64,6 +64,9 @@ class Grid:
     def __hash__(self) -> int:
         return hash((self.L, self.n))
 
+    def __reduce__(self):
+        return Grid, (self.L, self.n)
+
 
 def make_grid(L: float, N: int) -> Grid:
     """Build the periodic grid on [-L, L) with N nodes.

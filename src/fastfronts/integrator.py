@@ -36,7 +36,7 @@ from .dispersal import (
     fractional_fast_diffusion_step,
 )
 from .errors import GuardBreached, ValidationFailed
-from .grid import Field, Grid, make_grid
+from .grid import Field, Grid
 from .reaction import (
     KppLogistic,
     ReactionSpec,
@@ -139,7 +139,8 @@ def build_initial(spec: InitialSpec, grid: Grid) -> Field:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete description of one experiment.
+    """Complete description of one experiment. Construction runs every static
+    gate of a run and keeps the run's grid, which `grid()` returns.
 
     snapshot_times=None records integer times 0, 1, ..., plus t_end when it is
     not an integer; given times must be nonempty. guard_threshold is the
@@ -204,9 +205,13 @@ class RunConfig:
             if any(b <= a for a, b in zip(times, times[1:])):
                 raise ValidationFailed("snapshot times must be strictly increasing")
             object.__setattr__(self, "snapshot_times", times)
+        object.__setattr__(self, "_grid", Grid(self.L, self.N))
+        self.initial.build(self._grid)
+        if self.reaction is not None:
+            validate_reaction(self.reaction)
 
     def grid(self) -> Grid:
-        return make_grid(self.L, self.N)
+        return self._grid
 
     def resolved_snapshots(self) -> tuple:
         if self.snapshot_times is not None:
@@ -395,11 +400,8 @@ def march(config: RunConfig) -> tuple:
     dispersal), so a consumer copies what it keeps. The march knows no guard.
     `stepper` is the run's DispersalStepper, on the run's grid `stepper.grid`.
     """
-    if config.reaction is not None:
-        validate_reaction(config.reaction)
-    grid = config.grid()
-    u0 = build_initial(config.initial, grid).values.copy()
-    stepper = DispersalStepper(config.dispersal, grid, eps_reg=config.eps_reg)
+    u0 = build_initial(config.initial, config.grid()).values.copy()
+    stepper = DispersalStepper(config.dispersal, config.grid(), eps_reg=config.eps_reg)
     snaps = config.resolved_snapshots()
 
     def steps(u):

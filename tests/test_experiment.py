@@ -101,7 +101,7 @@ class TestParseConfig:
         with pytest.raises(ff.ValidationFailed):
             ff.parse_config_text(MINIMAL.replace("400", "four hundred"))[0]
 
-    @pytest.mark.parametrize("text, n", [("64", 64), ("64.0", 64), ("1e3", 1000)])
+    @pytest.mark.parametrize("text, n", [("64", 64), ("64.0", 64), ("1.024e3", 1024)])
     def test_integral_node_count_accepted(self, text, n):
         assert ff.parse_config_text(MINIMAL.replace("8192", text))[0].N == n
 
@@ -183,11 +183,12 @@ _NAN, _INF = float("nan"), float("inf")
         ("grid.N = 1e400", ff.ValidationFailed),
         ("grid.N = 8192\ntime.snapshots = nan", ff.ValidationFailed),
         ("grid.N = 8192\ndiagnostics.flat_level = 1.5", ff.ValidationFailed),
+        ("grid.N = 1e3", ff.NotPowerOfTwo),
     ],
     ids=["t_end-nan", "t_end-inf", "dt-inf", "L-inf", "flat_radius-negative",
          "eps_reg-zero", "eps_reg-negative", "stretch-reversed", "stretch-at-zero",
          "stretch-at-one", "flat_level-above-one", "flat_level-nan", "snapshot-nan",
-         "N-overflow", "snapshots-nan-document", "flat_level-document"],
+         "N-overflow", "snapshots-nan-document", "flat_level-document", "N-1e3-document"],
 )
 def test_invalid_input_ends_in_library_error(case, error):
     """A dict overrides RunConfig fields; a string replaces a document line."""
@@ -209,22 +210,33 @@ def test_invalid_input_ends_in_library_error(case, error):
          "dispersal.variant = convolution\ndispersal.kernel_b = inf", ff.ParameterOutOfRange),
         (lambda: ff.RunConfig(**_BASE, flat_radius=_INF), "diagnostics.flat_radius = inf",
          ff.ValidationFailed),
+        (lambda: ff.RunConfig(**{**_BASE, "N": 100}), "grid.N = 100", ff.NotPowerOfTwo),
+        (lambda: ff.RunConfig(**{**_BASE, "N": 2**31}), "grid.N = 2147483648",
+         ff.ValidationFailed),
+        (lambda: ff.RunConfig(**_BASE, initial=ff.TabulatedInitial((0.5,) * 3)),
+         "initial.kind = tabulated\ninitial.file = {table}", ff.ValidationFailed),
     ],
-    ids=["indicator-nan", "indicator-minus-inf", "kernel_b-inf", "flat_radius-inf"],
+    ids=["indicator-nan", "indicator-minus-inf", "kernel_b-inf", "flat_radius-inf",
+         "N-not-a-power-of-two", "N-above-bound", "initial-three-samples"],
 )
 def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, capsys):
-    """Unchecked, each of these runs clean: an all-zero run, a run without
-    dispersal, or NaN flatness columns. The dataclass, the document and the
-    CLI must all end in the same error category."""
+    """Unchecked, each of the first four runs clean: an all-zero run, a run
+    without dispersal, or NaN flatness columns; the grid and initial-data
+    cases failed only once the run began, after `--out` was made. The
+    dataclass, the document and the CLI's run and properties verbs must all
+    end in the same error category, before any directory is made."""
     with pytest.raises(error):
         make()
+    (tmp_path / "u0.txt").write_text("0.5\n" * 3)
+    lines = lines.format(table=tmp_path / "u0.txt")
     text = MINIMAL.replace("grid.N = 8192", f"grid.N = 256\n{lines}")
     with pytest.raises(error):
         ff.parse_config_text(text)
     (tmp_path / "doc.cfg").write_text(text)
-    assert main(["run", str(tmp_path / "doc.cfg"), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith(f"error {error.__name__}: ")
-    assert not (tmp_path / "out").exists()
+    for verb in ("run", "properties"):
+        assert main([verb, str(tmp_path / "doc.cfg"), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error {error.__name__}: ")
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -735,6 +747,22 @@ class TestDumpProcess:
         assert not any((out / f"{stem}_snapshots.txt").iterdir())
         _no_partial_dump(out)
 
+    def test_helper_that_cannot_start_is_an_io_failure(self, tmp_path, capsys, monkeypatch):
+        # fork's EAGAIN ended the run verb in a bare BlockingIOError
+        _use_backend(monkeypatch, "helper")
+
+        def no_fork(x, path):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(experiment, "_start_helper", no_fork)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(TINY_CFG)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert "error IoFailure" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        _no_partial_dump(out)
+
     def test_writer_that_dies_is_an_io_failure(self, tmp_path, monkeypatch):
         _use_backend(monkeypatch, "helper")
         monkeypatch.setattr(experiment, "_dump_helper", lambda conn, x, path: os._exit(3))
@@ -829,6 +857,18 @@ class TestCli:
         assert code == 1
         assert "error ValidationFailed" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_value_that_cannot_run_creates_nothing(self, tmp_path, capsys, workers):
+        # grid.N = 100 failed in its member's run, after the directory was
+        # made; one worker had written both grid_N_128 files by then
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG)
+        code = main(["sweep", str(cfg), "--vary", "grid.N=128,100",
+                     "--out", str(tmp_path / "sw"), "--workers", workers])
+        assert code == 1
+        assert "error NotPowerOfTwo" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_unknown_preset_reports_category(self, capsys):
         code = main(["preset", "fig9z"])

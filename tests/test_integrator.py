@@ -608,6 +608,33 @@ class TestInitialConditions:
                          guard_threshold=0.9)
 
     @pytest.mark.parametrize(
+        "case, error",
+        [(dict(L=-5.0, N=100), ff.NotPowerOfTwo), (dict(L=-5.0), ff.NonPositiveLength),
+         (dict(N=2**31), ff.ValidationFailed),
+         (dict(initial=ff.TabulatedInitial((0.5,) * 3)), ff.ValidationFailed),
+         (dict(reaction=ff.CustomMonostable(lambda u: u * (1.0 - u) * (u - 0.3))),
+          ff.NotMonostable)],
+        ids=["L-and-N", "L-negative", "N-above-bound", "initial-three-samples",
+             "reaction-not-monostable"],
+    )
+    def test_config_runs_every_static_gate_at_construction(self, case, error):
+        # each of these configs was built and failed only once a run began
+        with pytest.raises(error):
+            ff.RunConfig(**{**dict(L=10.0, N=16, dispersal=ff.StandardLaplacian(), t_end=1.0),
+                            **case})
+
+    def test_config_holds_one_grid_and_pickles_without_it(self):
+        # a sweep worker receives its config by pickle: the grid's arrays
+        # stay behind and the copy rebuilds them, read-only
+        config = experiment.preset_config("fig1a")
+        data = pickle.dumps(config)
+        copy = pickle.loads(data)
+        assert len(data) < 1024
+        assert copy == config and copy.grid() == config.grid()
+        assert copy.grid() is copy.grid() and config.grid() is config.grid()
+        assert not (copy.grid().x.flags.writeable or copy.grid().xi.flags.writeable)
+
+    @pytest.mark.parametrize(
         "case",
         [dict(dispersal="fractional"), dict(dispersal=ff.AlgebraicTail(3.0)),
          dict(reaction="kpp"), dict(initial="gaussian"), dict(initial=None)],
