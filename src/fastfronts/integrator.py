@@ -19,6 +19,7 @@ the outermost nodes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
@@ -137,6 +138,28 @@ def build_initial(spec: InitialSpec, grid: Grid) -> Field:
 # run configuration
 # ---------------------------------------------------------------------------
 
+# RunConfig's scalar fields that must be real numbers (the node count N is
+# the grid's own gate)
+_REAL_FIELDS = ("L", "t_end", "dt", "guard_threshold", "eps_reg", "seam_margin_frac",
+                "flat_level", "flat_radius")
+
+
+def _require_real(name: str, value) -> None:
+    """ValidationFailed unless value is a real number (a numpy scalar is one)."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationFailed(f"{name} must be a real number, got {value!r}")
+
+
+def _require_reals(name: str, values) -> None:
+    """ValidationFailed unless values is a sequence of real numbers."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ValidationFailed(f"{name} must be a sequence of numbers, got {values!r}") from None
+    for value in items:
+        _require_real(f"each of {name}", value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one experiment. Construction runs every static
@@ -165,6 +188,10 @@ class RunConfig:
     flat_radius: float = 5.0
 
     def __post_init__(self):
+        for name in _REAL_FIELDS:
+            _require_real(name, getattr(self, name))
+        _require_reals("lambdas", self.lambdas)
+        _require_reals("stretch_pair", self.stretch_pair)
         if not isinstance(self.dispersal, DispersalSpec):
             raise ValidationFailed(f"dispersal {self.dispersal!r} is not a fastfronts spec")
         if not isinstance(self.reaction, Optional[ReactionSpec]):
@@ -196,6 +223,7 @@ class RunConfig:
             if not (0.0 < lam < 1.0):
                 raise ValidationFailed(f"diagnostic level {lam!r} not in (0, 1)")
         if self.snapshot_times is not None:
+            _require_reals("snapshot_times", self.snapshot_times)
             times = tuple(float(t) for t in self.snapshot_times)
             if not times:
                 raise ValidationFailed("snapshot times must not be empty")

@@ -10,6 +10,10 @@ complete a clean run: it ends in a FastFrontsError, or the guard breaches.
 Through `fastfronts run` the same document must exit 0, or exit 1 with
 `error <Category>` naming the same error class.
 
+A document's reader converts every value before RunConfig sees it, so the
+wrong-typed fields that only Python callers can pass are listed apart: each
+must end in ValidationFailed.
+
 Grids stay small (N <= 256, t_end <= 0.1): the node-count bound is reached
 through validation (2**31 nodes fail before any allocation), never by
 allocating, and the exponents keep the fractional fast-diffusion sub-cycle
@@ -163,3 +167,19 @@ def test_document_runs_or_fails_in_category(key, token, files, data):
         assert code == 1
         category = re.match(r"error (\w+): ", err.getvalue())
         assert category and category.group(1) == failure
+
+
+WRONG_TYPES = [
+    ("L", "abc"), ("L", None), ("t_end", "1"), ("dt", None), ("eps_reg", "x"),
+    ("guard_threshold", None), ("seam_margin_frac", [0.2]), ("flat_level", "0.5"),
+    ("flat_radius", "5"), ("lambdas", (0.4, "x")), ("lambdas", None), ("lambdas", 0.5),
+    ("stretch_pair", ("a", 0.6)), ("snapshot_times", (0.0, "x")),
+]
+
+
+@pytest.mark.parametrize("name, value", WRONG_TYPES,
+                         ids=[f"{name}={value!r}" for name, value in WRONG_TYPES])
+def test_wrong_typed_field_is_validation_failed(name, value):
+    fields = dict(L=50.0, N=64, dispersal=ff.StandardLaplacian(), t_end=0.1)
+    with pytest.raises(ff.ValidationFailed, match=name):
+        ff.RunConfig(**{**fields, name: value})

@@ -9,7 +9,14 @@ import pytest
 from scipy.integrate import quad
 
 import fastfronts as ff
-from fastfronts.dispersal import NewtonWork, _kirchhoff, _packed_multiplier, sample_kernel
+from fastfronts.dispersal import (
+    NewtonWork,
+    _kirchhoff,
+    _lap_neumann,
+    _packed_multiplier,
+    _window_margin,
+    sample_kernel,
+)
 
 
 def semigroup(spec, field, dt):
@@ -427,16 +434,16 @@ def test_kirchhoff_branches_and_slope(gamma):
     eps = 1e-4
     above = np.array([eps, 2 * eps, 0.3, 1.0, 1.7])
     below = np.array([-0.5, -eps, 0.0, 0.5 * eps, eps * (1 - 1e-9)])
-    w, d = _kirchhoff(above, gamma, eps, NewtonWork(above.size))
+    w, d, _, _ = _kirchhoff(above, gamma, eps, NewtonWork(above.size))
     np.testing.assert_allclose(w, above**gamma, rtol=1e-15)
     np.testing.assert_allclose(d, gamma * above ** (gamma - 1.0), rtol=1e-15)
-    w, d = _kirchhoff(below, gamma, eps, NewtonWork(below.size))
+    w, d, _, _ = _kirchhoff(below, gamma, eps, NewtonWork(below.size))
     line = eps**gamma + gamma * eps ** (gamma - 1.0) * (below - eps)
     np.testing.assert_allclose(w, line, rtol=1e-15)
     np.testing.assert_allclose(d, gamma * eps ** (gamma - 1.0), rtol=1e-15)
     # continuous at the floor: the two branches meet at eps
-    left, _ = _kirchhoff(np.array([eps * (1 - 1e-12)]), gamma, eps, NewtonWork(1))
-    right, _ = _kirchhoff(np.array([eps * (1 + 1e-12)]), gamma, eps, NewtonWork(1))
+    left = _kirchhoff(np.array([eps * (1 - 1e-12)]), gamma, eps, NewtonWork(1))[0]
+    right = _kirchhoff(np.array([eps * (1 + 1e-12)]), gamma, eps, NewtonWork(1))[0]
     assert abs(left[0] - eps**gamma) < 1e-11 * eps**gamma
     assert abs(right[0] - eps**gamma) < 1e-11 * eps**gamma
 
@@ -481,10 +488,147 @@ def _kirchhoff_states(n, eps):
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8, 1.0])
 def test_kirchhoff_span_is_bitwise_the_full_array_formula(gamma, eps, n):
     for name, u in _kirchhoff_states(n, eps).items():
-        w, d = _kirchhoff(u, gamma, eps, NewtonWork(n))
+        w, d, first, end = _kirchhoff(u, gamma, eps, NewtonWork(n))
         expected_w, expected_d = _kirchhoff_full_array(u, gamma, eps)
         assert w.tobytes() == expected_w.tobytes(), name
         assert d.tobytes() == expected_d.tobytes(), name
+        # the span handed back runs from the first node at or above eps to
+        # the last one, and is empty when there is none
+        at = np.flatnonzero(u >= eps)
+        assert (first, end) == ((at[0], at[-1] + 1) if at.size else (first, first)), name
+
+
+def _global_newton(u0, gamma, dt, grid, max_iter=40):
+    """The fast-diffusion Newton step with every solve on the whole grid and
+    every band column made from the slope: the step before windowed
+    corrections, in its order of operations. Returns (state, solves)."""
+    from scipy.linalg import solve_banded
+
+    n, r = grid.n, dt / grid.dx**2
+    work = NewtonWork(n)
+    ab, rhs = work.ab, work.rhs
+    u = u0.copy()
+    for solves in range(max_iter + 1):
+        w, d, _, _ = _kirchhoff(u, gamma, ff.EPS_REG, work)
+        _lap_neumann(w, grid.dx, out=rhs)
+        rhs *= dt
+        rhs -= u
+        rhs += u0
+        if max(rhs.max(), -rhs.min()) <= 1e-13:
+            return u, solves
+        np.multiply(d[1:], -r, out=ab[0, 1:])
+        np.multiply(d, 2.0 * r, out=ab[1])
+        ab[1] += 1.0
+        ab[1, 0] = 1.0 + r * d[0]
+        ab[1, -1] = 1.0 + r * d[-1]
+        np.multiply(d[:-1], -r, out=ab[2, :-1])
+        u += solve_banded((1, 1), ab, rhs)
+    pytest.fail("global Newton oracle did not converge")
+
+
+def _spy_solves(monkeypatch, work):
+    """Record the length of every dispersal.solve_banded call, checking that
+    each one solves on views of `work`'s bands and right-hand side."""
+    sizes = []
+    solve = ff.dispersal.solve_banded
+
+    def spy(l_and_u, ab, b, **kwargs):
+        assert np.shares_memory(ab, work.ab) and np.shares_memory(b, work.rhs)
+        sizes.append(b.size)
+        return solve(l_and_u, ab, b, **kwargs)
+
+    monkeypatch.setattr(ff.dispersal, "solve_banded", spy)
+    return sizes
+
+
+def _residual(u, u0, gamma, dt, grid):
+    """max|u - dt * Lap(w(u)) - u0|, the step's convergence measure."""
+    w, _, _, _ = _kirchhoff(u, gamma, ff.EPS_REG, NewtonWork(grid.n))
+    return np.max(np.abs(u - dt * _lap_neumann(w, grid.dx, np.empty(grid.n)) - u0))
+
+
+class TestWindowedNewton:
+    """After a step's global first solve, each Newton solve covers only the
+    above-floor span widened by the margin M of _window_margin."""
+
+    # 2^14 nodes on L=400 at dt=0.01: M = 5,322 < n/2, and the width-100
+    # Gaussian's span holds about 1,800 nodes
+    WIDE = (400.0, 2**14)
+
+    @staticmethod
+    def _start(grid):
+        return np.exp(-grid.x**2 / 100.0)
+
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 20.0, 3355.0, 1e9])
+    def test_margin_is_the_float64_decay_length_of_the_floor_operator(self, c):
+        # rho from the quadratic's small root, as the product of the roots is 1
+        big = ((1 + 2 * c) + np.sqrt((1 + 2 * c) ** 2 - 4 * c * c)) / (2 * c)
+        rho = 1.0 / big
+        margin = _window_margin(c, 2**30)
+        assert margin == np.ceil(53 * np.log(2.0) / np.log(big)) + 1
+        assert rho ** (margin - 1) <= 2.0**-53 < rho ** (margin - 2)
+
+    def test_margin_at_decoupled_and_unbounded_rows(self):
+        assert _window_margin(0.0, 64) == 1
+        assert _window_margin(np.inf, 64) == 64
+
+    def test_wide_box_matches_global_oracle(self, monkeypatch):
+        g = ff.make_grid(*self.WIDE)
+        dt = 0.01
+        assert _window_margin(dt / g.dx**2 * 0.5 * ff.EPS_REG**-0.5, g.n) < g.n // 2
+        work = NewtonWork(g.n)
+        sizes = _spy_solves(monkeypatch, work)
+        u = v = self._start(g)
+        for _ in range(3):
+            del sizes[:]
+            u = ff.fast_diffusion_step(u, 0.5, dt, g, work=work)
+            v, solves = _global_newton(v, 0.5, dt, g)
+            assert len(sizes) == solves
+            assert np.max(np.abs(u - v)) <= 1e-15
+            # the first solve is global and every later one is windowed
+            assert sizes[0] == g.n and len(sizes) > 1
+            assert all(size < g.n for size in sizes[1:])
+
+    def test_every_solve_on_a_covered_grid_is_global_and_bitwise(self, monkeypatch):
+        # on 128 nodes the window covers the grid, so the step is the oracle's
+        g = ff.make_grid(20.0, 128)
+        work = NewtonWork(g.n)
+        sizes = _spy_solves(monkeypatch, work)
+        u = v = np.clip(1.0 - (g.x / 6.0) ** 2, 0.0, None)
+        for dt in (0.05, 0.05, 0.013):
+            u = ff.fast_diffusion_step(u, 0.5, dt, g, work=work)
+            v, solves = _global_newton(v, 0.5, dt, g)
+            assert u.tobytes() == v.tobytes()
+        assert len(sizes) > 3 and set(sizes) == {g.n}
+
+    def test_too_narrow_window_costs_only_iterations(self, monkeypatch):
+        # with a 1-node margin the windowed corrections miss part of the
+        # update: the largest residual then lies outside the window, that
+        # iterate solves globally, and the step still converges
+        g = ff.make_grid(*self.WIDE)
+        u0 = self._start(g)
+        expected, solves = _global_newton(u0, 0.5, 0.01, g)
+        monkeypatch.setattr(ff.dispersal, "_window_margin", lambda c, n: 1)
+        work = NewtonWork(g.n)
+        sizes = _spy_solves(monkeypatch, work)
+        u = ff.fast_diffusion_step(u0, 0.5, 0.01, g, work=work)
+        assert len(sizes) > solves
+        assert any(size < g.n for size in sizes) and g.n in sizes[1:]
+        assert _residual(u, u0, 0.5, 0.01, g) <= 1e-12
+        assert np.max(np.abs(u - expected)) <= 1e-13
+
+    def test_cap_below_the_needed_count_raises_on_wide_box(self, monkeypatch):
+        g = ff.make_grid(*self.WIDE)
+        u0 = self._start(g)
+        work = NewtonWork(g.n)
+        sizes = _spy_solves(monkeypatch, work)
+        full = ff.fast_diffusion_step(u0, 0.5, 0.01, g, work=work)
+        needed = len(sizes)
+        assert needed >= 3 and min(sizes) < g.n
+        with pytest.raises(ff.SolverNotConverged):
+            ff.fast_diffusion_step(u0, 0.5, 0.01, g, max_iter=needed - 1, work=work)
+        capped = ff.fast_diffusion_step(u0, 0.5, 0.01, g, max_iter=needed, work=work)
+        assert capped.tobytes() == full.tobytes()
 
 
 class TestFractionalFastDiffusion:
