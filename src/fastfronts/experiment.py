@@ -13,11 +13,13 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import sys
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import _dumpfile
 from .dispersal import (
     AlgebraicTail,
     Convolution,
@@ -271,128 +273,83 @@ def make_out_dir(path) -> Path:
     return out
 
 
-# Lines per `%` operation in the dump: a block of text (about 1.5 kB) that
-# fits in the file's write buffer.
-_DUMP_ROWS = 32
+def _start_helper(part: Path, n: int):
+    """Start the writer process of a dump of `n` nodes into `part`; returns its Popen."""
+    import subprocess
 
-
-def _write_dump(fh, templates: list, t: float, values: np.ndarray) -> None:
-    """Write one snapshot to `fh` in the dump format, the one formatter of
-    every dump: the `# t=` header, then the x templates of `_DumpWriter`
-    filled one block at a time with one `%` operation, so the writer holds
-    one block of formatted values at a time."""
-    fh.write(f"# t={t:.17g}\n")
-    for k, template in enumerate(templates):
-        block = values[k * _DUMP_ROWS:(k + 1) * _DUMP_ROWS]
-        fh.write(template % tuple(block.tolist()))
-
-
-def _dump_helper(conn, x: np.ndarray, path: Path) -> None:
-    """Body of the dump helper process: an in-process writer for `path` takes
-    each (t, values) that arrives on `conn` until None arrives and then
-    publishes the file; the helper sends back None or the IoFailure that
-    stopped it."""
-    snapshots = iter(conn.recv, None)
-    try:
-        _write_all(path, x, snapshots)
-        conn.send(None)
-    except IoFailure as exc:
-        for _ in snapshots:  # read on to None, so that the run never waits on a full pipe
-            pass
-        conn.send(exc)
-
-
-def _start_helper(x: np.ndarray, path: Path) -> tuple:
-    """Fork the dump helper process; returns (process, this end of its pipe)."""
-    import multiprocessing
-
-    # fork, not spawn: the helper starts at once, with no fresh import of
-    # the package, and only formats Python floats, so no lock held by a
-    # numpy or BLAS thread at the fork is ever taken in it
-    ctx = multiprocessing.get_context("fork")
-    conn, child = ctx.Pipe()
-    proc = ctx.Process(target=_dump_helper, args=(child, x, path), daemon=True)
-    proc.start()
-    child.close()
-    return proc, conn
+    # a 256 kB pipe (Linux only) holds x and fig1d's first snapshots while it starts
+    return subprocess.Popen(
+        [sys.executable, "-I", "-S", _dumpfile.__file__, os.fspath(part), str(n)],
+        stdin=subprocess.PIPE, stderr=subprocess.PIPE, pipesize=1 << 18,
+    )
 
 
 def _helper_allowed() -> bool:
-    """The one rule that picks the dump writer: fork a helper process only
-    where the platform has fork, this is a main process and it may use two
-    or more CPUs. A daemon or a pool worker is a child process, and a
-    sweep's pool already keeps every CPU busy; on one CPU the helper would
-    only take turns with the run."""
-    import multiprocessing
-
+    """The one rule that picks the dump writer: a writer process where this
+    process may use two or more CPUs; on one it would take turns with the run."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and multiprocessing.parent_process() is None and cpus >= 2)
+    return cpus >= 2
 
 
 class _DumpWriter(contextlib.AbstractContextManager):
     """Writes the snapshot dump at `path` as a run records it; `send` is the
-    run's on_snapshot. The snapshots are written to `<path>.part` by a forked
-    helper process where `_helper_allowed()` and by this process otherwise
-    (always with `in_process`). `finish` publishes the file: the in-process
-    writer renames `.part` to `path`, and the helper runs an in-process
-    writer of its own. Leaving the `with` block in any other way stops the
-    helper and removes `<path>.part`. The block holds only the run and the
-    writer's own calls, so an OSError or EOFError raised in it (a failed
-    write, or the pipe of a helper that is gone) ends in IoFailure."""
+    run's on_snapshot. The snapshots go to `<path>.part`, formatted by the
+    `_dumpfile` writer process where `_helper_allowed()` and by this process
+    otherwise (always with `in_process`). `finish` waits for the writer
+    process and renames `.part` to `path`. Leaving the `with` block in any
+    other way kills and reaps the writer process and removes `<path>.part`.
+    The block holds only the run and the writer's own calls, so an OSError
+    raised in it ends in IoFailure, as does a writer process that exits
+    nonzero, with its exit code and the last line of its stderr."""
 
     def __init__(self, path, x: np.ndarray, *, in_process: bool = False):
         self.path = Path(path)
         self.part = self.path.with_name(self.path.name + ".part")
         self.proc = None
-        with _io(f"cannot write snapshots to {self.path}"):  # a failed fork too
-            if not in_process and _helper_allowed():
-                self.proc, self.conn = _start_helper(x, self.path)
+        with _io(f"cannot write snapshots to {self.path}"):  # a writer that cannot start too
+            if in_process or not _helper_allowed():
+                self.templates = _dumpfile._templates(x)
+                self.fh = open(self.part, "w")
                 return
-            # the x column is formatted once per dump, into `"<x> %.17g"` line
-            # templates of `_DUMP_ROWS` lines each
-            self.templates = ["".join(f"{xv:.17g} %.17g\n" for xv in x[i:i + _DUMP_ROWS])
-                              for i in range(0, x.size, _DUMP_ROWS)]
-            self.fh = open(self.part, "w")
+            self.proc = _start_helper(self.part, x.size)
+        try:
+            self.proc.stdin.write(np.ascontiguousarray(x, dtype=np.float64))
+        except BaseException as exc:  # raised before any `with` block: clean up here
+            self.__exit__(type(exc), exc, exc.__traceback__)
+            raise
 
     def send(self, t: float, values: np.ndarray) -> None:
         if self.proc is None:
-            _write_dump(self.fh, self.templates, t, values)
+            _dumpfile._write_dump(self.fh, self.templates, t, values)
         else:
-            self.conn.send((t, values))
+            self.proc.stdin.write(np.append(t, values))
+
+    def _reap(self) -> str | None:
+        """Reap the writer process; returns why it failed, or None if it exited 0."""
+        _, err = self.proc.communicate()  # closes stdin, which ends the dump
+        if self.proc.returncode:
+            return ": ".join([f"the writer process exited with code {self.proc.returncode}",
+                              *err.decode(errors="replace").splitlines()[-1:]])
 
     def finish(self) -> None:
         if self.proc is None:
             self.fh.close()
-            os.replace(self.part, self.path)
-            return
-        self.conn.send(None)
-        failure = self.conn.recv()  # None once the helper has published the file
-        self.proc.join()
-        if failure is not None:
-            raise failure
+        elif (failure := self._reap()) is not None:
+            raise IoFailure(f"cannot write snapshots to {self.path}: {failure}")
+        os.replace(self.part, self.path)
 
     def __exit__(self, exc_type, exc, tb):
+        failure = None
         if self.proc is None:
             with contextlib.suppress(OSError):  # what a failed flush loses is removed below
                 self.fh.close()
         else:
-            self.proc.kill()  # harmless once the helper has exited
-            self.proc.join()
-            self.conn.close()
+            self.proc.kill()  # harmless once the writer has exited
+            failure = self._reap()
         self.part.unlink(missing_ok=True)
-        if isinstance(exc, (OSError, EOFError)):
-            reason = exc if self.proc is None else f"the writer process stopped ({exc!r})"
-            raise IoFailure(f"cannot write snapshots to {self.path}: {reason}") from exc
-
-
-def _write_all(path, x: np.ndarray, snapshots) -> None:
-    """Write (t, values) pairs through an in-process writer and publish the dump."""
-    with _DumpWriter(path, x, in_process=True) as dump:
-        for t, values in snapshots:
-            dump.send(t, values)
-        dump.finish()
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write snapshots to {self.path}: {failure or exc}") from exc
 
 
 def save_snapshots(traj: Trajectory, path) -> None:
@@ -400,29 +357,33 @@ def save_snapshots(traj: Trajectory, path) -> None:
 
     Values carry 17 significant digits. The dump is written in the calling
     process to `<path>.part`, which is renamed to `path` once it is whole and
-    removed on an error. `run_to_files` and sweep members write the same
-    bytes while their run marches.
+    removed on an error. `run_to_files` writes the same bytes while its run
+    marches.
     """
-    _write_all(path, traj.grid.x, ((t, fld.values) for t, fld in traj.snapshots()))
+    with _DumpWriter(path, traj.grid.x, in_process=True) as dump:
+        for t, fld in traj.snapshots():
+            dump.send(t, fld.values)
+        dump.finish()
 
 
-def run_to_files(stem: str, config: RunConfig, out: Path) -> tuple:
+def run_to_files(stem: str, config: RunConfig, out: Path, *,
+                 raise_on_breach: bool = True) -> tuple:
     """Run `config` and write `<stem>_snapshots.txt` and
     `<stem>_diagnostics.csv` into `out`; returns (trajectory, report,
-    snapshot path, CSV path). The `run` verb and each preset member run here.
+    snapshot path, CSV path). The `run` verb, each preset member and each
+    sweep member run here.
 
-    A breach raises GuardBreached. Each snapshot is written as the run
-    records it, to `<stem>_snapshots.txt.part`: by a helper process forked
-    before the run where `_helper_allowed` (a main process with fork and two
-    or more CPUs; this process builds the report meanwhile), and by this
-    process otherwise, in the same bytes. The file is renamed into place
-    once the run is clean and the dump whole. On any exception the helper is
-    stopped and the `.part` file removed, so a dump appears only after a
-    clean run, and the CSV only after the dump.
+    A breach raises GuardBreached unless `raise_on_breach` is False, as for a
+    sweep member, which keeps its truncated run. Each snapshot is written as
+    the run records it, to `<stem>_snapshots.txt.part`: by a writer process
+    where `_helper_allowed` (this process builds the report meanwhile), and
+    by this process otherwise, in the same bytes. On any exception the
+    writer process is killed and the `.part` file removed, so a dump appears
+    only after a run that did not raise, and the CSV only after the dump.
     """
     snap_path = out / f"{stem}_snapshots.txt"
     with _DumpWriter(snap_path, config.grid().x) as dump:
-        traj = run(config, raise_on_breach=True, on_snapshot=dump.send)
+        traj = run(config, raise_on_breach=raise_on_breach, on_snapshot=dump.send)
         report = build_report(traj)
         dump.finish()
     # the CSV comes after the dump, so that a failed dump leaves no CSV behind
@@ -438,7 +399,7 @@ def run_preset(name: str, out_dir) -> dict:
     a profile chart and a level-separation chart; fig2 runs all four
     operators and adds the combined separation chart. Each member goes
     through `run_to_files`: its dump is written while it marches (by a
-    helper process where the rule of `_helper_allowed` allows one) and
+    writer process where the rule of `_helper_allowed` allows one) and
     appears only once the member ran clean. Returns a dict of trajectories,
     reports and written paths; a breach raises GuardBreached.
     """
@@ -734,14 +695,9 @@ def sweep_values(text: str, vary: str) -> list:
 
 
 def _sweep_worker(args):
-    # a breached member keeps its truncated run: its dump and CSV are written
-    label, config, out = args
-    with _DumpWriter(out / f"{label}_snapshots.txt", config.grid().x) as dump:
-        traj = run(config, on_snapshot=dump.send)
-        report = build_report(traj)
-        dump.finish()
-    emit_csv(report, out / f"{label}_diagnostics.csv")
-    return label, traj.guard_breach_time, len(traj.times)
+    # args is (label, config, out): a member runs as `run_to_files` runs its stem
+    traj, *_ = run_to_files(*args, raise_on_breach=False)
+    return args[0], traj.guard_breach_time, len(traj.times)
 
 
 def run_sweep(text: str, vary: str, out_dir, *, workers: int | None = None) -> list:
@@ -751,10 +707,9 @@ def run_sweep(text: str, vary: str, out_dir, *, workers: int | None = None) -> l
     and any other value than an integer >= 1 raises ValidationFailed first.
     Returns [(label, guard_breach_time_or_None, n_snapshots)] in input order.
     A member that breaches the guard is not an error: its truncated dump and
-    CSV are written and its breach time returned. Each member writes its
-    dump as `run_to_files` does, through `<label>_snapshots.txt.part`; one
-    worker runs the members in the calling process, which may fork a dump
-    helper, while a pool worker is a child process and writes in-process.
+    CSV are written and its breach time returned. Each member goes through
+    `run_to_files`, in the calling process with one worker and in a pool
+    worker otherwise, and its dump takes a writer process by the same rule.
     """
     if workers is not None and (type(workers) is not int or workers < 1):  # type() rules out bool
         raise ValidationFailed(f"workers must be an integer >= 1, got {workers!r}")

@@ -239,14 +239,36 @@ def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, 
         assert not (tmp_path / "out").exists()
 
 
+def _record_writers(mp) -> list:
+    """Wrap the `_start_helper` seam through `mp`; returns the list of the
+    writer processes it starts."""
+    started = []
+    start = experiment._start_helper
+
+    def record(part, n):
+        started.append(start(part, n))
+        return started[-1]
+
+    mp.setattr(experiment, "_start_helper", record)
+    return started
+
+
+@pytest.fixture(autouse=True)
+def writers(monkeypatch) -> list:
+    """The writer processes that a test starts through the `_start_helper` seam."""
+    return _record_writers(monkeypatch)
+
+
 @pytest.fixture(scope="module")
 def fig1d_bundle(tmp_path_factory):
-    """The fig1d preset run once into a fresh directory, with the dump helper
-    pinned (two CPUs whatever the host has): (result, directory)."""
+    """The fig1d preset run once into a fresh directory, with the writer
+    process pinned (two CPUs whatever the host has): (result, directory,
+    the writer processes started)."""
     out = tmp_path_factory.mktemp("fig1d")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        return ff.run_preset("fig1d", out), out
+        started = _record_writers(mp)
+        return ff.run_preset("fig1d", out), out, started
 
 
 class TestPresets:
@@ -297,7 +319,7 @@ class TestPresets:
 
     def test_run_preset_bundle(self, fig1d_bundle):
         # the classical preset is cheap enough to exercise end to end
-        result, tmp_path = fig1d_bundle
+        result, tmp_path, _ = fig1d_bundle
         traj = result["trajectories"]["fig1d"]
         assert not traj.breached
         assert len(traj.times) == 21  # profiles at t = 0, 1, ..., 20
@@ -530,12 +552,21 @@ class TestSweep:
         assert created == [2]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_breached_member_writes_its_truncated_run(self, tmp_path, monkeypatch, workers):
-        # one worker runs both members here, with the helper; two pool
-        # workers are child processes and write in-process on any CPU count
-        started = _use_backend(monkeypatch, "helper")
-        if workers == 2:
-            monkeypatch.setattr(experiment, "_start_helper", _refuse_helper)
+    def test_breached_member_writes_its_truncated_run(self, tmp_path, monkeypatch, writers,
+                                                      workers):
+        # each member starts a writer process, in this process with one
+        # worker and in a pool worker with two; a pool worker's starts are
+        # seen through the marker files that the seam leaves
+        _use_backend(monkeypatch, "helper")
+        marks = tmp_path / "started"
+        marks.mkdir()
+        start = experiment._start_helper
+
+        def mark(part, n):
+            (marks / Path(part).name).touch()
+            return start(part, n)
+
+        monkeypatch.setattr(experiment, "_start_helper", mark)
         out = tmp_path / "out"
         results = experiment.run_sweep(BREACHING_CFG, "grid.L=4,32", out, workers=workers)
         expected = []
@@ -548,9 +579,10 @@ class TestSweep:
                 assert (out / f"{label}_{kind}").read_bytes() == (tmp_path / kind).read_bytes()
         assert results == expected
         assert results[0][1] is not None and results[1][1] is None
-        assert len(started) == (2 if workers == 1 else 0)
+        assert len(list(marks.iterdir())) == 2
+        assert len(writers) == (2 if workers == 1 else 0)
         assert len(list(out.iterdir())) == 4
-        _no_partial_dump(out)
+        _no_partial_dump(out, writers)
 
     def test_two_worker_sweep_writes_the_bytes_of_a_serial_one(self, tmp_path):
         outputs = {}
@@ -598,74 +630,74 @@ time.snapshots = 0, 0.01, 0.02, 0.5, 1
 """
 
 
-def _no_partial_dump(out):
-    """No `.part` file under `out` and no helper process left running."""
+def _no_partial_dump(out, writers):
+    """No `.part` file under `out`, and every writer process in `writers` reaped."""
     assert not list(out.rglob("*.part"))
-    assert multiprocessing.active_children() == []
+    assert all(proc.returncode is not None for proc in writers)
 
 
 def _refuse_helper(*args):
     raise AssertionError("the dump must be written in this process")
 
 
-def _use_backend(monkeypatch, backend) -> list:
-    """Make the rule pick `backend` whatever CPUs the host has; returns the
-    list of the helpers started, one dump path each."""
+def _use_backend(monkeypatch, backend) -> None:
+    """Make the rule pick `backend` whatever CPUs the host has."""
     cpus = {"helper": {0, 1}, "in-process": {0}}[backend]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    started = []
-    start = experiment._start_helper
-
-    def record(x, path):
-        started.append(path)
-        return start(x, path)
-
-    monkeypatch.setattr(experiment, "_start_helper",
-                        record if backend == "helper" else _refuse_helper)
-    return started
+    if backend == "in-process":
+        monkeypatch.setattr(experiment, "_start_helper", _refuse_helper)
 
 
-def _run_verb_without_helper(cfg, out):
-    """Body of a child process: the run verb with helper start-up refused."""
-    experiment._start_helper = _refuse_helper
-    sys.exit(main(["run", str(cfg), "--out", str(out)]))
+def _run_verb_in_daemon(cfg, out):
+    """Body of a daemon process: the run verb; exits with its code, or with 2
+    unless it started exactly one writer process."""
+    started = _record_writers(pytest.MonkeyPatch())
+    code = main(["run", str(cfg), "--out", str(out)])
+    sys.exit(code or (0 if len(started) == 1 else 2))
+
+
+def _start_python(writers, code):
+    """A seam in place of `_start_helper`: start `python -c code` with the
+    writer's pipes, recorded in `writers`."""
+
+    def start(part, n):
+        writers.append(subprocess.Popen([sys.executable, "-c", code],
+                                        stdin=subprocess.PIPE, stderr=subprocess.PIPE))
+        return writers[-1]
+
+    return start
 
 
 class TestDumpProcess:
-    """The one dump writer: a helper process where the rule allows it,
-    this process otherwise."""
+    """The one dump writer: a writer process where the rule allows it, this
+    process otherwise."""
 
     def test_preset_dump_is_the_bytes_of_save_snapshots(self, fig1d_bundle, tmp_path):
-        result, out = fig1d_bundle
+        result, out, started = fig1d_bundle
         ff.save_snapshots(result["trajectories"]["fig1d"], tmp_path / "serial.txt")
         assert (out / "fig1d_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
-        _no_partial_dump(out)
+        assert len(started) == 1
+        _no_partial_dump(out, started)
 
-    @pytest.mark.parametrize("writer", ["helper", "no fork", "daemon", "one cpu"])
+    @pytest.mark.parametrize("writer", ["helper", "one cpu"])
     def test_run_verb_dump_is_the_bytes_of_save_snapshots(self, tmp_path, capsys, monkeypatch,
-                                                          writer):
-        # without fork, in a child process (a daemon, a pool worker) or on
-        # one CPU, the dump is written in this process as the run marches
-        started = _use_backend(monkeypatch, "in-process" if writer == "one cpu" else "helper")
-        if writer == "no fork":
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        if writer == "daemon":
-            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-        if writer != "helper":
-            monkeypatch.setattr(experiment, "_start_helper", _refuse_helper)
+                                                          writers, writer):
+        # on one CPU the dump is written in this process as the run marches
+        _use_backend(monkeypatch, "in-process" if writer == "one cpu" else "helper")
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
-        assert len(started) == (writer == "helper")
+        assert len(writers) == (writer == "helper")
         ff.save_snapshots(ff.run(experiment.parse_config_text(SMALL_CFG)[0]), tmp_path / "serial.txt")
         assert (out / "small_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
-        _no_partial_dump(out)
+        _no_partial_dump(out, writers)
 
     @pytest.mark.parametrize("child", ["one cpu", "daemon"])
-    def test_child_process_writes_in_process(self, tmp_path, child):
-        # real processes: one that may use a single CPU, and a daemon, which
-        # is a child process; each runs the run verb with helper start-up refused
+    def test_child_process_writes_in_process(self, tmp_path, monkeypatch, writers, child):
+        # real processes: one that may use a single CPU runs the run verb
+        # with writer start-up refused; a daemon may not have multiprocessing
+        # children, but on two CPUs it starts a writer process all the same
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
         out = tmp_path / "out"
@@ -677,7 +709,7 @@ class TestDumpProcess:
                 "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
                 "from fastfronts import experiment\n"
                 "from fastfronts.cli import main\n"
-                "def refuse(*args): raise AssertionError('the helper was started')\n"
+                "def refuse(*args): raise AssertionError('the writer process was started')\n"
                 "experiment._start_helper = refuse\n"
                 f"sys.exit(main(['run', {str(cfg)!r}, '--out', {str(out)!r}]))\n"
             )
@@ -685,27 +717,56 @@ class TestDumpProcess:
                                   timeout=120)
             assert proc.returncode == 0, proc.stderr
         else:
+            _use_backend(monkeypatch, "helper")
             ctx = multiprocessing.get_context("fork")
-            proc = ctx.Process(target=_run_verb_without_helper, args=(cfg, out), daemon=True)
+            proc = ctx.Process(target=_run_verb_in_daemon, args=(cfg, out), daemon=True)
             proc.start()
             proc.join(120)
             assert proc.exitcode == 0
         ff.save_snapshots(ff.run(experiment.parse_config_text(SMALL_CFG)[0]), tmp_path / "serial.txt")
         assert (out / "small_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
-        _no_partial_dump(out)
+        _no_partial_dump(out, writers)
 
-    def test_breaching_preset_member_leaves_no_file(self, tmp_path, monkeypatch):
+    def test_run_verb_forks_nothing_and_loads_no_multiprocessing(self, tmp_path, writers):
+        # a fresh interpreter on two CPUs, with an os.fork that raises
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_CFG)
+        out = tmp_path / "out"
+        code = (
+            f"import os, sys; sys.path.insert(0, {SRC!r})\n"
+            "def no_fork(): raise AssertionError('os.fork was called')\n"
+            "os.fork = no_fork\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from fastfronts import experiment\n"
+            "from fastfronts.cli import main\n"
+            "started = []\n"
+            "start = experiment._start_helper\n"
+            "experiment._start_helper = lambda *a: started.append(start(*a)) or started[-1]\n"
+            f"assert main(['run', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
+            "assert len(started) == 1, started\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        ff.save_snapshots(ff.run(experiment.parse_config_text(SMALL_CFG)[0]), tmp_path / "serial.txt")
+        assert (out / "small_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
+        _no_partial_dump(out, writers)
+
+    def test_breaching_preset_member_leaves_no_file(self, tmp_path, monkeypatch, writers):
         _use_backend(monkeypatch, "helper")
         monkeypatch.setitem(experiment._PRESET_TABLE, "fig1d", BREACHING_MEMBER)
         with pytest.raises(ff.GuardBreached):
             ff.run_preset("fig1d", tmp_path)
         assert list(tmp_path.iterdir()) == []
-        _no_partial_dump(tmp_path)
+        assert len(writers) == 1
+        _no_partial_dump(tmp_path, writers)
 
     @pytest.mark.parametrize("backend", ["helper", "in-process"])
     @pytest.mark.parametrize("outcome", ["clean", "breach", "directory"])
-    def test_every_exit_leaves_no_partial_file(self, tmp_path, monkeypatch, backend, outcome):
-        started = _use_backend(monkeypatch, backend)
+    def test_every_exit_leaves_no_partial_file(self, tmp_path, monkeypatch, writers, backend,
+                                               outcome):
+        _use_backend(monkeypatch, backend)
         member = BREACHING_MEMBER if outcome == "breach" else SMALL_MEMBER
         config = ff.RunConfig(**member)
         if outcome == "directory":
@@ -720,20 +781,20 @@ class TestDumpProcess:
                 experiment.run_to_files("m", config, tmp_path)
             left = [] if outcome == "breach" else ["m_snapshots.txt"]
             assert [p.name for p in tmp_path.iterdir()] == left
-        assert len(started) == (backend == "helper")
-        _no_partial_dump(tmp_path)
+        assert len(writers) == (backend == "helper")
+        _no_partial_dump(tmp_path, writers)
 
-    def test_save_snapshots_to_a_directory_is_an_io_failure(self, tmp_path):
+    def test_save_snapshots_to_a_directory_is_an_io_failure(self, tmp_path, writers):
         traj = ff.run(ff.RunConfig(**SMALL_MEMBER))
         (tmp_path / "dump.txt").mkdir()
         with pytest.raises(ff.IoFailure, match="cannot write snapshots"):
             ff.save_snapshots(traj, tmp_path / "dump.txt")
         assert [p.name for p in tmp_path.iterdir()] == ["dump.txt"]
-        _no_partial_dump(tmp_path)
+        _no_partial_dump(tmp_path, writers)
 
     @pytest.mark.parametrize("verb", ["run", "preset"])
     def test_dump_path_that_is_a_directory_is_an_io_failure(self, tmp_path, capsys, monkeypatch,
-                                                            verb):
+                                                            writers, verb):
         _use_backend(monkeypatch, "helper")
         monkeypatch.setitem(experiment._PRESET_TABLE, "fig1d", SMALL_MEMBER)
         cfg = tmp_path / "small.cfg"
@@ -745,52 +806,65 @@ class TestDumpProcess:
         assert "error IoFailure" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == [f"{stem}_snapshots.txt"]
         assert not any((out / f"{stem}_snapshots.txt").iterdir())
-        _no_partial_dump(out)
+        _no_partial_dump(out, writers)
 
-    def test_helper_that_cannot_start_is_an_io_failure(self, tmp_path, capsys, monkeypatch):
-        # fork's EAGAIN ended the run verb in a bare BlockingIOError
+    def test_helper_that_cannot_start_is_an_io_failure(self, tmp_path, capsys, monkeypatch,
+                                                       writers):
+        # a start-up OSError (EAGAIN, say) must not end the run verb bare
         _use_backend(monkeypatch, "helper")
 
-        def no_fork(x, path):
+        def cannot_start(part, n):
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(experiment, "_start_helper", no_fork)
+        monkeypatch.setattr(experiment, "_start_helper", cannot_start)
         cfg = tmp_path / "small.cfg"
         cfg.write_text(TINY_CFG)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert "error IoFailure" in capsys.readouterr().err
         assert list(out.iterdir()) == []
-        _no_partial_dump(out)
+        _no_partial_dump(out, writers)
 
-    def test_writer_that_dies_is_an_io_failure(self, tmp_path, monkeypatch):
+    def test_writer_that_dies_is_an_io_failure(self, tmp_path, monkeypatch, writers):
         _use_backend(monkeypatch, "helper")
-        monkeypatch.setattr(experiment, "_dump_helper", lambda conn, x, path: os._exit(3))
+        monkeypatch.setattr(experiment, "_start_helper",
+                            _start_python(writers, "import sys; sys.exit(3)"))
         config = experiment.parse_config_text(SMALL_CFG)[0]
-        with pytest.raises(ff.IoFailure, match="writer process"):
+        with pytest.raises(ff.IoFailure, match="writer process exited with code 3"):
             experiment.run_to_files("small", config, tmp_path)
         assert list(tmp_path.iterdir()) == []
-        _no_partial_dump(tmp_path)
+        assert len(writers) == 1
+        _no_partial_dump(tmp_path, writers)
+
+    def test_failure_while_the_writer_takes_x_is_an_io_failure(self, tmp_path, monkeypatch,
+                                                               writers):
+        # a writer that closes its stdin and lives on: the x column, 128 kB
+        # and more than a pipe holds, meets a broken pipe in the constructor,
+        # before any `with` block, which must still kill and reap the writer
+        _use_backend(monkeypatch, "helper")
+        monkeypatch.setattr(experiment, "_start_helper",
+                            _start_python(writers, "import os, time; os.close(0); time.sleep(60)"))
+        x = ff.make_grid(50.0, 2**14).x
+        with pytest.raises(ff.IoFailure, match="cannot write snapshots"):
+            experiment._DumpWriter(tmp_path / "m_snapshots.txt", x)
+        assert list(tmp_path.iterdir()) == []
+        assert len(writers) == 1 and writers[0].returncode == -9
+        _no_partial_dump(tmp_path, writers)
 
     @pytest.mark.parametrize("backend", ["helper", "in-process"])
-    def test_write_error_in_the_writer_is_an_io_failure(self, tmp_path, monkeypatch, backend):
-        # the writer stops after the first snapshot; the helper reads on to the end
+    def test_write_error_in_the_writer_is_an_io_failure(self, tmp_path, monkeypatch, writers,
+                                                        backend):
+        # a real ENOSPC on both backends: `.part` is a symbolic link to /dev/full
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
         _use_backend(monkeypatch, backend)
-        write = experiment._write_dump
-        written = []
-
-        def full_disk(fh, templates, t, values):
-            if written:
-                raise OSError(28, "No space left on device")
-            written.append(t)
-            write(fh, templates, t, values)
-
-        monkeypatch.setattr(experiment, "_write_dump", full_disk)
+        (tmp_path / "small_snapshots.txt.part").symlink_to("/dev/full")
         config = experiment.parse_config_text(SMALL_CFG)[0]
         with pytest.raises(ff.IoFailure, match="No space left on device"):
             experiment.run_to_files("small", config, tmp_path)
         assert list(tmp_path.iterdir()) == []
-        _no_partial_dump(tmp_path)
+        assert len(writers) == (backend == "helper")
+        _no_partial_dump(tmp_path, writers)
 
 
 class TestCli:

@@ -19,9 +19,11 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # scipy costs about 0.2 s per process; the others come with the standard
-# library's process pool and XML helpers, which only sweeps and charts need,
-# and with multiprocessing, which only the dump writer needs
-NOT_AT_IMPORT = ("scipy", "concurrent.futures", "xml", "http", "ssl", "multiprocessing")
+# library's process pool (concurrent.futures and multiprocessing) and XML
+# helpers, which only sweeps and charts need, and with subprocess, which
+# only starts the dump's writer process
+NOT_AT_IMPORT = ("scipy", "concurrent.futures", "xml", "http", "ssl", "multiprocessing",
+                 "subprocess")
 
 
 def loaded_after(statements: str) -> set:

@@ -4,6 +4,7 @@ equivariance (bitwise for half-box shifts, roundoff-tight in general).
 """
 
 import hashlib
+import os
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import fastfronts as ff
-from fastfronts import experiment, integrator
+from fastfronts import _dumpfile, experiment, integrator
 from fastfronts.dispersal import build_symbol
 from fastfronts.integrator import DispersalStepper, _segment_steps
 
@@ -338,13 +339,15 @@ class TestSnapshotDump:
         assert np.array_equal(np.asarray(xs), traj.grid.x)
         assert np.array_equal(np.asarray(us), traj.fields[0].values)
 
-    @pytest.mark.parametrize("block", [None, 1, 3, 8])
+    @pytest.mark.parametrize("block", [None, 1, 3, 8, "writer process"])
     def test_dump_bytes_pinned(self, tmp_path, monkeypatch, block):
         # 0, 1, the smallest subnormal and 1 - 2^-53 in the value column,
         # negative and zero x, and a snapshot time that is not an integer;
-        # small block sizes split the 8 lines into full and partial blocks
-        if block is not None:
-            monkeypatch.setattr(experiment, "_DUMP_ROWS", block)
+        # small block sizes split the 8 lines into full and partial blocks;
+        # the writer process gets the values as raw float64 and must format
+        # the same bytes
+        if isinstance(block, int):
+            monkeypatch.setattr(_dumpfile, "_DUMP_ROWS", block)
         cfg = ff.RunConfig(L=3.0, N=8, dispersal=ff.StandardLaplacian(), t_end=1.0)
         grid = cfg.grid()
         rows = [
@@ -355,7 +358,15 @@ class TestSnapshotDump:
             cfg, [0.0, 1.0 / 3.0], [ff.Field(grid, np.asarray(r, dtype=float)) for r in rows]
         )
         path = tmp_path / "snaps.txt"
-        ff.save_snapshots(traj, path)
+        if block == "writer process":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            with experiment._DumpWriter(path, grid.x) as dump:
+                assert dump.proc is not None
+                for t, fld in traj.snapshots():
+                    dump.send(t, fld.values)
+                dump.finish()
+        else:
+            ff.save_snapshots(traj, path)
         data = path.read_bytes()
         assert data.startswith(b"# t=0\n-3 0\n-2.25 1\n")
         assert b"# t=0.33333333333333331\n" in data
