@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _dumpfile
 from .dispersal import (
     AlgebraicTail,
     Convolution,
@@ -279,39 +278,25 @@ def _start_helper(part: Path, n: int):
 
     # a 256 kB pipe (Linux only) holds x and fig1d's first snapshots while it starts
     return subprocess.Popen(
-        [sys.executable, "-I", "-S", _dumpfile.__file__, os.fspath(part), str(n)],
+        [sys.executable, "-I", "-S", Path(__file__).with_name("_dumpfile.py"), part, str(n)],
         stdin=subprocess.PIPE, stderr=subprocess.PIPE, pipesize=1 << 18,
     )
 
 
-def _helper_allowed() -> bool:
-    """The one rule that picks the dump writer: a writer process where this
-    process may use two or more CPUs; on one it would take turns with the run."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return cpus >= 2
-
-
 class _DumpWriter(contextlib.AbstractContextManager):
-    """Writes the snapshot dump at `path` as a run records it; `send` is the
-    run's on_snapshot. The snapshots go to `<path>.part`, formatted by the
-    `_dumpfile` writer process where `_helper_allowed()` and by this process
-    otherwise (always with `in_process`). `finish` waits for the writer
+    """Writes the snapshot dump at `path` through the `_dumpfile` writer
+    process, which formats each snapshot that `send` (the run's
+    on_snapshot) hands it into `<path>.part`. `finish` waits for the writer
     process and renames `.part` to `path`. Leaving the `with` block in any
     other way kills and reaps the writer process and removes `<path>.part`.
     The block holds only the run and the writer's own calls, so an OSError
     raised in it ends in IoFailure, as does a writer process that exits
     nonzero, with its exit code and the last line of its stderr."""
 
-    def __init__(self, path, x: np.ndarray, *, in_process: bool = False):
+    def __init__(self, path, x: np.ndarray):
         self.path = Path(path)
         self.part = self.path.with_name(self.path.name + ".part")
-        self.proc = None
         with _io(f"cannot write snapshots to {self.path}"):  # a writer that cannot start too
-            if in_process or not _helper_allowed():
-                self.templates = _dumpfile._templates(x)
-                self.fh = open(self.part, "w")
-                return
             self.proc = _start_helper(self.part, x.size)
         try:
             self.proc.stdin.write(np.ascontiguousarray(x, dtype=np.float64))
@@ -320,10 +305,7 @@ class _DumpWriter(contextlib.AbstractContextManager):
             raise
 
     def send(self, t: float, values: np.ndarray) -> None:
-        if self.proc is None:
-            _dumpfile._write_dump(self.fh, self.templates, t, values)
-        else:
-            self.proc.stdin.write(np.append(t, values))
+        self.proc.stdin.write(np.append(t, values))
 
     def _reap(self) -> str | None:
         """Reap the writer process; returns why it failed, or None if it exited 0."""
@@ -333,20 +315,13 @@ class _DumpWriter(contextlib.AbstractContextManager):
                               *err.decode(errors="replace").splitlines()[-1:]])
 
     def finish(self) -> None:
-        if self.proc is None:
-            self.fh.close()
-        elif (failure := self._reap()) is not None:
+        if (failure := self._reap()) is not None:
             raise IoFailure(f"cannot write snapshots to {self.path}: {failure}")
         os.replace(self.part, self.path)
 
     def __exit__(self, exc_type, exc, tb):
-        failure = None
-        if self.proc is None:
-            with contextlib.suppress(OSError):  # what a failed flush loses is removed below
-                self.fh.close()
-        else:
-            self.proc.kill()  # harmless once the writer has exited
-            failure = self._reap()
+        self.proc.kill()  # harmless once the writer has exited
+        failure = self._reap()
         self.part.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise IoFailure(f"cannot write snapshots to {self.path}: {failure or exc}") from exc
@@ -355,12 +330,12 @@ class _DumpWriter(contextlib.AbstractContextManager):
 def save_snapshots(traj: Trajectory, path) -> None:
     """Dump a trajectory: `# t=<value>` header then one `x u` line per node.
 
-    Values carry 17 significant digits. The dump is written in the calling
-    process to `<path>.part`, which is renamed to `path` once it is whole and
-    removed on an error. `run_to_files` writes the same bytes while its run
-    marches.
+    Values carry 17 significant digits. The trajectory goes to the writer
+    process of every dump, which writes `<path>.part`; that file is renamed
+    to `path` once it is whole and removed on an error. `run_to_files`
+    writes the same bytes while its run marches.
     """
-    with _DumpWriter(path, traj.grid.x, in_process=True) as dump:
+    with _DumpWriter(path, traj.grid.x) as dump:
         for t, fld in traj.snapshots():
             dump.send(t, fld.values)
         dump.finish()
@@ -374,12 +349,12 @@ def run_to_files(stem: str, config: RunConfig, out: Path, *,
     sweep member run here.
 
     A breach raises GuardBreached unless `raise_on_breach` is False, as for a
-    sweep member, which keeps its truncated run. Each snapshot is written as
-    the run records it, to `<stem>_snapshots.txt.part`: by a writer process
-    where `_helper_allowed` (this process builds the report meanwhile), and
-    by this process otherwise, in the same bytes. On any exception the
-    writer process is killed and the `.part` file removed, so a dump appears
-    only after a run that did not raise, and the CSV only after the dump.
+    sweep member, which keeps its truncated run. Each snapshot goes to the
+    dump's writer process as the run records it, and is formatted into
+    `<stem>_snapshots.txt.part` there while this process marches and builds
+    the report. On any exception the writer process is killed and the
+    `.part` file removed, so a dump appears only after a run that did not
+    raise, and the CSV only after the dump.
     """
     snap_path = out / f"{stem}_snapshots.txt"
     with _DumpWriter(snap_path, config.grid().x) as dump:
@@ -398,10 +373,10 @@ def run_preset(name: str, out_dir) -> dict:
     Each single-operator preset emits a snapshot dump, the diagnostics CSV,
     a profile chart and a level-separation chart; fig2 runs all four
     operators and adds the combined separation chart. Each member goes
-    through `run_to_files`: its dump is written while it marches (by a
-    writer process where the rule of `_helper_allowed` allows one) and
-    appears only once the member ran clean. Returns a dict of trajectories,
-    reports and written paths; a breach raises GuardBreached.
+    through `run_to_files`: its dump is written by a writer process while
+    it marches and appears only once the member ran clean. Returns a dict
+    of trajectories, reports and written paths; a breach raises
+    GuardBreached.
     """
     members = tuple(_PRESET_TABLE) if name == "fig2" else (name,)
     configs = {member: preset_config(member) for member in members}
@@ -709,7 +684,7 @@ def run_sweep(text: str, vary: str, out_dir, *, workers: int | None = None) -> l
     A member that breaches the guard is not an error: its truncated dump and
     CSV are written and its breach time returned. Each member goes through
     `run_to_files`, in the calling process with one worker and in a pool
-    worker otherwise, and its dump takes a writer process by the same rule.
+    worker otherwise, and starts its own dump writer process there.
     """
     if workers is not None and (type(workers) is not int or workers < 1):  # type() rules out bool
         raise ValidationFailed(f"workers must be an integer >= 1, got {workers!r}")

@@ -261,12 +261,10 @@ def writers(monkeypatch) -> list:
 
 @pytest.fixture(scope="module")
 def fig1d_bundle(tmp_path_factory):
-    """The fig1d preset run once into a fresh directory, with the writer
-    process pinned (two CPUs whatever the host has): (result, directory,
+    """The fig1d preset run once into a fresh directory: (result, directory,
     the writer processes started)."""
     out = tmp_path_factory.mktemp("fig1d")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         started = _record_writers(mp)
         return ff.run_preset("fig1d", out), out, started
 
@@ -555,9 +553,9 @@ class TestSweep:
     def test_breached_member_writes_its_truncated_run(self, tmp_path, monkeypatch, writers,
                                                       workers):
         # each member starts a writer process, in this process with one
-        # worker and in a pool worker with two; a pool worker's starts are
-        # seen through the marker files that the seam leaves
-        _use_backend(monkeypatch, "helper")
+        # worker and in a pool worker with two, and each save_snapshots below
+        # starts one in this process; a pool worker's starts are seen
+        # through the marker files that the seam leaves
         marks = tmp_path / "started"
         marks.mkdir()
         start = experiment._start_helper
@@ -579,8 +577,9 @@ class TestSweep:
                 assert (out / f"{label}_{kind}").read_bytes() == (tmp_path / kind).read_bytes()
         assert results == expected
         assert results[0][1] is not None and results[1][1] is None
-        assert len(list(marks.iterdir())) == 2
-        assert len(writers) == (2 if workers == 1 else 0)
+        assert sorted(p.name for p in marks.iterdir()) == [
+            "grid_L_32_snapshots.txt.part", "grid_L_4_snapshots.txt.part", "snapshots.txt.part"]
+        assert len(writers) == (4 if workers == 1 else 2)
         assert len(list(out.iterdir())) == 4
         _no_partial_dump(out, writers)
 
@@ -636,18 +635,6 @@ def _no_partial_dump(out, writers):
     assert all(proc.returncode is not None for proc in writers)
 
 
-def _refuse_helper(*args):
-    raise AssertionError("the dump must be written in this process")
-
-
-def _use_backend(monkeypatch, backend) -> None:
-    """Make the rule pick `backend` whatever CPUs the host has."""
-    cpus = {"helper": {0, 1}, "in-process": {0}}[backend]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    if backend == "in-process":
-        monkeypatch.setattr(experiment, "_start_helper", _refuse_helper)
-
-
 def _run_verb_in_daemon(cfg, out):
     """Body of a daemon process: the run verb; exits with its code, or with 2
     unless it started exactly one writer process."""
@@ -669,8 +656,8 @@ def _start_python(writers, code):
 
 
 class TestDumpProcess:
-    """The one dump writer: a writer process where the rule allows it, this
-    process otherwise."""
+    """The one dump writer: a writer process for every dump, whatever CPUs
+    the calling process may use."""
 
     def test_preset_dump_is_the_bytes_of_save_snapshots(self, fig1d_bundle, tmp_path):
         result, out, started = fig1d_bundle
@@ -679,64 +666,45 @@ class TestDumpProcess:
         assert len(started) == 1
         _no_partial_dump(out, started)
 
-    @pytest.mark.parametrize("writer", ["helper", "one cpu"])
-    def test_run_verb_dump_is_the_bytes_of_save_snapshots(self, tmp_path, capsys, monkeypatch,
-                                                          writers, writer):
-        # on one CPU the dump is written in this process as the run marches
-        _use_backend(monkeypatch, "in-process" if writer == "one cpu" else "helper")
+    def test_run_verb_dump_is_the_bytes_of_save_snapshots(self, tmp_path, capsys, writers):
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
-        assert len(writers) == (writer == "helper")
+        assert len(writers) == 1
         ff.save_snapshots(ff.run(experiment.parse_config_text(SMALL_CFG)[0]), tmp_path / "serial.txt")
+        assert len(writers) == 2
         assert (out / "small_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
         _no_partial_dump(out, writers)
 
-    @pytest.mark.parametrize("child", ["one cpu", "daemon"])
-    def test_child_process_writes_in_process(self, tmp_path, monkeypatch, writers, child):
-        # real processes: one that may use a single CPU runs the run verb
-        # with writer start-up refused; a daemon may not have multiprocessing
-        # children, but on two CPUs it starts a writer process all the same
+    def test_daemon_starts_one_writer(self, tmp_path, writers):
+        # a daemon may not have multiprocessing children, but it starts a
+        # writer process all the same
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
         out = tmp_path / "out"
-        if child == "one cpu":
-            if not hasattr(os, "sched_setaffinity"):
-                pytest.skip("no CPU affinity on this platform")
-            code = (
-                f"import os, sys; sys.path.insert(0, {SRC!r})\n"
-                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-                "from fastfronts import experiment\n"
-                "from fastfronts.cli import main\n"
-                "def refuse(*args): raise AssertionError('the writer process was started')\n"
-                "experiment._start_helper = refuse\n"
-                f"sys.exit(main(['run', {str(cfg)!r}, '--out', {str(out)!r}]))\n"
-            )
-            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  timeout=120)
-            assert proc.returncode == 0, proc.stderr
-        else:
-            _use_backend(monkeypatch, "helper")
-            ctx = multiprocessing.get_context("fork")
-            proc = ctx.Process(target=_run_verb_in_daemon, args=(cfg, out), daemon=True)
-            proc.start()
-            proc.join(120)
-            assert proc.exitcode == 0
+        ctx = multiprocessing.get_context("fork")
+        proc = ctx.Process(target=_run_verb_in_daemon, args=(cfg, out), daemon=True)
+        proc.start()
+        proc.join(120)
+        assert proc.exitcode == 0
         ff.save_snapshots(ff.run(experiment.parse_config_text(SMALL_CFG)[0]), tmp_path / "serial.txt")
         assert (out / "small_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
         _no_partial_dump(out, writers)
 
     def test_run_verb_forks_nothing_and_loads_no_multiprocessing(self, tmp_path, writers):
-        # a fresh interpreter on two CPUs, with an os.fork that raises
+        # a fresh interpreter pinned to one CPU where the platform allows
+        # it, with an os.fork that raises: one writer process all the same
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
         out = tmp_path / "out"
         code = (
             f"import os, sys; sys.path.insert(0, {SRC!r})\n"
+            "if hasattr(os, 'sched_setaffinity'):\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "    assert len(os.sched_getaffinity(0)) == 1\n"
             "def no_fork(): raise AssertionError('os.fork was called')\n"
             "os.fork = no_fork\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "from fastfronts import experiment\n"
             "from fastfronts.cli import main\n"
             "started = []\n"
@@ -754,7 +722,6 @@ class TestDumpProcess:
         _no_partial_dump(out, writers)
 
     def test_breaching_preset_member_leaves_no_file(self, tmp_path, monkeypatch, writers):
-        _use_backend(monkeypatch, "helper")
         monkeypatch.setitem(experiment._PRESET_TABLE, "fig1d", BREACHING_MEMBER)
         with pytest.raises(ff.GuardBreached):
             ff.run_preset("fig1d", tmp_path)
@@ -762,11 +729,8 @@ class TestDumpProcess:
         assert len(writers) == 1
         _no_partial_dump(tmp_path, writers)
 
-    @pytest.mark.parametrize("backend", ["helper", "in-process"])
     @pytest.mark.parametrize("outcome", ["clean", "breach", "directory"])
-    def test_every_exit_leaves_no_partial_file(self, tmp_path, monkeypatch, writers, backend,
-                                               outcome):
-        _use_backend(monkeypatch, backend)
+    def test_every_exit_leaves_no_partial_file(self, tmp_path, writers, outcome):
         member = BREACHING_MEMBER if outcome == "breach" else SMALL_MEMBER
         config = ff.RunConfig(**member)
         if outcome == "directory":
@@ -781,7 +745,7 @@ class TestDumpProcess:
                 experiment.run_to_files("m", config, tmp_path)
             left = [] if outcome == "breach" else ["m_snapshots.txt"]
             assert [p.name for p in tmp_path.iterdir()] == left
-        assert len(writers) == (backend == "helper")
+        assert len(writers) == 1
         _no_partial_dump(tmp_path, writers)
 
     def test_save_snapshots_to_a_directory_is_an_io_failure(self, tmp_path, writers):
@@ -790,12 +754,12 @@ class TestDumpProcess:
         with pytest.raises(ff.IoFailure, match="cannot write snapshots"):
             ff.save_snapshots(traj, tmp_path / "dump.txt")
         assert [p.name for p in tmp_path.iterdir()] == ["dump.txt"]
+        assert len(writers) == 1
         _no_partial_dump(tmp_path, writers)
 
     @pytest.mark.parametrize("verb", ["run", "preset"])
     def test_dump_path_that_is_a_directory_is_an_io_failure(self, tmp_path, capsys, monkeypatch,
                                                             writers, verb):
-        _use_backend(monkeypatch, "helper")
         monkeypatch.setitem(experiment._PRESET_TABLE, "fig1d", SMALL_MEMBER)
         cfg = tmp_path / "small.cfg"
         cfg.write_text(TINY_CFG)
@@ -811,7 +775,6 @@ class TestDumpProcess:
     def test_helper_that_cannot_start_is_an_io_failure(self, tmp_path, capsys, monkeypatch,
                                                        writers):
         # a start-up OSError (EAGAIN, say) must not end the run verb bare
-        _use_backend(monkeypatch, "helper")
 
         def cannot_start(part, n):
             raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -826,7 +789,6 @@ class TestDumpProcess:
         _no_partial_dump(out, writers)
 
     def test_writer_that_dies_is_an_io_failure(self, tmp_path, monkeypatch, writers):
-        _use_backend(monkeypatch, "helper")
         monkeypatch.setattr(experiment, "_start_helper",
                             _start_python(writers, "import sys; sys.exit(3)"))
         config = experiment.parse_config_text(SMALL_CFG)[0]
@@ -841,7 +803,6 @@ class TestDumpProcess:
         # a writer that closes its stdin and lives on: the x column, 128 kB
         # and more than a pipe holds, meets a broken pipe in the constructor,
         # before any `with` block, which must still kill and reap the writer
-        _use_backend(monkeypatch, "helper")
         monkeypatch.setattr(experiment, "_start_helper",
                             _start_python(writers, "import os, time; os.close(0); time.sleep(60)"))
         x = ff.make_grid(50.0, 2**14).x
@@ -851,19 +812,16 @@ class TestDumpProcess:
         assert len(writers) == 1 and writers[0].returncode == -9
         _no_partial_dump(tmp_path, writers)
 
-    @pytest.mark.parametrize("backend", ["helper", "in-process"])
-    def test_write_error_in_the_writer_is_an_io_failure(self, tmp_path, monkeypatch, writers,
-                                                        backend):
-        # a real ENOSPC on both backends: `.part` is a symbolic link to /dev/full
+    def test_write_error_in_the_writer_is_an_io_failure(self, tmp_path, writers):
+        # a real ENOSPC: `.part` is a symbolic link to /dev/full
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full on this platform")
-        _use_backend(monkeypatch, backend)
         (tmp_path / "small_snapshots.txt.part").symlink_to("/dev/full")
         config = experiment.parse_config_text(SMALL_CFG)[0]
         with pytest.raises(ff.IoFailure, match="No space left on device"):
             experiment.run_to_files("small", config, tmp_path)
         assert list(tmp_path.iterdir()) == []
-        assert len(writers) == (backend == "helper")
+        assert len(writers) == 1
         _no_partial_dump(tmp_path, writers)
 
 

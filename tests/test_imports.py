@@ -21,9 +21,10 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # scipy costs about 0.2 s per process; the others come with the standard
 # library's process pool (concurrent.futures and multiprocessing) and XML
 # helpers, which only sweeps and charts need, and with subprocess, which
-# only starts the dump's writer process
+# only starts the dump's writer process; fastfronts._dumpfile is that
+# process's own module, which the package runs but never imports
 NOT_AT_IMPORT = ("scipy", "concurrent.futures", "xml", "http", "ssl", "multiprocessing",
-                 "subprocess")
+                 "subprocess", "fastfronts._dumpfile")
 
 
 def loaded_after(statements: str) -> set:

@@ -3,8 +3,9 @@ boundary guard, determinism, restart consistency, and translation
 equivariance (bitwise for half-box shifts, roundoff-tight in general).
 """
 
+import array
 import hashlib
-import os
+import io
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -343,11 +344,10 @@ class TestSnapshotDump:
     def test_dump_bytes_pinned(self, tmp_path, monkeypatch, block):
         # 0, 1, the smallest subnormal and 1 - 2^-53 in the value column,
         # negative and zero x, and a snapshot time that is not an integer;
-        # small block sizes split the 8 lines into full and partial blocks;
-        # the writer process gets the values as raw float64 and must format
-        # the same bytes
-        if isinstance(block, int):
-            monkeypatch.setattr(_dumpfile, "_DUMP_ROWS", block)
+        # the formatter runs in this process, where small block sizes split
+        # the 8 lines into full and partial blocks (a patched `_DUMP_ROWS`
+        # cannot reach a writer process); save_snapshots hands the values to
+        # the writer process as raw float64, which must format the same bytes
         cfg = ff.RunConfig(L=3.0, N=8, dispersal=ff.StandardLaplacian(), t_end=1.0)
         grid = cfg.grid()
         rows = [
@@ -359,14 +359,16 @@ class TestSnapshotDump:
         )
         path = tmp_path / "snaps.txt"
         if block == "writer process":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-            with experiment._DumpWriter(path, grid.x) as dump:
-                assert dump.proc is not None
-                for t, fld in traj.snapshots():
-                    dump.send(t, fld.values)
-                dump.finish()
-        else:
             ff.save_snapshots(traj, path)
+        else:
+            if block is not None:
+                monkeypatch.setattr(_dumpfile, "_DUMP_ROWS", block)
+            templates = _dumpfile._templates(array.array("d", grid.x))
+            assert len(templates) == -(-cfg.N // _dumpfile._DUMP_ROWS)
+            fh = io.StringIO()
+            for t, fld in traj.snapshots():
+                _dumpfile._write_dump(fh, templates, t, array.array("d", fld.values))
+            path.write_text(fh.getvalue())
         data = path.read_bytes()
         assert data.startswith(b"# t=0\n-3 0\n-2.25 1\n")
         assert b"# t=0.33333333333333331\n" in data
