@@ -286,45 +286,42 @@ def _start_helper(part: Path, n: int):
 class _DumpWriter(contextlib.AbstractContextManager):
     """Writes the snapshot dump at `path` through the `_dumpfile` writer
     process, which formats each snapshot that `send` (the run's
-    on_snapshot) hands it into `<path>.part`. `finish` waits for the writer
-    process and renames `.part` to `path`. Leaving the `with` block in any
-    other way kills and reaps the writer process and removes `<path>.part`.
-    The block holds only the run and the writer's own calls, so an OSError
-    raised in it ends in IoFailure, as does a writer process that exits
-    nonzero, with its exit code and the last line of its stderr."""
+    on_snapshot) hands it into `<path>.part`; x goes out ahead of the first
+    snapshot. The `with` block is the dump's one transaction: leaving it
+    cleanly waits for the writer process and renames `.part` to `path`, and
+    leaving it in any other way kills and reaps the writer process and
+    removes `.part`. The block holds only the run and the writer's own calls,
+    so an OSError raised in it ends in IoFailure, as does a writer process
+    that exits nonzero, with its exit code and the last line of its stderr."""
 
     def __init__(self, path, x: np.ndarray):
         self.path = Path(path)
         self.part = self.path.with_name(self.path.name + ".part")
+        self.x = np.ascontiguousarray(x, dtype=np.float64)
         with _io(f"cannot write snapshots to {self.path}"):  # a writer that cannot start too
             self.proc = _start_helper(self.part, x.size)
-        try:
-            self.proc.stdin.write(np.ascontiguousarray(x, dtype=np.float64))
-        except BaseException as exc:  # raised before any `with` block: clean up here
-            self.__exit__(type(exc), exc, exc.__traceback__)
-            raise
 
     def send(self, t: float, values: np.ndarray) -> None:
-        self.proc.stdin.write(np.append(t, values))
-
-    def _reap(self) -> str | None:
-        """Reap the writer process; returns why it failed, or None if it exited 0."""
-        _, err = self.proc.communicate()  # closes stdin, which ends the dump
-        if self.proc.returncode:
-            return ": ".join([f"the writer process exited with code {self.proc.returncode}",
-                              *err.decode(errors="replace").splitlines()[-1:]])
-
-    def finish(self) -> None:
-        if (failure := self._reap()) is not None:
-            raise IoFailure(f"cannot write snapshots to {self.path}: {failure}")
-        os.replace(self.part, self.path)
+        self.proc.stdin.write(np.concatenate((self.x, (t,), values)))
+        self.x = self.x[:0]  # x leads the first record only
 
     def __exit__(self, exc_type, exc, tb):
-        self.proc.kill()  # harmless once the writer has exited
-        failure = self._reap()
-        self.part.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise IoFailure(f"cannot write snapshots to {self.path}: {failure or exc}") from exc
+        try:
+            if exc is None:
+                self.proc.communicate()  # closes stdin, which ends the dump
+                if not self.proc.returncode:
+                    return os.replace(self.part, self.path)
+        except OSError as rename_error:
+            exc = rename_error
+        finally:  # the one teardown, also after an interrupt in the wait above
+            self.proc.kill()  # harmless once the writer has exited
+            _, err = self.proc.communicate()  # reaps it; stderr as the first call read it
+            self.part.unlink(missing_ok=True)  # gone once renamed
+        if exc is None or isinstance(exc, OSError):
+            failure = ": ".join([f"the writer process exited with code {self.proc.returncode}",
+                                 *err.decode(errors="replace").splitlines()[-1:]])
+            raise IoFailure(f"cannot write snapshots to {self.path}: "
+                            f"{failure if self.proc.returncode else exc}") from exc
 
 
 def save_snapshots(traj: Trajectory, path) -> None:
@@ -338,7 +335,6 @@ def save_snapshots(traj: Trajectory, path) -> None:
     with _DumpWriter(path, traj.grid.x) as dump:
         for t, fld in traj.snapshots():
             dump.send(t, fld.values)
-        dump.finish()
 
 
 def run_to_files(stem: str, config: RunConfig, out: Path, *,
@@ -360,7 +356,6 @@ def run_to_files(stem: str, config: RunConfig, out: Path, *,
     with _DumpWriter(snap_path, config.grid().x) as dump:
         traj = run(config, raise_on_breach=raise_on_breach, on_snapshot=dump.send)
         report = build_report(traj)
-        dump.finish()
     # the CSV comes after the dump, so that a failed dump leaves no CSV behind
     csv_path = out / f"{stem}_diagnostics.csv"
     emit_csv(report, csv_path)

@@ -180,6 +180,13 @@ class TestKernels:
         assert kernel == ff.TabulatedKernel((-1.0, 0.0, 1.0), (0.5, 1.0, 0.5))
         assert hash(kernel) == hash(ff.TabulatedKernel((-1.0, 0.0, 1.0), (0.5, 1.0, 0.5)))
 
+    def test_kernel_that_misses_every_node_has_zero_discrete_mass(self):
+        # the table is nonzero only between the nodes of a spacing-2 grid,
+        # so the samples are all zero and cannot be rescaled to unit mass
+        kernel = ff.TabulatedKernel((-1, -0.5, 0, 0.5, 1), (0, 1, 0, 1, 0))
+        with pytest.raises(ff.ValidationFailed, match="zero discrete mass"):
+            ff.build_symbol(ff.Convolution(kernel), ff.Grid(256, 256))
+
     @pytest.mark.parametrize("kernel", ["abc", None, ff.FractionalLaplacian(0.5)],
                              ids=["string", "none", "operator_spec"])
     def test_convolution_rejects_a_non_kernel(self, kernel):

@@ -683,7 +683,7 @@ class TestDumpProcess:
         cfg = tmp_path / "small.cfg"
         cfg.write_text(SMALL_CFG)
         out = tmp_path / "out"
-        ctx = multiprocessing.get_context("fork")
+        ctx = multiprocessing.get_context("spawn")
         proc = ctx.Process(target=_run_verb_in_daemon, args=(cfg, out), daemon=True)
         proc.start()
         proc.join(120)
@@ -801,15 +801,31 @@ class TestDumpProcess:
     def test_failure_while_the_writer_takes_x_is_an_io_failure(self, tmp_path, monkeypatch,
                                                                writers):
         # a writer that closes its stdin and lives on: the x column, 128 kB
-        # and more than a pipe holds, meets a broken pipe in the constructor,
-        # before any `with` block, which must still kill and reap the writer
+        # and more than a pipe holds, meets a broken pipe in the first send,
+        # and leaving the `with` block must kill and reap the writer
         monkeypatch.setattr(experiment, "_start_helper",
                             _start_python(writers, "import os, time; os.close(0); time.sleep(60)"))
         x = ff.make_grid(50.0, 2**14).x
         with pytest.raises(ff.IoFailure, match="cannot write snapshots"):
-            experiment._DumpWriter(tmp_path / "m_snapshots.txt", x)
+            with experiment._DumpWriter(tmp_path / "m_snapshots.txt", x) as dump:
+                dump.send(0.0, np.zeros_like(x))
         assert list(tmp_path.iterdir()) == []
         assert len(writers) == 1 and writers[0].returncode == -9
+        _no_partial_dump(tmp_path, writers)
+
+    def test_writer_that_fails_after_the_whole_dump_is_an_io_failure(self, tmp_path, monkeypatch,
+                                                                     writers):
+        # the writer reads the dump to its end, then fails: the clean exit of
+        # the `with` block must not publish it, nor the CSV after it
+        code = ("import sys; sys.stdin.buffer.read(); "
+                "sys.stderr.write('first line\\nno room for the dump\\n'); sys.exit(5)")
+        monkeypatch.setattr(experiment, "_start_helper", _start_python(writers, code))
+        config = experiment.parse_config_text(SMALL_CFG)[0]
+        with pytest.raises(ff.IoFailure,
+                           match="writer process exited with code 5: no room for the dump$"):
+            experiment.run_to_files("small", config, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        assert len(writers) == 1
         _no_partial_dump(tmp_path, writers)
 
     def test_write_error_in_the_writer_is_an_io_failure(self, tmp_path, writers):
