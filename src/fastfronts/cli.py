@@ -41,19 +41,14 @@ from .properties import (
 __all__ = ["main"]
 
 
-def _read_config(path: str):
+def _read_text(path: str) -> str:
     with _io(f"cannot read config {path}"):
-        text = Path(path).read_text()
-    return parse_config_text(text), text
-
-
-def _resolve_out(arg_out, extras) -> Path:
-    return make_out_dir(arg_out if arg_out else extras.get("out_dir", "."))
+        return Path(path).read_text()
 
 
 def _cmd_run(args) -> int:
-    (config, extras), _ = _read_config(args.config)
-    out = _resolve_out(args.out, extras)
+    config, extras = parse_config_text(_read_text(args.config))
+    out = make_out_dir(args.out or extras["out_dir"])
     stem = Path(args.config).stem or "run"
     traj, _, *paths = run_to_files(stem, config, out)
     print(f"{stem}: {len(traj.times)} snapshots, guard clean, "
@@ -74,8 +69,8 @@ def _cmd_preset(args) -> int:
 def _cmd_properties(args) -> int:
     if args.seed < 0:
         raise ValidationFailed(f"--seed must be >= 0, got {args.seed}")
-    (config, extras), _ = _read_config(args.config)
-    out = _resolve_out(args.out, extras) if args.out else None
+    config, _ = parse_config_text(_read_text(args.config))
+    out = make_out_dir(args.out) if args.out else None
     rng = np.random.default_rng(args.seed)
     verdicts = []
 
@@ -103,10 +98,7 @@ def _cmd_properties(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    (_, extras), text = _read_config(args.config)
-    # run_sweep makes the directory after its own gates
-    results = run_sweep(text, args.vary, args.out or extras.get("out_dir", "."),
-                        workers=args.workers)
+    results = run_sweep(_read_text(args.config), args.vary, args.out, workers=args.workers)
     for label, breach, n_snaps in results:
         status = "guard clean" if breach is None else f"guard breached at t={breach:g}"
         print(f"{label}: {n_snaps} snapshots, {status}")

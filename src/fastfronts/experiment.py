@@ -203,7 +203,7 @@ def _select(entries: dict, selector: str, kinds: dict, default=None) -> tuple:
 def parse_config_text(text: str) -> tuple:
     """Parse a config document; returns (RunConfig, extras dict).
 
-    Extras currently carry output.dir when present. Raises UnknownKey,
+    Extras carry `out_dir`: output.dir, else ".". Raises UnknownKey,
     MissingRequired, IoFailure for an unreadable table file, or the error of
     the first spec or RunConfig gate that the document fails.
     """
@@ -224,10 +224,11 @@ def _build_config(entries: dict) -> tuple:
     initial = make(**_keywords(entries, table))
     # the readers return numbers, tuples and specs: RunConfig's gates see every bad value
     config = RunConfig(dispersal=dispersal, initial=initial, **kwargs)
-    extras = {}
-    if "output.dir" in entries:
-        extras["out_dir"] = entries["output.dir"]
-    return config, extras
+    return config, {"out_dir": _out_dir(entries)}
+
+
+def _out_dir(entries: dict) -> str:
+    return entries.get("output.dir", ".")
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +647,10 @@ def sweep_values(text: str, vary: str) -> list:
     UnknownKey; two values with one label raise ValidationFailed before any
     run: both runs would write one file.
     """
+    return _sweep_jobs(text, vary)[1]
+
+
+def _sweep_jobs(text: str, vary: str) -> tuple:
     if "=" not in vary:
         raise ValidationFailed("--vary expects section.key=v1,v2,...")
     key, _, values = vary.partition("=")
@@ -660,8 +665,8 @@ def sweep_values(text: str, vary: str) -> list:
     entries = _parse_lines(text)
     if key.lower() not in _KEYS:
         raise UnknownKey(f"--vary names an unknown key {key!r}")
-    return [(label, _build_config({**entries, key.lower(): tok})[0])
-            for label, tok in zip(labels, tokens)]
+    return _out_dir(entries), [(label, _build_config({**entries, key.lower(): tok})[0])
+                               for label, tok in zip(labels, tokens)]
 
 
 def _sweep_worker(args):
@@ -670,21 +675,24 @@ def _sweep_worker(args):
     return args[0], traj.guard_breach_time, len(traj.times)
 
 
-def run_sweep(text: str, vary: str, out_dir, *, workers: int | None = None) -> list:
+def run_sweep(text: str, vary: str, out_dir=None, *, workers: int | None = None) -> list:
     """Run a sweep concurrently; one CSV and snapshot dump per value.
 
-    Starts at most one process per value; `workers` defaults to the CPU count,
-    and any other value than an integer >= 1 raises ValidationFailed first.
-    Returns [(label, guard_breach_time_or_None, n_snapshots)] in input order.
-    A member that breaches the guard is not an error: its truncated dump and
-    CSV are written and its breach time returned. Each member goes through
-    `run_to_files`, in the calling process with one worker and in a pool
-    worker otherwise, and starts its own dump writer process there.
+    Parses `text` once, as `sweep_values` does. The files go to `out_dir`,
+    else to the base document's output.dir, else to ".". Starts at most one
+    process per value; `workers` defaults to the CPU count, and any other
+    value than an integer >= 1 raises ValidationFailed first; the labels and
+    every value's RunConfig are checked next, all before the directory is
+    made. Returns [(label, guard_breach_time_or_None, n_snapshots)] in input
+    order. A member that breaches the guard is not an error: its truncated
+    dump and CSV are written and its breach time returned. Each member runs
+    through `run_to_files` with its own dump writer process, in the calling
+    process with one worker and in a pool worker otherwise.
     """
     if workers is not None and (type(workers) is not int or workers < 1):  # type() rules out bool
         raise ValidationFailed(f"workers must be an integer >= 1, got {workers!r}")
-    jobs = sweep_values(text, vary)
-    out = make_out_dir(out_dir)
+    base_out, jobs = _sweep_jobs(text, vary)
+    out = make_out_dir(out_dir or base_out)
     args = [(label, config, out) for label, config in jobs]
     workers = min((os.cpu_count() or 1) if workers is None else workers, len(args))
     if workers <= 1:

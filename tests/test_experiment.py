@@ -617,6 +617,16 @@ BREACHING_MEMBER = dict(
     initial=ff.GaussianBump(1.0), snapshot_times=(0.0, 0.01, 0.02, 0.5, 1.0),
 )
 SMALL_MEMBER = dict(L=50.0, N=2**9, dispersal=ff.StandardLaplacian(), t_end=1.0)
+# a kernel that is zero on every node of this grid (spacing 2): no discrete mass
+ZERO_MASS_MEMBER = dict(
+    L=256.0, N=2**8, t_end=1.0,
+    dispersal=ff.Convolution(ff.TabulatedKernel((-1, -0.5, 0, 0.5, 1), (0, 1, 0, 1, 0))),
+)
+# 32,614,423 sub-steps per step, above the sub-cycled step's bound
+SUBSTEP_BOUND_MEMBER = dict(
+    L=20.0, N=2**12, dispersal=ff.FractionalFastDiffusion(0.9, 0.5), t_end=1.0, dt=0.1,
+    initial=ff.GaussianBump(1.0),
+)
 
 # BREACHING_MEMBER as a config document; with grid.L = 32 the guard stays clean
 BREACHING_CFG = """
@@ -729,9 +739,15 @@ class TestDumpProcess:
         assert len(writers) == 1
         _no_partial_dump(tmp_path, writers)
 
-    @pytest.mark.parametrize("outcome", ["clean", "breach", "directory"])
+    @pytest.mark.parametrize("outcome", ["clean", "breach", "directory", "kernel_mass",
+                                         "substeps"])
     def test_every_exit_leaves_no_partial_file(self, tmp_path, writers, outcome):
-        member = BREACHING_MEMBER if outcome == "breach" else SMALL_MEMBER
+        # kernel_mass and substeps pass every gate of RunConfig and fail only
+        # once the run has started: the stepper build finds a kernel with
+        # zero mass on the grid's nodes, and the first step a sub-step
+        # count above the bound, after the t = 0 record reached the writer
+        member = {"breach": BREACHING_MEMBER, "kernel_mass": ZERO_MASS_MEMBER,
+                  "substeps": SUBSTEP_BOUND_MEMBER}.get(outcome, SMALL_MEMBER)
         config = ff.RunConfig(**member)
         if outcome == "directory":
             (tmp_path / "m_snapshots.txt").mkdir()
@@ -740,10 +756,13 @@ class TestDumpProcess:
             assert sorted(p.name for p in tmp_path.iterdir()) == [
                 "m_diagnostics.csv", "m_snapshots.txt"]
         else:
-            error = ff.GuardBreached if outcome == "breach" else ff.IoFailure
-            with pytest.raises(error):
+            error, match = {"breach": (ff.GuardBreached, None),
+                            "directory": (ff.IoFailure, None),
+                            "kernel_mass": (ff.ValidationFailed, "zero discrete mass"),
+                            "substeps": (ff.ParameterOutOfRange, "32614423 sub-steps")}[outcome]
+            with pytest.raises(error, match=match):
                 experiment.run_to_files("m", config, tmp_path)
-            left = [] if outcome == "breach" else ["m_snapshots.txt"]
+            left = ["m_snapshots.txt"] if outcome == "directory" else []
             assert [p.name for p in tmp_path.iterdir()] == left
         assert len(writers) == 1
         _no_partial_dump(tmp_path, writers)
@@ -917,6 +936,38 @@ class TestCli:
         assert code == 1
         assert "error NotPowerOfTwo" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("base", ["no_node_count", "node_count_100"])
+    def test_sweep_base_that_fails_alone_runs_every_value(self, tmp_path, capsys, base,
+                                                          workers):
+        # the verb parsed the base on its own first, and exited 1 with
+        # MissingRequired or NotPowerOfTwo before any value ran
+        text = {"no_node_count": TINY_CFG.replace("grid.N = 64\n", ""),
+                "node_count_100": TINY_CFG.replace("grid.N = 64", "grid.N = 100")}[base]
+        with pytest.raises((ff.MissingRequired, ff.NotPowerOfTwo)):
+            ff.parse_config_text(text)
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(text)
+        code = main(["sweep", str(cfg), "--vary", "grid.N=64,128",
+                     "--out", str(tmp_path / "sw"), "--workers", workers])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        experiment.run_sweep(TINY_CFG, "grid.N=64,128", tmp_path / "ref", workers=1)
+        files = {p.name: p.read_bytes() for p in (tmp_path / "sw").iterdir()}
+        assert sorted(files) == [f"grid_N_{n}_{kind}" for n in (128, 64)
+                                 for kind in ("diagnostics.csv", "snapshots.txt")]
+        assert files == {p.name: p.read_bytes() for p in (tmp_path / "ref").iterdir()}
+
+    def test_sweep_without_out_writes_into_the_documents_output_dir(self, tmp_path,
+                                                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CFG + "output.dir = from_doc\n")
+        assert main(["sweep", str(cfg), "--vary", "time.t_end=0.05", "--workers", "1"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["from_doc", "tiny.cfg"]
+        assert sorted(p.name for p in (tmp_path / "from_doc").iterdir()) == [
+            "time_t_end_0.05_diagnostics.csv", "time_t_end_0.05_snapshots.txt"]
 
     def test_unknown_preset_reports_category(self, capsys):
         code = main(["preset", "fig9z"])
