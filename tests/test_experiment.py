@@ -943,9 +943,11 @@ class TestCli:
                                                           workers):
         # the verb parsed the base on its own first, and exited 1 with
         # MissingRequired or NotPowerOfTwo before any value ran
-        text = {"no_node_count": TINY_CFG.replace("grid.N = 64\n", ""),
-                "node_count_100": TINY_CFG.replace("grid.N = 64", "grid.N = 100")}[base]
-        with pytest.raises((ff.MissingRequired, ff.NotPowerOfTwo)):
+        text, error = {
+            "no_node_count": (TINY_CFG.replace("grid.N = 64\n", ""), ff.MissingRequired),
+            "node_count_100": (TINY_CFG.replace("grid.N = 64", "grid.N = 100"), ff.NotPowerOfTwo),
+        }[base]
+        with pytest.raises(error):
             ff.parse_config_text(text)
         cfg = tmp_path / "base.cfg"
         cfg.write_text(text)
