@@ -380,17 +380,18 @@ def convolve_direct(field: Field, kernel: KernelSpec, grid: Grid) -> Field:
 class NewtonWork:
     """Work arrays of the fast-diffusion Newton step on n nodes, passed to
     fast_diffusion_step as `work`: the Jacobian bands `ab` (3, n), the
-    right-hand side `rhs` (which holds the power p while _kirchhoff runs),
-    the potential `w`, its slope `d` and the mask `above` of nodes at or
-    above the floor. Each solve fills the band columns it solves on; a
-    tridiagonal solve on columns [lo, hi) reads neither ab[0, lo] nor
-    ab[2, hi - 1]."""
+    right-hand side `rhs`, the power `p`, the potential `w`, its slope `d`
+    and the mask `above` of nodes at or above the floor. `rhs` holds minus
+    the Newton residual; a solve on [lo, hi) overwrites rhs[lo:hi], and
+    outside the last window the rest still holds the last residual. Each
+    solve fills the band columns it solves on; a tridiagonal solve on
+    columns [lo, hi) reads neither ab[0, lo] nor ab[2, hi - 1]."""
 
-    __slots__ = ("ab", "rhs", "w", "d", "above")
+    __slots__ = ("ab", "rhs", "p", "w", "d", "above")
 
     def __init__(self, n: int):
         self.ab = np.empty((3, n))
-        self.rhs, self.w, self.d = np.empty(n), np.empty(n), np.empty(n)
+        self.rhs, self.p, self.w, self.d = (np.empty(n) for _ in range(4))
         self.above = np.empty(n, dtype=bool)
 
 
@@ -403,38 +404,41 @@ def _floor_slope(gamma: float, eps: float) -> float:
     return float(floor[0])
 
 
-def _kirchhoff(u: np.ndarray, gamma: float, eps: float, work: NewtonWork) -> tuple:
-    """Monotone potential w and its slope d = gamma * max(u, eps)^(gamma - 1),
-    written into work.w and work.d; returns (w, d, first, end), where
-    [first, end) is the above-floor span.
+def _kirchhoff(u: np.ndarray, gamma: float, eps: float, work: NewtonWork,
+               lo: int, hi: int) -> tuple:
+    """Monotone potential w and its slope d = gamma * max(u, eps)^(gamma - 1)
+    on the nodes [lo, hi), written into work.w, work.d and the mask
+    work.above there; returns (w, d, first, end), where [first, end) is the
+    above-floor span of the whole mask. The global call is (0, n).
 
     w equals u^gamma above the floor and continues linearly below it, so it is
     defined and increasing on the whole line (Newton iterates may leave [0,1]).
     With m = max(u, eps) and p = m^gamma, d = gamma * p / m.
 
-    The power is taken only on the span from the first node with u >= eps to
-    the last one, read off the mask with one argmax from each end; when every
-    node is below the floor the span is empty (first == end) and its ufuncs
-    do nothing. w is the line everywhere and the power branch is copied in
-    where u >= eps; outside the span d is _floor_slope.
-    Elementwise ufuncs do not depend on an element's position, so w and d are
-    bitwise what the full-array formula gives.
+    The span runs from the first node with u >= eps to the last one, read
+    off the mask with one argmax from each end; when every node is below
+    the floor it is empty (first == end). The power is taken only on the
+    span's part of [lo, hi): w is the line everywhere and the power branch
+    is copied in where u >= eps; elsewhere d is _floor_slope, which is
+    bitwise the power formula at u = eps. Elementwise ufuncs do not depend
+    on an element's position, so w and d on [lo, hi) are bitwise the slice
+    of the full-array formula.
     """
-    p, w, d, above = work.rhs, work.w, work.d, work.above
-    np.greater_equal(u, eps, out=above)
+    p, w, d, above = work.p, work.w, work.d, work.above
+    np.greater_equal(u[lo:hi], eps, out=above[lo:hi])
     first = int(above.argmax())
     end = u.size - int(above[::-1].argmax()) if above[first] else first
-    np.subtract(u, eps, out=w)
-    w *= gamma * eps ** (gamma - 1.0)
-    w += eps ** gamma
-    d[:first] = d[end:] = _floor_slope(gamma, eps)
-    span = slice(first, end)
-    ds, ps = d[span], p[span]
-    np.maximum(u[span], eps, out=ds)
+    np.subtract(u[lo:hi], eps, out=w[lo:hi])
+    w[lo:hi] *= gamma * eps ** (gamma - 1.0)
+    w[lo:hi] += eps ** gamma
+    a, b = (min(max(k, lo), hi) for k in (first, end))  # the span within [lo, hi)
+    d[lo:a] = d[b:hi] = _floor_slope(gamma, eps)
+    ds, ps = d[a:b], p[a:b]
+    np.maximum(u[a:b], eps, out=ds)
     np.power(ds, gamma, out=ps)
     np.divide(ps, ds, out=ds)
     ds *= gamma
-    np.copyto(w[span], ps, where=above[span])
+    np.copyto(w[a:b], ps, where=above[a:b])
     return w, d, first, end
 
 
@@ -454,16 +458,27 @@ def _window_margin(c: float, n: int) -> int:
     return math.ceil(53 * math.log(2.0) / decay) + 1 if decay > 0 else n
 
 
-def _lap_neumann(w: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
-    """Zero-flux second difference ((w[i-1] - 2 w[i]) + w[i+1]) / dx^2, into out."""
-    inner = out[1:-1]
-    np.multiply(w[1:-1], 2.0, out=inner)
-    np.subtract(w[:-2], inner, out=inner)
-    inner += w[2:]
-    out[0] = w[1] - w[0]
-    out[-1] = w[-2] - w[-1]
-    out /= dx**2
-    return out
+def _newton_rhs(u, u0, w, dt: float, dx: float, rhs: np.ndarray, lo: int, hi: int):
+    """Minus the Newton residual, ((dt * Lap(w)) - u) + u0, on the rows
+    [lo, hi), into rhs. Lap is the zero-flux second difference
+    ((w[i-1] - 2 w[i]) + w[i+1]) / dx^2, with w[1] - w[0] and w[-2] - w[-1]
+    over dx^2 on the end rows. Every row takes the same operations in the
+    same order, so a range is bitwise the slice of the global call (0, n)."""
+    a, b = max(lo, 1), min(hi, w.size - 1)
+    inner = rhs[a:b]
+    np.multiply(w[a:b], 2.0, out=inner)
+    np.subtract(w[a - 1:b - 1], inner, out=inner)
+    inner += w[a + 1:b + 1]
+    if lo == 0:
+        rhs[0] = w[1] - w[0]
+    if hi == w.size:
+        rhs[-1] = w[-2] - w[-1]
+    rows = rhs[lo:hi]
+    rows /= dx**2
+    rows *= dt
+    rows -= u[lo:hi]
+    rows += u0[lo:hi]
+    return rhs
 
 
 def solve_banded(l_and_u, ab, b, **kwargs) -> np.ndarray:
@@ -536,12 +551,19 @@ def fast_diffusion_step(
     c rho^2 - (1 + 2c) rho + c = 0: the inverse of the Jacobian decays like
     rho^|i - j| away from the span, and d <= F for gamma <= 1, so the
     correction dropped outside the window is below 2^-53 of its size. The
-    residual and its test stay global, and an iterate whose largest residual
-    lies outside the window solves on the whole grid, so a window too narrow
-    can only cost iterations. Where the window covers the grid (n up to
-    about 2M, every small grid) every solve is global. On the fig1c preset's
-    2^16 nodes to t=1, 100 of the 259 solves are global and the other 159
-    solve on 6,635 nodes on average.
+    residual test stays global, and an iterate whose largest residual lies
+    outside the window solves on the whole grid, so a window too narrow can
+    only cost iterations. Where the window covers the grid (n up to about
+    2M, every small grid) every solve is global.
+
+    A windowed solve on [lo, hi) changes u there only, so the next iterate
+    recomputes the mask, w and d on [lo, hi) and the residual on
+    [lo - 1, hi + 1); outside, d is already the floor slope and rhs still
+    holds the last residual, bitwise. Iterate 0 and every iterate after a
+    global solve are global passes, and so are the residual's max and the
+    span's two argmax scans. On the fig1c preset's 2^16 nodes to t=1, 100 of
+    the 259 solves are global and the other 159 solve on 6,635 nodes on
+    average; 200 of the 359 residuals are global.
 
     `values` (one sample per node, read as float64) is never written; the
     step returns a new array. gamma must lie in (0, 1], dt and eps_reg must
@@ -575,15 +597,13 @@ def fast_diffusion_step(
     scale = np.array([[-r], [2.0 * r], [-r]])
     floor_column = scale * slope
     floor_column[1] += 1.0
-    lo, hi = 0, n  # the first solve of a step is global
+    lo, hi = 0, n  # iterate 0 and the first solve of a step are global
     # one residual more than solves, so the last iterate is always tested
     for solves in range(max_iter + 1):
-        w, d, first, end = _kirchhoff(u, gamma, eps_reg, work)
-        # rhs is minus the Newton residual u - dt * Lap(w) - u0
-        _lap_neumann(w, grid.dx, out=rhs)
-        rhs *= dt
-        rhs -= u
-        rhs += u0
+        # the last solve changed u on [lo, hi) only, so w and d are redone
+        # there and the residual one row further out
+        w, d, first, end = _kirchhoff(u, gamma, eps_reg, work, lo, hi)
+        _newton_rhs(u, u0, w, dt, grid.dx, rhs, max(lo - 1, 0), min(hi + 1, n))
         # max|rhs| and where it lies, without an abs temporary
         top, bottom = int(rhs.argmax()), int(rhs.argmin())
         residual = max(rhs[top], -rhs[bottom])

@@ -4,6 +4,8 @@ convolution oracles, and the nonlinear fast-diffusion steps against
 independent dense solves.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,7 +14,7 @@ import fastfronts as ff
 from fastfronts.dispersal import (
     NewtonWork,
     _kirchhoff,
-    _lap_neumann,
+    _newton_rhs,
     _packed_multiplier,
     _window_margin,
     sample_kernel,
@@ -441,16 +443,16 @@ def test_kirchhoff_branches_and_slope(gamma):
     eps = 1e-4
     above = np.array([eps, 2 * eps, 0.3, 1.0, 1.7])
     below = np.array([-0.5, -eps, 0.0, 0.5 * eps, eps * (1 - 1e-9)])
-    w, d, _, _ = _kirchhoff(above, gamma, eps, NewtonWork(above.size))
+    w, d, _, _ = _kirchhoff(above, gamma, eps, NewtonWork(above.size), 0, above.size)
     np.testing.assert_allclose(w, above**gamma, rtol=1e-15)
     np.testing.assert_allclose(d, gamma * above ** (gamma - 1.0), rtol=1e-15)
-    w, d, _, _ = _kirchhoff(below, gamma, eps, NewtonWork(below.size))
+    w, d, _, _ = _kirchhoff(below, gamma, eps, NewtonWork(below.size), 0, below.size)
     line = eps**gamma + gamma * eps ** (gamma - 1.0) * (below - eps)
     np.testing.assert_allclose(w, line, rtol=1e-15)
     np.testing.assert_allclose(d, gamma * eps ** (gamma - 1.0), rtol=1e-15)
     # continuous at the floor: the two branches meet at eps
-    left = _kirchhoff(np.array([eps * (1 - 1e-12)]), gamma, eps, NewtonWork(1))[0]
-    right = _kirchhoff(np.array([eps * (1 + 1e-12)]), gamma, eps, NewtonWork(1))[0]
+    left = _kirchhoff(np.array([eps * (1 - 1e-12)]), gamma, eps, NewtonWork(1), 0, 1)[0]
+    right = _kirchhoff(np.array([eps * (1 + 1e-12)]), gamma, eps, NewtonWork(1), 0, 1)[0]
     assert abs(left[0] - eps**gamma) < 1e-11 * eps**gamma
     assert abs(right[0] - eps**gamma) < 1e-11 * eps**gamma
 
@@ -495,7 +497,7 @@ def _kirchhoff_states(n, eps):
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8, 1.0])
 def test_kirchhoff_span_is_bitwise_the_full_array_formula(gamma, eps, n):
     for name, u in _kirchhoff_states(n, eps).items():
-        w, d, first, end = _kirchhoff(u, gamma, eps, NewtonWork(n))
+        w, d, first, end = _kirchhoff(u, gamma, eps, NewtonWork(n), 0, n)
         expected_w, expected_d = _kirchhoff_full_array(u, gamma, eps)
         assert w.tobytes() == expected_w.tobytes(), name
         assert d.tobytes() == expected_d.tobytes(), name
@@ -503,6 +505,59 @@ def test_kirchhoff_span_is_bitwise_the_full_array_formula(gamma, eps, n):
         # the last one, and is empty when there is none
         at = np.flatnonzero(u >= eps)
         assert (first, end) == ((at[0], at[-1] + 1) if at.size else (first, first)), name
+
+
+def _ranges(n):
+    """Node ranges [a, b) of an n-node grid: the whole grid, ranges that
+    touch node 0 or node n - 1, an inner one, and each end node alone."""
+    third = max(n // 3, 1)
+    cases = {(0, n), (0, third), (n - third, n), (n // 4, n - n // 4), (0, 1), (n - 1, n)}
+    return sorted((a, b) for a, b in cases if a < b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1000])
+@pytest.mark.parametrize("eps", [1e-8, 1e-4])
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
+def test_kirchhoff_on_a_range_is_bitwise_the_full_call(gamma, eps, n):
+    # the work is first filled for a state that differs from u only on
+    # [a, b), as after a solve there; the call on [a, b) must then leave
+    # the work as the full call on u does, and read the same span
+    states = _kirchhoff_states(n, eps)
+    names = list(states)
+    for i, name in enumerate(names):
+        u = states[name]
+        full = NewtonWork(n)
+        _, _, first, end = _kirchhoff(u, gamma, eps, full, 0, n)
+        for a, b in _ranges(n):
+            before = u.copy()
+            before[a:b] = states[names[i - 1]][a:b]
+            work = NewtonWork(n)
+            _kirchhoff(before, gamma, eps, work, 0, n)
+            work.p[:] = np.nan
+            w, d, *span = _kirchhoff(u, gamma, eps, work, a, b)
+            assert w.tobytes() == full.w.tobytes(), (name, a, b)
+            assert d.tobytes() == full.d.tobytes(), (name, a, b)
+            assert work.above.tobytes() == full.above.tobytes(), (name, a, b)
+            assert span == [first, end], (name, a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 1000])
+def test_newton_rhs_on_a_range_is_bitwise_the_full_call(n):
+    rng = np.random.default_rng(n)
+    u, u0, w = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8.0, 0.0, (3, n))
+    dt, dx = 0.01, 0.061
+    # the full call in the zero-flux Laplacian's order of operations
+    lap = np.empty(n)
+    lap[1:-1] = (w[:-2] - 2.0 * w[1:-1]) + w[2:]
+    lap[0], lap[-1] = w[1] - w[0], w[-2] - w[-1]
+    expected = ((lap / dx**2) * dt - u) + u0
+    full = _newton_rhs(u, u0, w, dt, dx, np.empty(n), 0, n)
+    assert full.tobytes() == expected.tobytes()
+    for a, b in _ranges(n):
+        rhs = expected.copy()
+        rhs[a:b] = np.nan
+        _newton_rhs(u, u0, w, dt, dx, rhs, a, b)
+        assert rhs.tobytes() == expected.tobytes(), (a, b)
 
 
 def _global_newton(u0, gamma, dt, grid, max_iter=40):
@@ -516,11 +571,8 @@ def _global_newton(u0, gamma, dt, grid, max_iter=40):
     ab, rhs = work.ab, work.rhs
     u = u0.copy()
     for solves in range(max_iter + 1):
-        w, d, _, _ = _kirchhoff(u, gamma, ff.EPS_REG, work)
-        _lap_neumann(w, grid.dx, out=rhs)
-        rhs *= dt
-        rhs -= u
-        rhs += u0
+        w, d, _, _ = _kirchhoff(u, gamma, ff.EPS_REG, work, 0, n)
+        _newton_rhs(u, u0, w, dt, grid.dx, rhs, 0, n)
         if max(rhs.max(), -rhs.min()) <= 1e-13:
             return u, solves
         np.multiply(d[1:], -r, out=ab[0, 1:])
@@ -548,10 +600,50 @@ def _spy_solves(monkeypatch, work):
     return sizes
 
 
+def _windowed_oracle(u0, gamma, dt, grid, work, max_iter=40):
+    """The windowed Newton step with w, d and the residual of every iterate
+    recomputed on the whole grid from the full-array formulas, in the
+    step's order of operations, and each band column made from the slope.
+    Solves go through dispersal.solve_banded on views of `work`."""
+    n, r, eps = grid.n, dt / grid.dx**2, ff.EPS_REG
+    ab, rhs = work.ab, work.rhs
+    slope = _kirchhoff_full_array(np.full(1, eps), gamma, eps)[1][0]
+    margin = ff.dispersal._window_margin(r * slope, n)
+    scale = np.array([[-r], [2.0 * r], [-r]])
+    u, lo, hi = u0.copy(), 0, n
+    for solves in range(max_iter + 1):
+        w, d = _kirchhoff_full_array(u, gamma, eps)
+        at = np.flatnonzero(u >= eps)
+        first, end = (at[0], at[-1] + 1) if at.size else (0, 0)
+        rhs[1:-1] = (w[:-2] - 2.0 * w[1:-1]) + w[2:]
+        rhs[0], rhs[-1] = w[1] - w[0], w[-2] - w[-1]
+        rhs[:] = ((rhs / grid.dx**2) * dt - u) + u0
+        top, bottom = int(rhs.argmax()), int(rhs.argmin())
+        if max(rhs[top], -rhs[bottom]) <= 1e-13:
+            return u
+        if solves:
+            lo, hi = max(first - margin, 0), min(end + margin, n)
+            worst = top if rhs[top] >= -rhs[bottom] else bottom
+            if not lo <= worst < hi:
+                lo, hi = 0, n
+        np.multiply(d[lo:hi], scale, out=ab[:, lo:hi])
+        ab[1, lo:hi] += 1.0
+        if lo == 0:
+            ab[1, 0] = 1.0 + r * d[0]
+        if hi == n:
+            ab[1, -1] = 1.0 + r * d[-1]
+        u[lo:hi] += ff.dispersal.solve_banded(
+            (1, 1), ab[:, lo:hi], rhs[lo:hi],
+            overwrite_ab=True, overwrite_b=True, check_finite=False,
+        )
+    pytest.fail("windowed Newton oracle did not converge")
+
+
 def _residual(u, u0, gamma, dt, grid):
     """max|u - dt * Lap(w(u)) - u0|, the step's convergence measure."""
-    w, _, _, _ = _kirchhoff(u, gamma, ff.EPS_REG, NewtonWork(grid.n))
-    return np.max(np.abs(u - dt * _lap_neumann(w, grid.dx, np.empty(grid.n)) - u0))
+    n = grid.n
+    w, _, _, _ = _kirchhoff(u, gamma, ff.EPS_REG, NewtonWork(n), 0, n)
+    return np.max(np.abs(_newton_rhs(u, u0, w, dt, grid.dx, np.empty(n), 0, n)))
 
 
 class TestWindowedNewton:
@@ -623,6 +715,43 @@ class TestWindowedNewton:
         assert any(size < g.n for size in sizes) and g.n in sizes[1:]
         assert _residual(u, u0, 0.5, 0.01, g) <= 1e-12
         assert np.max(np.abs(u - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("narrow", [False, True], ids=["margin", "one_node_margin"])
+    def test_local_iterates_match_the_global_residual_oracle(self, narrow, monkeypatch):
+        # after a windowed solve the step recomputes w, d and the residual
+        # only around the window; the oracle recomputes them everywhere. A
+        # 1-node margin forces fallback global solves after windowed ones.
+        if narrow:
+            monkeypatch.setattr(ff.dispersal, "_window_margin", lambda c, n: 1)
+        g = ff.make_grid(*self.WIDE)
+        work = NewtonWork(g.n)
+        sizes = _spy_solves(monkeypatch, work)
+        u = v = self._start(g)
+        for _ in range(3):
+            u = ff.fast_diffusion_step(u, 0.5, 0.01, g, work=work)
+            step = sizes[:]
+            del sizes[:]
+            v = _windowed_oracle(v, 0.5, 0.01, g, work)
+            assert u.tobytes() == v.tobytes()
+            assert step == sizes and step[0] == g.n and min(step) < g.n
+            assert (g.n in step[1:]) == narrow
+            del sizes[:]
+
+    def test_fig1c_body_solve_count(self, monkeypatch):
+        # the fig1c preset to t=1: 100 steps, each with one global first
+        # solve, and 159 windowed solves
+        config = replace(ff.experiment.preset_config("fig1c"), t_end=1.0)
+        sizes = []
+        solve = ff.dispersal.solve_banded
+
+        def spy(l_and_u, ab, b, **kwargs):
+            sizes.append(b.size)
+            return solve(l_and_u, ab, b, **kwargs)
+
+        monkeypatch.setattr(ff.dispersal, "solve_banded", spy)
+        ff.run(config)
+        assert len(sizes) == 259
+        assert sizes.count(config.N) == 100
 
     def test_cap_below_the_needed_count_raises_on_wide_box(self, monkeypatch):
         g = ff.make_grid(*self.WIDE)
