@@ -458,7 +458,8 @@ def _window_margin(c: float, n: int) -> int:
     return math.ceil(53 * math.log(2.0) / decay) + 1 if decay > 0 else n
 
 
-def _newton_rhs(u, u0, w, dt: float, dx: float, rhs: np.ndarray, lo: int, hi: int):
+def _newton_rhs(u: np.ndarray, u0: np.ndarray, w: np.ndarray, dt: float, dx: float,
+                rhs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Minus the Newton residual, ((dt * Lap(w)) - u) + u0, on the rows
     [lo, hi), into rhs. Lap is the zero-flux second difference
     ((w[i-1] - 2 w[i]) + w[i+1]) / dx^2, with w[1] - w[0] and w[-2] - w[-1]
