@@ -27,6 +27,7 @@ operators and kernels never load it.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -395,9 +396,11 @@ class NewtonWork:
         self.above = np.empty(n, dtype=bool)
 
 
+@functools.lru_cache
 def _floor_slope(gamma: float, eps: float) -> float:
     """The slope gamma * eps^gamma / eps of the potential below the floor,
-    made by the ufuncs that make the slope above it, on one element."""
+    made by the ufuncs that make the slope above it, on one element; made
+    once per (gamma, eps) and then read from the cache."""
     floor = np.full(1, eps)
     np.divide(np.power(floor, gamma), floor, out=floor)
     floor *= gamma
@@ -482,13 +485,35 @@ def _newton_rhs(u: np.ndarray, u0: np.ndarray, w: np.ndarray, dt: float, dx: flo
     return rhs
 
 
-def solve_banded(l_and_u, ab, b, **kwargs) -> np.ndarray:
-    """scipy.linalg.solve_banded, imported at the first call rather than with
-    this module, so that operators without a banded solve never load
-    scipy.linalg. fast_diffusion_step looks this name up at call time."""
-    from scipy.linalg import solve_banded as banded
+def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
+                 check_finite=True) -> np.ndarray:
+    """Solve a tridiagonal system given in scipy.linalg.solve_banded's band
+    layout: ab[0, 1:] is the superdiagonal, ab[1] the diagonal and
+    ab[2, :-1] the subdiagonal of a float64 system on b.shape[0] >= 2 rows.
+    l_and_u must be (1, 1) (ParameterOutOfRange otherwise).
 
-    return banded(l_and_u, ab, b, **kwargs)
+    The rows go straight to LAPACK's dgtsv (Gaussian elimination with
+    partial pivoting), which is the call scipy.linalg.solve_banded makes for
+    (1, 1) bands, so the result is bitwise scipy's; the direct call skips
+    scipy's argument checks, its batching decorator and its LAPACK lookup.
+    overwrite_ab and overwrite_b let dgtsv work in the bands and in b, when
+    they are contiguous float64 rows; check_finite first scans ab and b
+    (ValidationFailed on a NaN or an infinity). A zero pivot raises
+    SolverSingular. scipy.linalg.lapack is imported at the call, so that
+    operators without a banded solve never load it; fast_diffusion_step
+    looks this name up at call time.
+    """
+    if tuple(l_and_u) != (1, 1):
+        raise ParameterOutOfRange(f"solve_banded takes (1, 1) bands only, got {l_and_u!r}")
+    if check_finite and not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValidationFailed("banded system holds a NaN or an infinite value")
+    from scipy.linalg.lapack import dgtsv
+
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
+                        overwrite_ab, overwrite_ab, overwrite_ab, overwrite_b)
+    if info > 0:
+        raise SolverSingular(f"tridiagonal solve has a zero pivot in row {info}")
+    return x
 
 
 def _require_count(name: str, value) -> None:
@@ -629,13 +654,8 @@ def fast_diffusion_step(
             ab[1, 0] = 1.0 + r * d[0]
         if hi == n:
             ab[1, -1] = 1.0 + r * d[-1]
-        try:
-            du = solve_banded(
-                (1, 1), ab[:, lo:hi], rhs[lo:hi],
-                overwrite_ab=True, overwrite_b=True, check_finite=False,
-            )
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - D >= 0 keeps this away
-            raise SolverSingular(str(exc)) from exc
+        du = solve_banded((1, 1), ab[:, lo:hi], rhs[lo:hi],
+                          overwrite_ab=True, overwrite_b=True, check_finite=False)
         # max and min propagate NaN, and max - min is finite only when both are
         if not math.isfinite(float(du.max()) - float(du.min())):
             raise SolverSingular("non-finite update in fast-diffusion solve")
@@ -668,6 +688,22 @@ def _packed_multiplier(f: np.ndarray) -> tuple:
     p = 0.5 * (f[:half] + g)
     q = 0.5 * (f[:half] - g)
     return (p - q * np.sin(theta)) / half, 1j * (q * np.cos(theta) / half)
+
+
+def substep_count(m: np.ndarray, gamma: float, dt: float, eps_reg: float) -> int:
+    """Sub-cycles of one fractional-fast-diffusion step of length dt with the
+    symbol m: the least count that keeps the stiffest linearized mode at
+    (dt/n_sub) * max|m| * gamma * eps_reg^(gamma-1) <= 1/2. A count above
+    10^6 raises ParameterOutOfRange. It grows with dt, so RunConfig checks
+    it once at the run's dt, which no step of the run exceeds."""
+    stiffness = float(np.max(np.abs(m))) * gamma * eps_reg ** (gamma - 1.0)
+    n_sub = max(1, int(math.ceil(dt * stiffness / 0.5)))
+    if n_sub > 1_000_000:
+        raise ParameterOutOfRange(
+            f"stability bound requires {n_sub} sub-steps for this dt/grid; "
+            "reduce dt, coarsen the grid, or raise eps_reg"
+        )
+    return n_sub
 
 
 def fractional_fast_diffusion_step(
@@ -704,13 +740,7 @@ def fractional_fast_diffusion_step(
         _require_count("n_sub", n_sub)
     m = build_symbol(FractionalLaplacian(spec.alpha), grid)
     if n_sub is None:
-        stiffness = float(np.max(np.abs(m))) * gamma * eps_reg ** (gamma - 1.0)
-        n_sub = max(1, int(math.ceil(dt * stiffness / 0.5)))
-        if n_sub > 1_000_000:
-            raise ParameterOutOfRange(
-                f"stability bound requires {n_sub} sub-steps for this dt/grid; "
-                "reduce dt, coarsen the grid, or raise eps_reg"
-            )
+        n_sub = substep_count(m, gamma, dt, eps_reg)
     a, b = _packed_multiplier((dt / n_sub) * m)
     u = u0.copy()
     w = np.empty_like(u)

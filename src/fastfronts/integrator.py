@@ -27,14 +27,18 @@ import numpy as np
 
 from .dispersal import (
     EPS_REG,
+    Convolution,
     DispersalSpec,
     FastDiffusion,
     FractionalFastDiffusion,
+    FractionalLaplacian,
     NewtonWork,
     build_symbol,
     check_step,
     fast_diffusion_step,
     fractional_fast_diffusion_step,
+    sample_kernel,
+    substep_count,
 )
 from .errors import GuardBreached, ValidationFailed
 from .grid import Field, Grid
@@ -163,7 +167,10 @@ def _require_reals(name: str, values) -> None:
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one experiment. Construction runs every static
-    gate of a run and keeps the run's grid, which `grid()` returns.
+    gate of a run and keeps the run's grid, which `grid()` returns. Among
+    them are the operator's gates on that grid: a normalized kernel with zero
+    discrete mass raises ValidationFailed, and a fractional fast diffusion
+    whose dt needs more than 10^6 sub-cycles ParameterOutOfRange.
 
     snapshot_times=None records integer times 0, 1, ..., plus t_end when it is
     not an integer; given times must be nonempty. guard_threshold is the
@@ -237,6 +244,13 @@ class RunConfig:
         self.initial.build(self._grid)
         if self.reaction is not None:
             validate_reaction(self.reaction)
+        # the operator's gates on the grid, before a run makes any file
+        spec = self.dispersal
+        if isinstance(spec, Convolution) and spec.kernel.normalize:
+            sample_kernel(spec.kernel, self._grid)  # zero discrete mass: ValidationFailed
+        if isinstance(spec, FractionalFastDiffusion):
+            substep_count(build_symbol(FractionalLaplacian(spec.alpha), self._grid),
+                          spec.gamma, self.dt, self.eps_reg)
 
     def grid(self) -> Grid:
         return self._grid

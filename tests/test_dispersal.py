@@ -560,6 +560,42 @@ def test_newton_rhs_on_a_range_is_bitwise_the_full_call(n):
         assert rhs.tobytes() == expected.tobytes(), (a, b)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 500, 2**16])
+def test_solve_banded_is_bitwise_scipys(n):
+    # column-diagonally-dominant bands and a right-hand side, solved as views
+    # of one (3, n + 2) array and one (n + 2,) array, as the windowed step
+    # solves; with the step's flags both solvers work in place
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(n)
+    bands = rng.uniform(-1.0, 1.0, (3, n + 2))
+    bands[1] = rng.choice([-1.0, 1.0], n + 2) * (
+        np.abs(bands[0]) + np.abs(bands[2]) + rng.uniform(0.1, 1.0, n + 2))
+    rhs = rng.standard_normal(n + 2)
+    flags = dict(overwrite_ab=True, overwrite_b=True, check_finite=False)
+    ours, theirs = (bands.copy(), rhs.copy()), (bands.copy(), rhs.copy())
+    x = ff.dispersal.solve_banded((1, 1), ours[0][:, 1:-1], ours[1][1:-1], **flags)
+    y = solve_banded((1, 1), theirs[0][:, 1:-1], theirs[1][1:-1], **flags)
+    assert x.tobytes() == y.tobytes()
+    assert np.shares_memory(x, ours[1])
+    for a, b in zip(ours, theirs):
+        assert a.tobytes() == b.tobytes()
+    # the default flags leave the inputs as they are
+    x = ff.dispersal.solve_banded((1, 1), bands[:, 1:-1], rhs[1:-1])
+    assert x.tobytes() == solve_banded((1, 1), bands[:, 1:-1], rhs[1:-1]).tobytes()
+    assert not np.shares_memory(x, rhs)
+
+
+def test_solve_banded_gates():
+    flags = dict(overwrite_ab=True, overwrite_b=True, check_finite=False)
+    with pytest.raises(ff.SolverSingular):
+        ff.dispersal.solve_banded((1, 1), np.zeros((3, 2)), np.ones(2), **flags)
+    with pytest.raises(ff.ParameterOutOfRange):
+        ff.dispersal.solve_banded((2, 1), np.ones((4, 3)), np.ones(3))
+    with pytest.raises(ff.ValidationFailed):
+        ff.dispersal.solve_banded((1, 1), np.ones((3, 2)), np.array([1.0, np.nan]))
+
+
 def _global_newton(u0, gamma, dt, grid, max_iter=40):
     """The fast-diffusion Newton step with every solve on the whole grid and
     every band column made from the slope: the step before windowed

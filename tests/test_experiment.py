@@ -602,6 +602,28 @@ grid.N = 64
 time.t_end = 0.1
 """
 
+# documents that fail a gate of RunConfig on its grid: the fractional fast
+# diffusion needs 2,182,588 sub-steps per step at dt = 0.01, and the
+# tabulated kernel `{table}` is zero on every node (spacing 2)
+GRID_GATE_CFGS = {
+    "substeps": ("""
+dispersal.variant = fractional_fast_diffusion
+dispersal.alpha = 0.9
+dispersal.gamma = 0.5
+grid.L = 200
+grid.N = 32768
+time.t_end = 1
+""", ff.ParameterOutOfRange, "2182588 sub-steps"),
+    "kernel_mass": ("""
+dispersal.variant = convolution
+dispersal.kernel = tabulated
+dispersal.kernel_file = {table}
+grid.L = 256
+grid.N = 256
+time.t_end = 1
+""", ff.ValidationFailed, "zero discrete mass"),
+}
+
 SMALL_CFG = """
 dispersal.variant = standard_laplacian
 grid.L = 200
@@ -742,12 +764,21 @@ class TestDumpProcess:
     @pytest.mark.parametrize("outcome", ["clean", "breach", "directory", "kernel_mass",
                                          "substeps"])
     def test_every_exit_leaves_no_partial_file(self, tmp_path, writers, outcome):
-        # kernel_mass and substeps pass every gate of RunConfig and fail only
-        # once the run has started: the stepper build finds a kernel with
-        # zero mass on the grid's nodes, and the first step a sub-step
-        # count above the bound, after the t = 0 record reached the writer
+        # kernel_mass and substeps fail RunConfig's gates on the grid: the
+        # kernel has zero mass on the grid's nodes, and dt asks for more
+        # sub-steps than the bound; so no run, and no writer process, starts
         member = {"breach": BREACHING_MEMBER, "kernel_mass": ZERO_MASS_MEMBER,
                   "substeps": SUBSTEP_BOUND_MEMBER}.get(outcome, SMALL_MEMBER)
+        error, match = {"breach": (ff.GuardBreached, None),
+                        "directory": (ff.IoFailure, None),
+                        "kernel_mass": (ff.ValidationFailed, "zero discrete mass"),
+                        "substeps": (ff.ParameterOutOfRange, "32614423 sub-steps"),
+                        }.get(outcome, (None, None))
+        if outcome in ("kernel_mass", "substeps"):
+            with pytest.raises(error, match=match):
+                ff.RunConfig(**member)
+            assert writers == []
+            return
         config = ff.RunConfig(**member)
         if outcome == "directory":
             (tmp_path / "m_snapshots.txt").mkdir()
@@ -756,10 +787,6 @@ class TestDumpProcess:
             assert sorted(p.name for p in tmp_path.iterdir()) == [
                 "m_diagnostics.csv", "m_snapshots.txt"]
         else:
-            error, match = {"breach": (ff.GuardBreached, None),
-                            "directory": (ff.IoFailure, None),
-                            "kernel_mass": (ff.ValidationFailed, "zero discrete mass"),
-                            "substeps": (ff.ParameterOutOfRange, "32614423 sub-steps")}[outcome]
             with pytest.raises(error, match=match):
                 experiment.run_to_files("m", config, tmp_path)
             left = ["m_snapshots.txt"] if outcome == "directory" else []
@@ -924,6 +951,25 @@ class TestCli:
         assert code == 1
         assert "error ValidationFailed" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("case", ["substeps", "kernel_mass"])
+    def test_grid_gate_fails_before_any_directory(self, tmp_path, capsys, writers, case, verb):
+        # each document passed the gates of a RunConfig without the grid
+        # gates and failed only in its run: after `--out` was made and, for
+        # the sub-step bound, after the dump's writer process had started
+        text, error, match = GRID_GATE_CFGS[case]
+        (tmp_path / "k.txt").write_text("-1 0\n-0.5 1\n0 0\n0.5 1\n1 0\n")
+        cfg = tmp_path / f"{case}.cfg"
+        cfg.write_text(text.format(table=tmp_path / "k.txt"))
+        out = tmp_path / "out"
+        argv = {"run": ["run", str(cfg)],
+                "sweep": ["sweep", str(cfg), "--vary", "time.t_end=0.5,1", "--workers", "2"]}
+        assert main(argv[verb] + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error {error.__name__}: ") and match in err
+        assert not out.exists()
+        assert writers == []
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_sweep_value_that_cannot_run_creates_nothing(self, tmp_path, capsys, workers):
