@@ -381,6 +381,102 @@ def convolve_direct(field: Field, kernel: KernelSpec, grid: Grid) -> Field:
 # nonlinear fast diffusion
 # ---------------------------------------------------------------------------
 
+class _FloorLU:
+    """LU factors of one floor Jacobian on n nodes, reused by the global
+    Newton solves whose Jacobian is that one outside the above-floor span.
+
+    `key` = (column, ends, margin): the floor Jacobian has the band column
+    `column` = (super, diagonal, sub) in every column and the diagonal
+    `ends` in its two Neumann end rows, and `margin` is the step's window
+    margin M. The factors are LAPACK dgttrf's
+    of that matrix: the diagonal of U in `d` and the multipliers in `dl`.
+    They are built at the second solve that asks for them, so a step that
+    solves globally once builds nothing. The Jacobian is column-diagonally
+    dominant, so no row is interchanged: U's superdiagonal is the matrix's
+    own, and `du2` (zeros) and `ipiv` (1, ..., n) record the trivial pivots.
+
+    `solve_d` and `solve_dl` hold the factors that a solve passes to dgttrs.
+    `held` = (top, bottom, tail) says what they hold now: the floor factors
+    above row top, and from row bottom on the tail settled at the value
+    tail (None: no tail), so a solve rewrites only the rows that change."""
+
+    __slots__ = ("key", "margin", "asked", "d", "dl", "du2", "ipiv", "solve_d",
+                 "solve_dl", "held")
+
+    def __init__(self, column: tuple, ends: float, margin: int):
+        self.key, self.margin = (column, ends, margin), margin
+        self.asked = 0
+        self.d = None
+
+    def _factor(self, n: int) -> bool:
+        """Factor the floor Jacobian; False, keeping nothing, if it pivots."""
+        from scipy.linalg.lapack import dgttrf
+
+        (sup, diag, sub), ends, _ = self.key
+        d = np.full(n, diag)
+        d[0] = d[-1] = ends
+        dl, d, _, _, ipiv, info = dgttrf(np.full(n - 1, sub), d, np.full(n - 1, sup), 1, 1, 1)
+        self.ipiv = np.arange(1, n + 1, dtype=np.int32)
+        if info or not np.array_equal(ipiv, self.ipiv):
+            return False
+        self.d, self.dl, self.du2 = d, dl, np.zeros(n - 2)
+        self.solve_d, self.solve_dl = np.empty(n), np.empty(n - 1)
+        self.held = (0, n, None)
+        return True
+
+    def solve(self, ab, b, first: int, end: int, overwrite_b: bool):
+        """The solution of the banded system (ab, b) whose columns outside
+        [first, end) are the floor Jacobian's, bitwise as dgtsv computes it;
+        None where the factors do not fit, and the caller runs dgtsv.
+
+        Without row interchanges, dgttrf and then dgttrs make dgtsv's
+        operations in its order, row by row. Above row first - 1 the
+        system's factors are the cached ones. The block [first - 1, end + M)
+        is factored by dgttrf, started from the cached diagonal at row
+        first - 1. Below the span the factor recurrence runs on floor
+        columns; once two of its diagonals agree bitwise, it repeats that
+        value down to the last interior row. The Neumann row is factored
+        from it, and one dgttrs solves on the whole grid. None (dgtsv) for
+        the first solve, an empty span or one at a box end, a block of n/4
+        rows or more (it would cost about as much as factoring everything),
+        a pivot or a zero diagonal, or a recurrence that has not settled by
+        the block's last row.
+        """
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        n = b.size
+        start, stop = first - 1, min(end + max(self.margin, 2), n)
+        self.asked += 1
+        if self.asked < 2 or not 0 < first < end < n or 4 * (stop - start) >= n:
+            return None
+        if self.d is None and not self._factor(n):
+            return None
+        d, dl = self.solve_d, self.solve_dl
+        top, bottom, tail = self.held
+        d[top:start], dl[top:start] = self.d[top:start], self.dl[top:start]
+        # the block's rows are overwritten, and so is the Neumann row if
+        # the block reaches it
+        self.held = min(top, start), max(bottom, stop), tail if stop < n else None
+        d[start:stop], dl[start:stop - 1] = ab[1, start:stop], ab[2, start:stop - 1]
+        d[start] = self.d[start]
+        *_, ipiv, info = dgttrf(dl[start:stop - 1], d[start:stop], ab[0, start + 1:stop], 1, 1)
+        if info or not np.array_equal(ipiv, self.ipiv[:stop - start]):
+            return None
+        settled = None  # a block that reaches the Neumann row leaves no tail
+        if stop < n:
+            settled = d[stop - 1]
+            if d[stop - 2] != settled:
+                return None
+            fill = bottom if settled == tail else n
+            d[stop:fill], dl[stop - 1:fill - 1] = settled, dl[stop - 2]
+            if fill == n:
+                # the last three rows, from the settled value (scipy's
+                # dgttrf wrapper takes no 2-row system)
+                d[-1] = dgttrf(ab[2, -3:-1], np.array([settled, *ab[1, -2:]]), ab[0, -2:])[1][2]
+        self.held = start, stop, settled
+        return dgttrs(dl, d, ab[0, 1:], self.du2, self.ipiv, b, overwrite_b=overwrite_b)[0]
+
+
 class NewtonWork:
     """Work arrays of the fast-diffusion Newton step on n nodes, passed to
     fast_diffusion_step as `work`: the Jacobian bands `ab` (3, n), the
@@ -389,14 +485,18 @@ class NewtonWork:
     the Newton residual; a solve on [lo, hi) overwrites rhs[lo:hi], and
     outside the last window the rest still holds the last residual. Each
     solve fills the band columns it solves on; a tridiagonal solve on
-    columns [lo, hi) reads neither ab[0, lo] nor ab[2, hi - 1]."""
+    columns [lo, hi) reads neither ab[0, lo] nor ab[2, hi - 1]. `span` is
+    the above-floor span [first, end) of the last _kirchhoff call, (0, n)
+    before any, and `floor` the _FloorLU that fast_diffusion_step keeps for
+    the floor Jacobian of its last call with this work, or None."""
 
-    __slots__ = ("ab", "rhs", "p", "w", "d", "above")
+    __slots__ = ("ab", "rhs", "p", "w", "d", "above", "span", "floor")
 
     def __init__(self, n: int):
         self.ab = np.empty((3, n))
         self.rhs, self.p, self.w, self.d = (np.empty(n) for _ in range(4))
         self.above = np.empty(n, dtype=bool)
+        self.span, self.floor = (0, n), None
 
 
 @functools.lru_cache
@@ -423,7 +523,11 @@ def _kirchhoff(u: np.ndarray, gamma: float, eps: float, work: NewtonWork,
 
     The span runs from the first node with u >= eps to the last one, read
     off the mask with one argmax from each end; when every node is below
-    the floor it is empty (first == end). The power is taken only on the
+    the floor it is empty (first == end == 0). The call keeps the span in
+    work.span. The rest of the mask is the last call's, as u is outside
+    [lo, hi), so when the last span lies inside [lo, hi) (always after a
+    windowed solve) the two argmax scans read the mask on [lo, hi) only;
+    otherwise they read all of it. The power is taken only on the
     span's part of [lo, hi): w is the line everywhere and the power branch
     is copied in where u >= eps; elsewhere d is _floor_slope, which is
     bitwise the power formula at u = eps. Elementwise ufuncs do not depend
@@ -432,8 +536,14 @@ def _kirchhoff(u: np.ndarray, gamma: float, eps: float, work: NewtonWork,
     """
     p, w, d, above = work.p, work.w, work.d, work.above
     np.greater_equal(u[lo:hi], eps, out=above[lo:hi])
-    first = int(above.argmax())
-    end = u.size - int(above[::-1].argmax()) if above[first] else first
+    # outside [lo, hi) the mask is the last call's: when that call's span
+    # lies inside [lo, hi), no node outside [lo, hi) is at or above the floor
+    first, end = work.span
+    start, stop = (lo, hi) if first == end or lo <= first <= end <= hi else (0, u.size)
+    scan = above[start:stop]
+    first = start + int(scan.argmax())
+    first, end = (first, stop - int(scan[::-1].argmax())) if above[first] else (0, 0)
+    work.span = first, end
     np.subtract(u[lo:hi], eps, out=w[lo:hi])
     w[lo:hi] *= gamma * eps ** (gamma - 1.0)
     w[lo:hi] += eps ** gamma
@@ -489,7 +599,7 @@ def _newton_rhs(u: np.ndarray, u0: np.ndarray, w: np.ndarray, dt: float, dx: flo
 
 
 def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
-                 check_finite=True) -> np.ndarray:
+                 check_finite=True, floor=None) -> np.ndarray:
     """Solve a tridiagonal system given in scipy.linalg.solve_banded's band
     layout: ab[0, 1:] is the superdiagonal, ab[1] the diagonal and
     ab[2, :-1] the subdiagonal of a float64 system on b.shape[0] >= 2 rows.
@@ -505,11 +615,24 @@ def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
     SolverSingular. scipy.linalg.lapack is imported at the call, so that
     operators without a banded solve never load it; fast_diffusion_step
     looks this name up at call time.
+
+    floor = (lu, first, end), from fast_diffusion_step's global solves,
+    says that outside the columns [first, end) the bands are those of the
+    floor Jacobian that lu (a _FloorLU) factors. The solve then reuses those
+    factors: dgttrf on a block around the span and one dgttrs on all rows,
+    bitwise dgtsv's result (see _FloorLU.solve). Where they do not fit,
+    dgtsv solves as without `floor`. That path reads ab and leaves it as
+    it is, and overwrite_b lets dgttrs work in b.
     """
     if tuple(l_and_u) != (1, 1):
         raise ParameterOutOfRange(f"solve_banded takes (1, 1) bands only, got {l_and_u!r}")
     if check_finite and not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValidationFailed("banded system holds a NaN or an infinite value")
+    if floor is not None:
+        lu, first, end = floor
+        x = lu.solve(ab, b, first, end, overwrite_b)
+        if x is not None:
+            return x
     from scipy.linalg.lapack import dgtsv
 
     *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
@@ -588,23 +711,39 @@ def fast_diffusion_step(
     A windowed solve on [lo, hi) changes u there only, so the next iterate
     recomputes the mask, w and d on [lo, hi) and the residual on
     [lo - 1, hi + 1); outside, d is already the floor slope and rhs still
-    holds the last residual, bitwise. Iterate 0 and every iterate after a
-    global solve are global passes, and so are the residual's max and the
-    span's two argmax scans. On the fig1c preset's 2^16 nodes to t=1, 100 of
-    the 259 solves are global and the other 159 solve on 6,635 nodes on
-    average; 200 of the 359 residuals are global.
+    holds the last residual, bitwise. The window holds the last span, so
+    the span's two argmax scans read the mask on [lo, hi) only. Iterate 0
+    and every iterate after a global solve are global passes, and the
+    residual's max is always taken over the whole grid. On the fig1c
+    preset's 2^16 nodes to t=1, 100 of the 259 solves are global and the
+    other 159 solve on 6,635 nodes on average; 200 of the 359 residuals
+    are global.
 
     `values` (one sample per node, read as float64) is never written; the
     step returns a new array. gamma must lie in (0, 1], dt and eps_reg must
     be finite and > 0 and max_iter an integer >= 1 (ParameterOutOfRange
     otherwise). A NaN or infinite input raises ValidationFailed; every gate
     runs before any work, and every update is checked to be finite, so the
-    solve scans nothing itself. Each solve is one direct call of LAPACK's
-    dgtsv (solve_banded) on views of the bands and the right-hand side,
-    which it overwrites; a zero pivot raises SolverSingular. On the fig1c
-    body to t=1 (2-core Xeon) the 259 solves took 0.175 s through
-    scipy.linalg.solve_banded and 0.157 s through the direct call (traced
-    medians), with bitwise the same trajectory.
+    solve scans nothing itself (a NaN or infinite update raises
+    SolverSingular, with `values` untouched). Each solve is one
+    solve_banded call on views of the bands and the right-hand side, which
+    it overwrites: LAPACK's dgtsv, where a zero pivot raises SolverSingular.
+
+    Outside the span, the Jacobian of a global solve is the same floor
+    matrix, tridiag(-c, 1 + 2c, -c) with Neumann ends, at every step of one
+    dt. So a caller's `work` keeps the LU factors of that matrix
+    (work.floor, a _FloorLU keyed by the floor column, end diagonal and M),
+    built by dgttrf at its second global solve at one dt, and each later
+    global solve refactors only the rows [first - 1, end + M) and solves
+    with dgttrs: without row interchanges, which this column-diagonally
+    dominant matrix never needs, those two routines make dgtsv's operations
+    in its order, so the trajectory stays bitwise. A solve falls back to
+    dgtsv for an empty span or one at a box end, a block of n/4 rows or
+    more, a pivot, or a factor recurrence that has not settled inside the
+    block; a step at another dt (a landing step) keys new factors. A call
+    without `work` keeps no factors. On the fig1c body to t=1, 99 of the
+    100 global solves reuse the factors; on the full preset to t=20, 628 of
+    the 2,000 do, until the span outgrows a quarter of the grid.
 
     Apart from the returned state, the step allocates nothing per Newton
     iterate: every pass writes into `work`, a NewtonWork(grid.n).
@@ -615,6 +754,8 @@ def fast_diffusion_step(
     FastDiffusion(gamma)  # validates gamma's range
     u0 = _fast_state(values, grid, dt, eps_reg)
     _require_count("max_iter", max_iter)
+    # the floor factors pay off over steps, so a call's own work keeps none
+    keep_factors = work is not None
     if work is None:
         work = NewtonWork(grid.n)
     elif not isinstance(work, NewtonWork):
@@ -631,6 +772,10 @@ def fast_diffusion_step(
     scale = np.array([[-r], [2.0 * r], [-r]])
     floor_column = scale * slope
     floor_column[1] += 1.0
+    if keep_factors:
+        key = (tuple(floor_column[:, 0].tolist()), 1.0 + r * slope, margin)
+        if work.floor is None or work.floor.key != key:
+            work.floor = _FloorLU(*key)
     lo, hi = 0, n  # iterate 0 and the first solve of a step are global
     # one residual more than solves, so the last iterate is always tested
     for solves in range(max_iter + 1):
@@ -662,8 +807,9 @@ def fast_diffusion_step(
             ab[1, 0] = 1.0 + r * d[0]
         if hi == n:
             ab[1, -1] = 1.0 + r * d[-1]
-        du = solve_banded((1, 1), ab[:, lo:hi], rhs[lo:hi],
-                          overwrite_ab=True, overwrite_b=True, check_finite=False)
+        floor = (work.floor, first, end) if keep_factors and hi - lo == n else None
+        du = solve_banded((1, 1), ab[:, lo:hi], rhs[lo:hi], overwrite_ab=True,
+                          overwrite_b=True, check_finite=False, floor=floor)
         # max and min propagate NaN, and max - min is finite only when both are
         if not math.isfinite(float(du.max()) - float(du.min())):
             raise SolverSingular("non-finite update in fast-diffusion solve")

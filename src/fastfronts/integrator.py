@@ -82,6 +82,9 @@ class GaussianBump:
         if not self.width > 0:
             raise ValidationFailed(f"gaussian width must be > 0, got {self.width!r}")
 
+    def check(self, grid: Grid) -> None:
+        """Fits every grid."""
+
     def build(self, grid: Grid) -> np.ndarray:
         return np.exp(-grid.x**2 / self.width)
 
@@ -95,6 +98,9 @@ class Indicator:
     def __post_init__(self):
         if not abs(self.position) < math.inf:
             raise ValidationFailed(f"indicator position must be finite, got {self.position!r}")
+
+    def check(self, grid: Grid) -> None:
+        """Fits every grid."""
 
     def build(self, grid: Grid) -> np.ndarray:
         return (grid.x < self.position).astype(float)
@@ -121,15 +127,20 @@ class TabulatedInitial:
     def __repr__(self) -> str:
         return f"TabulatedInitial(<{len(self.values)} samples>)"
 
-    def build(self, grid: Grid) -> np.ndarray:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (grid.n,):
+    def check(self, grid: Grid) -> None:
+        """ValidationFailed unless there is one sample per node of grid."""
+        if len(self.values) != grid.n:
             raise ValidationFailed(
-                f"tabulated initial condition has {vals.size} samples, grid has {grid.n}"
+                f"tabulated initial condition has {len(self.values)} samples, grid has {grid.n}"
             )
-        return vals
+
+    def build(self, grid: Grid) -> np.ndarray:
+        self.check(grid)
+        return np.asarray(self.values, dtype=float)
 
 
+# Each spec's check(grid) raises ValidationFailed where build(grid) would,
+# without making the samples; RunConfig runs it, and march builds them.
 InitialSpec = Union[GaussianBump, Indicator, TabulatedInitial]
 
 
@@ -241,7 +252,7 @@ class RunConfig:
                 raise ValidationFailed("snapshot times must be strictly increasing")
             object.__setattr__(self, "snapshot_times", times)
         object.__setattr__(self, "_grid", Grid(self.L, self.N))
-        self.initial.build(self._grid)
+        self.initial.check(self._grid)
         if self.reaction is not None:
             validate_reaction(self.reaction)
         # the operator's gates on the grid, before a run makes any file

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 import fastfronts as ff
 from fastfronts.dispersal import (
     NewtonWork,
+    _FloorLU,
     _kirchhoff,
     _newton_rhs,
     _packed_multiplier,
@@ -801,6 +802,188 @@ class TestWindowedNewton:
             ff.fast_diffusion_step(u0, 0.5, 0.01, g, max_iter=needed - 1, work=work)
         capped = ff.fast_diffusion_step(u0, 0.5, 0.01, g, max_iter=needed, work=work)
         assert capped.tobytes() == full.tobytes()
+
+
+def _newton_bands(n, c, first, end, rng, slopes=(0.05, 1.0)):
+    """Bands of a Newton Jacobian with floor slope 1 and dt / dx^2 = c, and
+    the floor key (column, ends, margin): slope 1 outside the span [first,
+    end), slopes drawn from `slopes` on it, and the Neumann end diagonals."""
+    d = np.ones(n)
+    d[first:end] = rng.uniform(*slopes, end - first)
+    scale = np.array([[-c], [2.0 * c], [-c]])
+    ab = d * scale
+    ab[1] += 1.0
+    ab[1, 0], ab[1, -1] = 1.0 + c * d[0], 1.0 + c * d[-1]
+    column = scale[:, 0].copy()
+    column[1] += 1.0
+    return ab, (tuple(column.tolist()), 1.0 + c, _window_margin(c, n))
+
+
+def _floor_lu(key, ab):
+    """A _FloorLU for key that has been asked once, so its next fitting
+    solve builds the factors and uses them."""
+    lu = _FloorLU(*key)
+    assert lu.solve(ab, np.ones(ab.shape[1]), 1, 2, False) is None
+    return lu
+
+
+class TestFloorFactors:
+    """Global Newton solves reuse the LU factors of the floor Jacobian."""
+
+    N = 2**16
+
+    @staticmethod
+    def _spans(n, margin):
+        width = 1000
+        right = n - 1 - width
+        return {"left": (1, 1 + width), "centre": (n // 2 - width, n // 2 + width),
+                "right_edge": (right, n - 1), "short_tail": (right - margin, n - 1 - margin)}
+
+    @pytest.mark.parametrize("c", [0.5, 20.0, 3355.0])
+    def test_floor_path_is_bitwise_scipys(self, c):
+        # the span at the left, in the centre, ending at row n - 2 (the
+        # block reaches the Neumann row) and one that leaves a 1-row tail
+        from scipy.linalg import solve_banded
+
+        n, rng = self.N, np.random.default_rng(int(c))
+        for name, (first, end) in self._spans(n, _window_margin(c, n)).items():
+            ab, key = _newton_bands(n, c, first, end, rng)
+            b = rng.standard_normal(n)
+            lu = _floor_lu(key, ab)
+            x = lu.solve(ab, b, first, end, False)
+            assert x is not None, name
+            assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes(), name
+            assert lu.held[:2] == (first - 1, min(end + key[2], n)), name
+
+    def test_reused_factors_track_the_rows_they_rewrite(self):
+        # spans that move both ways, a solve that fails after its block
+        # factor, and slopes above the floor's, after which the recurrence
+        # settles on another value: each solve is still bitwise scipy's
+        from scipy.linalg import solve_banded
+
+        n, c, rng = self.N, 3355.0, np.random.default_rng(7)
+        spans = [(30000, 31000), (29000, 31500), (32000, 33000), (100, 900),
+                 (40000, 45000), (31000, 31001), (25000, 26000, "pivot"),
+                 (20000, 20100, "steep"), (21000, 21100)]
+        lu, tails = None, set()
+        for first, end, *kind in spans + spans[::-1]:
+            steep = kind == ["steep"]
+            ab, key = _newton_bands(n, c, first, end, rng, (1.5, 2.0) if steep else (0.05, 1.0))
+            lu = lu or _floor_lu(key, ab)
+            if kind == ["pivot"]:
+                ab[1, first] = 0.0
+            b = rng.standard_normal(n)
+            x = ff.dispersal.solve_banded((1, 1), ab, b.copy(), floor=(lu, first, end))
+            assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes(), (first, end)
+            tails.add(lu.held[2])
+        assert lu.asked == 2 * len(spans) + 1 and len(tails) == 2
+
+    @pytest.mark.parametrize("case", ["first_solve", "empty", "left_end", "right_end",
+                                      "quarter", "unsettled", "pivot"])
+    def test_fallbacks_solve_with_dgtsv(self, case, monkeypatch):
+        from scipy.linalg import solve_banded
+
+        n, c, rng = self.N, 3355.0, np.random.default_rng(3)
+        first, end = {"empty": (0, 0), "left_end": (0, 500), "right_end": (n - 500, n),
+                      "quarter": (1000, 1000 + n // 4)}.get(case, (20000, 21000))
+        ab, key = _newton_bands(n, c, first, end, rng)
+        if case == "unsettled":
+            key = key[:2] + (2,)  # two rows below the span are too few to settle
+        if case == "pivot":
+            # a zero diagonal: row first's factored diagonal is then rho < 1
+            # times its subdiagonal, and dgttrf interchanges the two rows
+            ab[1, first] = 0.0
+        lu = _FloorLU(*key) if case == "first_solve" else _floor_lu(key, ab)
+        b = rng.standard_normal(n)
+        expected = solve_banded((1, 1), ab, b)
+        calls = []
+        solve = _FloorLU.solve
+        monkeypatch.setattr(_FloorLU, "solve",
+                            lambda *args: calls.append(solve(*args)) or calls[-1])
+        x = ff.dispersal.solve_banded((1, 1), ab, b, floor=(lu, first, end))
+        assert calls == [None]
+        assert x.tobytes() == expected.tobytes()
+
+    def test_zero_pivot_in_the_block_raises(self):
+        # a block row whose factored diagonal is exactly 0, with a zero
+        # subdiagonal below it: dgttrf reports it and dgtsv raises
+        n, c, rng = self.N, 3355.0, np.random.default_rng(5)
+        first, end = 20000, 21000
+        ab, key = _newton_bands(n, c, first, end, rng)
+        lu = _floor_lu(key, ab)
+        assert lu.solve(ab, np.ones(n), first, end, False) is not None
+        ab[2, first] = 0.0
+        ab[1, first] = ab[2, first - 1] / lu.solve_d[first - 1] * ab[0, first]
+        assert lu.solve(ab, np.ones(n), first, end, False) is None
+        with pytest.raises(ff.SolverSingular):
+            ff.dispersal.solve_banded((1, 1), ab, np.ones(n), floor=(lu, first, end))
+
+    def test_fig1c_steps_take_the_floor_path_and_match_the_oracle(self, monkeypatch):
+        # the fig1c grid at its dt: from the second step on, every global
+        # solve goes through the floor factors
+        g, dt = ff.make_grid(4000.0, self.N), 0.01
+        taken = []
+        solve = _FloorLU.solve
+
+        def spy(self, *args):
+            x = solve(self, *args)
+            taken.append(x is not None)
+            return x
+
+        monkeypatch.setattr(_FloorLU, "solve", spy)
+        work, oracle_work = NewtonWork(g.n), NewtonWork(g.n)
+        u = v = np.exp(-g.x**2 / 100.0)
+        for _ in range(4):
+            u = ff.fast_diffusion_step(u, 0.5, dt, g, work=work)
+            v = _windowed_oracle(v, 0.5, dt, g, oracle_work)
+            assert u.tobytes() == v.tobytes()
+        assert taken == [False, True, True, True]
+        assert work.floor.d is not None and oracle_work.floor is None
+
+    def test_factors_are_built_at_the_second_global_solve_at_one_dt(self, monkeypatch):
+        g = ff.make_grid(4000.0, self.N)
+        built = []
+        factor = _FloorLU._factor
+        monkeypatch.setattr(_FloorLU, "_factor",
+                            lambda self, n: built.append(self.key[2]) or factor(self, n))
+        u0 = np.exp(-g.x**2 / 100.0)
+        ff.fast_diffusion_step(u0, 0.5, 0.01, g)  # no work: nothing kept
+        assert built == []
+        work = NewtonWork(g.n)
+        u = ff.fast_diffusion_step(u0, 0.5, 0.01, g, work=work)
+        assert built == [] and work.floor.asked == 1
+        u = ff.fast_diffusion_step(u, 0.5, 0.01, g, work=work)
+        assert len(built) == 1
+        # another dt (a landing step) starts a new key, whose first solve
+        # falls back; back at dt the factors are built again
+        lu = work.floor
+        u = ff.fast_diffusion_step(u, 0.5, 0.004, g, work=work)
+        assert work.floor is not lu and work.floor.d is None and len(built) == 1
+        for _ in range(2):
+            u = ff.fast_diffusion_step(u, 0.5, 0.01, g, work=work)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", [0, 1], ids=["global", "windowed"])
+    def test_non_finite_update_raises_and_leaves_values(self, call, bad, monkeypatch):
+        g = ff.make_grid(*TestWindowedNewton.WIDE)
+        values = TestWindowedNewton._start(g)
+        before = values.copy()
+        sizes = []
+        solve = ff.dispersal.solve_banded
+
+        def poisoned(l_and_u, ab, b, **kwargs):
+            x = solve(l_and_u, ab, b, **kwargs)
+            if len(sizes) == call:
+                x[x.size // 2] = bad
+            sizes.append(x.size)
+            return x
+
+        monkeypatch.setattr(ff.dispersal, "solve_banded", poisoned)
+        with pytest.raises(ff.SolverSingular, match="non-finite update"):
+            ff.fast_diffusion_step(values, 0.5, 0.01, g, work=NewtonWork(g.n))
+        assert values.tobytes() == before.tobytes()
+        assert len(sizes) == call + 1 and (sizes[-1] < g.n) == (call == 1)
 
 
 class TestFractionalFastDiffusion:

@@ -584,6 +584,23 @@ class TestInitialConditions:
         g = ff.make_grid(10.0, 16)
         with pytest.raises(ff.ValidationFailed):
             ff.build_initial(ff.TabulatedInitial(np.zeros(8)), g)
+        with pytest.raises(ff.ValidationFailed, match="8 samples, grid has 16"):
+            ff.TabulatedInitial(np.zeros(8)).check(g)
+
+    @pytest.mark.parametrize("initial", [ff.GaussianBump(), ff.Indicator(0.0),
+                                         ff.TabulatedInitial(np.zeros(64))],
+                             ids=["gaussian", "indicator", "tabulated"])
+    def test_configs_check_initial_data_and_runs_build_it_once(self, initial, monkeypatch):
+        built = []
+        build = type(initial).build
+        monkeypatch.setattr(type(initial), "build",
+                            lambda self, grid: built.append(grid) or build(self, grid))
+        cfg = ff.RunConfig(L=10.0, N=64, dispersal=ff.StandardLaplacian(), t_end=0.02,
+                           initial=initial)
+        cfg = replace(cfg, t_end=0.03)
+        assert built == []
+        ff.run(cfg)
+        assert built == [cfg.grid()]
 
     def test_range_checked(self):
         g = ff.make_grid(10.0, 16)
