@@ -26,6 +26,11 @@ operators and kernels never load it. solve_banded calls LAPACK's dgtsv from
 scipy.linalg.lapack directly, about 70 us a call less than
 scipy.linalg.solve_banded takes to make the same call: over the 259 solves
 of the fig1c body to t=1 (2-core Xeon, traced) 0.157 s against 0.175 s.
+A global Newton solve whose Jacobian is the run's floor matrix outside the
+above-floor span reuses that matrix's LU factors instead (_FloorLU):
+dgttrf on a block around the span and one dgttrs, bitwise dgtsv's result.
+On the same body 99 of the 100 global solves take that path, and the 259
+solves went from 0.172 s to 0.144 s (traced medians of 3 pairs).
 """
 
 from __future__ import annotations
