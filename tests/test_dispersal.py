@@ -941,6 +941,9 @@ class TestFloorFactors:
         assert work.floor.d is not None and oracle_work.floor is None
 
     def test_factors_are_built_at_the_second_global_solve_at_one_dt(self, monkeypatch):
+        # a run at dt with one landing step at another dt: the factors are
+        # built at the second global solve of a key, and every step is
+        # still bitwise the windowed oracle's
         g = ff.make_grid(4000.0, self.N)
         built = []
         factor = _FloorLU._factor
@@ -949,19 +952,16 @@ class TestFloorFactors:
         u0 = np.exp(-g.x**2 / 100.0)
         ff.fast_diffusion_step(u0, 0.5, 0.01, g)  # no work: nothing kept
         assert built == []
-        work = NewtonWork(g.n)
-        u = ff.fast_diffusion_step(u0, 0.5, 0.01, g, work=work)
-        assert built == [] and work.floor.asked == 1
-        u = ff.fast_diffusion_step(u, 0.5, 0.01, g, work=work)
-        assert len(built) == 1
-        # another dt (a landing step) starts a new key, whose first solve
-        # falls back; back at dt the factors are built again
-        lu = work.floor
-        u = ff.fast_diffusion_step(u, 0.5, 0.004, g, work=work)
-        assert work.floor is not lu and work.floor.d is None and len(built) == 1
-        for _ in range(2):
-            u = ff.fast_diffusion_step(u, 0.5, 0.01, g, work=work)
-        assert len(built) == 2
+        work, oracle_work = NewtonWork(g.n), NewtonWork(g.n)
+        u = v = u0
+        for dt, count in [(0.01, 0), (0.01, 1), (0.004, 1), (0.01, 1), (0.01, 2)]:
+            lu = work.floor
+            u = ff.fast_diffusion_step(u, 0.5, dt, g, work=work)
+            v = _windowed_oracle(v, 0.5, dt, g, oracle_work)
+            assert u.tobytes() == v.tobytes() and len(built) == count, dt
+            if dt != 0.01:
+                # a new key, whose first solve fell back to dgtsv
+                assert work.floor is not lu and work.floor.d is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("call", [0, 1], ids=["global", "windowed"])
