@@ -393,9 +393,9 @@ class _FloorLU:
     `key` = (column, ends, margin): the floor Jacobian has the band column
     `column` = (super, diagonal, sub) in every column and the diagonal
     `ends` in its two Neumann end rows, and `margin` is the step's window
-    margin M. The factors are LAPACK dgttrf's
-    of that matrix: the diagonal of U in `d` and the multipliers in `dl`.
-    They are built at the second solve that asks for them, so a step that
+    margin M (taken as at least 2). The factors are LAPACK dgttrf's of that
+    matrix: the diagonal of U in `d` and the multipliers in `dl`. They are
+    built at the second solve that asks for them, so a step that
     solves globally once builds nothing. The Jacobian is column-diagonally
     dominant, so no row is interchanged: U's superdiagonal is the matrix's
     own, and `du2` (zeros) and `ipiv` (1, ..., n) record the trivial pivots.
