@@ -32,9 +32,9 @@ initial.width = 100
 diagnostics.lambdas = 0.3, 0.5, 0.7
 """
 
-# A sweep pool started by `spawn` or `forkserver` (the default on macOS and
-# Windows, and on Linux from Python 3.14) imports this script again in each
-# worker, so the script's work runs only under this guard.
+# A sweep on more than one worker starts its pool with `spawn` on every
+# platform, and each spawned worker imports this script again, so the
+# script's work runs only under this guard.
 if __name__ == "__main__":
     config = ff.parse_config_text(DOCUMENT)[0]
     print(f"parsed: {type(config.dispersal).__name__} on [-{config.L:g}, {config.L:g}) "

@@ -1,5 +1,8 @@
 """Experiment front end: config documents, figure presets, the snapshot dump,
-CSV and SVG emitters, and concurrent parameter sweeps.
+CSV and SVG emitters, parameter sweeps, and `_run_many`, the one executor
+that runs several configs: in the calling process with one worker, else on a
+pool of `spawn`ed processes. Sweeps, fig2 and the acceptance tests' preset
+runs go through it.
 
 Config documents are flat `section.key = value` lines with `#` comments.
 Sections: grid, dispersal, reaction, time, initial, diagnostics, output.
@@ -369,10 +372,13 @@ def run_preset(name: str, out_dir) -> dict:
     Each single-operator preset emits a snapshot dump, the diagnostics CSV,
     a profile chart and a level-separation chart; fig2 runs all four
     operators and adds the combined separation chart. Each member goes
-    through `run_to_files`: its dump is written by a writer process while
-    it marches and appears only once the member ran clean. Returns a dict
-    of trajectories, reports and written paths; a breach raises
-    GuardBreached.
+    through `run_to_files` on `_run_many`: a one-member preset runs in the
+    calling process, and fig2's members run on a pool of spawned processes,
+    one per CPU this process may use, in table order. Each member's dump is
+    written by a writer process while it marches and appears only once the
+    member ran clean; the charts are drawn here. Returns a dict of
+    trajectories, reports and written paths; a breach raises GuardBreached
+    (on a pool, the members already running still write their files).
     """
     members = tuple(_PRESET_TABLE) if name == "fig2" else (name,)
     configs = {member: preset_config(member) for member in members}
@@ -380,10 +386,10 @@ def run_preset(name: str, out_dir) -> dict:
     result = {"paths": {}, "trajectories": {}, "reports": {}}
     paths = result["paths"]
     series = []
-    for member, config in configs.items():
-        traj, report, paths[f"{member}:snapshots"], paths[f"{member}:csv"] = run_to_files(
-            member, config, out
-        )
+    runs = _run_many(run_to_files, [(member, config, out) for member, config in configs.items()])
+    for member, (traj, report, paths[f"{member}:snapshots"], paths[f"{member}:csv"]) in zip(
+        members, runs
+    ):
         result["trajectories"][member] = traj
         result["reports"][member] = report
         profiles = [
@@ -669,35 +675,54 @@ def _sweep_jobs(text: str, vary: str) -> tuple:
                                for label, tok in zip(labels, tokens)]
 
 
-def _sweep_worker(args):
-    # args is (label, config, out): a member runs as `run_to_files` runs its stem
-    traj, *_ = run_to_files(*args, raise_on_breach=False)
-    return args[0], traj.guard_breach_time, len(traj.times)
+def _sweep_member(label: str, config: RunConfig, out: Path) -> tuple:
+    # a member runs as `run_to_files` runs its stem
+    traj, *_ = run_to_files(label, config, out, raise_on_breach=False)
+    return label, traj.guard_breach_time, len(traj.times)
 
 
 def run_sweep(text: str, vary: str, out_dir=None, *, workers: int | None = None) -> list:
-    """Run a sweep concurrently; one CSV and snapshot dump per value.
+    """Run a sweep; one CSV and snapshot dump per value.
 
     Parses `text` once, as `sweep_values` does. The files go to `out_dir`,
-    else to the base document's output.dir, else to ".". Starts at most one
-    process per value; `workers` defaults to the CPU count, and any other
-    value than an integer >= 1 raises ValidationFailed first; the labels and
-    every value's RunConfig are checked next, all before the directory is
-    made. Returns [(label, guard_breach_time_or_None, n_snapshots)] in input
-    order. A member that breaches the guard is not an error: its truncated
-    dump and CSV are written and its breach time returned. Each member runs
-    through `run_to_files` with its own dump writer process, in the calling
-    process with one worker and in a pool worker otherwise.
+    else to the base document's output.dir, else to ".". Any other
+    `workers` than None or an integer >= 1 raises ValidationFailed first;
+    the labels and every value's RunConfig are checked next, all before the
+    directory is made. Returns [(label, guard_breach_time_or_None,
+    n_snapshots)] in input order. A member that breaches the guard is not an
+    error: its truncated dump and CSV are written and its breach time
+    returned. Each member runs through `run_to_files` with its own dump
+    writer process, on `_run_many`: in the calling process with one worker,
+    else on a pool of spawned processes, at most one per value; `workers`
+    defaults to the CPUs this process may use.
     """
     if workers is not None and (type(workers) is not int or workers < 1):  # type() rules out bool
         raise ValidationFailed(f"workers must be an integer >= 1, got {workers!r}")
     base_out, jobs = _sweep_jobs(text, vary)
     out = make_out_dir(out_dir or base_out)
-    args = [(label, config, out) for label, config in jobs]
-    workers = min((os.cpu_count() or 1) if workers is None else workers, len(args))
-    if workers <= 1:
-        return [_sweep_worker(a) for a in args]
-    from concurrent.futures import ProcessPoolExecutor
+    return _run_many(_sweep_member, [(label, config, out) for label, config in jobs], workers)
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_worker, args))
+
+# ---------------------------------------------------------------------------
+# the executor
+# ---------------------------------------------------------------------------
+
+def _run_many(fn, jobs: list, workers: int | None = None) -> list:
+    """[fn(*job) for job in jobs], in input order. With one worker the jobs
+    run in this process, which then imports neither `concurrent.futures` nor
+    `multiprocessing`; otherwise on a pool of `spawn`ed processes, at most
+    one per job, so `fn` and each job must pickle, and the first exception
+    in input order is raised here. `workers` defaults to the CPUs this
+    process may use. The caller's list is the order the pool takes the jobs
+    in, so a caller lists its longest job first."""
+    if workers is None:  # sched_getaffinity is Linux-only
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return [fn(*job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(fn, *zip(*jobs)))

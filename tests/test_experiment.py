@@ -332,6 +332,48 @@ class TestPresets:
         assert abs(stretch[20.0] - stretch[15.0]) / stretch[15.0] < 0.10
 
 
+class TestFig2:
+    """fig2 on four tiny members: the configs are built in this process, so
+    the patched table reaches the spawned pool workers."""
+
+    @pytest.fixture
+    def tiny_table(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_PRESET_TABLE", {
+            name: dict(L=200.0, N=2**10, dispersal=dispersal, t_end=2.0,
+                       initial=ff.GaussianBump(4.0))
+            for name, dispersal in (
+                ("fig1a", ff.FractionalLaplacian(0.9)),
+                ("fig1b", ff.Convolution(ff.StretchedExponential(a=0.5, b=1.0))),
+                ("fig1c", ff.FastDiffusion(0.5)),
+                ("fig1d", ff.StandardLaplacian()),
+            )
+        })
+        return experiment._PRESET_TABLE
+
+    def test_bundle_is_the_bytes_of_each_members_own(self, tmp_path, tiny_table, writers):
+        result = ff.run_preset("fig2", tmp_path / "fig2")
+        names = sorted(p.name for p in (tmp_path / "fig2").iterdir())
+        kinds = ("diagnostics.csv", "profiles.svg", "snapshots.txt", "stretching.svg")
+        assert names == sorted([f"{m}_{k}" for m in tiny_table for k in kinds]
+                               + ["fig2_stretching.svg"])
+        assert list(result["trajectories"]) == list(tiny_table)
+        for member in tiny_table:
+            ff.run_preset(member, tmp_path / member)
+            for kind in kinds:
+                name = f"{member}_{kind}"
+                assert (tmp_path / "fig2" / name).read_bytes() == \
+                    (tmp_path / member / name).read_bytes()
+        _no_partial_dump(tmp_path, writers)
+
+    def test_breaching_member_leaves_no_file(self, tmp_path, tiny_table, writers):
+        tiny_table["fig1b"] = BREACHING_MEMBER
+        with pytest.raises(ff.GuardBreached):
+            ff.run_preset("fig2", tmp_path)
+        assert not list(tmp_path.glob("fig1b_*"))
+        assert not (tmp_path / "fig2_stretching.svg").exists()
+        _no_partial_dump(tmp_path, writers)
+
+
 class TestCsv:
     def _report(self, t_end=2.0):
         cfg = ff.RunConfig(L=200.0, N=2**10, dispersal=ff.StandardLaplacian(), t_end=t_end)
@@ -525,12 +567,14 @@ class TestSweep:
             sweep_values(text, "initial.file=a/b,a_b")
 
     def test_pool_is_capped_at_the_value_count(self, tmp_path, monkeypatch):
-        # under fork a pool starts all max_workers processes at once; this
-        # stand-in records the request and starts none
+        # a pool may start all max_workers processes at once; this stand-in
+        # records the request, checks that the pool would spawn its
+        # processes, and starts none
         created = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() == "spawn"
                 created.append(max_workers)
 
             def __enter__(self):
@@ -539,8 +583,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args):
-                return map(fn, args)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         results = experiment.run_sweep(TINY_CFG, "time.t_end=0.05,0.1", tmp_path, workers=5000)
@@ -549,13 +593,28 @@ class TestSweep:
         experiment.run_sweep(TINY_CFG, "time.t_end=0.05", tmp_path, workers=5000)
         assert created == [2]
 
+    def test_one_usable_cpu_builds_no_pool(self, tmp_path, monkeypatch):
+        # the default worker count is the CPUs this process may use, not
+        # the host's CPU count: pinned to one CPU, a sweep runs here
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        results = experiment.run_sweep(TINY_CFG, "time.t_end=0.05,0.1", tmp_path)
+        assert [label for label, _, _ in results] == ["time_t_end_0.05", "time_t_end_0.1"]
+        assert len(list(tmp_path.iterdir())) == 4
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_breached_member_writes_its_truncated_run(self, tmp_path, monkeypatch, writers,
                                                       workers):
         # each member starts a writer process, in this process with one
         # worker and in a pool worker with two, and each save_snapshots below
-        # starts one in this process; a pool worker's starts are seen
-        # through the marker files that the seam leaves
+        # starts one in this process; every start leaves a marker file. A
+        # spawned pool worker takes its seam from the sitecustomize module
+        # on its PYTHONPATH; the writer process runs with -I -S, so neither
+        # the seam nor the variable reaches it
         marks = tmp_path / "started"
         marks.mkdir()
         start = experiment._start_helper
@@ -565,6 +624,11 @@ class TestSweep:
             return start(part, n)
 
         monkeypatch.setattr(experiment, "_start_helper", mark)
+        seam = tmp_path / "seam"
+        seam.mkdir()
+        (seam / "sitecustomize.py").write_text(_MARK_SEAM.format(marks=str(marks)))
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            filter(None, (str(seam), SRC, os.environ.get("PYTHONPATH")))))
         out = tmp_path / "out"
         results = experiment.run_sweep(BREACHING_CFG, "grid.L=4,32", out, workers=workers)
         expected = []
@@ -593,6 +657,24 @@ class TestSweep:
         assert len(outputs[1][1]) == 4
         assert outputs[2] == outputs[1]
 
+
+# the `_start_helper` seam of a spawned pool worker: each writer start
+# leaves a marker file named after its `.part` file in {marks}
+_MARK_SEAM = """
+from pathlib import Path
+
+from fastfronts import experiment
+
+start = experiment._start_helper
+
+
+def mark(part, n):
+    (Path({marks!r}) / Path(part).name).touch()
+    return start(part, n)
+
+
+experiment._start_helper = mark
+"""
 
 # a run of a few milliseconds: 64 nodes, a clean guard up to t = 0.1
 TINY_CFG = """
@@ -751,6 +833,34 @@ class TestDumpProcess:
         assert proc.returncode == 0, proc.stderr
         ff.save_snapshots(ff.run(experiment.parse_config_text(SMALL_CFG)[0]), tmp_path / "serial.txt")
         assert (out / "small_snapshots.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
+        _no_partial_dump(out, writers)
+
+    def test_one_member_preset_runs_in_the_caller(self, fig1d_bundle, tmp_path, writers):
+        # `fastfronts preset fig1d` in a fresh interpreter on every CPU this
+        # host allows, with an os.fork that raises: its one member runs in
+        # the caller, with one writer process and no pool module loaded
+        out = tmp_path / "out"
+        code = (
+            f"import os, sys; sys.path.insert(0, {SRC!r})\n"
+            "def no_fork(): raise AssertionError('os.fork was called')\n"
+            "os.fork = no_fork\n"
+            "from fastfronts import experiment\n"
+            "from fastfronts.cli import main\n"
+            "started = []\n"
+            "start = experiment._start_helper\n"
+            "experiment._start_helper = lambda *a: started.append(start(*a)) or started[-1]\n"
+            f"assert main(['preset', 'fig1d', '--out', {str(out)!r}]) == 0\n"
+            "assert len(started) == 1, started\n"
+            "for name in ('multiprocessing', 'concurrent.futures'):\n"
+            "    assert name not in sys.modules, f'{name} was imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        _, bundle, _ = fig1d_bundle
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in bundle.iterdir())
+        for path in bundle.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes()
         _no_partial_dump(out, writers)
 
     def test_breaching_preset_member_leaves_no_file(self, tmp_path, monkeypatch, writers):
