@@ -18,12 +18,13 @@ classical Laplacian is the fractional power alpha = 1, with multiplier -xi^2.
 Every symbol vanishes at frequency zero (mass neutrality) and is nonpositive
 (dissipativity).
 
-Importing this module loads numpy only. scipy is imported where it is used:
-scipy.linalg for the fast-diffusion tridiagonal solves (solve_banded below,
-loaded when integrator.DispersalStepper is built for FastDiffusion) and
+Importing this module loads numpy only. scipy is loaded where it is used:
+its compiled LAPACK wrapper scipy.linalg._flapack, without the scipy.linalg
+package, for the fast-diffusion tridiagonal solves (_lapack below, loaded
+when integrator.DispersalStepper is built for FastDiffusion), and
 scipy.special for the stretched-exponential cell averages. The other
 operators and kernels never load it. solve_banded calls LAPACK's dgtsv from
-scipy.linalg.lapack directly, about 70 us a call less than
+that wrapper directly, about 70 us a call less than
 scipy.linalg.solve_banded takes to make the same call: over the 259 solves
 of the fig1c body to t=1 (2-core Xeon, traced) 0.157 s against 0.175 s.
 A global Newton solve whose Jacobian is the run's floor matrix outside the
@@ -386,6 +387,46 @@ def convolve_direct(field: Field, kernel: KernelSpec, grid: Grid) -> Field:
 # nonlinear fast diffusion
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache
+def _lapack():
+    """scipy's compiled LAPACK wrapper, scipy.linalg._flapack, whose dgtsv,
+    dgttrf and dgttrs make the fast-diffusion solves; loaded once per process.
+
+    A module that is already loaded (scipy.linalg imports it) is taken as it
+    is. Otherwise the extension file is found in scipy's directory, which
+    importlib.util.find_spec locates without importing scipy, and loaded
+    under its own name without running scipy's or scipy.linalg's
+    __init__, which cost about 0.2 s; later imports of scipy.linalg find it
+    in sys.modules and use this module. Where no such file loads,
+    scipy.linalg.lapack is imported, which holds the same routines (and a
+    missing scipy raises ModuleNotFoundError there).
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    for folder in (spec.submodule_search_locations if spec else None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            try:
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+            except ImportError:  # no such file, or it does not load
+                continue
+            sys.modules[name] = module
+            return module
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 class _FloorLU:
     """LU factors of one floor Jacobian on n nodes, reused by the global
     Newton solves whose Jacobian is that one outside the above-floor span.
@@ -415,8 +456,7 @@ class _FloorLU:
 
     def _factor(self, n: int) -> bool:
         """Factor the floor Jacobian; False, keeping nothing, if it pivots."""
-        from scipy.linalg.lapack import dgttrf
-
+        dgttrf = _lapack().dgttrf
         (sup, diag, sub), ends, _ = self.key
         d = np.full(n, diag)
         d[0] = d[-1] = ends
@@ -447,8 +487,8 @@ class _FloorLU:
         a pivot or a zero diagonal, or a recurrence that has not settled by
         the block's last row.
         """
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
+        lapack = _lapack()
+        dgttrf, dgttrs = lapack.dgttrf, lapack.dgttrs
         n = b.size
         start, stop = first - 1, min(end + max(self.margin, 2), n)
         self.asked += 1
@@ -617,8 +657,8 @@ def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
     overwrite_ab and overwrite_b let dgtsv work in the bands and in b, when
     they are contiguous float64 rows; check_finite first scans ab and b
     (ValidationFailed on a NaN or an infinity). A zero pivot raises
-    SolverSingular. scipy.linalg.lapack is imported at the call, so that
-    operators without a banded solve never load it; fast_diffusion_step
+    SolverSingular. The LAPACK wrapper comes from _lapack at the call, so
+    that operators without a banded solve never load it; fast_diffusion_step
     looks this name up at call time.
 
     floor = (lu, first, end), from fast_diffusion_step's global solves,
@@ -638,10 +678,8 @@ def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
         x = lu.solve(ab, b, first, end, overwrite_b)
         if x is not None:
             return x
-    from scipy.linalg.lapack import dgtsv
-
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
-                        overwrite_ab, overwrite_ab, overwrite_ab, overwrite_b)
+    *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
+                                  overwrite_ab, overwrite_ab, overwrite_ab, overwrite_b)
     if info > 0:
         raise SolverSingular(f"tridiagonal solve has a zero pivot in row {info}")
     return x

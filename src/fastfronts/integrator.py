@@ -39,6 +39,7 @@ from .dispersal import (
     fractional_fast_diffusion_step,
     sample_kernel,
     substep_count,
+    _lapack,
 )
 from .errors import GuardBreached, ValidationFailed
 from .grid import Field, Grid
@@ -289,7 +290,8 @@ class DispersalStepper:
     landing step comes only from a snapshot time off the dt grid. They reuse
     one buffer for the real-transform bins. FastDiffusion allocates one
     dispersal.NewtonWork and passes it to every step, so its Newton iterates
-    allocate nothing.
+    allocate nothing, and loads scipy's LAPACK wrapper (dispersal._lapack,
+    not the scipy.linalg package) here, so the first step loads nothing.
     """
 
     def __init__(self, spec: DispersalSpec, grid: Grid, eps_reg: float = EPS_REG):
@@ -297,9 +299,9 @@ class DispersalStepper:
         # multipliers on the real-transform bins 0..n/2; None for the fast diffusions
         self.m: Optional[np.ndarray] = None
         if isinstance(spec, FastDiffusion):
-            # the Newton solves need scipy.linalg: load it here, as set-up,
-            # not inside the first step
-            import scipy.linalg  # noqa: F401
+            # the Newton solves need scipy's LAPACK wrapper: load it here,
+            # as set-up, not inside the first step
+            _lapack()
             work = NewtonWork(grid.n)
             self._nonlinear = lambda values, dt: fast_diffusion_step(
                 values, spec.gamma, dt, grid, eps_reg=eps_reg, work=work)

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 import fastfronts as ff
 from fastfronts.diagnostics import build_report, speed_fit
-from fastfronts.experiment import _run_many, preset_config
+from fastfronts.experiment import _LONGEST_FIRST, _run_many, preset_config
 
 
 def record(num, desc, passed, detail=""):
@@ -31,11 +31,10 @@ def preset_runs():
     """All four figure presets, run once on the package's executor, longest
     first, with the reports built here: {name: (trajectory, report)}, and
     "elapsed", the wall time of the whole. No file is written."""
-    names = ("fig1c", "fig1a", "fig1b", "fig1d")
     t0 = time.perf_counter()
     runs = _run_many(partial(ff.run, raise_on_breach=True),
-                     [(preset_config(name),) for name in names])
-    out = {name: (traj, build_report(traj)) for name, traj in zip(names, runs)}
+                     [(preset_config(name),) for name in _LONGEST_FIRST])
+    out = {name: (traj, build_report(traj)) for name, traj in zip(_LONGEST_FIRST, runs)}
     out["elapsed"] = time.perf_counter() - t0
     return out
 

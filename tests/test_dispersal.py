@@ -855,6 +855,33 @@ class TestFloorFactors:
             assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes(), name
             assert lu.held[:2] == (first - 1, min(end + key[2], n)), name
 
+    def test_lapack_fallback_solves_bitwise(self, monkeypatch):
+        # no extension file name matches, so _lapack falls back to importing
+        # scipy.linalg.lapack; dgtsv and the floor path still give scipy's bits
+        import importlib.machinery
+        import sys
+
+        from scipy.linalg import solve_banded
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        ff.dispersal._lapack.cache_clear()
+        try:
+            assert ff.dispersal._lapack().__name__ == "scipy.linalg.lapack"
+            n, rng = self.N, np.random.default_rng(11)
+            for c in (0.5, 20.0, 3355.0):
+                for name, (first, end) in self._spans(n, _window_margin(c, n)).items():
+                    ab, key = _newton_bands(n, c, first, end, rng)
+                    b = rng.standard_normal(n)
+                    expected = solve_banded((1, 1), ab, b).tobytes()
+                    lu = _floor_lu(key, ab)
+                    for floor in (None, (lu, first, end)):
+                        x = ff.dispersal.solve_banded((1, 1), ab, b.copy(), floor=floor)
+                        assert x.tobytes() == expected, (c, name, floor)
+                    assert lu.d is not None, (c, name)  # the floor factors served
+        finally:
+            ff.dispersal._lapack.cache_clear()
+
     def test_reused_factors_track_the_rows_they_rewrite(self):
         # spans that move both ways, a solve that fails after its block
         # factor, and slopes above the floor's, after which the recurrence

@@ -365,6 +365,27 @@ class TestFig2:
                     (tmp_path / member / name).read_bytes()
         _no_partial_dump(tmp_path, writers)
 
+    def test_members_start_longest_first_and_chart_in_table_order(self, tmp_path, tiny_table,
+                                                                   monkeypatch):
+        # the jobs run in this process, in the order they are handed over;
+        # the combined chart is the bytes of one whose jobs ran in table order
+        started = []
+
+        def run_many(fn, jobs, workers=None):
+            started.extend(job[0] for job in jobs)
+            return [fn(*job) for job in jobs]
+
+        monkeypatch.setattr(experiment, "_run_many", run_many)
+        result = ff.run_preset("fig2", tmp_path / "longest")
+        assert started == ["fig1c", "fig1a", "fig1b", "fig1d"]
+        assert list(result["trajectories"]) == list(result["reports"]) == list(tiny_table)
+        monkeypatch.setattr(experiment, "_LONGEST_FIRST", tuple(tiny_table))
+        ff.run_preset("fig2", tmp_path / "table")
+        assert started[4:] == list(tiny_table)
+        for name in [p.name for p in (tmp_path / "table").iterdir()]:
+            assert (tmp_path / "longest" / name).read_bytes() == \
+                (tmp_path / "table" / name).read_bytes(), name
+
     def test_breaching_member_leaves_no_file(self, tmp_path, tiny_table, writers):
         tiny_table["fig1b"] = BREACHING_MEMBER
         with pytest.raises(ff.GuardBreached):

@@ -1,7 +1,9 @@
 """Import guard: `import fastfronts` loads numpy and no scipy, and each scipy
-submodule loads only when an operator that needs it is built; no module of
-the package imports a name it never uses; and the package namespace is
-exactly the union of the names its modules declare public.
+module loads only when an operator that needs it is built: a fast-diffusion
+stepper loads scipy's LAPACK wrapper `scipy.linalg._flapack` and not the
+`scipy.linalg` package, which later shares that module; no module of the
+package imports a name it never uses; and the package namespace is exactly
+the union of the names its modules declare public.
 
 Every load check runs in a fresh interpreter, so modules that other tests
 loaded do not count, and checks membership in sys.modules only, never a time.
@@ -27,16 +29,18 @@ NOT_AT_IMPORT = ("scipy", "concurrent.futures", "xml", "http", "ssl", "multiproc
                  "subprocess", "fastfronts._dumpfile")
 
 
-def loaded_after(statements: str) -> set:
-    """Top-level and dotted module names in sys.modules after `statements`."""
-    code = (
-        f"import sys; sys.path.insert(0, {SRC!r})\n"
-        f"{statements}\n"
-        "print(' '.join(sys.modules))"
-    )
+def fresh_output(statements: str) -> str:
+    """What `statements` print in a fresh interpreter that imports from SRC
+    and has `sys` bound."""
+    code = f"import sys; sys.path.insert(0, {SRC!r})\n{statements}\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True)
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def loaded_after(statements: str) -> set:
+    """Top-level and dotted module names in sys.modules after `statements`."""
+    return set(fresh_output(f"{statements}\nprint(' '.join(sys.modules))").split())
 
 
 def test_bare_import_loads_none_of_the_deferred_modules():
@@ -46,7 +50,7 @@ def test_bare_import_loads_none_of_the_deferred_modules():
 
 
 @pytest.mark.parametrize("spec, module", [
-    ("ff.FastDiffusion(0.5)", "scipy.linalg"),
+    ("ff.FastDiffusion(0.5)", "scipy.linalg._flapack"),
     ("ff.Convolution(ff.StretchedExponential(0.5))", "scipy.special"),
 ])
 def test_stepper_set_up_loads_its_scipy_module(spec, module):
@@ -55,6 +59,48 @@ def test_stepper_set_up_loads_its_scipy_module(spec, module):
         f"ff.DispersalStepper({spec}, ff.make_grid(50.0, 2**8))"
     )
     assert module in loaded
+    if module == "scipy.linalg._flapack":
+        # the wrapper alone: neither scipy's nor scipy.linalg's __init__ ran
+        assert "scipy.linalg" not in loaded and "scipy" not in loaded
+
+
+LAPACK_NAMES = ("dgtsv", "dgttrf", "dgttrs")
+
+
+def test_lapack_wrapper_is_the_one_scipy_linalg_imports_later():
+    # a fast-diffusion step, then scipy.linalg: its lapack module re-exports
+    # the very routine objects the step used, and its own solver still works
+    out = fresh_output(
+        "import numpy as np\n"
+        "import fastfronts as ff\n"
+        "g = ff.make_grid(50.0, 2**8)\n"
+        "s = ff.DispersalStepper(ff.FastDiffusion(0.5), g)\n"
+        "s.step_values(np.exp(-g.x**2 / 100.0), 0.01)\n"
+        "lapack = ff.dispersal._lapack()\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg.lapack\n"
+        "print(all(getattr(scipy.linalg.lapack, n) is getattr(lapack, n)\n"
+        f"          for n in {LAPACK_NAMES}))\n"
+        "ab = np.array([[0.0, 1.0, 2.0], [4.0, 5.0, 6.0], [3.0, 1.0, 0.0]])\n"
+        "x = scipy.linalg.solve_banded((1, 1), ab, np.ones(3))\n"
+        "dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)\n"
+        "print(np.allclose(dense @ x, 1.0))\n"
+        "print(x.tobytes() == ff.dispersal.solve_banded((1, 1), ab, np.ones(3)).tobytes())"
+    )
+    assert out.split() == ["False", "True", "True", "True"]
+
+
+def test_lapack_loader_reuses_a_loaded_scipy_linalg():
+    # with the extension loader gone, only the module scipy.linalg loaded
+    # can be returned
+    out = fresh_output(
+        "import importlib.machinery\n"
+        "import scipy.linalg\n"
+        "import fastfronts as ff\n"
+        "importlib.machinery.ExtensionFileLoader = None\n"
+        "print(ff.dispersal._lapack() is scipy.linalg.lapack._flapack)"
+    )
+    assert out.split() == ["True"]
 
 
 def test_fractional_fast_diffusion_step_loads_no_scipy():
