@@ -23,12 +23,16 @@ its compiled LAPACK wrapper scipy.linalg._flapack, without the scipy.linalg
 package, for the fast-diffusion tridiagonal solves (_lapack below, loaded
 when integrator.DispersalStepper is built for FastDiffusion), and
 scipy.special for the stretched-exponential cell averages. The other
-operators and kernels never load it. solve_banded calls LAPACK's dgtsv from
-that wrapper directly, about 70 us a call less than
-scipy.linalg.solve_banded takes to make the same call: over the 259 solves
-of the fig1c body to t=1 (2-core Xeon, traced) 0.157 s against 0.175 s.
-A global Newton solve whose Jacobian is the run's floor matrix outside the
-above-floor span reuses that matrix's LU factors instead (_FloorLU):
+operators and kernels never load it.
+
+Every Newton solve is one call, solve_banded(ab, b, floor), which solves in
+place with LAPACK's dgtsv from that wrapper directly, about 70 us a call
+less than scipy.linalg.solve_banded takes to make the same call: over the
+259 solves of the fig1c body to t=1 (2-core Xeon, traced) 0.157 s against
+0.175 s. The floor system of a step, one _FloorLU per (gamma, eps_reg,
+dt / dx^2), holds the constant band column below the floor, the window
+margin and the LU factors of the floor matrix. A global solve whose
+Jacobian is that matrix outside the above-floor span reuses the factors:
 dgttrf on a block around the span and one dgttrs, bitwise dgtsv's result.
 On the same body 99 of the 100 global solves take that path, and the 259
 solves went from 0.172 s to 0.144 s (traced medians of 3 pairs).
@@ -428,16 +432,18 @@ def _lapack():
 
 
 class _FloorLU:
-    """LU factors of one floor Jacobian on n nodes, reused by the global
-    Newton solves whose Jacobian is that one outside the above-floor span.
+    """The floor system of the Newton steps at one key (gamma, eps, r) on n
+    nodes, r = dt / dx^2, and the LU factors of its Jacobian, reused by the
+    global solves whose Jacobian is that one outside the above-floor span.
 
-    `key` = (column, ends, margin): the floor Jacobian has the band column
-    `column` = (super, diagonal, sub) in every column and the diagonal
-    `ends` in its two Neumann end rows, and `margin` is the step's window
-    margin M (taken as at least 2). The factors are LAPACK dgttrf's of that
-    matrix: the diagonal of U in `d` and the multipliers in `dl`. They are
-    built at the second solve that asks for them, so a step that
-    solves globally once builds nothing. The Jacobian is column-diagonally
+    Built once per key: the floor slope F = _floor_slope(gamma, eps),
+    `scale` = (-r, 2r, -r) as a column, the band `column` = F * scale plus 1
+    on the diagonal, which every column below the floor holds, the diagonal
+    `ends` = 1 + r F of the two Neumann end rows, and the window `margin` M
+    = _window_margin(r F, n). The factors are LAPACK dgttrf's of the floor
+    Jacobian, the diagonal of U in `d` and the multipliers in `dl`. They are
+    built at the second solve that asks for them, so a step that solves
+    globally once builds nothing. The Jacobian is column-diagonally
     dominant, so no row is interchanged: U's superdiagonal is the matrix's
     own, and `du2` (zeros) and `ipiv` (1, ..., n) record the trivial pivots.
 
@@ -446,21 +452,34 @@ class _FloorLU:
     above row top, and from row bottom on the tail settled at the value
     tail (None: no tail), so a solve rewrites only the rows that change."""
 
-    __slots__ = ("key", "margin", "asked", "d", "dl", "du2", "ipiv", "solve_d",
-                 "solve_dl", "held")
+    __slots__ = ("key", "scale", "column", "ends", "margin", "asked", "d", "dl", "du2",
+                 "ipiv", "solve_d", "solve_dl", "held")
 
-    def __init__(self, column: tuple, ends: float, margin: int):
-        self.key, self.margin = (column, ends, margin), margin
+    def __init__(self, gamma: float, eps: float, r: float, n: int):
+        self.key = gamma, eps, r
+        slope = _floor_slope(gamma, eps)
+        self.scale = np.array([[-r], [2.0 * r], [-r]])
+        self.column = self.scale * slope
+        self.column[1] += 1.0
+        self.ends = 1.0 + r * slope
+        self.margin = _window_margin(r * slope, n)
         self.asked = 0
         self.d = None
 
+    @classmethod
+    def kept(cls, work: "NewtonWork", gamma: float, eps: float, r: float) -> "_FloorLU":
+        """work.floor when it is keyed (gamma, eps, r), else a new one kept there."""
+        if work.floor is None or work.floor.key != (gamma, eps, r):
+            work.floor = cls(gamma, eps, r, work.w.size)
+        return work.floor
+
     def _factor(self, n: int) -> bool:
         """Factor the floor Jacobian; False, keeping nothing, if it pivots."""
-        dgttrf = _lapack().dgttrf
-        (sup, diag, sub), ends, _ = self.key
+        sup, diag, sub = self.column[:, 0]
         d = np.full(n, diag)
-        d[0] = d[-1] = ends
-        dl, d, _, _, ipiv, info = dgttrf(np.full(n - 1, sub), d, np.full(n - 1, sup), 1, 1, 1)
+        d[0] = d[-1] = self.ends
+        dl, d, _, _, ipiv, info = _lapack().dgttrf(np.full(n - 1, sub), d, np.full(n - 1, sup),
+                                                   1, 1, 1)
         self.ipiv = np.arange(1, n + 1, dtype=np.int32)
         if info or not np.array_equal(ipiv, self.ipiv):
             return False
@@ -469,10 +488,11 @@ class _FloorLU:
         self.held = (0, n, None)
         return True
 
-    def solve(self, ab, b, first: int, end: int, overwrite_b: bool):
+    def solve(self, ab, b, first: int, end: int):
         """The solution of the banded system (ab, b) whose columns outside
-        [first, end) are the floor Jacobian's, bitwise as dgtsv computes it;
-        None where the factors do not fit, and the caller runs dgtsv.
+        [first, end) are the floor Jacobian's, bitwise as dgtsv computes it,
+        written into b; None where the factors do not fit, and the caller
+        runs dgtsv. ab is read and left as it is.
 
         Without row interchanges, dgttrf and then dgttrs make dgtsv's
         operations in its order, row by row. Above row first - 1 the
@@ -519,7 +539,7 @@ class _FloorLU:
                 # dgttrf wrapper takes no 2-row system)
                 d[-1] = dgttrf(ab[2, -3:-1], np.array([settled, *ab[1, -2:]]), ab[0, -2:])[1][2]
         self.held = start, stop, settled
-        return dgttrs(dl, d, ab[0, 1:], self.du2, self.ipiv, b, overwrite_b=overwrite_b)[0]
+        return dgttrs(dl, d, ab[0, 1:], self.du2, self.ipiv, b, overwrite_b=True)[0]
 
 
 class NewtonWork:
@@ -532,8 +552,10 @@ class NewtonWork:
     solve fills the band columns it solves on; a tridiagonal solve on
     columns [lo, hi) reads neither ab[0, lo] nor ab[2, hi - 1]. `span` is
     the above-floor span [first, end) of the last _kirchhoff call, (0, n)
-    before any, and `floor` the _FloorLU that fast_diffusion_step keeps for
-    the floor Jacobian of its last call with this work, or None."""
+    before any, and `floor` the _FloorLU of the last step made with this
+    work (None before any): the floor system's band column, margin and LU
+    factors at that step's (gamma, eps_reg, dt / dx^2), which the next step
+    at the same key reuses."""
 
     __slots__ = ("ab", "rhs", "p", "w", "d", "above", "span", "floor")
 
@@ -643,43 +665,36 @@ def _newton_rhs(u: np.ndarray, u0: np.ndarray, w: np.ndarray, dt: float, dx: flo
     return rhs
 
 
-def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
-                 check_finite=True, floor=None) -> np.ndarray:
-    """Solve a tridiagonal system given in scipy.linalg.solve_banded's band
-    layout: ab[0, 1:] is the superdiagonal, ab[1] the diagonal and
-    ab[2, :-1] the subdiagonal of a float64 system on b.shape[0] >= 2 rows.
-    l_and_u must be (1, 1) (ParameterOutOfRange otherwise).
+def solve_banded(ab, b, floor=None) -> np.ndarray:
+    """Solve a tridiagonal system in place: ab[0, 1:] is the superdiagonal,
+    ab[1] the diagonal and ab[2, :-1] the subdiagonal of a float64 system on
+    b.shape[0] >= 2 rows (scipy.linalg.solve_banded's layout for (1, 1)
+    bands). Returns the solution, written into b, and leaves ab overwritten,
+    where they are contiguous float64 rows (as the Newton step's views are).
 
     The rows go straight to LAPACK's dgtsv (Gaussian elimination with
-    partial pivoting), which is the call scipy.linalg.solve_banded makes for
-    (1, 1) bands, so the result is bitwise scipy's; the direct call skips
-    scipy's argument checks, its batching decorator and its LAPACK lookup.
-    overwrite_ab and overwrite_b let dgtsv work in the bands and in b, when
-    they are contiguous float64 rows; check_finite first scans ab and b
-    (ValidationFailed on a NaN or an infinity). A zero pivot raises
+    partial pivoting), the call scipy.linalg.solve_banded makes for (1, 1)
+    bands, so the result is bitwise scipy's with overwrite_ab, overwrite_b
+    and check_finite=False; the direct call skips scipy's argument checks,
+    its finiteness scan (fast_diffusion_step checks every update instead),
+    its batching decorator and its LAPACK lookup. A zero pivot raises
     SolverSingular. The LAPACK wrapper comes from _lapack at the call, so
     that operators without a banded solve never load it; fast_diffusion_step
     looks this name up at call time.
 
     floor = (lu, first, end), from fast_diffusion_step's global solves,
     says that outside the columns [first, end) the bands are those of the
-    floor Jacobian that lu (a _FloorLU) factors. The solve then reuses those
-    factors: dgttrf on a block around the span and one dgttrs on all rows,
-    bitwise dgtsv's result (see _FloorLU.solve). Where they do not fit,
-    dgtsv solves as without `floor`. That path reads ab and leaves it as
-    it is, and overwrite_b lets dgttrs work in b.
+    floor Jacobian of lu (a _FloorLU). The solve then reuses its factors:
+    dgttrf on a block around the span and one dgttrs on all rows, into b,
+    bitwise dgtsv's result (see _FloorLU.solve); that path leaves ab as it
+    is. Where the factors do not fit, dgtsv solves as without `floor`.
     """
-    if tuple(l_and_u) != (1, 1):
-        raise ParameterOutOfRange(f"solve_banded takes (1, 1) bands only, got {l_and_u!r}")
-    if check_finite and not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValidationFailed("banded system holds a NaN or an infinite value")
     if floor is not None:
         lu, first, end = floor
-        x = lu.solve(ab, b, first, end, overwrite_b)
+        x = lu.solve(ab, b, first, end)
         if x is not None:
             return x
-    *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
-                                  overwrite_ab, overwrite_ab, overwrite_ab, overwrite_b)
+    *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, 1, 1, 1, 1)
     if info > 0:
         raise SolverSingular(f"tridiagonal solve has a zero pivot in row {info}")
     return x
@@ -770,35 +785,35 @@ def fast_diffusion_step(
     solve scans nothing itself (a NaN or infinite update raises
     SolverSingular, with `values` untouched). Each solve is one
     solve_banded call on views of the bands and the right-hand side, which
-    it overwrites: LAPACK's dgtsv, where a zero pivot raises SolverSingular.
+    it solves in place: LAPACK's dgtsv, where a zero pivot raises
+    SolverSingular, or the floor factors below.
 
     Outside the span, the Jacobian of a global solve is the same floor
     matrix, tridiag(-c, 1 + 2c, -c) with Neumann ends, at every step of one
-    dt. So a caller's `work` keeps the LU factors of that matrix
-    (work.floor, a _FloorLU keyed by the floor column, end diagonal and M),
-    built by dgttrf at its second global solve at one dt, and each later
-    global solve refactors only the rows [first - 1, end + M) and solves
-    with dgttrs: without row interchanges, which this column-diagonally
-    dominant matrix never needs, those two routines make dgtsv's operations
-    in its order, so the trajectory stays bitwise. A solve falls back to
-    dgtsv for an empty span or one at a box end, a block of n/4 rows or
-    more, a pivot, or a factor recurrence that has not settled inside the
-    block; a step at another dt (a landing step) keys new factors. A call
-    without `work` keeps no factors. On the fig1c body to t=1, 99 of the
-    100 global solves reuse the factors; on the full preset to t=20, 628 of
-    the 2,000 do, until the span outgrows a quarter of the grid.
+    dt. work.floor, a _FloorLU keyed by (gamma, eps_reg, dt / dx^2), owns
+    that floor system: its band column, the scale (-r, 2r, -r) of the other
+    columns, its end diagonal, M, and the LU factors of the matrix, built by
+    dgttrf at the key's second global solve. Each later global solve
+    refactors only the rows [first - 1, end + M) and solves with dgttrs:
+    without row interchanges, which this column-diagonally dominant matrix
+    never needs, those two routines make dgtsv's operations in its order,
+    so the trajectory stays bitwise. A solve falls back to dgtsv for an
+    empty span or one at a box end, a block of n/4 rows or more, a pivot,
+    or a factor recurrence that has not settled inside the block; a step at
+    another dt (a landing step) keys a new floor system. So a call that
+    solves globally once factors nothing. On the fig1c body to t=1, 99 of
+    the 100 global solves reuse the factors; on the full preset to t=20,
+    628 of the 2,000 do, until the span outgrows a quarter of the grid.
 
     Apart from the returned state, the step allocates nothing per Newton
     iterate: every pass writes into `work`, a NewtonWork(grid.n).
     DispersalStepper owns one for its run; without `work` the call builds
-    its own. Work that is not a NewtonWork raises ValidationFailed, and one
-    for another node count LengthMismatch.
+    its own and uses it in the same way. Work that is not a NewtonWork
+    raises ValidationFailed, and one for another node count LengthMismatch.
     """
     FastDiffusion(gamma)  # validates gamma's range
     u0 = _fast_state(values, grid, dt, eps_reg)
     _require_count("max_iter", max_iter)
-    # the floor factors pay off over steps, so a call's own work keeps none
-    keep_factors = work is not None
     if work is None:
         work = NewtonWork(grid.n)
     elif not isinstance(work, NewtonWork):
@@ -808,17 +823,9 @@ def fast_diffusion_step(
     u = u0.copy()
     n, r = grid.n, dt / grid.dx**2
     ab, rhs = work.ab, work.rhs
-    slope = _floor_slope(gamma, eps_reg)
-    margin = _window_margin(r * slope, n)
-    # band column j is d[j] * (-r, 2r, -r) plus 1 on the diagonal, so every
-    # column below the floor is one constant column
-    scale = np.array([[-r], [2.0 * r], [-r]])
-    floor_column = scale * slope
-    floor_column[1] += 1.0
-    if keep_factors:
-        key = (tuple(floor_column[:, 0].tolist()), 1.0 + r * slope, margin)
-        if work.floor is None or work.floor.key != key:
-            work.floor = _FloorLU(*key)
+    # band column j is d[j] * floor.scale plus 1 on the diagonal, so every
+    # column below the floor is the floor system's constant floor.column
+    floor = _FloorLU.kept(work, gamma, eps_reg, r)
     lo, hi = 0, n  # iterate 0 and the first solve of a step are global
     # one residual more than solves, so the last iterate is always tested
     for solves in range(max_iter + 1):
@@ -837,22 +844,21 @@ def fast_diffusion_step(
                 f"after max_iter={max_iter} solves (gamma={gamma:g}, dt={dt:g})"
             )
         if solves:
-            lo, hi = max(first - margin, 0), min(end + margin, n)
+            lo, hi = max(first - floor.margin, 0), min(end + floor.margin, n)
             worst = top if rhs[top] >= -rhs[bottom] else bottom
             if not lo <= worst < hi:
                 lo, hi = 0, n
         # the solve overwrites the bands, so every solve refills its columns
-        ab[:, lo:first] = floor_column
-        np.multiply(d[first:end], scale, out=ab[:, first:end])
+        ab[:, lo:first] = floor.column
+        np.multiply(d[first:end], floor.scale, out=ab[:, first:end])
         ab[1, first:end] += 1.0
-        ab[:, end:hi] = floor_column
+        ab[:, end:hi] = floor.column
         if lo == 0:
             ab[1, 0] = 1.0 + r * d[0]
         if hi == n:
             ab[1, -1] = 1.0 + r * d[-1]
-        floor = (work.floor, first, end) if keep_factors and hi - lo == n else None
-        du = solve_banded((1, 1), ab[:, lo:hi], rhs[lo:hi], overwrite_ab=True,
-                          overwrite_b=True, check_finite=False, floor=floor)
+        du = solve_banded(ab[:, lo:hi], rhs[lo:hi],
+                          floor=(floor, first, end) if hi - lo == n else None)
         # max and min propagate NaN, and max - min is finite only when both are
         if not math.isfinite(float(du.max()) - float(du.min())):
             raise SolverSingular("non-finite update in fast-diffusion solve")

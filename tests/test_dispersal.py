@@ -4,6 +4,7 @@ convolution oracles, and the nonlinear fast-diffusion steps against
 independent dense solves.
 """
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -565,7 +566,7 @@ def test_newton_rhs_on_a_range_is_bitwise_the_full_call(n):
 def test_solve_banded_is_bitwise_scipys(n):
     # column-diagonally-dominant bands and a right-hand side, solved as views
     # of one (3, n + 2) array and one (n + 2,) array, as the windowed step
-    # solves; with the step's flags both solvers work in place
+    # solves; both solvers work in place, scipy's with the overwrite flags
     from scipy.linalg import solve_banded
 
     rng = np.random.default_rng(n)
@@ -575,26 +576,21 @@ def test_solve_banded_is_bitwise_scipys(n):
     rhs = rng.standard_normal(n + 2)
     flags = dict(overwrite_ab=True, overwrite_b=True, check_finite=False)
     ours, theirs = (bands.copy(), rhs.copy()), (bands.copy(), rhs.copy())
-    x = ff.dispersal.solve_banded((1, 1), ours[0][:, 1:-1], ours[1][1:-1], **flags)
+    x = ff.dispersal.solve_banded(ours[0][:, 1:-1], ours[1][1:-1])
     y = solve_banded((1, 1), theirs[0][:, 1:-1], theirs[1][1:-1], **flags)
     assert x.tobytes() == y.tobytes()
     assert np.shares_memory(x, ours[1])
     for a, b in zip(ours, theirs):
         assert a.tobytes() == b.tobytes()
-    # the default flags leave the inputs as they are
-    x = ff.dispersal.solve_banded((1, 1), bands[:, 1:-1], rhs[1:-1])
-    assert x.tobytes() == solve_banded((1, 1), bands[:, 1:-1], rhs[1:-1]).tobytes()
-    assert not np.shares_memory(x, rhs)
 
 
 def test_solve_banded_gates():
-    flags = dict(overwrite_ab=True, overwrite_b=True, check_finite=False)
+    # one call shape, the one the Newton step makes; a zero pivot is the
+    # solve's one failure (the step checks every update for NaN itself)
+    signature = inspect.signature(ff.dispersal.solve_banded)
+    assert str(signature.replace(return_annotation=signature.empty)) == "(ab, b, floor=None)"
     with pytest.raises(ff.SolverSingular):
-        ff.dispersal.solve_banded((1, 1), np.zeros((3, 2)), np.ones(2), **flags)
-    with pytest.raises(ff.ParameterOutOfRange):
-        ff.dispersal.solve_banded((2, 1), np.ones((4, 3)), np.ones(3))
-    with pytest.raises(ff.ValidationFailed):
-        ff.dispersal.solve_banded((1, 1), np.ones((3, 2)), np.array([1.0, np.nan]))
+        ff.dispersal.solve_banded(np.zeros((3, 2)), np.ones(2))
 
 
 def _global_newton(u0, gamma, dt, grid, max_iter=40):
@@ -628,10 +624,10 @@ def _spy_solves(monkeypatch, work):
     sizes = []
     solve = ff.dispersal.solve_banded
 
-    def spy(l_and_u, ab, b, **kwargs):
+    def spy(ab, b, **kwargs):
         assert np.shares_memory(ab, work.ab) and np.shares_memory(b, work.rhs)
         sizes.append(b.size)
-        return solve(l_and_u, ab, b, **kwargs)
+        return solve(ab, b, **kwargs)
 
     monkeypatch.setattr(ff.dispersal, "solve_banded", spy)
     return sizes
@@ -669,10 +665,7 @@ def _windowed_oracle(u0, gamma, dt, grid, work, max_iter=40):
             ab[1, 0] = 1.0 + r * d[0]
         if hi == n:
             ab[1, -1] = 1.0 + r * d[-1]
-        u[lo:hi] += ff.dispersal.solve_banded(
-            (1, 1), ab[:, lo:hi], rhs[lo:hi],
-            overwrite_ab=True, overwrite_b=True, check_finite=False,
-        )
+        u[lo:hi] += ff.dispersal.solve_banded(ab[:, lo:hi], rhs[lo:hi])
     pytest.fail("windowed Newton oracle did not converge")
 
 
@@ -781,9 +774,9 @@ class TestWindowedNewton:
         sizes = []
         solve = ff.dispersal.solve_banded
 
-        def spy(l_and_u, ab, b, **kwargs):
+        def spy(ab, b, **kwargs):
             sizes.append(b.size)
-            return solve(l_and_u, ab, b, **kwargs)
+            return solve(ab, b, **kwargs)
 
         monkeypatch.setattr(ff.dispersal, "solve_banded", spy)
         ff.run(config)
@@ -806,24 +799,27 @@ class TestWindowedNewton:
 
 def _newton_bands(n, c, first, end, rng, slopes=(0.05, 1.0)):
     """Bands of a Newton Jacobian with floor slope 1 and dt / dx^2 = c, and
-    the floor key (column, ends, margin): slope 1 outside the span [first,
-    end), slopes drawn from `slopes` on it, and the Neumann end diagonals."""
+    its floor system, a new _FloorLU (gamma = 1 makes the floor slope 1):
+    slope 1 outside the span [first, end), slopes drawn from `slopes` on
+    it, and the Neumann end diagonals."""
     d = np.ones(n)
     d[first:end] = rng.uniform(*slopes, end - first)
     scale = np.array([[-c], [2.0 * c], [-c]])
     ab = d * scale
     ab[1] += 1.0
     ab[1, 0], ab[1, -1] = 1.0 + c * d[0], 1.0 + c * d[-1]
-    column = scale[:, 0].copy()
+    column = scale.copy()
     column[1] += 1.0
-    return ab, (tuple(column.tolist()), 1.0 + c, _window_margin(c, n))
+    lu = _FloorLU(1.0, ff.EPS_REG, c, n)
+    assert lu.column.tobytes() == column.tobytes() and lu.scale.tobytes() == scale.tobytes()
+    assert (lu.ends, lu.margin) == (1.0 + c, _window_margin(c, n))
+    return ab, lu
 
 
-def _floor_lu(key, ab):
-    """A _FloorLU for key that has been asked once, so its next fitting
-    solve builds the factors and uses them."""
-    lu = _FloorLU(*key)
-    assert lu.solve(ab, np.ones(ab.shape[1]), 1, 2, False) is None
+def _floor_lu(lu, ab):
+    """lu asked once, so its next fitting solve builds the factors and uses
+    them."""
+    assert lu.solve(ab, np.ones(ab.shape[1]), 1, 2) is None
     return lu
 
 
@@ -847,13 +843,13 @@ class TestFloorFactors:
 
         n, rng = self.N, np.random.default_rng(int(c))
         for name, (first, end) in self._spans(n, _window_margin(c, n)).items():
-            ab, key = _newton_bands(n, c, first, end, rng)
+            ab, lu = _newton_bands(n, c, first, end, rng)
             b = rng.standard_normal(n)
-            lu = _floor_lu(key, ab)
-            x = lu.solve(ab, b, first, end, False)
-            assert x is not None, name
-            assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes(), name
-            assert lu.held[:2] == (first - 1, min(end + key[2], n)), name
+            expected = solve_banded((1, 1), ab, b)
+            x = _floor_lu(lu, ab).solve(ab, b, first, end)
+            assert x is not None and np.shares_memory(x, b), name
+            assert x.tobytes() == expected.tobytes(), name
+            assert lu.held[:2] == (first - 1, min(end + lu.margin, n)), name
 
     def test_lapack_fallback_solves_bitwise(self, monkeypatch):
         # no extension file name matches, so _lapack falls back to importing
@@ -871,12 +867,12 @@ class TestFloorFactors:
             n, rng = self.N, np.random.default_rng(11)
             for c in (0.5, 20.0, 3355.0):
                 for name, (first, end) in self._spans(n, _window_margin(c, n)).items():
-                    ab, key = _newton_bands(n, c, first, end, rng)
+                    ab, lu = _newton_bands(n, c, first, end, rng)
                     b = rng.standard_normal(n)
                     expected = solve_banded((1, 1), ab, b).tobytes()
-                    lu = _floor_lu(key, ab)
+                    _floor_lu(lu, ab)
                     for floor in (None, (lu, first, end)):
-                        x = ff.dispersal.solve_banded((1, 1), ab, b.copy(), floor=floor)
+                        x = ff.dispersal.solve_banded(ab.copy(), b.copy(), floor=floor)
                         assert x.tobytes() == expected, (c, name, floor)
                     assert lu.d is not None, (c, name)  # the floor factors served
         finally:
@@ -895,13 +891,14 @@ class TestFloorFactors:
         lu, tails = None, set()
         for first, end, *kind in spans + spans[::-1]:
             steep = kind == ["steep"]
-            ab, key = _newton_bands(n, c, first, end, rng, (1.5, 2.0) if steep else (0.05, 1.0))
-            lu = lu or _floor_lu(key, ab)
+            ab, new = _newton_bands(n, c, first, end, rng, (1.5, 2.0) if steep else (0.05, 1.0))
+            lu = lu or _floor_lu(new, ab)
             if kind == ["pivot"]:
                 ab[1, first] = 0.0
             b = rng.standard_normal(n)
-            x = ff.dispersal.solve_banded((1, 1), ab, b.copy(), floor=(lu, first, end))
-            assert x.tobytes() == solve_banded((1, 1), ab, b).tobytes(), (first, end)
+            expected = solve_banded((1, 1), ab, b)
+            x = ff.dispersal.solve_banded(ab, b, floor=(lu, first, end))
+            assert x.tobytes() == expected.tobytes(), (first, end)
             tails.add(lu.held[2])
         assert lu.asked == 2 * len(spans) + 1 and len(tails) == 2
 
@@ -913,21 +910,22 @@ class TestFloorFactors:
         n, c, rng = self.N, 3355.0, np.random.default_rng(3)
         first, end = {"empty": (0, 0), "left_end": (0, 500), "right_end": (n - 500, n),
                       "quarter": (1000, 1000 + n // 4)}.get(case, (20000, 21000))
-        ab, key = _newton_bands(n, c, first, end, rng)
+        ab, lu = _newton_bands(n, c, first, end, rng)
         if case == "unsettled":
-            key = key[:2] + (2,)  # two rows below the span are too few to settle
+            lu.margin = 2  # two rows below the span are too few to settle
         if case == "pivot":
             # a zero diagonal: row first's factored diagonal is then rho < 1
             # times its subdiagonal, and dgttrf interchanges the two rows
             ab[1, first] = 0.0
-        lu = _FloorLU(*key) if case == "first_solve" else _floor_lu(key, ab)
+        if case != "first_solve":
+            _floor_lu(lu, ab)
         b = rng.standard_normal(n)
         expected = solve_banded((1, 1), ab, b)
         calls = []
         solve = _FloorLU.solve
         monkeypatch.setattr(_FloorLU, "solve",
                             lambda *args: calls.append(solve(*args)) or calls[-1])
-        x = ff.dispersal.solve_banded((1, 1), ab, b, floor=(lu, first, end))
+        x = ff.dispersal.solve_banded(ab, b, floor=(lu, first, end))
         assert calls == [None]
         assert x.tobytes() == expected.tobytes()
 
@@ -936,14 +934,13 @@ class TestFloorFactors:
         # subdiagonal below it: dgttrf reports it and dgtsv raises
         n, c, rng = self.N, 3355.0, np.random.default_rng(5)
         first, end = 20000, 21000
-        ab, key = _newton_bands(n, c, first, end, rng)
-        lu = _floor_lu(key, ab)
-        assert lu.solve(ab, np.ones(n), first, end, False) is not None
+        ab, lu = _newton_bands(n, c, first, end, rng)
+        assert _floor_lu(lu, ab).solve(ab, np.ones(n), first, end) is not None
         ab[2, first] = 0.0
         ab[1, first] = ab[2, first - 1] / lu.solve_d[first - 1] * ab[0, first]
-        assert lu.solve(ab, np.ones(n), first, end, False) is None
+        assert lu.solve(ab, np.ones(n), first, end) is None
         with pytest.raises(ff.SolverSingular):
-            ff.dispersal.solve_banded((1, 1), ab, np.ones(n), floor=(lu, first, end))
+            ff.dispersal.solve_banded(ab, np.ones(n), floor=(lu, first, end))
 
     def test_fig1c_steps_take_the_floor_path_and_match_the_oracle(self, monkeypatch):
         # the fig1c grid at its dt: from the second step on, every global
@@ -975,9 +972,10 @@ class TestFloorFactors:
         built = []
         factor = _FloorLU._factor
         monkeypatch.setattr(_FloorLU, "_factor",
-                            lambda self, n: built.append(self.key[2]) or factor(self, n))
+                            lambda self, n: built.append(self.key) or factor(self, n))
         u0 = np.exp(-g.x**2 / 100.0)
-        ff.fast_diffusion_step(u0, 0.5, 0.01, g)  # no work: nothing kept
+        # a call without work has its own, with one global solve: no factors
+        ff.fast_diffusion_step(u0, 0.5, 0.01, g)
         assert built == []
         work, oracle_work = NewtonWork(g.n), NewtonWork(g.n)
         u = v = u0
@@ -999,8 +997,8 @@ class TestFloorFactors:
         sizes = []
         solve = ff.dispersal.solve_banded
 
-        def poisoned(l_and_u, ab, b, **kwargs):
-            x = solve(l_and_u, ab, b, **kwargs)
+        def poisoned(ab, b, **kwargs):
+            x = solve(ab, b, **kwargs)
             if len(sizes) == call:
                 x[x.size // 2] = bad
             sizes.append(x.size)

@@ -85,7 +85,7 @@ def test_lapack_wrapper_is_the_one_scipy_linalg_imports_later():
         "x = scipy.linalg.solve_banded((1, 1), ab, np.ones(3))\n"
         "dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)\n"
         "print(np.allclose(dense @ x, 1.0))\n"
-        "print(x.tobytes() == ff.dispersal.solve_banded((1, 1), ab, np.ones(3)).tobytes())"
+        "print(x.tobytes() == ff.dispersal.solve_banded(ab, np.ones(3)).tobytes())"
     )
     assert out.split() == ["False", "True", "True", "True"]
 
