@@ -267,8 +267,9 @@ def preset_config(name: str) -> RunConfig:
     return RunConfig(**_PRESET_TABLE[name])
 
 
-def _downsample(xs: np.ndarray, ys: np.ndarray, max_points: int = 1024) -> tuple:
-    stride = max(1, int(math.ceil(len(xs) / max_points)))
+def _downsample(xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """Every stride-th point, the least stride that keeps at most 1024."""
+    stride = max(1, int(math.ceil(len(xs) / 1024)))
     return xs[::stride], ys[::stride]
 
 
@@ -488,20 +489,24 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / target
+def _nice_ticks(lo: float, hi: float) -> list:
+    """Tick values on [lo, hi] at about a fifth of its length apart, the
+    step 1, 2, 5 or 10 times a power of ten; emit_chart passes a span
+    hi - lo that is a finite normal float. Where the step is below the
+    spacing of floats at a tick, adding it leaves the tick as it is, and
+    the ticks end there."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    value = first
+    value = math.ceil(lo / step) * step
     while value <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(value) < 1e-12 * step else value)
+        if value + step == value:
+            break
         value += step
     return ticks
 
@@ -513,7 +518,10 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
     `series` is a sequence of (name, xs, ys); `styles[i]` may set "dash" (an
     SVG dash array) and "markers" (points, no line). Nonfinite points are
     dropped with a warning count returned; a series left with fewer than two
-    points raises EmptySeries. Identical inputs give byte-identical files.
+    points raises EmptySeries, and an axis whose length (after a constant
+    coordinate is widened by 1 and y is padded by 5% each way) is not a
+    finite normal float ValidationFailed. Identical inputs give
+    byte-identical files.
     """
     series = list(series)
     if not series:
@@ -543,6 +551,11 @@ def emit_chart(series, path, *, title: str = "", x_label: str = "", y_label: str
     pad_y = 0.05 * (y_hi - y_lo)
     y_lo -= pad_y
     y_hi += pad_y
+    for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)):
+        # a constant coordinate past 2**53 is not widened by 1.0, and a
+        # range across most of float64's overflows
+        if not sys.float_info.min <= hi - lo < math.inf:
+            raise ValidationFailed(f"chart axis [{lo:g}, {hi:g}] has no finite nonzero length")
 
     plot_w = _VIEW_W - _MARGIN_L - _MARGIN_R
     plot_h = _VIEW_H - _MARGIN_T - _MARGIN_B

@@ -25,7 +25,8 @@ MAX_NODES = 2**30
 class Grid:
     """Uniform periodic mesh on [-L, L) with a power-of-two node count.
 
-    The node count is checked, 8 <= n <= 2**30, before anything is allocated.
+    The node count, 8 <= n <= 2**30, and the half-length, finite and > 0
+    with a finite width 2L, are checked before anything is allocated.
 
     Attributes:
         L: half-length of the box (the domain is [-L, L)).
@@ -45,6 +46,8 @@ class Grid:
         L = float(L)
         if not 0.0 < L < math.inf:
             raise NonPositiveLength(f"half_length must be finite and > 0, got {L!r}")
+        if not 2.0 * L < math.inf:
+            raise ValidationFailed(f"half_length {L!r} gives a box width 2L above float64's range")
         self.L = L
         self.n = int(n)
         self.dx = 2.0 * L / n
@@ -71,8 +74,8 @@ class Grid:
 def make_grid(L: float, N: int) -> Grid:
     """Build the periodic grid on [-L, L) with N nodes.
 
-    Raises NotPowerOfTwo, ValidationFailed (N > 2**30) or NonPositiveLength
-    on bad parameters.
+    Raises NotPowerOfTwo, ValidationFailed (N > 2**30, or 2L above
+    float64's range) or NonPositiveLength on bad parameters.
     """
     return Grid(L, N)
 

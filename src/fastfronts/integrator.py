@@ -67,6 +67,8 @@ __all__ = [
 # Relative slack used when deciding whether a residual step is a genuine step
 # or floating-point dust from the segment arithmetic.
 _TIME_DUST = 1e-9
+# Most steps a run may take: t_end / dt above this is not a float64 step count.
+_MAX_STEPS = 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +184,9 @@ class RunConfig:
     gate of a run and keeps the run's grid, which `grid()` returns. Among
     them are the operator's gates on that grid: a normalized kernel with zero
     discrete mass raises ValidationFailed, and a fractional fast diffusion
-    whose dt needs more than 10^6 sub-cycles ParameterOutOfRange.
+    whose dt needs more than 10^6 sub-cycles ParameterOutOfRange. A t_end
+    of more than 2**53 steps of dt, which no float64 count can number,
+    raises ValidationFailed.
 
     snapshot_times=None records integer times 0, 1, ..., plus t_end when it is
     not an integer; given times must be nonempty. guard_threshold is the
@@ -221,6 +225,10 @@ class RunConfig:
             raise ValidationFailed(f"dt must be finite and > 0, got {self.dt!r}")
         if not 0 <= self.t_end < math.inf:
             raise ValidationFailed(f"t_end must be finite and >= 0, got {self.t_end!r}")
+        if self.t_end / self.dt > _MAX_STEPS:
+            raise ValidationFailed(
+                f"t_end={self.t_end!r} takes more than 2**53 steps of dt={self.dt!r}"
+            )
         if not 0 < self.eps_reg < math.inf:
             raise ValidationFailed(f"eps_reg must be finite and > 0, got {self.eps_reg!r}")
         if not 0.0 < self.flat_level < 1.0:
@@ -433,14 +441,14 @@ class _Guard:
         return any(float(values[s].max()) > self.threshold for s in self.bands)
 
 
-def _segment_steps(span: float, dt: float):
-    """Step sizes covering `span`: full dt steps plus one shortened landing step."""
+def _segment_steps(span: float, dt: float) -> tuple:
+    """(count, last): `count` steps cover `span`, each of length dt except
+    the last, of length `last`, which is dt or a shortened landing step."""
     n_full = int(math.floor(span / dt + _TIME_DUST))
     residual = span - n_full * dt
-    steps = [dt] * n_full
     if residual > _TIME_DUST * max(dt, 1.0):
-        steps.append(residual)
-    return steps
+        return n_full + 1, residual
+    return n_full, dt
 
 
 def march(config: RunConfig) -> tuple:
@@ -465,18 +473,19 @@ def march(config: RunConfig) -> tuple:
         for target, label in [*zip(snaps, snaps), (config.t_end, None)]:
             if target <= t_prev:
                 continue
-            segment = _segment_steps(target - t_prev, config.dt)
-            if not segment:
+            count, last = _segment_steps(target - t_prev, config.dt)
+            if not count:
                 yield t_prev, u, 0.0, label
             t_local = 0.0
-            for k, dt_step in enumerate(segment, 1):
+            for k in range(1, count + 1):
+                dt_step = last if k == count else config.dt
                 u, over = strang_step(u, stepper, config.reaction, dt_step, out=u)
                 # over == 0 puts every value in [0, 1] already (a non-finite
                 # step raised), so the clamp would change no bit
                 if over > 0:
                     np.clip(u, 0.0, 1.0, out=u)
                 t_local += dt_step
-                yield t_prev + t_local, u, over, label if k == len(segment) else None
+                yield t_prev + t_local, u, over, label if k == count else None
             t_prev = target
 
     return stepper, u0, steps(u0)

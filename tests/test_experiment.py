@@ -8,6 +8,7 @@ import hashlib
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -215,14 +216,20 @@ def test_invalid_input_ends_in_library_error(case, error):
          ff.ValidationFailed),
         (lambda: ff.RunConfig(**_BASE, initial=ff.TabulatedInitial((0.5,) * 3)),
          "initial.kind = tabulated\ninitial.file = {table}", ff.ValidationFailed),
+        (lambda: ff.RunConfig(**{**_BASE, "L": 1e308}), "grid.L = 1e308", ff.ValidationFailed),
+        (lambda: ff.RunConfig(**_BASE, dt=1e-16, snapshot_times=(0.0,)),
+         "time.dt = 1e-16\ntime.snapshots = 0", ff.ValidationFailed),
     ],
     ids=["indicator-nan", "indicator-minus-inf", "kernel_b-inf", "flat_radius-inf",
-         "N-not-a-power-of-two", "N-above-bound", "initial-three-samples"],
+         "N-not-a-power-of-two", "N-above-bound", "initial-three-samples",
+         "L-width-overflow", "steps-above-2-53"],
 )
 def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, capsys):
     """Unchecked, each of the first four runs clean: an all-zero run, a run
-    without dispersal, or NaN flatness columns; the grid and initial-data
-    cases failed only once the run began, after `--out` was made. The
+    without dispersal, or NaN flatness columns; the grid, initial-data and
+    step-count cases failed only once the run began, after `--out` was
+    made (the width overflow as a NaN state, the step count more than 2**53
+    steps as a bare MemoryError or OverflowError). The
     dataclass, the document and the CLI's run and properties verbs must all
     end in the same error category, before any directory is made."""
     with pytest.raises(error):
@@ -522,6 +529,37 @@ class TestCharts:
         # halfway cases round to even: 72.375 up, 77.125 down
         assert "72.38," in body and "77.12," in body
         assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_CHART_SHA256
+
+    @pytest.mark.parametrize("xs, ys, error", [
+        ([1e17, 1e17 + 16], [0.0, 1.0], None),
+        ([1e17, 1e17], [0.0, 1.0], ff.ValidationFailed),
+        ([0.0, 1.0], [1.7e308, -1.7e308], ff.ValidationFailed),
+    ], ids=["tick-step-below-float-spacing", "constant-past-2-53", "span-overflows"])
+    def test_finite_extremes_end_in_a_chart_or_a_category(self, tmp_path, xs, ys, error):
+        # the first never returned: a tick step of 5 cannot move 1e17, so the
+        # tick list grew without bound (the alarm stops it after 2 s). The
+        # second raised a bare ValueError and the third an OverflowError
+        def stop(*_):
+            raise AssertionError("emit_chart did not return within 2 s")
+
+        path = tmp_path / "extreme.svg"
+        handler = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            if error is None:
+                ff.emit_chart([("a", xs, ys)], path)
+            else:
+                with pytest.raises(error):
+                    ff.emit_chart([("a", xs, ys)], path)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, handler)
+        if error is None:
+            body = path.read_text()
+            assert body.count("<polyline") == 1 and "nan" not in body and "inf" not in body
+            assert experiment._nice_ticks(1e17, 1e17 + 16) == [1e17]
+        else:
+            assert not path.exists()
 
     def test_sentinels_dropped_with_warning_count(self, tmp_path):
         xs = [0.0, 1.0, 2.0, 3.0]
@@ -1052,6 +1090,23 @@ class TestCli:
         assert "comparison pass" in out
         assert "monotone_preservation pass" in out
         assert "mass_neutrality pass" in out
+
+    def test_properties_failing_check_exits_3_and_writes_the_verdicts(self, tmp_path, capsys):
+        # the classical step on 512 nodes over L = 100 breaks monotonicity
+        # by 7.6e-7 (the grid condition in check_monotone_preservation)
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text("dispersal.variant = standard_laplacian\n"
+                       "grid.L = 100\ngrid.N = 512\ntime.t_end = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["properties", str(cfg), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        verdicts = (out / "properties.txt").read_text()
+        assert captured.out == f"{verdicts}wrote {out / 'properties.txt'}\n"
+        assert [line.split()[:2] for line in verdicts.splitlines()] == [
+            ["comparison", "pass"], ["monotone_preservation", "fail"],
+            ["mass_neutrality", "pass"]]
+        assert "monotone_preservation fail 7.575830e-07 1.000000e-09\n" in verdicts
+        assert captured.err == "error PropertyCheckFailed: at least one check failed\n"
 
     def test_properties_negative_seed_reports_validation_category(self, tmp_path, capsys):
         # numpy's generator would reject it with a bare ValueError

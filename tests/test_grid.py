@@ -36,6 +36,18 @@ class TestMakeGrid:
         with pytest.raises(ff.ValidationFailed):
             ff.make_grid(10, n)
 
+    def test_width_above_float64_range_checked_before_allocation(self, monkeypatch):
+        # 2L overflowed: dx was inf and x[0] NaN, with numpy's warning
+        widest = ff.make_grid(np.finfo(float).max / 2, 8)
+        assert np.isfinite(widest.dx) and np.isfinite(widest.x).all()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the width gate must fire before the grid allocates")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(ff.ValidationFailed):
+            ff.make_grid(1e308, 8)
+
     def test_nonpositive_length(self):
         with pytest.raises(ff.NonPositiveLength):
             ff.make_grid(0.0, 16)

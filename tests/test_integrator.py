@@ -101,6 +101,14 @@ class TestRun:
         for _, fld in traj.snapshots():
             assert np.all(fld.values == 0.0)
 
+    def test_segment_steps_are_counted_not_listed(self):
+        # each segment was a [dt] * n list built before its first step, so
+        # 10^12 steps raised MemoryError
+        count, last = _segment_steps(1.0, 1e-12)
+        assert last == 1e-12 and abs(count - 10**12) <= 1
+        assert _segment_steps(1.0, 0.3) == (4, 1.0 - 3 * 0.3)
+        assert _segment_steps(0.9, 0.3) == (3, 0.3)
+
     def test_snapshot_schedule_default_and_custom(self):
         cfg = ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(), t_end=2.5)
         assert cfg.resolved_snapshots() == (0.0, 1.0, 2.0, 2.5)
@@ -386,8 +394,9 @@ def _allocating_run(cfg):
     times, fields, worst = [0.0], [u], 0.0
     t_prev = 0.0
     for target in cfg.resolved_snapshots()[1:]:
-        for dt_step in _segment_steps(target - t_prev, cfg.dt):
-            u, over = ff.strang_step(u, stepper, cfg.reaction, dt_step)
+        count, last = _segment_steps(target - t_prev, cfg.dt)
+        for k in range(count):
+            u, over = ff.strang_step(u, stepper, cfg.reaction, last if k == count - 1 else cfg.dt)
             u = np.clip(u, 0.0, 1.0)
             worst = max(worst, over)
         times.append(target)
@@ -645,9 +654,11 @@ class TestInitialConditions:
          (dict(N=2**31), ff.ValidationFailed),
          (dict(initial=ff.TabulatedInitial((0.5,) * 3)), ff.ValidationFailed),
          (dict(reaction=ff.CustomMonostable(lambda u: u * (1.0 - u) * (u - 0.3))),
-          ff.NotMonostable)],
+          ff.NotMonostable),
+         (dict(L=1e308), ff.ValidationFailed),
+         (dict(t_end=1e300, dt=1e-10, snapshot_times=(0.0,)), ff.ValidationFailed)],
         ids=["L-and-N", "L-negative", "N-above-bound", "initial-three-samples",
-             "reaction-not-monostable"],
+             "reaction-not-monostable", "L-width-overflow", "steps-above-2-53"],
     )
     def test_config_runs_every_static_gate_at_construction(self, case, error):
         # each of these configs was built and failed only once a run began
