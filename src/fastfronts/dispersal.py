@@ -440,7 +440,7 @@ class _FloorLU:
     `scale` = (-r, 2r, -r) as a column, the band `column` = F * scale plus 1
     on the diagonal, which every column below the floor holds, the diagonal
     `ends` = 1 + r F of the two Neumann end rows, and the window `margin` M
-    = _window_margin(r F, n). The factors are LAPACK dgttrf's of the floor
+    = _window_margin(r F, n) (a solve takes it as at least 2). The factors are LAPACK dgttrf's of the floor
     Jacobian, the diagonal of U in `d` and the multipliers in `dl`. They are
     built at the second solve that asks for them, so a step that solves
     globally once builds nothing. The Jacobian is column-diagonally
@@ -475,11 +475,11 @@ class _FloorLU:
 
     def _factor(self, n: int) -> bool:
         """Factor the floor Jacobian; False, keeping nothing, if it pivots."""
+        dgttrf = _lapack().dgttrf
         sup, diag, sub = self.column[:, 0]
         d = np.full(n, diag)
         d[0] = d[-1] = self.ends
-        dl, d, _, _, ipiv, info = _lapack().dgttrf(np.full(n - 1, sub), d, np.full(n - 1, sup),
-                                                   1, 1, 1)
+        dl, d, _, _, ipiv, info = dgttrf(np.full(n - 1, sub), d, np.full(n - 1, sup), 1, 1, 1)
         self.ipiv = np.arange(1, n + 1, dtype=np.int32)
         if info or not np.array_equal(ipiv, self.ipiv):
             return False

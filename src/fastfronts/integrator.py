@@ -67,8 +67,6 @@ __all__ = [
 # Relative slack used when deciding whether a residual step is a genuine step
 # or floating-point dust from the segment arithmetic.
 _TIME_DUST = 1e-9
-# Most steps a run may take: t_end / dt above this is not a float64 step count.
-_MAX_STEPS = 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +183,7 @@ class RunConfig:
     them are the operator's gates on that grid: a normalized kernel with zero
     discrete mass raises ValidationFailed, and a fractional fast diffusion
     whose dt needs more than 10^6 sub-cycles ParameterOutOfRange. A t_end
-    of more than 2**53 steps of dt, which no float64 count can number,
-    raises ValidationFailed.
+    of more than 2**53 steps of dt raises ValidationFailed.
 
     snapshot_times=None records integer times 0, 1, ..., plus t_end when it is
     not an integer; given times must be nonempty. guard_threshold is the
@@ -225,7 +222,8 @@ class RunConfig:
             raise ValidationFailed(f"dt must be finite and > 0, got {self.dt!r}")
         if not 0 <= self.t_end < math.inf:
             raise ValidationFailed(f"t_end must be finite and >= 0, got {self.t_end!r}")
-        if self.t_end / self.dt > _MAX_STEPS:
+        # past 2**53 steps, float64 no longer counts them one by one
+        if self.t_end / self.dt > 2**53:
             raise ValidationFailed(
                 f"t_end={self.t_end!r} takes more than 2**53 steps of dt={self.dt!r}"
             )
