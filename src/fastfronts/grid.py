@@ -10,6 +10,7 @@ symbols are built on these frequencies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ class Grid:
     """Uniform periodic mesh on [-L, L) with a power-of-two node count.
 
     The node count, 8 <= n <= 2**30, and the half-length, finite and > 0
-    with a finite width 2L, are checked before anything is allocated.
+    with a spacing dx and a largest frequency pi*(n/2)/L that are finite
+    normal floats, are checked before anything is allocated.
 
     Attributes:
         L: half-length of the box (the domain is [-L, L)).
@@ -43,14 +45,18 @@ class Grid:
             raise NotPowerOfTwo(f"n_points must be a power of two >= 8, got {n!r}")
         if n > MAX_NODES:
             raise ValidationFailed(f"n_points must be at most 2**30, got {n!r}")
-        L = float(L)
+        n, L = int(n), float(L)
         if not 0.0 < L < math.inf:
             raise NonPositiveLength(f"half_length must be finite and > 0, got {L!r}")
-        if not 2.0 * L < math.inf:
-            raise ValidationFailed(f"half_length {L!r} gives a box width 2L above float64's range")
-        self.L = L
-        self.n = int(n)
-        self.dx = 2.0 * L / n
+        dx, top = 2.0 * L / n, math.pi * (n // 2) / L
+        # x is built from dx and xi from pi k / L: a subnormal or infinite
+        # step (2L overflowing, or L near 0) leaves them inf or NaN
+        if not all(sys.float_info.min <= v < math.inf for v in (dx, top)):
+            raise ValidationFailed(
+                f"half_length {L!r} on {n} nodes gives dx={dx!r} and a largest frequency "
+                f"pi*(n/2)/L={top!r}; both must be finite normal floats"
+            )
+        self.L, self.n, self.dx = L, n, dx
         x = -L + self.dx * np.arange(n)
         xi = np.pi * np.arange(n // 2 + 1.0) / L
         for arr in (x, xi):
@@ -74,8 +80,9 @@ class Grid:
 def make_grid(L: float, N: int) -> Grid:
     """Build the periodic grid on [-L, L) with N nodes.
 
-    Raises NotPowerOfTwo, ValidationFailed (N > 2**30, or 2L above
-    float64's range) or NonPositiveLength on bad parameters.
+    Raises NotPowerOfTwo, ValidationFailed (N > 2**30, or a spacing 2L/N or
+    largest frequency pi*(N/2)/L that is not a finite normal float) or
+    NonPositiveLength on bad parameters.
     """
     return Grid(L, N)
 

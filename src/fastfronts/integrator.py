@@ -67,6 +67,9 @@ __all__ = [
 # Relative slack used when deciding whether a residual step is a genuine step
 # or floating-point dust from the segment arithmetic.
 _TIME_DUST = 1e-9
+# Largest snapshot schedule, in the bytes its snapshots take: a Trajectory
+# keeps count * N float64 samples in memory, 8 * count * N bytes.
+MAX_SNAPSHOT_BYTES = 2**34
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +186,9 @@ class RunConfig:
     them are the operator's gates on that grid: a normalized kernel with zero
     discrete mass raises ValidationFailed, and a fractional fast diffusion
     whose dt needs more than 10^6 sub-cycles ParameterOutOfRange. A t_end
-    of more than 2**53 steps of dt raises ValidationFailed.
+    of more than 2**53 steps of dt raises ValidationFailed, and so does a
+    snapshot schedule whose snapshots would take more than
+    MAX_SNAPSHOT_BYTES (16 GiB), counted without listing the schedule.
 
     snapshot_times=None records integer times 0, 1, ..., plus t_end when it is
     not an integer; given times must be nonempty. guard_threshold is the
@@ -259,6 +264,17 @@ class RunConfig:
                 raise ValidationFailed("snapshot times must be strictly increasing")
             object.__setattr__(self, "snapshot_times", times)
         object.__setattr__(self, "_grid", Grid(self.L, self.N))
+        if self.snapshot_times is None:
+            whole = math.floor(self.t_end)
+            count = whole + 1 + (whole < self.t_end)
+        else:
+            count = len(self.snapshot_times)
+        size = 8 * count * self._grid.n
+        if size > MAX_SNAPSHOT_BYTES:
+            raise ValidationFailed(
+                f"{count} snapshots of {self._grid.n} nodes would take {size} bytes, "
+                f"above the bound of {MAX_SNAPSHOT_BYTES}"
+            )
         self.initial.check(self._grid)
         if self.reaction is not None:
             validate_reaction(self.reaction)
@@ -274,6 +290,8 @@ class RunConfig:
         return self._grid
 
     def resolved_snapshots(self) -> tuple:
+        """The snapshot times, listed here for a schedule that construction
+        has counted and bounded."""
         if self.snapshot_times is not None:
             return self.snapshot_times
         whole = [float(t) for t in range(int(math.floor(self.t_end)) + 1)]
@@ -405,10 +423,11 @@ class Trajectory:
         return zip(self.times, self.fields)
 
     def field_at(self, t: float) -> Field:
+        """The snapshot at time t, to 1e-12 relative; ValidationFailed if none is."""
         for tk, fk in zip(self.times, self.fields):
             if abs(tk - t) <= 1e-12 * max(1.0, abs(t)):
                 return fk
-        raise KeyError(f"no snapshot at t={t!r}")
+        raise ValidationFailed(f"no snapshot at t={t!r}")
 
     def __repr__(self) -> str:
         guard = "clean" if not self.breached else f"breached at t={self.guard_breach_time:g}"

@@ -154,6 +154,13 @@ class TestInterfaceWidth:
         with pytest.raises(ff.ThresholdsNotSpanned):
             ff.interface_width(ff.Field.constant(grid, 0.5))
 
+    def test_profile_rising_to_its_right_end_rejected(self, grid):
+        # it spans both levels, but right of its peak (the last node) it
+        # never descends through them
+        f = ff.Field(grid, np.linspace(0.0, 1.0, grid.n))
+        with pytest.raises(ff.ThresholdsNotSpanned, match="does not descend"):
+            ff.interface_width(f)
+
     def test_nonnegative_on_monotone_snapshots(self):
         cfg = ff.RunConfig(L=200.0, N=2**11, dispersal=ff.StandardLaplacian(), t_end=3.0,
                            initial=ff.Indicator(0.0))

@@ -94,6 +94,10 @@ class TestParseConfig:
         with pytest.raises(ff.UnknownKey):
             ff.parse_config_text(MINIMAL + "nonsense.key = 3\n")[0]
 
+    def test_line_without_an_equals_sign_rejected(self):
+        with pytest.raises(ff.ValidationFailed, match=r"^line 7: .*'grid.dx 0.5'"):
+            ff.parse_config_text(MINIMAL + "grid.dx 0.5\n")
+
     def test_comments_and_blanks_ignored(self):
         cfg = ff.parse_config_text(MINIMAL + "\n   \n# trailing comment\n")[0]
         assert cfg.N == 8192
@@ -219,24 +223,31 @@ def test_invalid_input_ends_in_library_error(case, error):
         (lambda: ff.RunConfig(**{**_BASE, "L": 1e308}), "grid.L = 1e308", ff.ValidationFailed),
         (lambda: ff.RunConfig(**_BASE, dt=1e-16, snapshot_times=(0.0,)),
          "time.dt = 1e-16\ntime.snapshots = 0", ff.ValidationFailed),
+        (lambda: ff.RunConfig(**{**_BASE, "L": 1e-310, "N": 8}), "grid.L = 1e-310\ngrid.N = 8",
+         ff.ValidationFailed),
+        (lambda: ff.RunConfig(**{**_BASE, "t_end": 1e12}, dt=1e-3),
+         "grid.L = 50\ngrid.N = 64\ntime.t_end = 1e12\ntime.dt = 0.001", ff.ValidationFailed),
     ],
     ids=["indicator-nan", "indicator-minus-inf", "kernel_b-inf", "flat_radius-inf",
          "N-not-a-power-of-two", "N-above-bound", "initial-three-samples",
-         "L-width-overflow", "steps-above-2-53"],
+         "L-width-overflow", "steps-above-2-53", "L-subnormal", "snapshots-above-bound"],
 )
 def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, capsys):
     """Unchecked, each of the first four runs clean: an all-zero run, a run
     without dispersal, or NaN flatness columns; the grid, initial-data and
     step-count cases failed only once the run began, after `--out` was
     made (the width overflow as a NaN state, the step count more than 2**53
-    steps as a bare MemoryError or OverflowError). The
+    steps as a bare MemoryError or OverflowError, a subnormal half-length
+    as a breach at t = 0, and 10^12 default snapshots as a bare
+    MemoryError). The
     dataclass, the document and the CLI's run and properties verbs must all
     end in the same error category, before any directory is made."""
     with pytest.raises(error):
         make()
     (tmp_path / "u0.txt").write_text("0.5\n" * 3)
     lines = lines.format(table=tmp_path / "u0.txt")
-    text = MINIMAL.replace("grid.N = 8192", f"grid.N = 256\n{lines}")
+    # the case's lines come last, so they override every line of MINIMAL
+    text = f"{MINIMAL.replace('grid.N = 8192', 'grid.N = 256')}{lines}\n"
     with pytest.raises(error):
         ff.parse_config_text(text)
     (tmp_path / "doc.cfg").write_text(text)
@@ -560,6 +571,21 @@ class TestCharts:
             assert experiment._nice_ticks(1e17, 1e17 + 16) == [1e17]
         else:
             assert not path.exists()
+
+    def test_mismatched_coordinate_lengths_rejected(self, tmp_path):
+        with pytest.raises(ff.EmptySeries, match="mismatched coordinate lengths"):
+            ff.emit_chart([("a", [0.0, 1.0, 2.0], [0.0, 1.0])], tmp_path / "bad.svg")
+        assert not (tmp_path / "bad.svg").exists()
+
+    def test_constant_series_renders_on_a_widened_axis(self, tmp_path):
+        # y in [0.5, 0.5] is widened to [0.5, 1.5], then padded by 5% each way
+        path = tmp_path / "flat.svg"
+        ff.emit_chart([("flat", [0.0, 1.0], [0.5, 0.5])], path)
+        root = ET.parse(path).getroot()
+        labels = [el.text for el in root.iter() if el.tag.endswith("text")
+                  and el.get("text-anchor") == "end"]
+        assert labels == ["0.5", "1", "1.5"]
+        assert '<polyline points="70.00,426.59 650.00,426.59"' in path.read_text()
 
     def test_sentinels_dropped_with_warning_count(self, tmp_path):
         xs = [0.0, 1.0, 2.0, 3.0]

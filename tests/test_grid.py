@@ -3,6 +3,8 @@ signed frequency layout the dispersal symbols are built on, and the field
 length check.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,21 @@ class TestMakeGrid:
         monkeypatch.setattr(np, "arange", refuse)
         with pytest.raises(ff.ValidationFailed):
             ff.make_grid(1e308, 8)
+
+    def test_subnormal_spacing_checked_before_allocation(self, monkeypatch):
+        # xi = pi k / L overflowed with numpy's warning (a bare RuntimeWarning
+        # under -W error), and a classical run on the grid breached at t = 0
+        smallest = ff.make_grid(4 * sys.float_info.min, 8)
+        assert smallest.dx == sys.float_info.min
+        assert np.isfinite(smallest.x).all() and np.isfinite(smallest.xi).all()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spacing gate must fire before the grid allocates")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        for L in (1e-310, 2 * sys.float_info.min):
+            with pytest.raises(ff.ValidationFailed, match="finite normal floats"):
+                ff.make_grid(L, 8)
 
     def test_nonpositive_length(self):
         with pytest.raises(ff.NonPositiveLength):

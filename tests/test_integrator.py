@@ -119,6 +119,36 @@ class TestRun:
         traj = ff.run(cfg2)
         assert traj.times == [0.0, 0.5, 2.0]
 
+    def test_snapshot_schedule_is_counted_and_bounded_before_it_is_listed(self, monkeypatch):
+        # 2**14 default snapshots of 2**17 nodes take the 16 GiB bound exactly
+        at_bound = ff.RunConfig(L=100.0, N=2**17, dispersal=ff.StandardLaplacian(),
+                                t_end=16383.0)
+        assert len(at_bound.resolved_snapshots()) == 2**14
+        assert 8 * 2**14 * 2**17 == integrator.MAX_SNAPSHOT_BYTES
+        with pytest.raises(ff.ValidationFailed, match="16385 snapshots of 131072 nodes"):
+            replace(at_bound, t_end=16383.5)
+        with pytest.raises(ff.ValidationFailed, match="16385 snapshots of 131072 nodes"):
+            replace(at_bound, snapshot_times=tuple(np.linspace(0.0, 16383.0, 2**14 + 1)))
+
+        # 10^12 + 1 integer times of 64 nodes: resolved_snapshots listed them
+        # after every gate had passed, until memory ran out
+        def refuse(*args):
+            raise AssertionError("the schedule must be counted, not listed")
+
+        monkeypatch.setattr(integrator, "range", refuse, raising=False)
+        with pytest.raises(ff.ValidationFailed,
+                           match=r"^1000000000001 snapshots of 64 nodes would take "
+                                 r"512000000000512 bytes"):
+            ff.RunConfig(L=50.0, N=64, dispersal=ff.StandardLaplacian(), t_end=1e12, dt=1e-3)
+
+    def test_field_at_a_time_without_a_snapshot_is_a_library_error(self):
+        traj = ff.run(ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(),
+                                   t_end=1.0))
+        assert traj.field_at(1.0) is traj.fields[-1]
+        # a bare KeyError, outside the FastFrontsError contract
+        with pytest.raises(ff.ValidationFailed, match=r"^no snapshot at t=0\.5$"):
+            traj.field_at(0.5)
+
     def test_snapshot_validation(self):
         with pytest.raises(ff.ValidationFailed):
             ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(),
@@ -656,9 +686,12 @@ class TestInitialConditions:
          (dict(reaction=ff.CustomMonostable(lambda u: u * (1.0 - u) * (u - 0.3))),
           ff.NotMonostable),
          (dict(L=1e308), ff.ValidationFailed),
-         (dict(t_end=1e300, dt=1e-10, snapshot_times=(0.0,)), ff.ValidationFailed)],
+         (dict(t_end=1e300, dt=1e-10, snapshot_times=(0.0,)), ff.ValidationFailed),
+         (dict(L=1e-310, N=8), ff.ValidationFailed),
+         (dict(L=50.0, N=64, t_end=1e12, dt=1e-3), ff.ValidationFailed)],
         ids=["L-and-N", "L-negative", "N-above-bound", "initial-three-samples",
-             "reaction-not-monostable", "L-width-overflow", "steps-above-2-53"],
+             "reaction-not-monostable", "L-width-overflow", "steps-above-2-53",
+             "L-subnormal", "snapshots-above-bound"],
     )
     def test_config_runs_every_static_gate_at_construction(self, case, error):
         # each of these configs was built and failed only once a run began

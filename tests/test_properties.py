@@ -131,6 +131,13 @@ class TestSpreading:
         with pytest.raises(ff.DomainTooSmall, match="from x=292"):
             ff.check_spreading(ff.smoothed_step(cfg.grid()), cfg, 150.0)
 
+    def test_window_between_two_nodes_rejected(self):
+        # (0, 1e-3) lies between the nodes 0 and 0.39 of this grid
+        cfg = ff.RunConfig(L=100.0, N=2**9, dispersal=ff.StandardLaplacian(), t_end=1.0)
+        g = cfg.grid()
+        with pytest.raises(ff.DomainTooSmall, match="contains no nodes"):
+            ff.check_spreading(ff.Field(g, np.exp(-g.x**2 / 100.0)), cfg, 1e-3)
+
     def test_breaching_run_raises(self):
         cfg = ff.RunConfig(L=16.0, N=256, dispersal=ff.StandardLaplacian(), t_end=10.0)
         g = cfg.grid()
