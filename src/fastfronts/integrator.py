@@ -264,11 +264,9 @@ class RunConfig:
                 raise ValidationFailed("snapshot times must be strictly increasing")
             object.__setattr__(self, "snapshot_times", times)
         object.__setattr__(self, "_grid", Grid(self.L, self.N))
-        if self.snapshot_times is None:
-            whole = math.floor(self.t_end)
-            count = whole + 1 + (whole < self.t_end)
-        else:
-            count = len(self.snapshot_times)
+        # the default schedule's length, 0, 1, ..., floor(t_end) and t_end
+        count = (len(self.snapshot_times) if self.snapshot_times is not None
+                 else math.floor(self.t_end) + 1 + (self.t_end % 1 > 0))
         size = 8 * count * self._grid.n
         if size > MAX_SNAPSHOT_BYTES:
             raise ValidationFailed(
