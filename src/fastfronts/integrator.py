@@ -40,6 +40,7 @@ from .dispersal import (
     sample_kernel,
     substep_count,
     _lapack,
+    _pocketfft,
 )
 from .errors import GuardBreached, ValidationFailed
 from .grid import Field, Grid
@@ -184,11 +185,15 @@ class RunConfig:
     """Complete description of one experiment. Construction runs every static
     gate of a run and keeps the run's grid, which `grid()` returns. Among
     them are the operator's gates on that grid: a normalized kernel with zero
-    discrete mass raises ValidationFailed, and a fractional fast diffusion
-    whose dt needs more than 10^6 sub-cycles ParameterOutOfRange. A t_end
-    of more than 2**53 steps of dt raises ValidationFailed, and so does a
-    snapshot schedule whose snapshots would take more than
-    MAX_SNAPSHOT_BYTES (16 GiB), counted without listing the schedule.
+    discrete mass raises ValidationFailed, and so does a fractional symbol
+    (a FractionalLaplacian's or a FractionalFastDiffusion's) whose largest
+    |m| * dt, taken from the Nyquist frequency grid.xi[-1] without building
+    the symbol, is not finite; a fractional fast diffusion whose dt needs
+    more than 10^6 sub-cycles, or whose sub-cycle stiffness is not finite,
+    raises ParameterOutOfRange. A t_end of more than 2**53 steps of dt
+    raises ValidationFailed, and so does a snapshot schedule whose
+    snapshots would take more than MAX_SNAPSHOT_BYTES (16 GiB), counted
+    without listing the schedule.
 
     snapshot_times=None records integer times 0, 1, ..., plus t_end when it is
     not an integer; given times must be nonempty. guard_threshold is the
@@ -280,9 +285,18 @@ class RunConfig:
         spec = self.dispersal
         if isinstance(spec, Convolution) and spec.kernel.normalize:
             sample_kernel(spec.kernel, self._grid)  # zero discrete mass: ValidationFailed
-        if isinstance(spec, FractionalFastDiffusion):
-            substep_count(build_symbol(FractionalLaplacian(spec.alpha), self._grid),
-                          spec.gamma, self.dt, self.eps_reg)
+        if isinstance(spec, (FractionalLaplacian, FractionalFastDiffusion)):
+            # the largest |m| is the Nyquist bin's (xi^2)^alpha; Python floats
+            # overflow to inf here without a warning
+            top = float(self._grid.xi[-1])
+            largest = (top * top) ** spec.alpha
+            if not math.isfinite(largest * self.dt):
+                raise ValidationFailed(
+                    f"the symbol's largest |m| * dt, {largest!r} * {self.dt!r}, is not finite "
+                    f"(half-length {self.L!r}, {self._grid.n} nodes)"
+                )
+            if isinstance(spec, FractionalFastDiffusion):
+                substep_count(largest, spec.gamma, self.dt, self.eps_reg)
 
     def grid(self) -> Grid:
         return self._grid
@@ -313,7 +327,15 @@ class DispersalStepper:
     one buffer for the real-transform bins. FastDiffusion allocates one
     dispersal.NewtonWork and passes it to every step, so its Newton iterates
     allocate nothing, and loads scipy's LAPACK wrapper (dispersal._lapack,
-    not the scipy.linalg package) here, so the first step loads nothing.
+    not the scipy.linalg package) here. The linear operators and
+    FractionalFastDiffusion load scipy's pocketfft extension
+    (dispersal._pocketfft, not the scipy.fft package) here, so no step
+    imports anything.
+
+    A linear step is one r2c into the bin buffer, the product with
+    exp(m dt), and one c2r with the 1/n scaling into `out`: bitwise
+    np.fft.rfft and irfft(n=n), with the plans built once per process
+    rather than at every call.
     """
 
     def __init__(self, spec: DispersalSpec, grid: Grid, eps_reg: float = EPS_REG):
@@ -328,9 +350,11 @@ class DispersalStepper:
             self._nonlinear = lambda values, dt: fast_diffusion_step(
                 values, spec.gamma, dt, grid, eps_reg=eps_reg, work=work)
         elif isinstance(spec, FractionalFastDiffusion):
+            _pocketfft()
             self._nonlinear = lambda values, dt: fractional_fast_diffusion_step(
                 values, spec.alpha, spec.gamma, dt, grid, eps_reg=eps_reg)
         else:
+            self._fft = _pocketfft()
             self.m = build_symbol(spec, grid)
             self._bins = np.empty(self.m.size, dtype=complex)
             self._dt, self._factor = None, None
@@ -338,20 +362,22 @@ class DispersalStepper:
     def step_values(self, values: np.ndarray, dt: float, out=None) -> np.ndarray:
         """Advance `values` by dt; never changes `values` unless it is `out`.
 
-        Linear operators write the result into `out` when given (it may be
-        `values` itself) and otherwise return a new array; the fast
-        diffusions always return a new array. dispersal.check_step gates
-        every operator: ParameterOutOfRange unless dt is finite and > 0,
-        LengthMismatch unless `values` holds one sample per node.
+        Linear operators read `values` as float64 (a list or an integer
+        array too), write the result into `out` when given (a float64 array
+        of n samples; it may be `values` itself) and otherwise return a new
+        array; the fast diffusions always return a new array.
+        dispersal.check_step gates every operator: ParameterOutOfRange
+        unless dt is finite and > 0, LengthMismatch unless `values` holds
+        one sample per node.
         """
         check_step(values, self.grid, dt)
         if self.m is None:
             return self._nonlinear(values, dt)
         if dt != self._dt:
             self._dt, self._factor = dt, np.exp(self.m * dt)
-        bins = np.fft.rfft(values, out=self._bins)
+        bins = self._fft.r2c(np.asarray(values, dtype=np.float64), None, True, 0, self._bins, 1)
         bins *= self._factor
-        return np.fft.irfft(bins, n=self.grid.n, out=out)
+        return self._fft.c2r(bins, None, self.grid.n, False, 2, out, 1)
 
 
 def _reaction_update(

@@ -20,6 +20,7 @@ from fastfronts.dispersal import (
     _packed_multiplier,
     _window_margin,
     sample_kernel,
+    substep_count,
 )
 
 
@@ -861,7 +862,7 @@ class TestFloorFactors:
 
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-        ff.dispersal._lapack.cache_clear()
+        ff.dispersal._scipy_extension.cache_clear()
         try:
             assert ff.dispersal._lapack().__name__ == "scipy.linalg.lapack"
             n, rng = self.N, np.random.default_rng(11)
@@ -876,7 +877,7 @@ class TestFloorFactors:
                         assert x.tobytes() == expected, (c, name, floor)
                     assert lu.d is not None, (c, name)  # the floor factors served
         finally:
-            ff.dispersal._lapack.cache_clear()
+            ff.dispersal._scipy_extension.cache_clear()
 
     def test_reused_factors_track_the_rows_they_rewrite(self):
         # spans that move both ways, a solve that fails after its block
@@ -1049,6 +1050,28 @@ class TestFractionalFastDiffusion:
         with pytest.raises(ff.ParameterOutOfRange, match="sub-steps"):
             ff.fractional_fast_diffusion_step(np.full(g.n, 0.5), 0.75, 0.5, 10.0, g)
 
+    @pytest.mark.parametrize("m, gamma, dt, eps", [
+        (np.array([0.0, -np.inf]), 0.8, 0.01, ff.EPS_REG),
+        (np.array([0.0, -1e300]), 1.0, 1e10, 1.0),
+        (np.array([0.0, -1.0]), 0.02, 0.01, 5e-324),
+    ], ids=["infinite-symbol", "stiffness-times-dt", "eps-power"])
+    def test_stiffness_that_is_not_finite_is_out_of_range(self, m, gamma, dt, eps):
+        # each raised a bare OverflowError: int(ceil(inf)), or
+        # eps ** (gamma - 1) above the float range
+        with pytest.raises(ff.ParameterOutOfRange, match="not finite"):
+            substep_count(m, gamma, dt, eps)
+
+    def test_eps_power_overflow_fails_before_any_substep(self, monkeypatch):
+        g = ff.make_grid(10.0, 64)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("sub-cycling started before the bound was checked")
+
+        monkeypatch.setattr(ff.dispersal, "_packed_multiplier", no_work)
+        with pytest.raises(ff.ParameterOutOfRange, match="not finite"):
+            ff.fractional_fast_diffusion_step(np.full(g.n, 0.5), 0.99, 0.02, 0.01, g,
+                                              eps_reg=5e-324)
+
     @pytest.mark.parametrize("gamma", [0.5, 0.8])
     def test_subcycles_match_plain_expression_bitwise(self, gamma):
         # the buffered loop against the packed sub-cycle written out plainly:
@@ -1107,6 +1130,41 @@ def test_packed_multiplier_matches_real_transform_pair(n):
     f[0] = 0.0
     du = packed_apply(x, f)
     assert abs(du.sum()) < 8 * np.finfo(float).eps * np.log2(n) * np.abs(du).sum()
+
+
+def _wide(rng, size):
+    """Normal samples scaled by powers of ten spread over 1e-300 .. 1e300."""
+    return rng.standard_normal(size) * 10.0 ** rng.uniform(-300, 300, size)
+
+
+# each call the package makes through scipy's pocketfft extension: (the call
+# on `fft` with an `out` array, the np.fft call it replaces, its input kind)
+POCKETFFT_CALLS = {
+    "rfft": (lambda fft, x, n, out: fft.r2c(x, None, True, 0, out, 1),
+             lambda x, n: np.fft.rfft(x), "real"),
+    "irfft": (lambda fft, x, n, out: fft.c2r(x, None, n, False, 2, out, 1),
+              lambda x, n: np.fft.irfft(x, n=n), "bins"),
+    "fft": (lambda fft, x, n, out: fft.c2c(x, None, True, 0, out, 1),
+            lambda x, n: np.fft.fft(x), "complex"),
+    "ifft-forward": (lambda fft, x, n, out: fft.c2c(x, None, False, 0, out, 1),
+                     lambda x, n: np.fft.ifft(x, norm="forward"), "complex"),
+}
+
+
+@pytest.mark.parametrize("call", POCKETFFT_CALLS)
+def test_pocketfft_calls_are_bitwise_numpys(call):
+    # at every power of two from 2^3 to 2^17, on data spanning 1e-300 to
+    # 1e300; the bins of irfft hold nonzero imaginary parts at frequency
+    # zero and Nyquist too
+    ours, numpys, kind = POCKETFFT_CALLS[call]
+    fft, rng = ff.dispersal._pocketfft(), np.random.default_rng(len(call))
+    for n in (2**k for k in range(3, 18)):
+        size = n // 2 + 1 if kind == "bins" else n
+        x = _wide(rng, size) if kind == "real" else _wide(rng, size) + 1j * _wide(rng, size)
+        expected = numpys(x, n)
+        out = np.empty_like(expected)
+        assert ours(fft, x, n, out) is out
+        assert out.tobytes() == expected.tobytes(), n
 
 
 def linear_stepper(field):

@@ -227,10 +227,19 @@ def test_invalid_input_ends_in_library_error(case, error):
          ff.ValidationFailed),
         (lambda: ff.RunConfig(**{**_BASE, "t_end": 1e12}, dt=1e-3),
          "grid.L = 50\ngrid.N = 64\ntime.t_end = 1e12\ntime.dt = 0.001", ff.ValidationFailed),
+        (lambda: ff.RunConfig(**{**_BASE, "L": 1e-300, "N": 8,
+                                 "dispersal": ff.FractionalLaplacian(0.5)}),
+         "dispersal.variant = fractional_laplacian\ndispersal.alpha = 0.5\n"
+         "grid.L = 1e-300\ngrid.N = 8", ff.ValidationFailed),
+        (lambda: ff.RunConfig(**{**_BASE, "L": 1e-160, "N": 8,
+                                 "dispersal": ff.FractionalFastDiffusion(0.75, 0.8)}),
+         "dispersal.variant = fractional_fast_diffusion\ndispersal.alpha = 0.75\n"
+         "dispersal.gamma = 0.8\ngrid.L = 1e-160\ngrid.N = 8", ff.ValidationFailed),
     ],
     ids=["indicator-nan", "indicator-minus-inf", "kernel_b-inf", "flat_radius-inf",
          "N-not-a-power-of-two", "N-above-bound", "initial-three-samples",
-         "L-width-overflow", "steps-above-2-53", "L-subnormal", "snapshots-above-bound"],
+         "L-width-overflow", "steps-above-2-53", "L-subnormal", "snapshots-above-bound",
+         "symbol-overflow", "subcycle-stiffness-overflow"],
 )
 def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, capsys):
     """Unchecked, each of the first four runs clean: an all-zero run, a run
@@ -239,7 +248,9 @@ def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, 
     made (the width overflow as a NaN state, the step count more than 2**53
     steps as a bare MemoryError or OverflowError, a subnormal half-length
     as a breach at t = 0, and 10^12 default snapshots as a bare
-    MemoryError). The
+    MemoryError). A symbol whose largest |m| overflows was accepted and
+    then warned at the symbol (a bare RuntimeWarning under -W error); the
+    sub-cycle count of one raised a bare OverflowError. The
     dataclass, the document and the CLI's run and properties verbs must all
     end in the same error category, before any directory is made."""
     with pytest.raises(error):

@@ -1,7 +1,9 @@
 """Import guard: `import fastfronts` loads numpy and no scipy, and each scipy
 module loads only when an operator that needs it is built: a fast-diffusion
 stepper loads scipy's LAPACK wrapper `scipy.linalg._flapack` and not the
-`scipy.linalg` package, which later shares that module; no module of the
+`scipy.linalg` package, and a linear or fractional-fast-diffusion stepper
+loads scipy's pocketfft extension `scipy.fft._pocketfft.pypocketfft` and not
+the `scipy.fft` package; each package later shares that module; no module of the
 package imports a name it never uses; and the package namespace is exactly
 the union of the names its modules declare public.
 
@@ -52,6 +54,7 @@ def test_bare_import_loads_none_of_the_deferred_modules():
 @pytest.mark.parametrize("spec, module", [
     ("ff.FastDiffusion(0.5)", "scipy.linalg._flapack"),
     ("ff.Convolution(ff.StretchedExponential(0.5))", "scipy.special"),
+    ("ff.StandardLaplacian()", "scipy.fft._pocketfft.pypocketfft"),
 ])
 def test_stepper_set_up_loads_its_scipy_module(spec, module):
     loaded = loaded_after(
@@ -59,9 +62,9 @@ def test_stepper_set_up_loads_its_scipy_module(spec, module):
         f"ff.DispersalStepper({spec}, ff.make_grid(50.0, 2**8))"
     )
     assert module in loaded
-    if module == "scipy.linalg._flapack":
-        # the wrapper alone: neither scipy's nor scipy.linalg's __init__ ran
-        assert "scipy.linalg" not in loaded and "scipy" not in loaded
+    if module != "scipy.special":
+        # the extension alone: no scipy package's __init__ ran
+        assert {name for name in loaded if name.split(".")[0] == "scipy"} == {module}
 
 
 LAPACK_NAMES = ("dgtsv", "dgttrf", "dgttrs")
@@ -103,9 +106,13 @@ def test_lapack_loader_reuses_a_loaded_scipy_linalg():
     assert out.split() == ["True"]
 
 
+POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
 def test_fractional_fast_diffusion_step_loads_no_scipy():
-    # the sub-cycle runs on numpy's own transforms, so scipy's import cost
-    # stays out of a fractional-fast-diffusion run's start-up
+    # the sub-cycle runs on scipy's pocketfft extension alone, so the import
+    # cost of the scipy and scipy.fft packages stays out of a
+    # fractional-fast-diffusion run's start-up
     loaded = loaded_after(
         "import numpy as np\n"
         "import fastfronts as ff\n"
@@ -114,7 +121,72 @@ def test_fractional_fast_diffusion_step_loads_no_scipy():
         "s.step_values(np.exp(-g.x**2 / 100.0), 0.01)"
     )
     assert "fastfronts.dispersal" in loaded
-    assert not any(name == "scipy" or name.startswith("scipy.") for name in loaded)
+    assert {name for name in loaded if name.split(".")[0] == "scipy"} == {POCKETFFT}
+
+
+@pytest.mark.parametrize("spec", ["ff.FractionalLaplacian(0.5)",
+                                  "ff.FractionalFastDiffusion(0.75, 0.8)"])
+def test_spectral_stepper_loads_the_pocketfft_extension_at_set_up(spec):
+    # the extension without scipy's or scipy.fft's __init__, loaded by the
+    # constructor: the step itself imports nothing
+    out = fresh_output(
+        "import numpy as np\n"
+        "import fastfronts as ff\n"
+        "g = ff.make_grid(50.0, 2**8)\n"
+        f"s = ff.DispersalStepper({spec}, g)\n"
+        "before = set(sys.modules)\n"
+        "s.step_values(np.exp(-g.x**2 / 100.0), 0.01)\n"
+        "print(set(sys.modules) == before)\n"
+        "print(' '.join(sorted(n for n in before if n.split('.')[0] == 'scipy')))"
+    )
+    assert out.split() == ["True", POCKETFFT]
+
+
+def test_pocketfft_extension_is_the_one_scipy_fft_imports_later():
+    # a linear step, then scipy.fft: its pocketfft backend is the very
+    # module the step used, and its rfft still gives np.fft's bits
+    out = fresh_output(
+        "import numpy as np\n"
+        "import fastfronts as ff\n"
+        "g = ff.make_grid(50.0, 2**8)\n"
+        "u = np.exp(-g.x**2 / 100.0)\n"
+        "ff.DispersalStepper(ff.FractionalLaplacian(0.5), g).step_values(u, 0.01)\n"
+        "fft = ff.dispersal._pocketfft()\n"
+        "print('scipy.fft' in sys.modules)\n"
+        "import scipy.fft\n"
+        "from scipy.fft._pocketfft import basic\n"
+        f"print(basic.pfft is fft and sys.modules[{POCKETFFT!r}] is fft)\n"
+        "print(scipy.fft.rfft(u).tobytes() == np.fft.rfft(u).tobytes())"
+    )
+    assert out.split() == ["False", "True", "True"]
+
+
+def test_pocketfft_fallback_steps_bitwise():
+    # no extension file name matches, so the loader imports the module
+    # through scipy.fft; a linear step and a fractional-fast-diffusion step
+    # still give np.fft's bits
+    out = fresh_output(
+        "import importlib.machinery\n"
+        "import numpy as np\n"
+        "import fastfronts as ff\n"
+        "importlib.machinery.EXTENSION_SUFFIXES = []\n"
+        "g = ff.make_grid(50.0, 2**8)\n"
+        "u, dt, eps = np.exp(-g.x**2 / 100.0), 0.01, ff.EPS_REG\n"
+        "m = ff.build_symbol(ff.FractionalLaplacian(0.5), g)\n"
+        "v = ff.DispersalStepper(ff.FractionalLaplacian(0.5), g).step_values(u, dt)\n"
+        "print('scipy.fft' in sys.modules)\n"
+        "print(v.tobytes() == np.fft.irfft(np.fft.rfft(u) * np.exp(m * dt), n=g.n).tobytes())\n"
+        "m = ff.build_symbol(ff.FractionalLaplacian(0.75), g)\n"
+        "n_sub = ff.dispersal.substep_count(m, 0.8, dt, eps)\n"
+        "a, b = ff.dispersal._packed_multiplier((dt / n_sub) * m)\n"
+        "reverse = -np.arange(g.n // 2) % (g.n // 2)\n"
+        "w = ff.DispersalStepper(ff.FractionalFastDiffusion(0.75, 0.8), g).step_values(u, dt)\n"
+        "for _ in range(n_sub):\n"
+        "    z = np.fft.fft((np.maximum(u, eps) ** 0.8).view(complex))\n"
+        "    u = u + np.fft.ifft(a * z + b * np.conj(z[reverse]), norm='forward').view(float)\n"
+        "print(n_sub > 1, w.tobytes() == u.tobytes())"
+    )
+    assert out.split() == ["True", "True", "True", "True"]
 
 
 def unused_imports(source: str) -> list:

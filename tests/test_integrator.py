@@ -518,6 +518,15 @@ class TestInPlaceStepping:
     def test_convolution_factor_cache_holds_the_last_step_size(self):
         self._check_cached_steps(ff.Convolution(ff.StretchedExponential(0.5, 1.0)))
 
+    def test_linear_step_reads_a_list_and_an_integer_array_as_numpy_did(self):
+        # np.fft.rfft read both as float64; the step still does
+        g = ff.make_grid(50.0, 2**6)
+        stepper = DispersalStepper(ff.FractionalLaplacian(0.5), g)
+        factor = np.exp(build_symbol(ff.FractionalLaplacian(0.5), g) * 0.01)
+        for values in ([float(k % 3) for k in range(g.n)], np.arange(g.n) % 3):
+            expected = np.fft.irfft(np.fft.rfft(values) * factor, n=g.n)
+            assert stepper.step_values(values, 0.01).tobytes() == expected.tobytes()
+
     def test_logistic_out_matches_allocating_form(self):
         u = np.concatenate([[0.0, 1.0, 5e-324, 1.0 - 2.0**-53], np.linspace(0.0, 1.0, 101)])
         for dt in (0.005, 0.5, 3.7):
@@ -688,10 +697,21 @@ class TestInitialConditions:
          (dict(L=1e308), ff.ValidationFailed),
          (dict(t_end=1e300, dt=1e-10, snapshot_times=(0.0,)), ff.ValidationFailed),
          (dict(L=1e-310, N=8), ff.ValidationFailed),
-         (dict(L=50.0, N=64, t_end=1e12, dt=1e-3), ff.ValidationFailed)],
+         (dict(L=50.0, N=64, t_end=1e12, dt=1e-3), ff.ValidationFailed),
+         (dict(L=1e-300, N=8, t_end=0.02), ff.ValidationFailed),
+         (dict(L=1e-300, N=8, t_end=0.02, dispersal=ff.FractionalLaplacian(0.5)),
+          ff.ValidationFailed),
+         (dict(L=1e-160, N=8, t_end=0.02, dispersal=ff.FractionalFastDiffusion(0.75, 0.8)),
+          ff.ValidationFailed),
+         (dict(L=1e-100, N=8, t_end=1e120, dt=1e120, snapshot_times=(0.0,)),
+          ff.ValidationFailed),
+         (dict(dispersal=ff.FractionalFastDiffusion(0.99, 0.02), eps_reg=5e-324),
+          ff.ParameterOutOfRange)],
         ids=["L-and-N", "L-negative", "N-above-bound", "initial-three-samples",
              "reaction-not-monostable", "L-width-overflow", "steps-above-2-53",
-             "L-subnormal", "snapshots-above-bound"],
+             "L-subnormal", "snapshots-above-bound", "classical-symbol-overflow",
+             "fractional-symbol-overflow", "subcycle-stiffness-overflow",
+             "symbol-times-dt-overflow", "subcycle-eps-power-overflow"],
     )
     def test_config_runs_every_static_gate_at_construction(self, case, error):
         # each of these configs was built and failed only once a run began
