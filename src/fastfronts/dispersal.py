@@ -276,6 +276,18 @@ def kernel_discrete_mass(kernel: KernelSpec, grid: Grid) -> float:
 # operator specifications
 # ---------------------------------------------------------------------------
 
+def _largest_m(alpha: float, grid: Grid, dt: float) -> float:
+    """The largest |m| of the fractional symbol -|xi|^(2 alpha) on grid: the
+    Nyquist bin's (xi[-1]^2)^alpha, in Python floats, which overflow to inf
+    without a warning. ValidationFailed unless |m| * dt is finite."""
+    top = float(grid.xi[-1])
+    largest = (top * top) ** alpha
+    if not math.isfinite(largest * dt):
+        raise ValidationFailed(f"the symbol's largest |m| * dt, {largest!r} * {dt!r}, is not "
+                               f"finite (half-length {grid.L!r}, {grid.n} nodes)")
+    return largest
+
+
 @dataclass(frozen=True)
 class FractionalLaplacian:
     """Fractional power of the Laplacian, multiplier -|xi|^(2 alpha), 0 < alpha <= 1."""
@@ -285,6 +297,11 @@ class FractionalLaplacian:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ParameterOutOfRange(f"fractional exponent alpha={self.alpha!r} not in (0,1]")
+
+    def check(self, grid: Grid, dt: float, eps_reg: float) -> None:
+        """ValidationFailed unless the symbol's largest |m| * dt on grid is
+        finite (_largest_m, which builds no symbol)."""
+        _largest_m(self.alpha, grid, dt)
 
 
 @dataclass(frozen=True)
@@ -296,6 +313,12 @@ class Convolution:
     def __post_init__(self):
         if not isinstance(self.kernel, KernelSpec):
             raise ValidationFailed(f"kernel {self.kernel!r} is not a fastfronts kernel spec")
+
+    def check(self, grid: Grid, dt: float, eps_reg: float) -> None:
+        """ValidationFailed when a normalized kernel has zero discrete mass
+        on grid (sample_kernel's gate)."""
+        if self.kernel.normalize:
+            sample_kernel(self.kernel, grid)
 
 
 def StandardLaplacian() -> FractionalLaplacian:
@@ -313,6 +336,9 @@ class FastDiffusion:
         if not (0.0 < self.gamma <= 1.0):
             raise ParameterOutOfRange(f"fast-diffusion exponent gamma={self.gamma!r} not in (0,1]")
 
+    def check(self, grid: Grid, dt: float, eps_reg: float) -> None:
+        """No gate on the grid."""
+
 
 @dataclass(frozen=True)
 class FractionalFastDiffusion:
@@ -329,6 +355,14 @@ class FractionalFastDiffusion:
             raise ParameterOutOfRange(
                 f"gamma={self.gamma!r} violates max(1-2*alpha,0)={gate:g} < gamma <= 1"
             )
+
+    def check(self, grid: Grid, dt: float, eps_reg: float) -> None:
+        """The fractional Laplacian's gate (ValidationFailed), then
+        substep_count at that largest |m|: ParameterOutOfRange when dt needs
+        more than 10^6 sub-cycles or the sub-cycle stiffness is not finite.
+        The count grows with dt, so a run checks it once, at its own dt,
+        which no step of the run exceeds."""
+        substep_count(_largest_m(self.alpha, grid, dt), self.gamma, dt, eps_reg)
 
 
 DispersalSpec = Union[FractionalLaplacian, Convolution, FastDiffusion, FractionalFastDiffusion]

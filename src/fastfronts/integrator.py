@@ -27,18 +27,14 @@ import numpy as np
 
 from .dispersal import (
     EPS_REG,
-    Convolution,
     DispersalSpec,
     FastDiffusion,
     FractionalFastDiffusion,
-    FractionalLaplacian,
     NewtonWork,
     build_symbol,
     check_step,
     fast_diffusion_step,
     fractional_fast_diffusion_step,
-    sample_kernel,
-    substep_count,
     _lapack,
     _pocketfft,
 )
@@ -183,14 +179,10 @@ def _require_reals(name: str, values) -> None:
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one experiment. Construction runs every static
-    gate of a run and keeps the run's grid, which `grid()` returns. Among
-    them are the operator's gates on that grid: a normalized kernel with zero
-    discrete mass raises ValidationFailed, and so does a fractional symbol
-    (a FractionalLaplacian's or a FractionalFastDiffusion's) whose largest
-    |m| * dt, taken from the Nyquist frequency grid.xi[-1] without building
-    the symbol, is not finite; a fractional fast diffusion whose dt needs
-    more than 10^6 sub-cycles, or whose sub-cycle stiffness is not finite,
-    raises ParameterOutOfRange. A t_end of more than 2**53 steps of dt
+    gate of a run and keeps the run's grid, which `grid()` returns. The
+    operator's gates on that grid are the dispersal spec's own: the last
+    gate runs `dispersal.check(grid, dt, eps_reg)`, whose docstring on each
+    spec states what it rejects. A t_end of more than 2**53 steps of dt
     raises ValidationFailed, and so does a snapshot schedule whose
     snapshots would take more than MAX_SNAPSHOT_BYTES (16 GiB), counted
     without listing the schedule.
@@ -282,21 +274,7 @@ class RunConfig:
         if self.reaction is not None:
             validate_reaction(self.reaction)
         # the operator's gates on the grid, before a run makes any file
-        spec = self.dispersal
-        if isinstance(spec, Convolution) and spec.kernel.normalize:
-            sample_kernel(spec.kernel, self._grid)  # zero discrete mass: ValidationFailed
-        if isinstance(spec, (FractionalLaplacian, FractionalFastDiffusion)):
-            # the largest |m| is the Nyquist bin's (xi^2)^alpha; Python floats
-            # overflow to inf here without a warning
-            top = float(self._grid.xi[-1])
-            largest = (top * top) ** spec.alpha
-            if not math.isfinite(largest * self.dt):
-                raise ValidationFailed(
-                    f"the symbol's largest |m| * dt, {largest!r} * {self.dt!r}, is not finite "
-                    f"(half-length {self.L!r}, {self._grid.n} nodes)"
-                )
-            if isinstance(spec, FractionalFastDiffusion):
-                substep_count(largest, spec.gamma, self.dt, self.eps_reg)
+        self.dispersal.check(self._grid, self.dt, self.eps_reg)
 
     def grid(self) -> Grid:
         return self._grid
