@@ -30,16 +30,20 @@ package the module imports, is imported for the stretched-exponential cell
 averages; the other operators and kernels never run a scipy __init__.
 
 Every Newton solve is one call, solve_banded(ab, b, floor), which solves in
-place with LAPACK's dgtsv from that wrapper directly, about 70 us a call
-less than scipy.linalg.solve_banded takes to make the same call: over the
-259 solves of the fig1c body to t=1 (2-core Xeon, traced) 0.157 s against
-0.175 s. The floor system of a step, one _FloorLU per (gamma, eps_reg,
-dt / dx^2), holds the constant band column below the floor, the window
-margin and the LU factors of the floor matrix. A global solve whose
-Jacobian is that matrix outside the above-floor span reuses the factors:
-dgttrf on a block around the span and one dgttrs, bitwise dgtsv's result.
-On the same body 99 of the 100 global solves take that path, and the 259
-solves went from 0.172 s to 0.144 s (traced medians of 3 pairs).
+place with LAPACK's dgtsv from that wrapper directly. The floor system of
+a step, one _FloorLU per (gamma, eps_reg, dt / dx^2), holds the constant
+band column below the floor, the window margin and the LU factors of the
+floor matrix. A global solve whose Jacobian is that matrix outside the
+above-floor span reuses the factors: dgttrf on a block around the span and
+one dgttrs, bitwise dgtsv's result. On the fig1c body to t=1, 99 of the
+100 global solves take that path.
+
+Each operator spec owns its gates on a run's grid, check(grid, dt,
+eps_reg), which RunConfig runs at construction: a normalized kernel's
+discrete mass, a fractional symbol's largest |m| * dt (_largest_m, which
+build_symbol runs too), the fractional fast diffusion's sub-cycle count,
+and the fast diffusion's r = dt / dx^2 and floor diagonal, which
+fast_diffusion_step also checks at every call.
 """
 
 from __future__ import annotations
@@ -276,7 +280,7 @@ def kernel_discrete_mass(kernel: KernelSpec, grid: Grid) -> float:
 # operator specifications
 # ---------------------------------------------------------------------------
 
-def _largest_m(alpha: float, grid: Grid, dt: float) -> float:
+def _largest_m(alpha: float, grid: Grid, dt: float = 1.0) -> float:
     """The largest |m| of the fractional symbol -|xi|^(2 alpha) on grid: the
     Nyquist bin's (xi[-1]^2)^alpha, in Python floats, which overflow to inf
     without a warning. ValidationFailed unless |m| * dt is finite."""
@@ -337,7 +341,21 @@ class FastDiffusion:
             raise ParameterOutOfRange(f"fast-diffusion exponent gamma={self.gamma!r} not in (0,1]")
 
     def check(self, grid: Grid, dt: float, eps_reg: float) -> None:
-        """No gate on the grid."""
+        """ValidationFailed unless the Newton step's r = dt / dx^2 is finite
+        and > 0 and the floor Jacobian's diagonal 1 + 2 F r is finite, with
+        F = _floor_slope(gamma, eps_reg): on a grid that passes its own
+        gates, dx^2 can still underflow to 0 or overflow, and F r can
+        overflow. A few float operations, which fast_diffusion_step makes at
+        every call."""
+        try:
+            r = dt / grid.dx**2
+        except (ZeroDivisionError, OverflowError):  # dx^2 underflows to 0 or overflows
+            r = math.nan
+        diagonal = 1.0 + 2.0 * _floor_slope(self.gamma, eps_reg) * r
+        if not (0 < r < math.inf and math.isfinite(diagonal)):
+            raise ValidationFailed(
+                f"the Newton step's r = dt / dx^2 = {r!r} (dt={dt!r}, dx={grid.dx!r}) and its "
+                f"floor diagonal 1 + 2 F r = {diagonal!r} must be finite, with r > 0")
 
 
 @dataclass(frozen=True)
@@ -359,9 +377,7 @@ class FractionalFastDiffusion:
     def check(self, grid: Grid, dt: float, eps_reg: float) -> None:
         """The fractional Laplacian's gate (ValidationFailed), then
         substep_count at that largest |m|: ParameterOutOfRange when dt needs
-        more than 10^6 sub-cycles or the sub-cycle stiffness is not finite.
-        The count grows with dt, so a run checks it once, at its own dt,
-        which no step of the run exceeds."""
+        more than 10^6 sub-cycles or the sub-cycle stiffness is not finite."""
         substep_count(_largest_m(self.alpha, grid, dt), self.gamma, dt, eps_reg)
 
 
@@ -382,6 +398,7 @@ def build_symbol(spec: DispersalSpec, grid: Grid) -> np.ndarray:
     raw discrete-mass defect instead of being pinned to zero.
     """
     if isinstance(spec, FractionalLaplacian):
+        _largest_m(spec.alpha, grid)  # xi * xi would overflow with a warning
         return -np.power(grid.xi * grid.xi, spec.alpha)
     if isinstance(spec, Convolution):
         samples = sample_kernel(spec.kernel, grid)
@@ -631,7 +648,8 @@ def _floor_slope(gamma: float, eps: float) -> float:
     made by the ufuncs that make the slope above it, on one element; made
     once per (gamma, eps) and then read from the cache."""
     floor = np.full(1, eps)
-    np.divide(np.power(floor, gamma), floor, out=floor)
+    with np.errstate(over="ignore"):  # an infinite slope fails FastDiffusion.check
+        np.divide(np.power(floor, gamma), floor, out=floor)
     floor *= gamma
     return float(floor[0])
 
@@ -831,7 +849,9 @@ def fast_diffusion_step(
     `values` (one sample per node, read as float64) is never written; the
     step returns a new array. gamma must lie in (0, 1], dt and eps_reg must
     be finite and > 0 and max_iter an integer >= 1 (ParameterOutOfRange
-    otherwise). A NaN or infinite input raises ValidationFailed; every gate
+    otherwise). A NaN or infinite input raises ValidationFailed, and so
+    does a grid that fails FastDiffusion.check (r = dt / dx^2 or the floor
+    diagonal 1 + 2 F r not finite); every gate
     runs before any work, and every update is checked to be finite, so the
     solve scans nothing itself (a NaN or infinite update raises
     SolverSingular, with `values` untouched). Each solve is one
@@ -862,9 +882,10 @@ def fast_diffusion_step(
     its own and uses it in the same way. Work that is not a NewtonWork
     raises ValidationFailed, and one for another node count LengthMismatch.
     """
-    FastDiffusion(gamma)  # validates gamma's range
+    spec = FastDiffusion(gamma)  # validates gamma's range
     u0 = _fast_state(values, grid, dt, eps_reg)
     _require_count("max_iter", max_iter)
+    spec.check(grid, dt, eps_reg)
     if work is None:
         work = NewtonWork(grid.n)
     elif not isinstance(work, NewtonWork):
@@ -951,8 +972,8 @@ def substep_count(m: np.ndarray, gamma: float, dt: float, eps_reg: float) -> int
     symbol or its largest |m| alone. A count above 10^6, or a stiffness
     dt * max|m| * gamma * eps_reg^(gamma-1) that is not finite (an infinite
     symbol, or a power of eps_reg above the float range), raises
-    ParameterOutOfRange. It grows with dt, so RunConfig checks it once at
-    the run's dt, which no step of the run exceeds."""
+    ParameterOutOfRange. It grows with dt, so FractionalFastDiffusion.check
+    runs it once, at the run's dt, which no step of the run exceeds."""
     try:
         stiffness = float(np.max(np.abs(m))) * gamma * eps_reg ** (gamma - 1.0)
     except OverflowError:  # eps_reg ** (gamma - 1) above the float range

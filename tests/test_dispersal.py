@@ -88,6 +88,17 @@ class TestSymbols:
         with pytest.raises(ff.NonlinearVariant):
             ff.build_symbol(ff.FractionalFastDiffusion(0.6, 0.5), unit_grid)
 
+    @pytest.mark.parametrize("call", [
+        lambda g: ff.build_symbol(ff.FractionalLaplacian(0.5), g),
+        lambda g: ff.DispersalStepper(ff.FractionalLaplacian(0.5), g),
+        lambda g: ff.fractional_fast_diffusion_step(np.full(g.n, 0.5), 0.75, 0.8, 0.01, g),
+    ], ids=["build_symbol", "DispersalStepper", "fractional_fast_diffusion_step"])
+    def test_symbol_whose_largest_m_overflows_is_validation_failed(self, call):
+        # xi * xi overflows on this grid: each call warned there (a bare
+        # RuntimeWarning under -W error) and went on to an infinite symbol
+        with pytest.raises(ff.ValidationFailed, match="largest"):
+            call(ff.make_grid(1e-160, 8))
+
     def test_fig1b_kernel_mass_near_unity(self):
         # exp(-sqrt|x|)/4 has unit analytic mass: closed form, checked by
         # quadrature, so the raw discrete mass measures pure grid error
@@ -1228,6 +1239,23 @@ def test_fast_steps_take_one_sample_per_node(name, bad, monkeypatch):
     monkeypatch.setattr(ff.dispersal, "build_symbol", no_work)
     with pytest.raises(ff.LengthMismatch):
         FAST_STEPS[name](values, grid)
+
+
+@pytest.mark.parametrize("L", [1e-300, 1e-153, 1e200],
+                         ids=["dx2-underflow", "floor-diagonal-overflow", "dx2-overflow"])
+def test_fast_diffusion_step_gates_its_grid_before_any_work(L, monkeypatch):
+    # r = dt / dx^2 raised a bare ZeroDivisionError (dx^2 underflows to 0)
+    # or OverflowError, or the floor diagonal 1 + 2 F r overflowed with a
+    # RuntimeWarning; FastDiffusion.check now runs before any work
+    values = np.full(8, 0.5)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the step started before its grid gate ran")
+
+    monkeypatch.setattr(ff.dispersal, "_kirchhoff", no_work)
+    with pytest.raises(ff.ValidationFailed, match="dx"):
+        ff.fast_diffusion_step(values, 0.5, 0.01, ff.make_grid(L, 8))
+    assert np.all(values == 0.5)
 
 
 @pytest.mark.parametrize("name", list(FAST_STEPS))

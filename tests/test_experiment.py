@@ -235,11 +235,20 @@ def test_invalid_input_ends_in_library_error(case, error):
                                  "dispersal": ff.FractionalFastDiffusion(0.75, 0.8)}),
          "dispersal.variant = fractional_fast_diffusion\ndispersal.alpha = 0.75\n"
          "dispersal.gamma = 0.8\ngrid.L = 1e-160\ngrid.N = 8", ff.ValidationFailed),
+        (lambda: ff.RunConfig(**{**_BASE, "L": 1e-300, "N": 8, "t_end": 0.02,
+                                 "dispersal": ff.FastDiffusion(0.5)}, initial=ff.Indicator(0.0)),
+         "dispersal.variant = fast_diffusion\ndispersal.gamma = 0.5\ngrid.L = 1e-300\n"
+         "grid.N = 8\ntime.t_end = 0.02\ninitial.kind = indicator", ff.ValidationFailed),
+        (lambda: ff.RunConfig(**{**_BASE, "L": 1e-153, "N": 8, "t_end": 0.02,
+                                 "dispersal": ff.FastDiffusion(0.5)}, initial=ff.Indicator(0.0)),
+         "dispersal.variant = fast_diffusion\ndispersal.gamma = 0.5\ngrid.L = 1e-153\n"
+         "grid.N = 8\ntime.t_end = 0.02\ninitial.kind = indicator", ff.ValidationFailed),
     ],
     ids=["indicator-nan", "indicator-minus-inf", "kernel_b-inf", "flat_radius-inf",
          "N-not-a-power-of-two", "N-above-bound", "initial-three-samples",
          "L-width-overflow", "steps-above-2-53", "L-subnormal", "snapshots-above-bound",
-         "symbol-overflow", "subcycle-stiffness-overflow"],
+         "symbol-overflow", "subcycle-stiffness-overflow", "fast-diffusion-dx2-underflow",
+         "fast-diffusion-floor-diagonal-overflow"],
 )
 def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, capsys):
     """Unchecked, each of the first four runs clean: an all-zero run, a run
@@ -250,7 +259,10 @@ def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, 
     as a breach at t = 0, and 10^12 default snapshots as a bare
     MemoryError). A symbol whose largest |m| overflows was accepted and
     then warned at the symbol (a bare RuntimeWarning under -W error); the
-    sub-cycle count of one raised a bare OverflowError. The
+    sub-cycle count of one raised a bare OverflowError. A fast diffusion
+    whose dx^2 underflows to 0 raised a bare ZeroDivisionError at its first
+    step, and one whose floor diagonal 1 + 2 F dt / dx^2 overflows warned
+    (a bare RuntimeWarning under -W error). The
     dataclass, the document and the CLI's run and properties verbs must all
     end in the same error category, before any directory is made."""
     with pytest.raises(error):

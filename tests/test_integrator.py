@@ -706,18 +706,38 @@ class TestInitialConditions:
          (dict(L=1e-100, N=8, t_end=1e120, dt=1e120, snapshot_times=(0.0,)),
           ff.ValidationFailed),
          (dict(dispersal=ff.FractionalFastDiffusion(0.99, 0.02), eps_reg=5e-324),
-          ff.ParameterOutOfRange)],
+          ff.ParameterOutOfRange),
+         (dict(L=1e-300, N=8, t_end=0.02, dispersal=ff.FastDiffusion(0.5),
+               initial=ff.Indicator(0.0)), ff.ValidationFailed),
+         (dict(L=1e-153, N=8, t_end=0.02, dispersal=ff.FastDiffusion(0.5),
+               initial=ff.Indicator(0.0)), ff.ValidationFailed),
+         (dict(L=1e200, N=8, t_end=0.02, dispersal=ff.FastDiffusion(0.5),
+               initial=ff.Indicator(0.0)), ff.ValidationFailed),
+         (dict(t_end=0.02, dispersal=ff.FastDiffusion(0.02), eps_reg=5e-324,
+               initial=ff.Indicator(0.0)), ff.ValidationFailed)],
         ids=["L-and-N", "L-negative", "N-above-bound", "initial-three-samples",
              "reaction-not-monostable", "L-width-overflow", "steps-above-2-53",
              "L-subnormal", "snapshots-above-bound", "classical-symbol-overflow",
              "fractional-symbol-overflow", "subcycle-stiffness-overflow",
-             "symbol-times-dt-overflow", "subcycle-eps-power-overflow"],
+             "symbol-times-dt-overflow", "subcycle-eps-power-overflow",
+             "fast-diffusion-dx2-underflow", "fast-diffusion-floor-diagonal-overflow",
+             "fast-diffusion-dx2-overflow", "fast-diffusion-floor-slope-overflow"],
     )
     def test_config_runs_every_static_gate_at_construction(self, case, error):
         # each of these configs was built and failed only once a run began
         with pytest.raises(error):
             ff.RunConfig(**{**dict(L=10.0, N=16, dispersal=ff.StandardLaplacian(), t_end=1.0),
                             **case})
+
+    @pytest.mark.parametrize("L, error", [(1e-150, ff.SolverSingular),
+                                          (1e-4, ff.SolverNotConverged)])
+    def test_fast_diffusion_grid_gate_passes_what_the_solver_reports(self, L, error):
+        # r = dt / dx^2 and the floor diagonal are finite here, so the config
+        # passes and the solver's own library error ends the run
+        config = ff.RunConfig(L=L, N=8, dispersal=ff.FastDiffusion(0.5), t_end=0.02,
+                              initial=ff.Indicator(0.0))
+        with pytest.raises(error):
+            ff.run(config)
 
     def test_config_holds_one_grid_and_pickles_without_it(self):
         # a sweep worker receives its config by pickle: the grid's arrays
