@@ -711,13 +711,15 @@ def _window_margin(c: float, n: int) -> int:
     return math.ceil(53 * math.log(2.0) / decay) + 1 if decay > 0 else n
 
 
-def _newton_rhs(u: np.ndarray, u0: np.ndarray, w: np.ndarray, dt: float, dx: float,
+def _newton_rhs(u: np.ndarray, u0: np.ndarray, w: np.ndarray, r: float,
                 rhs: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Minus the Newton residual, ((dt * Lap(w)) - u) + u0, on the rows
-    [lo, hi), into rhs. Lap is the zero-flux second difference
-    ((w[i-1] - 2 w[i]) + w[i+1]) / dx^2, with w[1] - w[0] and w[-2] - w[-1]
-    over dx^2 on the end rows. Every row takes the same operations in the
-    same order, so a range is bitwise the slice of the global call (0, n)."""
+    """Minus the Newton residual, ((r * Lap(w)) - u) + u0, on the rows
+    [lo, hi), into rhs, with r = dt / dx^2, the scale FastDiffusion.check
+    gates. Lap is the zero-flux second difference (w[i-1] - 2 w[i]) + w[i+1],
+    with w[1] - w[0] and w[-2] - w[-1] on the end rows; the rows are scaled
+    by r in one pass, so no 1 / dx^2 is formed. Every row takes the same
+    operations in the same order, so a range is bitwise the slice of the
+    global call (0, n)."""
     a, b = max(lo, 1), min(hi, w.size - 1)
     inner = rhs[a:b]
     np.multiply(w[a:b], 2.0, out=inner)
@@ -728,8 +730,7 @@ def _newton_rhs(u: np.ndarray, u0: np.ndarray, w: np.ndarray, dt: float, dx: flo
     if hi == w.size:
         rhs[-1] = w[-2] - w[-1]
     rows = rhs[lo:hi]
-    rows /= dx**2
-    rows *= dt
+    rows *= r
     rows -= u[lo:hi]
     rows += u0[lo:hi]
     return rhs
@@ -809,10 +810,13 @@ def fast_diffusion_step(
 ) -> np.ndarray:
     """One backward-Euler step of u_t = d/dx( D(u) du/dx ), D = gamma*max(u,eps)^(gamma-1).
 
-    Homogeneous Neumann ends. The step solves u - dt * Lap(w(u)) = u0 for the
-    Kirchhoff potential w by Newton's method: each iterate evaluates w and its
-    slope, taking a power only on the span [first, end) from the first node
-    at or above eps_reg to the last one (a line and the constant floor slope
+    Homogeneous Neumann ends. The step solves u - r * Lap(w(u)) = u0 for the
+    Kirchhoff potential w by Newton's method, with Lap the second difference
+    of w and r = dt / dx^2, the one scale that FastDiffusion.check gates: the
+    residual and the bands are scaled by r, and no 1 / dx^2 is formed on its
+    own (_newton_rhs). Each iterate evaluates w and its slope, taking a
+    power only on the span [first, end) from the first node at or above
+    eps_reg to the last one (a line and the constant floor slope
     F = gamma * eps_reg^(gamma - 1) outside it; early in a run that span is a
     small part of the box), then makes one tridiagonal direct solve with the
     Jacobian at the current iterate. The iteration is driven until the
@@ -904,7 +908,7 @@ def fast_diffusion_step(
         # the last solve changed u on [lo, hi) only, so w and d are redone
         # there and the residual one row further out
         w, d, first, end = _kirchhoff(u, gamma, eps_reg, work, lo, hi)
-        _newton_rhs(u, u0, w, dt, grid.dx, rhs, max(lo - 1, 0), min(hi + 1, n))
+        _newton_rhs(u, u0, w, r, rhs, max(lo - 1, 0), min(hi + 1, n))
         # max|rhs| and where it lies, without an abs temporary
         top, bottom = int(rhs.argmax()), int(rhs.argmin())
         residual = max(rhs[top], -rhs[bottom])
@@ -965,17 +969,20 @@ def _packed_multiplier(f: np.ndarray) -> tuple:
     return (p - q * np.sin(theta)) / half, 1j * (q * np.cos(theta) / half)
 
 
-def substep_count(m: np.ndarray, gamma: float, dt: float, eps_reg: float) -> int:
-    """Sub-cycles of one fractional-fast-diffusion step of length dt with the
-    symbol m: the least count that keeps the stiffest linearized mode at
-    (dt/n_sub) * max|m| * gamma * eps_reg^(gamma-1) <= 1/2. m may be the
-    symbol or its largest |m| alone. A count above 10^6, or a stiffness
-    dt * max|m| * gamma * eps_reg^(gamma-1) that is not finite (an infinite
-    symbol, or a power of eps_reg above the float range), raises
-    ParameterOutOfRange. It grows with dt, so FractionalFastDiffusion.check
-    runs it once, at the run's dt, which no step of the run exceeds."""
+def substep_count(largest_m: float, gamma: float, dt: float, eps_reg: float) -> int:
+    """Sub-cycles of one fractional-fast-diffusion step of length dt, from
+    the symbol's largest |m| (_largest_m, a float): the least count n_sub
+    that keeps the stiffest linearized mode at
+    (dt/n_sub) * largest_m * gamma * eps_reg^(gamma-1) <= 1/2. A count above
+    10^6, or a stiffness dt * largest_m * gamma * eps_reg^(gamma-1) that is
+    not finite (an infinite largest_m, or a power of eps_reg above the float
+    range), raises ParameterOutOfRange. FractionalFastDiffusion.check and
+    fractional_fast_diffusion_step make the same call,
+    substep_count(_largest_m(alpha, grid, dt), gamma, dt, eps_reg), so a
+    step counts exactly what the run's gate counted. The count grows with
+    dt, so the gate at the run's dt bounds every step of the run."""
     try:
-        stiffness = float(np.max(np.abs(m))) * gamma * eps_reg ** (gamma - 1.0)
+        stiffness = largest_m * gamma * eps_reg ** (gamma - 1.0)
     except OverflowError:  # eps_reg ** (gamma - 1) above the float range
         stiffness = math.inf
     needed = dt * stiffness / 0.5
@@ -1001,16 +1008,17 @@ def fractional_fast_diffusion_step(
     grid: Grid,
     *,
     eps_reg: float = EPS_REG,
-    n_sub: int | None = None,
 ) -> np.ndarray:
     """Explicit sub-cycled step of u_t = -(-Lap)^alpha (u^gamma).
 
     Repeats n_sub times: w = max(u, eps)^gamma, then u += (dt/n_sub) * D_alpha w,
-    with the substep count chosen so the stiffest linearized mode satisfies
-    (dt/n_sub) * |m|_max * gamma * eps^(gamma-1) <= 1/2; values and result as
-    in fast_diffusion_step. dt and eps_reg must be finite and > 0, a given
-    n_sub an integer >= 1 and a computed one at most 10^6
-    (ParameterOutOfRange otherwise, before any sub-cycle).
+    with n_sub = substep_count(_largest_m(alpha, grid, dt), gamma, dt,
+    eps_reg), the call FractionalFastDiffusion.check makes: the least count
+    that keeps the stiffest linearized mode at
+    (dt/n_sub) * |m|_max * gamma * eps^(gamma-1) <= 1/2. Values and result as
+    in fast_diffusion_step. dt and eps_reg must be finite and > 0 and the
+    count at most 10^6 (ParameterOutOfRange otherwise), and the symbol's
+    largest |m| * dt finite (ValidationFailed), all before any sub-cycle.
 
     Each sub-cycle applies the multiplier f = (dt/n_sub) * m through one pair
     of half-length complex transforms (see _packed_multiplier): w is viewed
@@ -1032,11 +1040,8 @@ def fractional_fast_diffusion_step(
     """
     spec = FractionalFastDiffusion(alpha, gamma)  # validates the parameter gate
     u0 = _fast_state(values, grid, dt, eps_reg)
-    if n_sub is not None:
-        _require_count("n_sub", n_sub)
+    n_sub = substep_count(_largest_m(spec.alpha, grid, dt), gamma, dt, eps_reg)
     m = build_symbol(FractionalLaplacian(spec.alpha), grid)
-    if n_sub is None:
-        n_sub = substep_count(m, gamma, dt, eps_reg)
     a, b = _packed_multiplier((dt / n_sub) * m)
     c2c = _pocketfft().c2c
     u = u0.copy()

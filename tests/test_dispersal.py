@@ -559,18 +559,19 @@ def test_kirchhoff_on_a_range_is_bitwise_the_full_call(gamma, eps, n):
 def test_newton_rhs_on_a_range_is_bitwise_the_full_call(n):
     rng = np.random.default_rng(n)
     u, u0, w = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8.0, 0.0, (3, n))
-    dt, dx = 0.01, 0.061
-    # the full call in the zero-flux Laplacian's order of operations
+    r = 0.01 / 0.061**2
+    # the full call in the zero-flux Laplacian's order of operations, the
+    # second differences scaled by r = dt / dx^2 in one pass
     lap = np.empty(n)
     lap[1:-1] = (w[:-2] - 2.0 * w[1:-1]) + w[2:]
     lap[0], lap[-1] = w[1] - w[0], w[-2] - w[-1]
-    expected = ((lap / dx**2) * dt - u) + u0
-    full = _newton_rhs(u, u0, w, dt, dx, np.empty(n), 0, n)
+    expected = (lap * r - u) + u0
+    full = _newton_rhs(u, u0, w, r, np.empty(n), 0, n)
     assert full.tobytes() == expected.tobytes()
     for a, b in _ranges(n):
         rhs = expected.copy()
         rhs[a:b] = np.nan
-        _newton_rhs(u, u0, w, dt, dx, rhs, a, b)
+        _newton_rhs(u, u0, w, r, rhs, a, b)
         assert rhs.tobytes() == expected.tobytes(), (a, b)
 
 
@@ -617,7 +618,7 @@ def _global_newton(u0, gamma, dt, grid, max_iter=40):
     u = u0.copy()
     for solves in range(max_iter + 1):
         w, d, _, _ = _kirchhoff(u, gamma, ff.EPS_REG, work, 0, n)
-        _newton_rhs(u, u0, w, dt, grid.dx, rhs, 0, n)
+        _newton_rhs(u, u0, w, r, rhs, 0, n)
         if max(rhs.max(), -rhs.min()) <= 1e-13:
             return u, solves
         np.multiply(d[1:], -r, out=ab[0, 1:])
@@ -662,7 +663,7 @@ def _windowed_oracle(u0, gamma, dt, grid, work, max_iter=40):
         first, end = (at[0], at[-1] + 1) if at.size else (0, 0)
         rhs[1:-1] = (w[:-2] - 2.0 * w[1:-1]) + w[2:]
         rhs[0], rhs[-1] = w[1] - w[0], w[-2] - w[-1]
-        rhs[:] = ((rhs / grid.dx**2) * dt - u) + u0
+        rhs[:] = (rhs * r - u) + u0
         top, bottom = int(rhs.argmax()), int(rhs.argmin())
         if max(rhs[top], -rhs[bottom]) <= 1e-13:
             return u
@@ -682,10 +683,11 @@ def _windowed_oracle(u0, gamma, dt, grid, work, max_iter=40):
 
 
 def _residual(u, u0, gamma, dt, grid):
-    """max|u - dt * Lap(w(u)) - u0|, the step's convergence measure."""
+    """max|u - r * Lap(w(u)) - u0|, r = dt / dx^2, the step's convergence
+    measure."""
     n = grid.n
     w, _, _, _ = _kirchhoff(u, gamma, ff.EPS_REG, NewtonWork(n), 0, n)
-    return np.max(np.abs(_newton_rhs(u, u0, w, dt, grid.dx, np.empty(n), 0, n)))
+    return np.max(np.abs(_newton_rhs(u, u0, w, dt / grid.dx**2, np.empty(n), 0, n)))
 
 
 class TestWindowedNewton:
@@ -1061,16 +1063,44 @@ class TestFractionalFastDiffusion:
         with pytest.raises(ff.ParameterOutOfRange, match="sub-steps"):
             ff.fractional_fast_diffusion_step(np.full(g.n, 0.5), 0.75, 0.5, 10.0, g)
 
-    @pytest.mark.parametrize("m, gamma, dt, eps", [
-        (np.array([0.0, -np.inf]), 0.8, 0.01, ff.EPS_REG),
-        (np.array([0.0, -1e300]), 1.0, 1e10, 1.0),
-        (np.array([0.0, -1.0]), 0.02, 0.01, 5e-324),
+    def test_step_counts_with_the_call_its_gate_makes(self, monkeypatch):
+        # on this grid the symbol array's max|m| lies one ulp above
+        # _largest_m, and dt sits where that ulp tips the count: the config
+        # counted 10^6 sub-cycles and passed, then the first step counted
+        # from the array, 10^6 + 1, and raised ParameterOutOfRange
+        L, dt = 155.43472326612778, 471.5984112074067
+        calls, count = [], ff.dispersal.substep_count
+
+        def spy(*args):
+            calls.append(args)
+            return count(*args)
+
+        class Cycling(Exception):
+            pass
+
+        def cycling(*args):
+            raise Cycling  # no 10^6 sub-cycles run
+
+        monkeypatch.setattr(ff.dispersal, "substep_count", spy)
+        config = ff.RunConfig(L=L, N=1024, dispersal=ff.FractionalFastDiffusion(0.75, 0.8),
+                              t_end=dt, dt=dt, snapshot_times=(0.0, dt), reaction=None)
+        monkeypatch.setattr(ff.dispersal, "_packed_multiplier", cycling)
+        with pytest.raises(Cycling):
+            ff.run(config)
+        gate, step = calls
+        assert all(type(a) is float for a in step) and step == gate
+        assert count(*step) == 1_000_000
+
+    @pytest.mark.parametrize("largest_m, gamma, dt, eps", [
+        (np.inf, 0.8, 0.01, ff.EPS_REG),
+        (1e300, 1.0, 1e10, 1.0),
+        (1.0, 0.02, 0.01, 5e-324),
     ], ids=["infinite-symbol", "stiffness-times-dt", "eps-power"])
-    def test_stiffness_that_is_not_finite_is_out_of_range(self, m, gamma, dt, eps):
+    def test_stiffness_that_is_not_finite_is_out_of_range(self, largest_m, gamma, dt, eps):
         # each raised a bare OverflowError: int(ceil(inf)), or
         # eps ** (gamma - 1) above the float range
         with pytest.raises(ff.ParameterOutOfRange, match="not finite"):
-            substep_count(m, gamma, dt, eps)
+            substep_count(largest_m, gamma, dt, eps)
 
     def test_eps_power_overflow_fails_before_any_substep(self, monkeypatch):
         g = ff.make_grid(10.0, 64)
@@ -1084,13 +1114,14 @@ class TestFractionalFastDiffusion:
                                               eps_reg=5e-324)
 
     @pytest.mark.parametrize("gamma", [0.5, 0.8])
-    def test_subcycles_match_plain_expression_bitwise(self, gamma):
+    def test_subcycles_match_plain_expression_bitwise(self, gamma, monkeypatch):
         # the buffered loop against the packed sub-cycle written out plainly:
         # u = u + ifft(a * z + b * conj(z[-k]), norm="forward") with z the fft
         # of max(u, eps)**gamma viewed as n/2 complex samples
         g = ff.make_grid(20.0, 128)
         f = ff.Field.from_function(g, lambda x: np.exp(-x**2 / 8.0))
         alpha, dt, n_sub, eps = 0.75, 0.01, 7, ff.EPS_REG
+        monkeypatch.setattr(ff.dispersal, "substep_count", lambda *args: n_sub)
         m = ff.build_symbol(ff.FractionalLaplacian(alpha), g)
         a, b = _packed_multiplier((dt / n_sub) * m)
         reverse = -np.arange(g.n // 2) % (g.n // 2)
@@ -1098,7 +1129,7 @@ class TestFractionalFastDiffusion:
         for _ in range(n_sub):
             z = np.fft.fft((np.maximum(u, eps) ** gamma).view(complex))
             u = u + np.fft.ifft(a * z + b * np.conj(z[reverse]), norm="forward").view(float)
-        out = ff.fractional_fast_diffusion_step(f.values, alpha, gamma, dt, g, n_sub=n_sub)
+        out = ff.fractional_fast_diffusion_step(f.values, alpha, gamma, dt, g)
         assert out.tobytes() == u.tobytes()
         # and within roundoff of the real-transform loop
         v = f.values.copy()
@@ -1106,14 +1137,15 @@ class TestFractionalFastDiffusion:
             v = v + (dt / n_sub) * np.fft.irfft(np.fft.rfft(np.maximum(v, eps) ** gamma) * m)
         assert np.max(np.abs(out - v)) < 1e-13
 
-    def test_gamma_one_converges_to_semigroup_first_order(self):
+    def test_gamma_one_converges_to_semigroup_first_order(self, monkeypatch):
         g = ff.make_grid(10.0, 128)
         f = ff.Field.from_function(g, lambda x: 0.5 + 0.3 * np.cos(g.xi[1] * x))
         alpha, dt = 0.75, 0.05
         exact = semigroup(ff.FractionalLaplacian(alpha), f, dt)
         errs = []
         for n_sub in (40, 80, 160):
-            out = ff.fractional_fast_diffusion_step(f.values, alpha, 1.0, dt, g, n_sub=n_sub)
+            monkeypatch.setattr(ff.dispersal, "substep_count", lambda *args: n_sub)
+            out = ff.fractional_fast_diffusion_step(f.values, alpha, 1.0, dt, g)
             errs.append(np.max(np.abs(out - exact)))
         rate1 = errs[0] / errs[1]
         rate2 = errs[1] / errs[2]
@@ -1192,7 +1224,6 @@ GATED_STEPS = {
 }
 BAD_STEPS = (
     [(name, dt, {}) for name in GATED_STEPS for dt in (0.0, -0.01, np.nan, np.inf)]
-    + [("fractional_fast_diffusion_step", 0.01, {"n_sub": v}) for v in (0, 2.5, np.nan, True)]
     + [("fast_diffusion_step", 0.01, {"max_iter": v}) for v in (0, 2.5, np.nan, True)]
 )
 

@@ -177,7 +177,7 @@ def test_pocketfft_fallback_steps_bitwise():
         "print('scipy.fft' in sys.modules)\n"
         "print(v.tobytes() == np.fft.irfft(np.fft.rfft(u) * np.exp(m * dt), n=g.n).tobytes())\n"
         "m = ff.build_symbol(ff.FractionalLaplacian(0.75), g)\n"
-        "n_sub = ff.dispersal.substep_count(m, 0.8, dt, eps)\n"
+        "n_sub = ff.dispersal.substep_count(ff.dispersal._largest_m(0.75, g, dt), 0.8, dt, eps)\n"
         "a, b = ff.dispersal._packed_multiplier((dt / n_sub) * m)\n"
         "reverse = -np.arange(g.n // 2) % (g.n // 2)\n"
         "w = ff.DispersalStepper(ff.FractionalFastDiffusion(0.75, 0.8), g).step_values(u, dt)\n"
