@@ -42,8 +42,9 @@ Each operator spec owns its gates on a run's grid, check(grid, dt,
 eps_reg), which RunConfig runs at construction: a normalized kernel's
 discrete mass, a fractional symbol's largest |m| * dt (_largest_m, which
 build_symbol runs too), the fractional fast diffusion's sub-cycle count,
-and the fast diffusion's r = dt / dx^2 and floor diagonal, which
-fast_diffusion_step also checks at every call.
+which fractional_fast_diffusion_step counts with the same call, and the
+fast diffusion's r = dt / dx^2 and floor diagonal, which
+fast_diffusion_step also checks at every call and scales its residual by.
 """
 
 from __future__ import annotations
@@ -173,7 +174,10 @@ class AlgebraicTail:
         return self.p * math.sin(math.pi / self.p) / (2.0 * math.pi)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.amplitude / (1.0 + np.abs(x) ** self.p)
+        """c / (1 + |x|^p); a power that overflows gives c / inf = 0, the
+        exact limit, and leaves every finite value as it is."""
+        with np.errstate(over="ignore"):
+            return self.amplitude / (1.0 + np.abs(x) ** self.p)
 
     def grid_samples(self, grid: Grid) -> np.ndarray:
         """Node values J(x_i); the kernel is smooth at the origin for p > 2."""

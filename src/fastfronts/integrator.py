@@ -45,7 +45,6 @@ from .reaction import (
     ReactionSpec,
     logistic_exact_step,
     rk4_reaction_step,
-    validate_reaction,
 )
 
 __all__ = [
@@ -87,7 +86,10 @@ class GaussianBump:
         """Fits every grid."""
 
     def build(self, grid: Grid) -> np.ndarray:
-        return np.exp(-grid.x**2 / self.width)
+        """exp(-x^2 / width); an x^2 that overflows gives exp(-inf) = 0, the
+        exact limit, and leaves every finite sample as it is."""
+        with np.errstate(over="ignore"):
+            return np.exp(-grid.x**2 / self.width)
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,9 @@ class RunConfig:
     gate of a run and keeps the run's grid, which `grid()` returns. The
     operator's gates on that grid are the dispersal spec's own: the last
     gate runs `dispersal.check(grid, dt, eps_reg)`, whose docstring on each
-    spec states what it rejects. A t_end of more than 2**53 steps of dt
+    spec states what it rejects. A reaction spec gates dt the same way,
+    through `reaction.check(dt)`: the logistic's half step e^(dt/2), a
+    custom term's sampled contract. A t_end of more than 2**53 steps of dt
     raises ValidationFailed, and so does a snapshot schedule whose
     snapshots would take more than MAX_SNAPSHOT_BYTES (16 GiB), counted
     without listing the schedule.
@@ -272,7 +276,7 @@ class RunConfig:
             )
         self.initial.check(self._grid)
         if self.reaction is not None:
-            validate_reaction(self.reaction)
+            self.reaction.check(self.dt)
         # the operator's gates on the grid, before a run makes any file
         self.dispersal.check(self._grid, self.dt, self.eps_reg)
 

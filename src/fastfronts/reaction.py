@@ -8,12 +8,14 @@ sampling, and integrated pointwise with one classical RK4 update per substep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DegenerateAtZero, EndpointNotZero, NotMonostable
+from .errors import (DegenerateAtZero, EndpointNotZero, NotMonostable, ParameterOutOfRange,
+                     ValidationFailed)
 
 __all__ = [
     "KppLogistic",
@@ -25,6 +27,10 @@ __all__ = [
 ]
 
 
+# np.exp(dt) is finite up to log(largest float) and overflows at the next float
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class KppLogistic:
     """The logistic reaction u(1-u); its flow is applied in closed form."""
@@ -32,12 +38,25 @@ class KppLogistic:
     def f(self, u):
         return u * (1.0 - u)
 
+    def check(self, dt: float) -> None:
+        """ValidationFailed when a Strang half step's e^(dt/2) is above
+        1/e of the largest float: below that, a state as large as 2 in
+        magnitude (a post-dispersal overshoot above 1) keeps u e^(dt/2) and
+        the flow's denominator finite."""
+        if 0.5 * dt > _LOG_MAX - 1.0:
+            raise ValidationFailed(f"the logistic half step's e^(dt/2) at dt={dt!r} leaves no "
+                                   f"headroom; dt must be at most {2.0 * (_LOG_MAX - 1.0)!r}")
+
 
 @dataclass(frozen=True)
 class CustomMonostable:
     """User-supplied scalar reaction term on [0, 1]."""
 
     f: Callable
+
+    def check(self, dt: float) -> None:
+        """validate_reaction's sampled contract; the RK4 update takes any dt."""
+        validate_reaction(self)
 
 
 ReactionSpec = Union[KppLogistic, CustomMonostable]
@@ -78,8 +97,12 @@ def logistic_exact_step(u, dt: float, out=None):
     `out` a new value is returned and `u` is left unchanged; with `out` (an
     array, which may be `u` itself) the result is written there. Both forms
     use one scratch array and the order (u*e) / ((1-u) + u*e), so they agree
-    bitwise.
+    bitwise. A dt whose e^dt overflows (dt above log of the largest float,
+    709.78...) raises ParameterOutOfRange, tested on the scalar before any
+    array work.
     """
+    if dt > _LOG_MAX:
+        raise ParameterOutOfRange(f"logistic step e^dt overflows at dt={dt!r} > {_LOG_MAX!r}")
     e = np.exp(dt)
     den = np.subtract(1.0, u)
     out = np.multiply(u, e, out=out)

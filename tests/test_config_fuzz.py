@@ -37,7 +37,7 @@ _NONFINITE = ("nan", "inf", "-inf")
 
 # key -> (valid tokens, other tokens); `@name` stands for a file of FILES
 TOKENS = {
-    "grid.l": (("50", "400"), ("1e-310", "1e-300", "1e-153", "1e308", *_BAD)),
+    "grid.l": (("50", "400"), ("1e-310", "1e-300", "1e-153", "1e200", "1e308", *_BAD)),
     "grid.n": (("64", "256"), ("8", "4", "100", "2147483648", "1e400", *_BAD)),
     "grid.guard": (("1e-4", "0.49"), ("0.5", *_BAD)),
     "dispersal.variant": (tuple(experiment._VARIANTS), ("Standard_Laplacian", "", "abc")),

@@ -243,12 +243,16 @@ def test_invalid_input_ends_in_library_error(case, error):
                                  "dispersal": ff.FastDiffusion(0.5)}, initial=ff.Indicator(0.0)),
          "dispersal.variant = fast_diffusion\ndispersal.gamma = 0.5\ngrid.L = 1e-153\n"
          "grid.N = 8\ntime.t_end = 0.02\ninitial.kind = indicator", ff.ValidationFailed),
+        (lambda: ff.RunConfig(**{**_BASE, "t_end": 2000.0}, dt=2000.0,
+                              snapshot_times=(0.0, 2000.0)),
+         "grid.L = 50\ngrid.N = 64\ntime.dt = 2000\ntime.t_end = 2000\ntime.snapshots = 0,2000",
+         ff.ValidationFailed),
     ],
     ids=["indicator-nan", "indicator-minus-inf", "kernel_b-inf", "flat_radius-inf",
          "N-not-a-power-of-two", "N-above-bound", "initial-three-samples",
          "L-width-overflow", "steps-above-2-53", "L-subnormal", "snapshots-above-bound",
          "symbol-overflow", "subcycle-stiffness-overflow", "fast-diffusion-dx2-underflow",
-         "fast-diffusion-floor-diagonal-overflow"],
+         "fast-diffusion-floor-diagonal-overflow", "logistic-half-step-overflow"],
 )
 def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, capsys):
     """Unchecked, each of the first four runs clean: an all-zero run, a run
@@ -262,7 +266,9 @@ def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, 
     sub-cycle count of one raised a bare OverflowError. A fast diffusion
     whose dx^2 underflows to 0 raised a bare ZeroDivisionError at its first
     step, and one whose floor diagonal 1 + 2 F dt / dx^2 overflows warned
-    (a bare RuntimeWarning under -W error). The
+    (a bare RuntimeWarning under -W error). A logistic step of dt = 2000
+    overflowed its half step's e^(dt/2) and ended in a NaN state after
+    --out was made. The
     dataclass, the document and the CLI's run and properties verbs must all
     end in the same error category, before any directory is made."""
     with pytest.raises(error):

@@ -8,6 +8,7 @@ import hashlib
 import io
 import pickle
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -714,14 +715,17 @@ class TestInitialConditions:
          (dict(L=1e200, N=8, t_end=0.02, dispersal=ff.FastDiffusion(0.5),
                initial=ff.Indicator(0.0)), ff.ValidationFailed),
          (dict(t_end=0.02, dispersal=ff.FastDiffusion(0.02), eps_reg=5e-324,
-               initial=ff.Indicator(0.0)), ff.ValidationFailed)],
+               initial=ff.Indicator(0.0)), ff.ValidationFailed),
+         (dict(L=50.0, N=64, t_end=2000.0, dt=2000.0, snapshot_times=(0.0, 2000.0)),
+          ff.ValidationFailed)],
         ids=["L-and-N", "L-negative", "N-above-bound", "initial-three-samples",
              "reaction-not-monostable", "L-width-overflow", "steps-above-2-53",
              "L-subnormal", "snapshots-above-bound", "classical-symbol-overflow",
              "fractional-symbol-overflow", "subcycle-stiffness-overflow",
              "symbol-times-dt-overflow", "subcycle-eps-power-overflow",
              "fast-diffusion-dx2-underflow", "fast-diffusion-floor-diagonal-overflow",
-             "fast-diffusion-dx2-overflow", "fast-diffusion-floor-slope-overflow"],
+             "fast-diffusion-dx2-overflow", "fast-diffusion-floor-slope-overflow",
+             "logistic-half-step-overflow"],
     )
     def test_config_runs_every_static_gate_at_construction(self, case, error):
         # each of these configs was built and failed only once a run began
@@ -738,6 +742,42 @@ class TestInitialConditions:
                               initial=ff.Indicator(0.0))
         with pytest.raises(error):
             ff.run(config)
+
+    def test_tiny_dx_and_dt_end_in_a_library_error(self):
+        # r = dt / dx^2 = 1.6e11 passes the grid gate, but the residual's
+        # rows divided by dx^2 = 6.25e-312 alone overflowed (a bare
+        # RuntimeWarning); scaled by r, the solver reports its own error
+        config = ff.RunConfig(L=1e-155, N=8, dispersal=ff.FastDiffusion(0.5), t_end=1e-299,
+                              dt=1e-300, initial=ff.Indicator(0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ff.FastFrontsError):
+                ff.run(config)
+
+    @pytest.mark.parametrize("L", [1e200, 1e300])
+    @pytest.mark.parametrize("initial", [ff.GaussianBump(), ff.Indicator(0.0)],
+                             ids=["gaussian", "indicator"])
+    @pytest.mark.parametrize("dispersal, error", [
+        (ff.StandardLaplacian(), None),
+        (ff.FractionalLaplacian(0.5), None),
+        (ff.Convolution(ff.StretchedExponential(0.5)), None),
+        (ff.Convolution(ff.AlgebraicTail(3.0)), None),
+        (ff.FastDiffusion(0.5), ff.ValidationFailed),  # dx^2 overflows
+        (ff.FractionalFastDiffusion(0.75, 0.8), None),
+    ], ids=["standard", "fractional", "stretched", "algebraic", "fast", "fractional-fast"])
+    def test_huge_box_runs_clean(self, dispersal, error, initial, L):
+        # the Gaussian's x^2 and the algebraic tail's |x|^p overflowed with a
+        # bare RuntimeWarning; the limits they take now, exp(-inf) = 0 and
+        # c / inf = 0, are exact
+        config = dict(L=L, N=8, dispersal=dispersal, t_end=0.02, initial=initial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if error is not None:
+                with pytest.raises(error):
+                    ff.RunConfig(**config)
+                return
+            trajectory = ff.run(ff.RunConfig(**config))
+        assert all(np.isfinite(f.values).all() for f in trajectory.fields)
 
     def test_config_holds_one_grid_and_pickles_without_it(self):
         # a sweep worker receives its config by pickle: the grid's arrays

@@ -3,6 +3,9 @@ RK4 oracle, flow composition and monotonicity, and the monostability
 validator's acceptance and rejection behavior.
 """
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,17 @@ class TestLogisticExact:
     def test_fixed_points(self):
         assert ff.logistic_exact_step(0.0, 3.7) == 0.0
         assert ff.logistic_exact_step(1.0, 3.7) == 1.0
+
+    def test_step_whose_exponential_overflows_is_out_of_range(self):
+        # e^1000 overflowed to inf, and the step returned [nan nan nan] with
+        # overflow warnings where the exact flow gives 0, 1, 1
+        with pytest.raises(ff.ParameterOutOfRange, match="overflows"):
+            ff.logistic_exact_step(np.array([0.0, 0.5, 1.0]), 1000.0)
+        # np.exp is finite up to log(largest float) and overflows at the next float
+        top = math.log(sys.float_info.max)
+        assert ff.logistic_exact_step(np.array([0.0, 0.5, 1.0]), top).tolist() == [0.0, 1.0, 1.0]
+        with pytest.raises(ff.ParameterOutOfRange, match="overflows"):
+            ff.logistic_exact_step(0.5, math.nextafter(top, math.inf))
 
     def test_half_life_value(self):
         # closed form at dt = ln 2: 0.5*2 / (0.5 + 0.5*2) = 2/3
