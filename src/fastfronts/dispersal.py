@@ -30,21 +30,23 @@ package the module imports, is imported for the stretched-exponential cell
 averages; the other operators and kernels never run a scipy __init__.
 
 Every Newton solve is one call, solve_banded(ab, b, floor), which solves in
-place with LAPACK's dgtsv from that wrapper directly. The floor system of
-a step, one _FloorLU per (gamma, eps_reg, dt / dx^2), holds the constant
-band column below the floor, the window margin and the LU factors of the
-floor matrix. A global solve whose Jacobian is that matrix outside the
-above-floor span reuses the factors: dgttrf on a block around the span and
-one dgttrs, bitwise dgtsv's result. On the fig1c body to t=1, 99 of the
-100 global solves take that path.
+place with LAPACK's dgtsv from that wrapper directly. The floor system of a
+step, one _FloorLU per (gamma, eps_reg, dt, dx), built once per key, is the
+one computation of r = dt / dx^2 and of the floor slope and its gate; it
+holds r, the constant band column below the floor, the window margin and the
+LU factors of the floor matrix. A global solve whose Jacobian is that matrix
+outside the above-floor span reuses the factors: dgttrf on a block around
+the span and one dgttrs, bitwise dgtsv's result. On the fig1c body to t=1,
+99 of the 100 global solves take that path.
 
 Each operator spec owns its gates on a run's grid, check(grid, dt,
 eps_reg), which RunConfig runs at construction: a normalized kernel's
 discrete mass, a fractional symbol's largest |m| * dt (_largest_m, which
 build_symbol runs too), the fractional fast diffusion's sub-cycle count,
 which fractional_fast_diffusion_step counts with the same call, and the
-fast diffusion's r = dt / dx^2 and floor diagonal, which
-fast_diffusion_step also checks at every call and scales its residual by.
+fast diffusion's floor system (r = dt / dx^2 and the floor band 2 r F),
+which fast_diffusion_step builds the same way at a new key and reuses,
+unchecked, at the key it holds.
 """
 
 from __future__ import annotations
@@ -345,21 +347,13 @@ class FastDiffusion:
             raise ParameterOutOfRange(f"fast-diffusion exponent gamma={self.gamma!r} not in (0,1]")
 
     def check(self, grid: Grid, dt: float, eps_reg: float) -> None:
-        """ValidationFailed unless the Newton step's r = dt / dx^2 is finite
-        and > 0 and the floor Jacobian's diagonal 1 + 2 F r is finite, with
-        F = _floor_slope(gamma, eps_reg): on a grid that passes its own
-        gates, dx^2 can still underflow to 0 or overflow, and F r can
-        overflow. A few float operations, which fast_diffusion_step makes at
-        every call."""
-        try:
-            r = dt / grid.dx**2
-        except (ZeroDivisionError, OverflowError):  # dx^2 underflows to 0 or overflows
-            r = math.nan
-        diagonal = 1.0 + 2.0 * _floor_slope(self.gamma, eps_reg) * r
-        if not (0 < r < math.inf and math.isfinite(diagonal)):
-            raise ValidationFailed(
-                f"the Newton step's r = dt / dx^2 = {r!r} (dt={dt!r}, dx={grid.dx!r}) and its "
-                f"floor diagonal 1 + 2 F r = {diagonal!r} must be finite, with r > 0")
+        """Builds the Newton step's floor system on grid, _FloorLU(gamma,
+        eps_reg, dt, grid), which is its gate: ValidationFailed unless r =
+        dt / dx^2 is finite and > 0 and the floor band 2 r F is finite. On a grid that passes
+        its own gates, dx^2 can still underflow to 0 or overflow, and 2 r F
+        can overflow. fast_diffusion_step builds the same system before any
+        work, once per key."""
+        _FloorLU(self.gamma, eps_reg, dt, grid)
 
 
 @dataclass(frozen=True)
@@ -511,46 +505,52 @@ def _pocketfft():
 
 
 class _FloorLU:
-    """The floor system of the Newton steps at one key (gamma, eps, r) on n
-    nodes, r = dt / dx^2, and the LU factors of its Jacobian, reused by the
-    global solves whose Jacobian is that one outside the above-floor span.
+    """The floor system of the Newton steps at one key (gamma, eps, dt, dx)
+    on a grid, and the LU factors of its Jacobian, reused by the global
+    solves whose Jacobian is that one outside the above-floor span. The one
+    computation of that system, and its gate, which FastDiffusion.check and
+    fast_diffusion_step both run by building it.
 
-    Built once per key: the floor slope F = _floor_slope(gamma, eps),
-    `scale` = (-r, 2r, -r) as a column, the band `column` = F * scale plus 1
-    on the diagonal, which every column below the floor holds, the diagonal
-    `ends` = 1 + r F of the two Neumann end rows, and the window `margin` M
-    = _window_margin(r F, n) (a solve takes it as at least 2). The factors are LAPACK dgttrf's of the floor
-    Jacobian, the diagonal of U in `d` and the multipliers in `dl`. They are
-    built at the second solve that asks for them, so a step that solves
-    globally once builds nothing. The Jacobian is column-diagonally
-    dominant, so no row is interchanged: U's superdiagonal is the matrix's
-    own, and `du2` (zeros) and `ipiv` (1, ..., n) record the trivial pivots.
+    Built once per key: r = dt / dx^2, the floor slope F =
+    _floor_slope(gamma, eps), `scale` = (-r, 2r, -r) as a column, the band
+    `column` = F * scale plus 1 on the diagonal, which every column below
+    the floor holds, the diagonal `ends` = 1 + r F of the two Neumann end
+    rows, and the window `margin` M = _window_margin(r F, n) (a solve takes
+    it as at least 2). ValidationFailed unless r is finite and > 0 and the
+    floor band 2 r F is finite, before any array is made. The floor band bounds every Jacobian
+    entry, since a node's slope d is at most F for gamma <= 1, so no band of
+    a step overflows. The factors are LAPACK dgttrf's of the floor Jacobian,
+    the diagonal of U in `d` and the multipliers in `dl`. They are built at
+    the second solve that asks for them, so a step that solves globally once
+    builds nothing. The Jacobian is column-diagonally dominant, so no row is
+    interchanged: U's superdiagonal is the matrix's own, and `du2` (zeros)
+    and `ipiv` (1, ..., n) record the trivial pivots.
 
     `solve_d` and `solve_dl` hold the factors that a solve passes to dgttrs.
     `held` = (top, bottom, tail) says what they hold now: the floor factors
     above row top, and from row bottom on the tail settled at the value
     tail (None: no tail), so a solve rewrites only the rows that change."""
 
-    __slots__ = ("key", "scale", "column", "ends", "margin", "asked", "d", "dl", "du2",
+    __slots__ = ("key", "r", "scale", "column", "ends", "margin", "asked", "d", "dl", "du2",
                  "ipiv", "solve_d", "solve_dl", "held")
 
-    def __init__(self, gamma: float, eps: float, r: float, n: int):
-        self.key = gamma, eps, r
+    def __init__(self, gamma: float, eps: float, dt: float, grid: Grid):
+        try:
+            r = float(dt) / grid.dx**2  # a numpy dt would warn, not raise
+        except (ZeroDivisionError, OverflowError):  # dx^2 underflows to 0 or overflows
+            r = math.nan
         slope = _floor_slope(gamma, eps)
+        band = 2.0 * r * slope  # Python floats: an overflow is inf, with no warning
+        if not (0 < r < math.inf and math.isfinite(band)):
+            raise ValidationFailed(f"Newton step needs a finite r = dt / dx^2 > 0 and floor band "
+                                   f"2 r F: r = {r!r} (dt={dt!r}, dx={grid.dx!r}), 2 r F={band!r}")
+        self.key, self.r = (gamma, eps, dt, grid.dx), r
         self.scale = np.array([[-r], [2.0 * r], [-r]])
         self.column = self.scale * slope
         self.column[1] += 1.0
         self.ends = 1.0 + r * slope
-        self.margin = _window_margin(r * slope, n)
-        self.asked = 0
-        self.d = None
-
-    @classmethod
-    def kept(cls, work: "NewtonWork", gamma: float, eps: float, r: float) -> "_FloorLU":
-        """work.floor when it is keyed (gamma, eps, r), else a new one kept there."""
-        if work.floor is None or work.floor.key != (gamma, eps, r):
-            work.floor = cls(gamma, eps, r, work.w.size)
-        return work.floor
+        self.margin = _window_margin(r * slope, grid.n)
+        self.asked, self.d = 0, None
 
     def _factor(self, n: int) -> bool:
         """Factor the floor Jacobian; False, keeping nothing, if it pivots."""
@@ -632,9 +632,9 @@ class NewtonWork:
     solve fills the band columns it solves on; a tridiagonal solve on
     columns [lo, hi) reads neither ab[0, lo] nor ab[2, hi - 1]. `floor` is
     the _FloorLU of the last step made with this work (None before any):
-    the floor system's band column, margin and LU factors at that step's
-    (gamma, eps_reg, dt / dx^2), which the next step at the same key
-    reuses."""
+    the floor system's r, band column, margin and LU factors at that
+    step's key (gamma, eps_reg, dt, dx), which the next step at the same
+    key reuses."""
 
     __slots__ = ("ab", "rhs", "p", "w", "d", "mask", "above", "floor")
 
@@ -652,7 +652,7 @@ def _floor_slope(gamma: float, eps: float) -> float:
     made by the ufuncs that make the slope above it, on one element; made
     once per (gamma, eps) and then read from the cache."""
     floor = np.full(1, eps)
-    with np.errstate(over="ignore"):  # an infinite slope fails FastDiffusion.check
+    with np.errstate(over="ignore"):  # an infinite slope fails the floor system's gate
         np.divide(np.power(floor, gamma), floor, out=floor)
     floor *= gamma
     return float(floor[0])
@@ -718,12 +718,12 @@ def _window_margin(c: float, n: int) -> int:
 def _newton_rhs(u: np.ndarray, u0: np.ndarray, w: np.ndarray, r: float,
                 rhs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Minus the Newton residual, ((r * Lap(w)) - u) + u0, on the rows
-    [lo, hi), into rhs, with r = dt / dx^2, the scale FastDiffusion.check
-    gates. Lap is the zero-flux second difference (w[i-1] - 2 w[i]) + w[i+1],
-    with w[1] - w[0] and w[-2] - w[-1] on the end rows; the rows are scaled
-    by r in one pass, so no 1 / dx^2 is formed. Every row takes the same
-    operations in the same order, so a range is bitwise the slice of the
-    global call (0, n)."""
+    [lo, hi), into rhs, with r = dt / dx^2, the scale the floor system
+    computes and gates. Lap is the zero-flux second difference
+    (w[i-1] - 2 w[i]) + w[i+1], with w[1] - w[0] and w[-2] - w[-1] on the
+    end rows; the rows are scaled by r in one pass, so no 1 / dx^2 is
+    formed. Every row takes the same operations in the same order, so a
+    range is bitwise the slice of the global call (0, n)."""
     a, b = max(lo, 1), min(hi, w.size - 1)
     inner = rhs[a:b]
     np.multiply(w[a:b], 2.0, out=inner)
@@ -816,19 +816,19 @@ def fast_diffusion_step(
 
     Homogeneous Neumann ends. The step solves u - r * Lap(w(u)) = u0 for the
     Kirchhoff potential w by Newton's method, with Lap the second difference
-    of w and r = dt / dx^2, the one scale that FastDiffusion.check gates: the
-    residual and the bands are scaled by r, and no 1 / dx^2 is formed on its
-    own (_newton_rhs). Each iterate evaluates w and its slope, taking a
-    power only on the span [first, end) from the first node at or above
-    eps_reg to the last one (a line and the constant floor slope
-    F = gamma * eps_reg^(gamma - 1) outside it; early in a run that span is a
-    small part of the box), then makes one tridiagonal direct solve with the
-    Jacobian at the current iterate. The iteration is driven until the
-    residual's max norm is at most 1e-13, which makes the step
-    order-preserving; if the iterate after max_iter solves is still above
-    it, the step raises SolverNotConverged instead of returning it, whatever
-    max_iter is. Discrete mass dx * sum(u) is conserved up to the iteration
-    residual.
+    of w and r = dt / dx^2, read from the step's floor system (_FloorLU, the
+    one place that computes it): the residual and the bands are scaled by r,
+    and no 1 / dx^2 is formed on its own (_newton_rhs). Each iterate
+    evaluates w and its slope, taking a power only on the span [first, end)
+    from the first node at or above eps_reg to the last one (a line and the
+    constant floor slope F = gamma * eps_reg^(gamma - 1) outside it; early
+    in a run that span is a small part of the box), then makes one
+    tridiagonal direct solve with the Jacobian at the current iterate. The
+    iteration is driven until the residual's max norm is at most 1e-13,
+    which makes the step order-preserving; if the iterate after max_iter
+    solves is still above it, the step raises SolverNotConverged instead of
+    returning it, whatever max_iter is. Discrete mass dx * sum(u) is
+    conserved up to the iteration residual.
 
     The first solve of a step runs on the whole grid. Below the floor the
     system is linear, so that solve settles it there, and each later solve
@@ -857,31 +857,33 @@ def fast_diffusion_step(
     `values` (one sample per node, read as float64) is never written; the
     step returns a new array. gamma must lie in (0, 1], dt and eps_reg must
     be finite and > 0 and max_iter an integer >= 1 (ParameterOutOfRange
-    otherwise). A NaN or infinite input raises ValidationFailed, and so
-    does a grid that fails FastDiffusion.check (r = dt / dx^2 or the floor
-    diagonal 1 + 2 F r not finite); every gate
-    runs before any work, and every update is checked to be finite, so the
-    solve scans nothing itself (a NaN or infinite update raises
-    SolverSingular, with `values` untouched). Each solve is one
+    otherwise). A NaN or infinite input raises ValidationFailed, and so does
+    a grid whose floor system fails its gate (r = dt / dx^2 or the floor
+    band 2 r F not finite), which the step builds before it makes any
+    NewtonWork, the check that FastDiffusion.check runs once for a run;
+    every gate runs before any work, and every update is checked to be
+    finite, so the solve scans nothing itself (a NaN or infinite update
+    raises SolverSingular, with `values` untouched). Each solve is one
     solve_banded call on views of the bands and the right-hand side, which
     it solves in place: LAPACK's dgtsv, where a zero pivot raises
     SolverSingular, or the floor factors below.
 
     Outside the span, the Jacobian of a global solve is the same floor
     matrix, tridiag(-c, 1 + 2c, -c) with Neumann ends, at every step of one
-    dt. work.floor, a _FloorLU keyed by (gamma, eps_reg, dt / dx^2), owns
-    that floor system: its band column, the scale (-r, 2r, -r) of the other
+    dt. work.floor, a _FloorLU keyed by (gamma, eps_reg, dt, dx), owns that
+    floor system: r, its band column, the scale (-r, 2r, -r) of the other
     columns, its end diagonal, M, and the LU factors of the matrix, built by
     dgttrf at the key's second global solve. Each later global solve
     refactors only the rows [first - 1, end + M) and solves with dgttrs:
     without row interchanges, which this column-diagonally dominant matrix
-    never needs, those two routines make dgtsv's operations in its order,
-    so the trajectory stays bitwise. A solve falls back to dgtsv for an
-    empty span or one at a box end, a block of n/4 rows or more, a pivot,
-    or a factor recurrence that has not settled inside the block; a step at
-    another dt (a landing step) keys a new floor system. So a call that
-    solves globally once factors nothing. On the fig1c body to t=1, 99 of
-    the 100 global solves reuse the factors; on the full preset to t=20,
+    never needs, those two routines make dgtsv's operations in its order, so
+    the trajectory stays bitwise. A solve falls back to dgtsv for an empty
+    span or one at a box end, a block of n/4 rows or more, a pivot, or a
+    factor recurrence that has not settled inside the block; a step at
+    another dt (a landing step) builds and gates a new floor system, and a
+    step at the key of work.floor reuses it and re-checks nothing. So a call
+    that solves globally once factors nothing. On the fig1c body to t=1, 99
+    of the 100 global solves reuse the factors; on the full preset to t=20,
     628 of the 2,000 do, until the span outgrows a quarter of the grid.
 
     Apart from the returned state, the step allocates nothing per Newton
@@ -890,22 +892,25 @@ def fast_diffusion_step(
     its own and uses it in the same way. Work that is not a NewtonWork
     raises ValidationFailed, and one for another node count LengthMismatch.
     """
-    spec = FastDiffusion(gamma)  # validates gamma's range
+    FastDiffusion(gamma)  # validates gamma's range
     u0 = _fast_state(values, grid, dt, eps_reg)
     _require_count("max_iter", max_iter)
-    spec.check(grid, dt, eps_reg)
+    if work is not None and not isinstance(work, NewtonWork):
+        raise ValidationFailed(f"Newton work must be a NewtonWork, got {type(work).__name__}")
+    if work is not None and work.w.size != grid.n:
+        raise LengthMismatch(f"Newton work for {work.w.size} nodes on a grid of {grid.n}")
+    floor = None if work is None else work.floor
+    if floor is None or floor.key != (gamma, eps_reg, dt, grid.dx):
+        # a new key's floor system, which is its gate, before any work is made
+        floor = _FloorLU(gamma, eps_reg, dt, grid)
     if work is None:
         work = NewtonWork(grid.n)
-    elif not isinstance(work, NewtonWork):
-        raise ValidationFailed(f"Newton work must be a NewtonWork, got {type(work).__name__}")
-    elif work.w.size != grid.n:
-        raise LengthMismatch(f"Newton work for {work.w.size} nodes on a grid of {grid.n}")
+    work.floor = floor
     u = u0.copy()
-    n, r = grid.n, dt / grid.dx**2
+    n, r = grid.n, floor.r
     ab, rhs = work.ab, work.rhs
     # band column j is d[j] * floor.scale plus 1 on the diagonal, so every
     # column below the floor is the floor system's constant floor.column
-    floor = _FloorLU.kept(work, gamma, eps_reg, r)
     lo, hi = 0, n  # iterate 0 and the first solve of a step are global
     # one residual more than solves, so the last iterate is always tested
     for solves in range(max_iter + 1):

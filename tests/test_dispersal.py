@@ -813,7 +813,8 @@ class TestWindowedNewton:
 
 def _newton_bands(n, c, first, end, rng, slopes=(0.05, 1.0)):
     """Bands of a Newton Jacobian with floor slope 1 and dt / dx^2 = c, and
-    its floor system, a new _FloorLU (gamma = 1 makes the floor slope 1):
+    its floor system, a new _FloorLU at dt = c on a grid of n nodes with
+    dx = 1 (gamma = 1 makes the floor slope 1):
     slope 1 outside the span [first, end), slopes drawn from `slopes` on
     it, and the Neumann end diagonals."""
     d = np.ones(n)
@@ -824,7 +825,7 @@ def _newton_bands(n, c, first, end, rng, slopes=(0.05, 1.0)):
     ab[1, 0], ab[1, -1] = 1.0 + c * d[0], 1.0 + c * d[-1]
     column = scale.copy()
     column[1] += 1.0
-    lu = _FloorLU(1.0, ff.EPS_REG, c, n)
+    lu = _FloorLU(1.0, ff.EPS_REG, c, ff.make_grid(n / 2, n))
     assert lu.column.tobytes() == column.tobytes() and lu.scale.tobytes() == scale.tobytes()
     assert (lu.ends, lu.margin) == (1.0 + c, _window_margin(c, n))
     return ab, lu
@@ -1287,6 +1288,37 @@ def test_fast_diffusion_step_gates_its_grid_before_any_work(L, monkeypatch):
     with pytest.raises(ff.ValidationFailed, match="dx"):
         ff.fast_diffusion_step(values, 0.5, 0.01, ff.make_grid(L, 8))
     assert np.all(values == 0.5)
+
+
+def test_floor_band_that_overflows_fails_before_any_work(monkeypatch):
+    # r = dt / dx^2 = 1e308 and 1 + 2 F r = 2e306 passed the gate on the
+    # floor diagonal, while the band's 2 r overflowed to inf: the step made
+    # its NewtonWork and raised SolverNotConverged after 40 solves. The
+    # floor system is the gate and is built before any NewtonWork
+    def no_work(*args, **kwargs):
+        raise AssertionError("the step started before its floor system's gate ran")
+
+    monkeypatch.setattr(ff.dispersal, "_kirchhoff", no_work)
+    monkeypatch.setattr(ff.dispersal, "NewtonWork", no_work)
+    with pytest.raises(ff.ValidationFailed, match=r"dt / dx\^2"):
+        ff.fast_diffusion_step(np.full(8, 0.5), 1e-10, 1.0, ff.make_grid(4e-154, 8))
+
+
+def test_run_checks_once_and_builds_one_floor_system_per_dt(monkeypatch):
+    # the step ran FastDiffusion.check at every call; RunConfig now runs it
+    # once, and a step builds the floor system only for a new dt
+    checks, built = [], []
+    check, init = ff.FastDiffusion.check, _FloorLU.__init__
+    monkeypatch.setattr(ff.FastDiffusion, "check",
+                        lambda self, *args: checks.append(args) or check(self, *args))
+    monkeypatch.setattr(_FloorLU, "__init__",
+                        lambda self, *args: built.append(args[2]) or init(self, *args))
+    # ten steps of 0.1 to t = 1, then a landing step of 0.05
+    config = ff.RunConfig(L=100.0, N=256, dispersal=ff.FastDiffusion(0.5), dt=0.1, t_end=1.05)
+    assert len(checks) == 1 and built == [0.1]
+    ff.run(config)
+    assert len(checks) == 1
+    assert [round(dt, 12) for dt in built] == [0.1, 0.1, 0.05]
 
 
 @pytest.mark.parametrize("name", list(FAST_STEPS))
