@@ -46,7 +46,8 @@ build_symbol runs too), the fractional fast diffusion's sub-cycle count,
 which fractional_fast_diffusion_step counts with the same call, and the
 fast diffusion's floor system (r = dt / dx^2 and the floor band 2 r F),
 which fast_diffusion_step builds the same way at a new key and reuses,
-unchecked, at the key it holds.
+unchecked, at the key it holds. eps_reg is gated (0 < eps_reg < inf) where
+it is used, in the floor system and in substep_count.
 """
 
 from __future__ import annotations
@@ -127,10 +128,33 @@ class StretchedExponential:
 
     @property
     def amplitude(self) -> float:
-        return self.b ** (1.0 / self.a) / (2.0 * math.gamma(1.0 + 1.0 / self.a))
+        """b^(1/a) / (2 Gamma(1 + 1/a)) where that is finite; elsewhere (b^(1/a)
+        or the Gamma function above the float range) exp of its logarithm,
+        which takes the IEEE limit 0 or inf when c is outside the range."""
+        try:
+            c = self.b ** (1.0 / self.a) / (2.0 * math.gamma(1.0 + 1.0 / self.a))
+        except OverflowError:
+            c = math.nan
+        with np.errstate(over="ignore"):  # exp(log c) above the float range is inf
+            return c if math.isfinite(c) else float(np.exp(self._log_amplitude()))
+
+    def _log_amplitude(self) -> float:
+        """log c = s ln b - lgamma(1 + s) - ln 2 with s = 1/a. Where lgamma
+        would overflow, Stirling's lgamma(1 + s) ~ s (ln s - 1) leaves log c
+        = +-inf by the sign of ln b + 1 - ln s."""
+        s = 1.0 / self.a  # inf for a subnormal a, with no error
+        if s < 1e305:
+            return s * math.log(self.b) - math.lgamma(1.0 + s) - math.log(2.0)
+        return math.copysign(math.inf, math.log(self.b) + 1.0 - math.log(s))
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.amplitude * np.exp(-self.b * np.abs(x) ** self.a)
+        """c * exp(-b |x|^a) where c is finite, and exp(log c - b |x|^a)
+        where it is not, so only a peak above the float range is inf; a
+        b |x|^a that overflows gives exp(-inf) = 0, the exact limit."""
+        c = self.amplitude
+        with np.errstate(over="ignore"):
+            decay = self.b * np.abs(x) ** self.a
+            return c * np.exp(-decay) if c < math.inf else np.exp(self._log_amplitude() - decay)
 
     def grid_samples(self, grid: Grid) -> np.ndarray:
         """Averages (1/dx) * integral of J over each cell [x_i - dx/2, x_i + dx/2].
@@ -348,8 +372,9 @@ class FastDiffusion:
 
     def check(self, grid: Grid, dt: float, eps_reg: float) -> None:
         """Builds the Newton step's floor system on grid, _FloorLU(gamma,
-        eps_reg, dt, grid), which is its gate: ValidationFailed unless r =
-        dt / dx^2 is finite and > 0 and the floor band 2 r F is finite. On a grid that passes
+        eps_reg, dt, grid), which is its gate: ParameterOutOfRange unless
+        0 < eps_reg < inf, ValidationFailed unless r = dt / dx^2 is finite
+        and > 0 and the floor band 2 r F is finite. On a grid that passes
         its own gates, dx^2 can still underflow to 0 or overflow, and 2 r F
         can overflow. fast_diffusion_step builds the same system before any
         work, once per key."""
@@ -516,8 +541,9 @@ class _FloorLU:
     `column` = F * scale plus 1 on the diagonal, which every column below
     the floor holds, the diagonal `ends` = 1 + r F of the two Neumann end
     rows, and the window `margin` M = _window_margin(r F, n) (a solve takes
-    it as at least 2). ValidationFailed unless r is finite and > 0 and the
-    floor band 2 r F is finite, before any array is made. The floor band bounds every Jacobian
+    it as at least 2). ParameterOutOfRange unless 0 < eps < inf,
+    ValidationFailed unless r is finite and > 0 and the floor band 2 r F is
+    finite, before any array is made. The floor band bounds every Jacobian
     entry, since a node's slope d is at most F for gamma <= 1, so no band of
     a step overflows. The factors are LAPACK dgttrf's of the floor Jacobian,
     the diagonal of U in `d` and the multipliers in `dl`. They are built at
@@ -535,6 +561,8 @@ class _FloorLU:
                  "ipiv", "solve_d", "solve_dl", "held")
 
     def __init__(self, gamma: float, eps: float, dt: float, grid: Grid):
+        if not 0 < eps < math.inf:
+            raise ParameterOutOfRange(f"eps_reg must be finite and > 0, got {eps!r}")
         try:
             r = float(dt) / grid.dx**2  # a numpy dt would warn, not raise
         except (ZeroDivisionError, OverflowError):  # dx^2 underflows to 0 or overflows
@@ -790,12 +818,10 @@ def check_step(values, grid: Grid, dt: float) -> None:
         raise LengthMismatch(f"{np.shape(values)} values for a grid of {grid.n} nodes")
 
 
-def _fast_state(values, grid: Grid, dt: float, eps_reg: float) -> np.ndarray:
-    """check_step, the eps_reg gate and a finiteness gate (ValidationFailed);
-    returns the values as float64, the input itself when it already is."""
+def _fast_state(values, grid: Grid, dt: float) -> np.ndarray:
+    """check_step and a finiteness gate (ValidationFailed); returns the
+    values as float64, the input itself when it already is."""
     check_step(values, grid, dt)
-    if not 0 < eps_reg < math.inf:
-        raise ParameterOutOfRange(f"eps_reg must be finite and > 0, got {eps_reg!r}")
     u0 = np.asarray(values, dtype=np.float64)
     if not np.isfinite(u0).all():
         raise ValidationFailed("state holds a NaN or an infinite value")
@@ -893,7 +919,7 @@ def fast_diffusion_step(
     raises ValidationFailed, and one for another node count LengthMismatch.
     """
     FastDiffusion(gamma)  # validates gamma's range
-    u0 = _fast_state(values, grid, dt, eps_reg)
+    u0 = _fast_state(values, grid, dt)
     _require_count("max_iter", max_iter)
     if work is not None and not isinstance(work, NewtonWork):
         raise ValidationFailed(f"Newton work must be a NewtonWork, got {type(work).__name__}")
@@ -989,7 +1015,10 @@ def substep_count(largest_m: float, gamma: float, dt: float, eps_reg: float) -> 
     fractional_fast_diffusion_step make the same call,
     substep_count(_largest_m(alpha, grid, dt), gamma, dt, eps_reg), so a
     step counts exactly what the run's gate counted. The count grows with
-    dt, so the gate at the run's dt bounds every step of the run."""
+    dt, so the gate at the run's dt bounds every step of the run.
+    ParameterOutOfRange unless 0 < eps_reg < inf, tested first."""
+    if not 0 < eps_reg < math.inf:
+        raise ParameterOutOfRange(f"eps_reg must be finite and > 0, got {eps_reg!r}")
     try:
         stiffness = largest_m * gamma * eps_reg ** (gamma - 1.0)
     except OverflowError:  # eps_reg ** (gamma - 1) above the float range
@@ -1048,7 +1077,7 @@ def fractional_fast_diffusion_step(
     at set-up.
     """
     spec = FractionalFastDiffusion(alpha, gamma)  # validates the parameter gate
-    u0 = _fast_state(values, grid, dt, eps_reg)
+    u0 = _fast_state(values, grid, dt)
     n_sub = substep_count(_largest_m(spec.alpha, grid, dt), gamma, dt, eps_reg)
     m = build_symbol(FractionalLaplacian(spec.alpha), grid)
     a, b = _packed_multiplier((dt / n_sub) * m)

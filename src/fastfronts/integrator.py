@@ -79,8 +79,8 @@ class GaussianBump:
     width: float = 100.0
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValidationFailed(f"gaussian width must be > 0, got {self.width!r}")
+        if not 0 < self.width < math.inf:
+            raise ValidationFailed(f"gaussian width must be finite and > 0, got {self.width!r}")
 
     def check(self, grid: Grid) -> None:
         """Fits every grid."""

@@ -97,12 +97,13 @@ def logistic_exact_step(u, dt: float, out=None):
     `out` a new value is returned and `u` is left unchanged; with `out` (an
     array, which may be `u` itself) the result is written there. Both forms
     use one scratch array and the order (u*e) / ((1-u) + u*e), so they agree
-    bitwise. A dt whose e^dt overflows (dt above log of the largest float,
-    709.78...) raises ParameterOutOfRange, tested on the scalar before any
-    array work.
+    bitwise. ParameterOutOfRange unless 0 <= dt <= log of the largest float
+    (709.78..., above which e^dt overflows; a NaN fails), one scalar
+    comparison before any array work.
     """
-    if dt > _LOG_MAX:
-        raise ParameterOutOfRange(f"logistic step e^dt overflows at dt={dt!r} > {_LOG_MAX!r}")
+    if not 0 <= dt <= _LOG_MAX:
+        raise ParameterOutOfRange(f"logistic step needs 0 <= dt <= {_LOG_MAX!r} (e^dt overflows "
+                                  f"above it), got dt={dt!r}")
     e = np.exp(dt)
     den = np.subtract(1.0, u)
     out = np.multiply(u, e, out=out)
@@ -112,7 +113,10 @@ def logistic_exact_step(u, dt: float, out=None):
 
 
 def rk4_reaction_step(values, f, dt: float):
-    """One classical 4th-order update of u_t = f(u) per node (not clamped)."""
+    """One classical 4th-order update of u_t = f(u) per node (not clamped).
+    ParameterOutOfRange unless 0 <= dt < inf (a NaN fails)."""
+    if not 0 <= dt < math.inf:
+        raise ParameterOutOfRange(f"RK4 reaction step needs a finite dt >= 0, got {dt!r}")
     k1 = f(values)
     k2 = f(values + 0.5 * dt * k1)
     k3 = f(values + 0.5 * dt * k2)

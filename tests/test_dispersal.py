@@ -5,7 +5,10 @@ independent dense solves.
 """
 
 import inspect
+import math
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +130,25 @@ class TestKernels:
             ff.AlgebraicTail(2.0)
         with pytest.raises(ff.ParameterOutOfRange):
             ff.AlgebraicTail(float("inf"))  # amplitude inf * sin(0) would be NaN
+
+    @pytest.mark.parametrize("a, b", [(0.001, 1.0), (0.5, 1e300), (0.005, 1000.0)])
+    def test_amplitude_beyond_the_float_range_of_its_factors(self, a, b):
+        # math.gamma(1001) and 1e300 ** 2 raised a bare OverflowError; c is
+        # now 0, inf or (for 1000^200 / (2 * 200!), whose factors overflow)
+        # finite, from its logarithm, and evaluate is 0 wherever c exp(-b
+        # |x|^a) underflows
+        kernel = ff.StretchedExponential(a, b)
+        s = round(1.0 / a)
+        exact = Fraction(round(b) ** s, 2 * math.factorial(s))
+        c = math.inf if exact > sys.float_info.max else float(exact)
+        assert kernel.amplitude == pytest.approx(c, rel=1e-12)
+        assert kernel.evaluate(np.array([0.0, 1.0, 1e300])).tolist() == [kernel.amplitude, 0.0, 0.0]
+
+    def test_finite_amplitude_keeps_the_closed_form_bitwise(self):
+        x = ff.make_grid(50.0, 64).x
+        kernel = ff.StretchedExponential(0.5)
+        assert kernel.amplitude == 0.25
+        assert kernel.evaluate(x).tobytes() == (0.25 * np.exp(-1.0 * np.abs(x) ** 0.5)).tobytes()
 
     def test_algebraic_analytic_mass(self):
         kernel = ff.AlgebraicTail(4.0)
@@ -1319,6 +1341,17 @@ def test_run_checks_once_and_builds_one_floor_system_per_dt(monkeypatch):
     ff.run(config)
     assert len(checks) == 1
     assert [round(dt, 12) for dt in built] == [0.1, 0.1, 0.05]
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-8])
+@pytest.mark.parametrize("spec", [ff.FastDiffusion(0.5), ff.FractionalFastDiffusion(0.75, 0.8)],
+                         ids=["fast", "fractional-fast"])
+def test_spec_check_gates_eps_reg(spec, eps):
+    # FastDiffusion.check stopped at a bare RuntimeWarning (divide at 0,
+    # power at -1e-8), FractionalFastDiffusion.check at a bare
+    # ZeroDivisionError or TypeError (a complex power)
+    with pytest.raises(ff.ParameterOutOfRange, match="eps_reg"):
+        spec.check(ff.make_grid(50.0, 64), 0.01, eps)
 
 
 @pytest.mark.parametrize("name", list(FAST_STEPS))

@@ -286,6 +286,37 @@ def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, 
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "make, lines",
+    [
+        (lambda: ff.RunConfig(L=4e-154, N=8, dispersal=ff.FastDiffusion(1e-10), dt=1.0, t_end=1.0,
+                              initial=ff.Indicator(0.0), reaction=None),
+         "dispersal.variant = fast_diffusion\ndispersal.gamma = 1e-10\ngrid.L = 4e-154\n"
+         "grid.N = 8\ntime.dt = 1\ntime.t_end = 1\ninitial.kind = indicator\n"
+         "reaction.variant = none"),
+        (lambda: ff.RunConfig(**_BASE, initial=ff.GaussianBump(_INF)),
+         "grid.L = 50\ngrid.N = 64\ninitial.width = inf"),
+    ],
+    ids=["fast-diffusion-floor-band-overflow", "gaussian-width-inf"],
+)
+def test_run_that_failed_after_out_was_made_fails_before_it(make, lines, tmp_path, capsys):
+    """The fast diffusion passed the gate on its floor diagonal 1 + 2 F r =
+    2e306, while its band's 2 r overflowed to inf, and ended in
+    SolverNotConverged; the Gaussian of infinite width, the flat datum 1,
+    breached the guard at t = 0. Both after `--out` was made. The
+    dataclass, the document and the CLI's run verb now end in
+    ValidationFailed before any directory is made."""
+    with pytest.raises(ff.ValidationFailed):
+        make()
+    text = f"{MINIMAL}{lines}\n"
+    with pytest.raises(ff.ValidationFailed):
+        ff.parse_config_text(text)
+    (tmp_path / "doc.cfg").write_text(text)
+    assert main(["run", str(tmp_path / "doc.cfg"), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error ValidationFailed: ")
+    assert not (tmp_path / "out").exists()
+
+
 def _record_writers(mp) -> list:
     """Wrap the `_start_helper` seam through `mp`; returns the list of the
     writer processes it starts."""

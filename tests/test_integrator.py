@@ -779,6 +779,14 @@ class TestInitialConditions:
             trajectory = ff.run(ff.RunConfig(**config))
         assert all(np.isfinite(f.values).all() for f in trajectory.fields)
 
+    @pytest.mark.parametrize("width", [float("inf"), 0.0, float("nan")])
+    def test_gaussian_width_must_be_finite_and_positive(self, width):
+        # an infinite width passed the gate `width > 0`: at L = 1e200 the
+        # run stopped at a bare RuntimeWarning (x^2 / width = inf / inf)
+        with pytest.raises(ff.ValidationFailed, match="width"):
+            ff.run(ff.RunConfig(L=1e200, N=8, dispersal=ff.StandardLaplacian(), t_end=0.02,
+                                initial=ff.GaussianBump(width)))
+
     def test_config_holds_one_grid_and_pickles_without_it(self):
         # a sweep worker receives its config by pickle: the grid's arrays
         # stay behind and the copy rebuilds them, read-only

@@ -41,6 +41,13 @@ class TestLogisticExact:
         with pytest.raises(ff.ParameterOutOfRange, match="overflows"):
             ff.logistic_exact_step(0.5, math.nextafter(top, math.inf))
 
+    @pytest.mark.parametrize("dt", [math.nan, -1000.0, -math.inf])
+    def test_step_outside_zero_to_the_overflow_bound_is_out_of_range(self, dt):
+        # a NaN dt returned [nan nan nan] silently; dt = -1000 stopped at a
+        # bare RuntimeWarning in the division
+        with pytest.raises(ff.ParameterOutOfRange):
+            ff.logistic_exact_step(np.array([0.0, 0.5, 1.0]), dt)
+
     def test_half_life_value(self):
         # closed form at dt = ln 2: 0.5*2 / (0.5 + 0.5*2) = 2/3
         got = ff.logistic_exact_step(0.5, np.log(2.0))
@@ -101,6 +108,13 @@ class TestRk4Step:
         out = ff.rk4_reaction_step(vals, ff.KppLogistic().f, 0.1)
         exact = ff.logistic_exact_step(vals, 0.1)
         assert np.max(np.abs(out - exact)) < 1e-8
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -0.1])
+    def test_dt_that_is_not_finite_and_nonnegative_is_out_of_range(self, dt):
+        # a NaN dt returned NaN silently, and dt = inf stopped at a bare
+        # RuntimeWarning in the multiply
+        with pytest.raises(ff.ParameterOutOfRange):
+            ff.rk4_reaction_step(np.array([0.0, 0.5, 1.0]), ff.KppLogistic().f, dt)
 
     def test_endpoints_fixed_for_validated_f(self):
         g = ff.make_grid(10.0, 8)
