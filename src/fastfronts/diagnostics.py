@@ -292,7 +292,7 @@ def build_report(traj) -> DiagnosticsReport:
     """
     cfg = traj.config
     levels = tuple(sorted(set(_CANONICAL_LEVELS).union(cfg.lambdas)))
-    pair = tuple(cfg.stretch_pair)
+    pair = cfg.stretch_pair
     scanned = set(levels).union(pair, (cfg.flat_level,))
 
     report = DiagnosticsReport(stretch_pair=pair, levels=levels)

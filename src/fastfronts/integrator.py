@@ -162,20 +162,21 @@ _REAL_FIELDS = ("L", "t_end", "dt", "guard_threshold", "eps_reg", "seam_margin_f
                 "flat_level", "flat_radius")
 
 
-def _require_real(name: str, value) -> None:
-    """ValidationFailed unless value is a real number (a numpy scalar is one)."""
+def _real(name: str, value) -> float:
+    """value as a Python float; ValidationFailed unless it is a real number
+    (a numpy scalar is one)."""
     if not isinstance(value, numbers.Real):
         raise ValidationFailed(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
-def _require_reals(name: str, values) -> None:
-    """ValidationFailed unless values is a sequence of real numbers."""
+def _reals(name: str, values) -> tuple:
+    """values as a tuple of Python floats; ValidationFailed unless it is a
+    sequence of real numbers."""
     try:
-        items = tuple(values)
+        return tuple(_real(f"each of {name}", value) for value in values)
     except TypeError:
         raise ValidationFailed(f"{name} must be a sequence of numbers, got {values!r}") from None
-    for value in items:
-        _require_real(f"each of {name}", value)
 
 
 @dataclass(frozen=True)
@@ -214,10 +215,12 @@ class RunConfig:
     flat_radius: float = 5.0
 
     def __post_init__(self):
+        # every gate below, and every spec's check, reads Python floats: a
+        # numpy scalar would overflow with a warning where a float gives inf
         for name in _REAL_FIELDS:
-            _require_real(name, getattr(self, name))
-        _require_reals("lambdas", self.lambdas)
-        _require_reals("stretch_pair", self.stretch_pair)
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        for name in ("lambdas", "stretch_pair"):
+            object.__setattr__(self, name, _reals(name, getattr(self, name)))
         if not isinstance(self.dispersal, DispersalSpec):
             raise ValidationFailed(f"dispersal {self.dispersal!r} is not a fastfronts spec")
         if not isinstance(self.reaction, Optional[ReactionSpec]):
@@ -241,7 +244,7 @@ class RunConfig:
             raise ValidationFailed(
                 f"flat radius must be finite and >= 0, got {self.flat_radius!r}"
             )
-        pair = tuple(self.stretch_pair)
+        pair = self.stretch_pair
         if not (len(pair) == 2 and 0 < pair[0] < pair[1] < 1):
             raise ValidationFailed(f"stretch pair must satisfy 0 < a < b < 1, got {pair!r}")
         if not (0.0 < self.guard_threshold < 0.5):
@@ -254,8 +257,7 @@ class RunConfig:
             if not (0.0 < lam < 1.0):
                 raise ValidationFailed(f"diagnostic level {lam!r} not in (0, 1)")
         if self.snapshot_times is not None:
-            _require_reals("snapshot_times", self.snapshot_times)
-            times = tuple(float(t) for t in self.snapshot_times)
+            times = _reals("snapshot_times", self.snapshot_times)
             if not times:
                 raise ValidationFailed("snapshot times must not be empty")
             # written so that a NaN time fails the test too
@@ -290,7 +292,7 @@ class RunConfig:
             return self.snapshot_times
         whole = [float(t) for t in range(int(math.floor(self.t_end)) + 1)]
         if not whole or whole[-1] < self.t_end:
-            whole.append(float(self.t_end))
+            whole.append(self.t_end)
         return tuple(whole)
 
 

@@ -204,117 +204,32 @@ def test_invalid_input_ends_in_library_error(case, error):
             ff.run(ff.RunConfig(**{**_BASE, **case}))
 
 
-@pytest.mark.parametrize(
-    "make, lines, error",
-    [
-        (lambda: ff.Indicator(_NAN), "initial.kind = indicator\ninitial.position = nan",
-         ff.ValidationFailed),
-        (lambda: ff.Indicator(-_INF), "initial.kind = indicator\ninitial.position = -inf",
-         ff.ValidationFailed),
-        (lambda: ff.StretchedExponential(0.5, b=_INF),
-         "dispersal.variant = convolution\ndispersal.kernel_b = inf", ff.ParameterOutOfRange),
-        (lambda: ff.RunConfig(**_BASE, flat_radius=_INF), "diagnostics.flat_radius = inf",
-         ff.ValidationFailed),
-        (lambda: ff.RunConfig(**{**_BASE, "N": 100}), "grid.N = 100", ff.NotPowerOfTwo),
-        (lambda: ff.RunConfig(**{**_BASE, "N": 2**31}), "grid.N = 2147483648",
-         ff.ValidationFailed),
-        (lambda: ff.RunConfig(**_BASE, initial=ff.TabulatedInitial((0.5,) * 3)),
-         "initial.kind = tabulated\ninitial.file = {table}", ff.ValidationFailed),
-        (lambda: ff.RunConfig(**{**_BASE, "L": 1e308}), "grid.L = 1e308", ff.ValidationFailed),
-        (lambda: ff.RunConfig(**_BASE, dt=1e-16, snapshot_times=(0.0,)),
-         "time.dt = 1e-16\ntime.snapshots = 0", ff.ValidationFailed),
-        (lambda: ff.RunConfig(**{**_BASE, "L": 1e-310, "N": 8}), "grid.L = 1e-310\ngrid.N = 8",
-         ff.ValidationFailed),
-        (lambda: ff.RunConfig(**{**_BASE, "t_end": 1e12}, dt=1e-3),
-         "grid.L = 50\ngrid.N = 64\ntime.t_end = 1e12\ntime.dt = 0.001", ff.ValidationFailed),
-        (lambda: ff.RunConfig(**{**_BASE, "L": 1e-300, "N": 8,
-                                 "dispersal": ff.FractionalLaplacian(0.5)}),
-         "dispersal.variant = fractional_laplacian\ndispersal.alpha = 0.5\n"
-         "grid.L = 1e-300\ngrid.N = 8", ff.ValidationFailed),
-        (lambda: ff.RunConfig(**{**_BASE, "L": 1e-160, "N": 8,
-                                 "dispersal": ff.FractionalFastDiffusion(0.75, 0.8)}),
-         "dispersal.variant = fractional_fast_diffusion\ndispersal.alpha = 0.75\n"
-         "dispersal.gamma = 0.8\ngrid.L = 1e-160\ngrid.N = 8", ff.ValidationFailed),
-        (lambda: ff.RunConfig(**{**_BASE, "L": 1e-300, "N": 8, "t_end": 0.02,
-                                 "dispersal": ff.FastDiffusion(0.5)}, initial=ff.Indicator(0.0)),
-         "dispersal.variant = fast_diffusion\ndispersal.gamma = 0.5\ngrid.L = 1e-300\n"
-         "grid.N = 8\ntime.t_end = 0.02\ninitial.kind = indicator", ff.ValidationFailed),
-        (lambda: ff.RunConfig(**{**_BASE, "L": 1e-153, "N": 8, "t_end": 0.02,
-                                 "dispersal": ff.FastDiffusion(0.5)}, initial=ff.Indicator(0.0)),
-         "dispersal.variant = fast_diffusion\ndispersal.gamma = 0.5\ngrid.L = 1e-153\n"
-         "grid.N = 8\ntime.t_end = 0.02\ninitial.kind = indicator", ff.ValidationFailed),
-        (lambda: ff.RunConfig(**{**_BASE, "t_end": 2000.0}, dt=2000.0,
-                              snapshot_times=(0.0, 2000.0)),
-         "grid.L = 50\ngrid.N = 64\ntime.dt = 2000\ntime.t_end = 2000\ntime.snapshots = 0,2000",
-         ff.ValidationFailed),
-    ],
-    ids=["indicator-nan", "indicator-minus-inf", "kernel_b-inf", "flat_radius-inf",
-         "N-not-a-power-of-two", "N-above-bound", "initial-three-samples",
-         "L-width-overflow", "steps-above-2-53", "L-subnormal", "snapshots-above-bound",
-         "symbol-overflow", "subcycle-stiffness-overflow", "fast-diffusion-dx2-underflow",
-         "fast-diffusion-floor-diagonal-overflow", "logistic-half-step-overflow"],
-)
-def test_nonfinite_parameter_fails_before_the_run(make, lines, error, tmp_path, capsys):
-    """Unchecked, each of the first four runs clean: an all-zero run, a run
-    without dispersal, or NaN flatness columns; the grid, initial-data and
-    step-count cases failed only once the run began, after `--out` was
-    made (the width overflow as a NaN state, the step count more than 2**53
-    steps as a bare MemoryError or OverflowError, a subnormal half-length
-    as a breach at t = 0, and 10^12 default snapshots as a bare
-    MemoryError). A symbol whose largest |m| overflows was accepted and
-    then warned at the symbol (a bare RuntimeWarning under -W error); the
-    sub-cycle count of one raised a bare OverflowError. A fast diffusion
-    whose dx^2 underflows to 0 raised a bare ZeroDivisionError at its first
-    step, and one whose floor diagonal 1 + 2 F dt / dx^2 overflows warned
-    (a bare RuntimeWarning under -W error). A logistic step of dt = 2000
-    overflowed its half step's e^(dt/2) and ended in a NaN state after
-    --out was made. The
-    dataclass, the document and the CLI's run and properties verbs must all
-    end in the same error category, before any directory is made."""
-    with pytest.raises(error):
-        make()
-    (tmp_path / "u0.txt").write_text("0.5\n" * 3)
-    lines = lines.format(table=tmp_path / "u0.txt")
-    # the case's lines come last, so they override every line of MINIMAL
-    text = f"{MINIMAL.replace('grid.N = 8192', 'grid.N = 256')}{lines}\n"
+# The table of rejected documents, one input each: a document's first line
+# names the error class it ends in (`# error ValidationFailed`), and a data
+# file that it names sits beside it. The CI step "Reject every document of
+# tests/rejected" runs the same files through the console script.
+REJECTED = Path(__file__).resolve().parent / "rejected"
+REJECTED_DOCS = sorted(REJECTED.glob("*.cfg"))
+
+
+@pytest.mark.parametrize("doc", REJECTED_DOCS, ids=[doc.stem for doc in REJECTED_DOCS])
+def test_nonfinite_parameter_fails_before_the_run(doc, tmp_path, capsys, monkeypatch):
+    """Each of these inputs once ran clean to a wrong answer, or failed only
+    after `--out` was made; the comment under each document's first line
+    says how. The document and the CLI's run and properties verbs must all
+    end in the named error class, before any directory is made."""
+    text = doc.read_text()
+    header = re.fullmatch(r"# error (\w+)", text.splitlines()[0])
+    assert header, f"{doc.name} must open with `# error <Category>`"
+    error = getattr(ff, header.group(1))
+    assert issubclass(error, ff.FastFrontsError)
+    monkeypatch.chdir(REJECTED)  # a document names its data files by their bare names
     with pytest.raises(error):
         ff.parse_config_text(text)
-    (tmp_path / "doc.cfg").write_text(text)
     for verb in ("run", "properties"):
-        assert main([verb, str(tmp_path / "doc.cfg"), "--out", str(tmp_path / "out")]) == 1
+        assert main([verb, str(doc), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error {error.__name__}: ")
         assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize(
-    "make, lines",
-    [
-        (lambda: ff.RunConfig(L=4e-154, N=8, dispersal=ff.FastDiffusion(1e-10), dt=1.0, t_end=1.0,
-                              initial=ff.Indicator(0.0), reaction=None),
-         "dispersal.variant = fast_diffusion\ndispersal.gamma = 1e-10\ngrid.L = 4e-154\n"
-         "grid.N = 8\ntime.dt = 1\ntime.t_end = 1\ninitial.kind = indicator\n"
-         "reaction.variant = none"),
-        (lambda: ff.RunConfig(**_BASE, initial=ff.GaussianBump(_INF)),
-         "grid.L = 50\ngrid.N = 64\ninitial.width = inf"),
-    ],
-    ids=["fast-diffusion-floor-band-overflow", "gaussian-width-inf"],
-)
-def test_run_that_failed_after_out_was_made_fails_before_it(make, lines, tmp_path, capsys):
-    """The fast diffusion passed the gate on its floor diagonal 1 + 2 F r =
-    2e306, while its band's 2 r overflowed to inf, and ended in
-    SolverNotConverged; the Gaussian of infinite width, the flat datum 1,
-    breached the guard at t = 0. Both after `--out` was made. The
-    dataclass, the document and the CLI's run verb now end in
-    ValidationFailed before any directory is made."""
-    with pytest.raises(ff.ValidationFailed):
-        make()
-    text = f"{MINIMAL}{lines}\n"
-    with pytest.raises(ff.ValidationFailed):
-        ff.parse_config_text(text)
-    (tmp_path / "doc.cfg").write_text(text)
-    assert main(["run", str(tmp_path / "doc.cfg"), "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err.startswith("error ValidationFailed: ")
-    assert not (tmp_path / "out").exists()
 
 
 def _record_writers(mp) -> list:

@@ -691,44 +691,33 @@ class TestInitialConditions:
     @pytest.mark.parametrize(
         "case, error",
         [(dict(L=-5.0, N=100), ff.NotPowerOfTwo), (dict(L=-5.0), ff.NonPositiveLength),
-         (dict(N=2**31), ff.ValidationFailed),
-         (dict(initial=ff.TabulatedInitial((0.5,) * 3)), ff.ValidationFailed),
          (dict(reaction=ff.CustomMonostable(lambda u: u * (1.0 - u) * (u - 0.3))),
           ff.NotMonostable),
-         (dict(L=1e308), ff.ValidationFailed),
-         (dict(t_end=1e300, dt=1e-10, snapshot_times=(0.0,)), ff.ValidationFailed),
-         (dict(L=1e-310, N=8), ff.ValidationFailed),
-         (dict(L=50.0, N=64, t_end=1e12, dt=1e-3), ff.ValidationFailed),
+         (dict(L=50.0, N=64, t_end=1e300, dt=np.float64(1e-10), snapshot_times=(0.0,)),
+          ff.ValidationFailed),
          (dict(L=1e-300, N=8, t_end=0.02), ff.ValidationFailed),
-         (dict(L=1e-300, N=8, t_end=0.02, dispersal=ff.FractionalLaplacian(0.5)),
-          ff.ValidationFailed),
-         (dict(L=1e-160, N=8, t_end=0.02, dispersal=ff.FractionalFastDiffusion(0.75, 0.8)),
-          ff.ValidationFailed),
          (dict(L=1e-100, N=8, t_end=1e120, dt=1e120, snapshot_times=(0.0,)),
+          ff.ValidationFailed),
+         (dict(L=1e-100, N=8, dispersal=ff.FractionalFastDiffusion(0.75, 0.8), dt=np.float64(1e160),
+               t_end=1e160, snapshot_times=(0.0, 1e160), initial=ff.Indicator(0.0), reaction=None),
           ff.ValidationFailed),
          (dict(dispersal=ff.FractionalFastDiffusion(0.99, 0.02), eps_reg=5e-324),
           ff.ParameterOutOfRange),
-         (dict(L=1e-300, N=8, t_end=0.02, dispersal=ff.FastDiffusion(0.5),
-               initial=ff.Indicator(0.0)), ff.ValidationFailed),
-         (dict(L=1e-153, N=8, t_end=0.02, dispersal=ff.FastDiffusion(0.5),
-               initial=ff.Indicator(0.0)), ff.ValidationFailed),
          (dict(L=1e200, N=8, t_end=0.02, dispersal=ff.FastDiffusion(0.5),
                initial=ff.Indicator(0.0)), ff.ValidationFailed),
          (dict(t_end=0.02, dispersal=ff.FastDiffusion(0.02), eps_reg=5e-324,
-               initial=ff.Indicator(0.0)), ff.ValidationFailed),
-         (dict(L=50.0, N=64, t_end=2000.0, dt=2000.0, snapshot_times=(0.0, 2000.0)),
-          ff.ValidationFailed)],
-        ids=["L-and-N", "L-negative", "N-above-bound", "initial-three-samples",
-             "reaction-not-monostable", "L-width-overflow", "steps-above-2-53",
-             "L-subnormal", "snapshots-above-bound", "classical-symbol-overflow",
-             "fractional-symbol-overflow", "subcycle-stiffness-overflow",
-             "symbol-times-dt-overflow", "subcycle-eps-power-overflow",
-             "fast-diffusion-dx2-underflow", "fast-diffusion-floor-diagonal-overflow",
-             "fast-diffusion-dx2-overflow", "fast-diffusion-floor-slope-overflow",
-             "logistic-half-step-overflow"],
+               initial=ff.Indicator(0.0)), ff.ValidationFailed)],
+        ids=["L-and-N", "L-negative", "reaction-not-monostable", "steps-above-2-53-numpy-dt",
+             "classical-symbol-overflow", "symbol-times-dt-overflow",
+             "fractional-fast-symbol-times-numpy-dt-overflow", "subcycle-eps-power-overflow",
+             "fast-diffusion-dx2-overflow", "fast-diffusion-floor-slope-overflow"],
     )
     def test_config_runs_every_static_gate_at_construction(self, case, error):
-        # each of these configs was built and failed only once a run began
+        # each of these configs was built and failed only once a run began;
+        # the two numpy-scalar dt cases stopped at a bare RuntimeWarning
+        # (numpy's overflow in t_end / dt and in |m| * dt) where their Python
+        # float forms, documents of tests/rejected, end in ValidationFailed.
+        # A config that a document of that table restates is tested there only
         with pytest.raises(error):
             ff.RunConfig(**{**dict(L=10.0, N=16, dispersal=ff.StandardLaplacian(), t_end=1.0),
                             **case})
@@ -761,14 +750,17 @@ class TestInitialConditions:
         (ff.StandardLaplacian(), None),
         (ff.FractionalLaplacian(0.5), None),
         (ff.Convolution(ff.StretchedExponential(0.5)), None),
+        (ff.Convolution(ff.StretchedExponential(0.999, 5.3e299)), None),
         (ff.Convolution(ff.AlgebraicTail(3.0)), None),
         (ff.FastDiffusion(0.5), ff.ValidationFailed),  # dx^2 overflows
         (ff.FractionalFastDiffusion(0.75, 0.8), None),
-    ], ids=["standard", "fractional", "stretched", "algebraic", "fast", "fractional-fast"])
+    ], ids=["standard", "fractional", "stretched", "stretched-huge-rate", "algebraic", "fast",
+            "fractional-fast"])
     def test_huge_box_runs_clean(self, dispersal, error, initial, L):
-        # the Gaussian's x^2 and the algebraic tail's |x|^p overflowed with a
-        # bare RuntimeWarning; the limits they take now, exp(-inf) = 0 and
-        # c / inf = 0, are exact
+        # the Gaussian's x^2, the algebraic tail's |x|^p and the stretched
+        # kernel's cell bounds b y^a overflowed with a bare RuntimeWarning;
+        # the limits they take now, exp(-inf) = 0, c / inf = 0 and
+        # gammainc(s, inf) = 1, gammaincc(s, inf) = 0, are exact
         config = dict(L=L, N=8, dispersal=dispersal, t_end=0.02, initial=initial)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
